@@ -5,9 +5,9 @@ Layers:
 
 - model:   parameter families, drift/intensity evaluation, hypothesis checks
 - rng:     keyed counter-based random streams
-- pathsim: exact-thinning path simulation (single path and conditioned paths)
-- cohort:  vectorized many-path engine shared by the estimators
+- cohort:  the path-stepping kernel (exact thinning over particle arrays)
 - qsd:     Fleming-Viot ensembles and the alpha / lambda0 / eta / beta stack
+- pathsim: single-path and conditioned-path front ends on the kernel
 - oracle:  independent grid-generator cross-check (d = 1)
 - cli:     command-line entry points and artifact writers
 """

@@ -65,7 +65,6 @@ DEFAULT_CONFIG: dict = {
     "x_max": None,
     "horizon": 50.0,
     "substep_alpha": 0.5,
-    "prop_target": 0.3,
     "slack": 1.5,
     "qprocess_delta": 0.05,
     "record_every": 1,
@@ -166,7 +165,7 @@ def build_sim(cfg: dict) -> SimConfig:
             truncation_y_low=(None if cfg["truncation_y_low"] is None
                               else float(cfg["truncation_y_low"])),
             substep_alpha=float(cfg["substep_alpha"]),
-            prop_target=float(cfg["prop_target"]), slack=float(cfg["slack"]),
+            slack=float(cfg["slack"]),
             qprocess_delta=float(cfg["qprocess_delta"]),
             record_every=int(cfg["record_every"]))
     except (TypeError, ValueError) as exc:

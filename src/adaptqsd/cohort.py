@@ -1,30 +1,115 @@
-"""Vectorized many-path engine.
+"""The path-stepping kernel: thinned jump-diffusion windows over particle arrays.
 
-Implements the same window/thinning/substep scheme as pathsim, advanced in
-lockstep across a whole particle array; it is the workhorse behind the
-Fleming-Viot, survival, and conditioned-ensemble estimators. All draws come
-from one generator per window (keyed by the window index) with a fixed draw
-order, so runs are bit-reproducible and individual windows replayable.
+Engine.window advances every live particle of an array by one window with
+the package's single discretization of the process:
 
-Semantics differences from the scalar path (both exact for the law):
-- a particle may accept several jumps inside one window; the window's rate
-  ceiling remains a valid thinning bound because accepted jumps never raise
-  it (stock families: constant in x; rescaled family: jumps shrink ||x||);
-- the window length is the global dt_max rather than adapting to the
-  proposal budget (per-particle proposal counts stay small: the acceptance
-  ratio handles oversized windows, only the proposal overhead grows).
+- x is affine between mutations (x(t) = x0 - v t e1), so exits from the
+  truncation box and the explosion guard are located exactly;
+- y takes Euler-Maruyama substeps dt_sub <= substep_alpha * y^2, which
+  resolve the singular drift near the extinction boundary, plus a
+  Brownian-bridge crossing correction at the kill levels, so absorbed
+  functionals converge at first order in dt rather than half order;
+- mutation proposals arrive from a per-window Poisson clock at the rate
+  ceiling slack * f(y0) * sup_g * nu_mass; each is kept with probability
+  [f(y_t)/ceiling_f] * [g(x_t, w)/sup_g], which reproduces the target
+  accepted intensity f(y_t) g(x_t, w) nu(dw) exactly whenever the ceiling
+  holds (violations are counted in WindowEvents.bound_exceeded, never
+  silently absorbed). A particle may accept several jumps inside one window;
+  the ceiling stays a valid bound because accepted jumps never raise it
+  (stock families: constant in x; rescaled family: jumps shrink ||x||).
+
+Every estimator (Fleming-Viot, survival cohorts, eta, the conditioned
+ensemble) and the single-path front ends in pathsim run on this kernel. All
+draws of a window come from one generator with a fixed draw order, so runs
+are bit-reproducible and individual windows replayable.
 """
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DomainError, NumericError
 from .model import ModelParams, drift_y
-from .pathsim import ExitReason, SimConfig
 
-__all__ = ["WindowEvents", "Engine", "REASON_CODES", "reason_from_code"]
+__all__ = ["ExitReason", "SimConfig", "WindowEvents", "Engine", "REASON_CODES",
+           "reason_from_code"]
+
+
+class ExitReason(enum.Enum):
+    SURVIVED_HORIZON = "survived_horizon"
+    EXTINCT = "extinct"
+    LEFT_TRUNCATION = "left_truncation"
+    EXPLOSION_GUARD = "explosion_guard"
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Numerical controls for path simulation.
+
+    truncation: half-width L of the box B(0, L) x [y_floor, L], or None for
+    the untruncated process. truncation_y_low overrides the default lower
+    edge 1/L of the truncated domain (the acceptance configs pin it to y_ext
+    so simulator and grid oracle absorb on the identical region).
+    """
+
+    dt_max: float = 0.01
+    y_ext: float = 1e-3
+    x_max: float | None = None
+    horizon: float = 50.0
+    truncation: float | None = None
+    truncation_y_low: float | None = None
+    substep_alpha: float = 0.5
+    slack: float = 1.5
+    qprocess_delta: float = 0.05
+    record_every: int = 1
+
+    def __post_init__(self):
+        if not (self.dt_max > 0.0):
+            raise DomainError("dt_max must be positive")
+        if self.y_ext < 0.0:
+            raise DomainError("y_ext must be >= 0")
+        if not (self.horizon > 0.0):
+            raise DomainError("horizon must be positive")
+        if self.truncation is not None and not (self.truncation > 0.0):
+            raise DomainError("truncation must be positive when set")
+        if self.truncation is not None and self.y_ext >= self.truncation:
+            raise DomainError("y_ext must sit below the truncation ceiling")
+        if not (0.0 < self.substep_alpha <= 1.0):
+            raise DomainError("substep_alpha must be in (0, 1]")
+        if not (self.slack > 1.0):
+            raise DomainError("thinning slack must exceed 1")
+        if not (self.qprocess_delta > 0.0):
+            raise DomainError("qprocess_delta must be positive")
+        if self.record_every < 1:
+            raise DomainError("record_every must be >= 1")
+
+    @property
+    def y_floor(self) -> float:
+        if self.truncation is None:
+            return self.y_ext
+        low = self.truncation_y_low
+        if low is None:
+            low = 1.0 / self.truncation
+        return max(self.y_ext, low)
+
+    @property
+    def floor_reason(self) -> ExitReason:
+        if self.truncation is not None and self.y_floor > self.y_ext:
+            return ExitReason.LEFT_TRUNCATION
+        return ExitReason.EXTINCT
+
+    @property
+    def y_top(self) -> float | None:
+        return self.truncation
+
+    @property
+    def x_guard(self) -> float:
+        if self.x_max is not None:
+            return self.x_max
+        return 10.0 * self.truncation if self.truncation is not None else 40.0
+
 
 REASON_CODES = {
     "extinct": 0,
@@ -51,7 +136,11 @@ def reason_from_code(code: int) -> ExitReason:
 
 @dataclass
 class WindowEvents:
-    """Event log of one cohort window; timestamps are absolute."""
+    """Event log of one cohort window; timestamps are absolute.
+
+    Kills are in kill-time order; jumps carry the particle's position just
+    before and just after the jump.
+    """
 
     kill_ids: np.ndarray
     kill_times: np.ndarray
@@ -59,18 +148,26 @@ class WindowEvents:
     jump_ids: np.ndarray
     jump_times: np.ndarray
     jump_w: np.ndarray
-    jump_norm_before: np.ndarray
-    jump_norm_after: np.ndarray
+    jump_x_before: np.ndarray
+    jump_x_after: np.ndarray
     n_proposals: int
     bound_exceeded: int
+
+    @property
+    def jump_norm_before(self) -> np.ndarray:
+        return np.linalg.norm(self.jump_x_before, axis=1)
+
+    @property
+    def jump_norm_after(self) -> np.ndarray:
+        return np.linalg.norm(self.jump_x_after, axis=1)
 
     @classmethod
     def empty(cls, dim: int) -> "WindowEvents":
         return cls(kill_ids=np.empty(0, dtype=np.int64), kill_times=np.empty(0),
                    kill_codes=np.empty(0, dtype=np.int8),
                    jump_ids=np.empty(0, dtype=np.int64), jump_times=np.empty(0),
-                   jump_w=np.empty((0, dim)), jump_norm_before=np.empty(0),
-                   jump_norm_after=np.empty(0), n_proposals=0, bound_exceeded=0)
+                   jump_w=np.empty((0, dim)), jump_x_before=np.empty((0, dim)),
+                   jump_x_after=np.empty((0, dim)), n_proposals=0, bound_exceeded=0)
 
 
 class Engine:
@@ -92,7 +189,8 @@ class Engine:
 
         Mutates xa/ya/rem/live/off/kill_* in place. Each substep draws one
         normal and two bridge uniforms per active particle; kills interpolate
-        the time within the crossing substep.
+        the time within the crossing substep and leave the particle at its
+        kill point (x moved to the kill time, y on the level it crossed).
         """
         cfg = self.config
         floor = cfg.y_floor
@@ -143,9 +241,14 @@ class Engine:
             dead_local = np.flatnonzero(killed)
             if len(dead_local):
                 di = idx[dead_local]
+                to_kill = frac[dead_local] * h[dead_local]
                 live[di] = False
-                kill_off[di] = off[di] + frac[dead_local] * h[dead_local]
+                kill_off[di] = off[di] + to_kill
                 kill_code[di] = code[dead_local]
+                xa[di, 0] -= v * to_kill
+                ya[di] = floor
+                if top is not None:
+                    ya[di[code[dead_local] == REASON_CODES["trunc_y_top"]]] = top
 
             ok = np.flatnonzero(~killed)
             oi = idx[ok]
@@ -161,6 +264,8 @@ class Engine:
         """Advance every live particle by dt from absolute time t0.
 
         Mutates x (n, d), y (n,), alive (n,) in place; returns the event log.
+        Particles dead at t0 are left untouched; particles killed in the
+        window are left at their kill point.
         """
         cfg = self.config
         p = self.params
@@ -210,7 +315,7 @@ class Engine:
                 codes = np.where(better, code, codes).astype(np.int8)
             return out, codes
 
-        jacc: dict[str, list] = {k: [] for k in ("ids", "t", "w", "nb", "na")}
+        jacc: dict[str, list] = {k: [] for k in ("ids", "t", "w", "xb", "xa")}
         exceeded = 0
         total_props = 0
 
@@ -256,14 +361,15 @@ class Engine:
                 ai = pi[np.flatnonzero(acc)]
                 if len(ai):
                     wa = w[acc]
-                    nb = np.linalg.norm(xa[ai], axis=1)
+                    x_before = xa[ai]
                     xa[ai] += wa
-                    na = np.linalg.norm(xa[ai], axis=1)
+                    x_after = xa[ai]
+                    na = np.linalg.norm(x_after, axis=1)
                     jacc["ids"].append(idx_all[ai])
                     jacc["t"].append(t0 + off[ai])
                     jacc["w"].append(wa)
-                    jacc["nb"].append(nb)
-                    jacc["na"].append(na)
+                    jacc["xb"].append(x_before)
+                    jacc["xa"].append(x_after)
                     lvl = cfg.truncation if cfg.truncation is not None else np.inf
                     outside = na >= np.minimum(lvl, cfg.x_guard)
                     oi = np.flatnonzero(outside)
@@ -288,8 +394,8 @@ class Engine:
             ev.jump_ids = np.concatenate(jacc["ids"])
             ev.jump_times = np.concatenate(jacc["t"])
             ev.jump_w = np.concatenate(jacc["w"], axis=0)
-            ev.jump_norm_before = np.concatenate(jacc["nb"])
-            ev.jump_norm_after = np.concatenate(jacc["na"])
+            ev.jump_x_before = np.concatenate(jacc["xb"], axis=0)
+            ev.jump_x_after = np.concatenate(jacc["xa"], axis=0)
         ev.n_proposals = total_props
         ev.bound_exceeded = exceeded
 

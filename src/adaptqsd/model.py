@@ -14,7 +14,7 @@ measure f(y) nu(dw) and fix with probability g(x, w); an accepted mutation
 translates x by w instantly. Extinction is absorption of y at 0.
 
 Everything here is pure parameterization and pointwise evaluation; path
-dynamics live in pathsim, ensembles in qsd, and the grid cross-check in
+dynamics live in cohort, estimators in qsd, and the grid cross-check in
 oracle.
 """
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "FixationSpec",
     "MutationSpec",
     "ModelParams",
-    "State",
     "ReferenceBox",
     "HypothesisCheck",
     "HypothesisReport",
@@ -308,25 +307,6 @@ class ModelParams:
     def thinning_bound(self, y, x_norm: float = 0.0) -> np.ndarray:
         """f(y) * sup_g * nu(R^d): exact proposal-rate ceiling at (x, y)."""
         return self.f(y) * self.g_bound(x_norm) * self.mutation_mass()
-
-
-@dataclass
-class State:
-    """Point state of the process; (x, y) = (0, 0) with absorbed=True after extinction."""
-
-    x: np.ndarray
-    y: float
-    absorbed: bool = False
-
-    def __post_init__(self):
-        self.x = np.atleast_1d(np.asarray(self.x, dtype=float)).copy()
-        self.y = float(self.y)
-        if not self.absorbed and self.y <= 0.0:
-            raise DomainError("y must be positive for a live state")
-
-    @classmethod
-    def absorbed_state(cls, dim: int) -> "State":
-        return cls(x=np.zeros(dim), y=0.0, absorbed=True)
 
 
 # ---------------------------------------------------------------------------

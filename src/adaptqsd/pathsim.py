@@ -1,157 +1,33 @@
-"""Exact path simulation by Poisson thinning over Euler-Maruyama substeps.
+"""Single-path front ends over the cohort kernel.
 
-Between mutations the x component is affine in time (x(t) = x0 - v t e1), so
-it is advanced analytically and boundary crossings in x are located exactly.
-The y component is advanced by Euler-Maruyama with an adaptive substep rule
-dt_sub <= substep_alpha * y^2 that resolves the singular drift near the
-extinction boundary, plus a Brownian-bridge crossing correction at the kill
-levels so absorbed functionals converge at first order in dt rather than
-half order.
-
-Mutation proposals arrive from a per-step Poisson clock at the rate ceiling
-slack * f(y0) * sup_g * nu_mass; each proposal is kept with probability
-[f(y_t)/ceiling_f] * [g(x_t, w)/sup_g], which reproduces the target accepted
-intensity f(y_t) g(x_t, w) nu(dw) exactly whenever the ceiling holds (ceiling
-violations are counted and reported, never silently absorbed).
+simulate_path runs one particle through cohort.Engine windows and keeps its
+sampled states, jump log and exit record; simulate_q_path runs one walker of
+the h-transform rejection loop behind qsd.conditioned_marginal. Both return a
+Trajectory, whose jump log is enough to rebuild x between samples.
 """
 from __future__ import annotations
 
 import csv
-import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng as rng_mod
-from .errors import DomainError, NumericError
-from .model import ModelParams, State, drift_y
+from .cohort import Engine, ExitReason, SimConfig, reason_from_code
+from .errors import DomainError
+# drift_y stays importable from here for existing callers
+from .model import ModelParams, drift_y  # noqa: F401
+from .qsd import _h_transform
 
 __all__ = [
     "ExitReason",
     "SimConfig",
-    "KillInfo",
-    "StepYResult",
-    "TryJumpResult",
     "JumpEvent",
     "Trajectory",
-    "step_y",
-    "try_jump",
     "simulate_path",
     "simulate_q_path",
 ]
-
-_MAX_SUBSTEPS = 200_000
-
-
-class ExitReason(enum.Enum):
-    SURVIVED_HORIZON = "survived_horizon"
-    EXTINCT = "extinct"
-    LEFT_TRUNCATION = "left_truncation"
-    EXPLOSION_GUARD = "explosion_guard"
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Numerical controls for path simulation.
-
-    truncation: half-width L of the box B(0, L) x [y_floor, L], or None for
-    the untruncated process. truncation_y_low overrides the default lower
-    edge 1/L of the truncated domain (the acceptance configs pin it to y_ext
-    so simulator and grid oracle absorb on the identical region).
-    """
-
-    dt_max: float = 0.01
-    y_ext: float = 1e-3
-    x_max: float | None = None
-    horizon: float = 50.0
-    truncation: float | None = None
-    truncation_y_low: float | None = None
-    substep_alpha: float = 0.5
-    prop_target: float = 0.3
-    slack: float = 1.5
-    qprocess_delta: float = 0.05
-    record_every: int = 1
-
-    def __post_init__(self):
-        if not (self.dt_max > 0.0):
-            raise DomainError("dt_max must be positive")
-        if self.y_ext < 0.0:
-            raise DomainError("y_ext must be >= 0")
-        if not (self.horizon > 0.0):
-            raise DomainError("horizon must be positive")
-        if self.truncation is not None and not (self.truncation > 0.0):
-            raise DomainError("truncation must be positive when set")
-        if self.truncation is not None and self.y_ext >= self.truncation:
-            raise DomainError("y_ext must sit below the truncation ceiling")
-        if not (0.0 < self.substep_alpha <= 1.0):
-            raise DomainError("substep_alpha must be in (0, 1]")
-        if not (self.slack > 1.0):
-            raise DomainError("thinning slack must exceed 1")
-        if not (self.prop_target > 0.0):
-            raise DomainError("prop_target must be positive")
-        if not (self.qprocess_delta > 0.0):
-            raise DomainError("qprocess_delta must be positive")
-        if self.record_every < 1:
-            raise DomainError("record_every must be >= 1")
-
-    @property
-    def y_floor(self) -> float:
-        if self.truncation is None:
-            return self.y_ext
-        low = self.truncation_y_low
-        if low is None:
-            low = 1.0 / self.truncation
-        return max(self.y_ext, low)
-
-    @property
-    def floor_reason(self) -> ExitReason:
-        if self.truncation is not None and self.y_floor > self.y_ext:
-            return ExitReason.LEFT_TRUNCATION
-        return ExitReason.EXTINCT
-
-    @property
-    def y_top(self) -> float | None:
-        return self.truncation
-
-    @property
-    def x_guard(self) -> float:
-        if self.x_max is not None:
-            return self.x_max
-        return 10.0 * self.truncation if self.truncation is not None else 40.0
-
-
-@dataclass(frozen=True)
-class KillInfo:
-    """Absorption event within a step: offset from the step start, and why."""
-
-    t_offset: float
-    reason: ExitReason
-
-
-@dataclass(frozen=True)
-class StepYResult:
-    y: float
-    kill: KillInfo | None
-    n_substeps: int
-
-
-@dataclass(frozen=True)
-class TryJumpResult:
-    """Outcome of scanning one thinning window of length dt.
-
-    Exactly one of three shapes: kill set (absorbed before any jump and
-    before dt); w set (accepted jump at t_offset, y evaluated there); neither
-    (window completed, y at dt). n_proposals counts proposals examined;
-    bound_exceeded counts proposals whose acceptance ratio had to be clipped.
-    """
-
-    w: np.ndarray | None
-    t_offset: float
-    y: float
-    kill: KillInfo | None
-    n_proposals: int
-    bound_exceeded: int
 
 
 @dataclass(frozen=True)
@@ -213,329 +89,70 @@ class Trajectory:
                                 + [f"{self.y[i]:.17g}", f"{ni:.17g}", event] + [""] * d)
 
 
-# ---------------------------------------------------------------------------
-# noise plumbing
-
-
-class _NoiseSource:
-    """Uniform front-end over the three accepted noise inputs (D-array of
-    normals for deterministic tests, scalar for single-substep tests, or a
-    Generator for production use; bridge uniforms exist only in Generator
-    mode)."""
-
-    def __init__(self, noise):
-        if isinstance(noise, (rng_mod.StreamKey, np.random.Generator)):
-            self.gen = rng_mod.as_generator(noise)
-            self.queue = None
-        elif np.isscalar(noise):
-            self.gen = None
-            self.queue = [float(noise)]
-        else:
-            self.gen = None
-            self.queue = [float(v) for v in np.asarray(noise, dtype=float).ravel()]
-        self.scalar = np.isscalar(noise)
-
-    @property
-    def has_bridge(self) -> bool:
-        return self.gen is not None
-
-    def normal(self) -> float:
-        if self.gen is not None:
-            return float(self.gen.standard_normal())
-        if not self.queue:
-            raise NumericError("noise array exhausted before the step completed")
-        return self.queue.pop(0)
-
-    def bridge_uniforms(self) -> tuple[float, float]:
-        # always two draws so stream consumption is identical with or
-        # without a truncation ceiling (prefix-replay property)
-        return float(self.gen.random()), float(self.gen.random())
-
-
-def _advance_y(x_at, y0: float, dt: float, source: _NoiseSource,
-               params: ModelParams, config: SimConfig) -> tuple[float, KillInfo | None, int]:
-    """Advance y over [0, dt] with x supplied by x_at(offset).
-
-    Returns (y_end, kill, substeps). Kill offsets are interpolated within the
-    crossing substep.
-    """
-    floor = config.y_floor
-    top = config.y_top
-    y = float(y0)
-    remaining = float(dt)
-    elapsed = 0.0
-    nsub = 0
-    while remaining > 1e-15 * dt:
-        h = min(remaining, config.substep_alpha * y * y)
-        if h <= 0.0 or not np.isfinite(h):
-            raise NumericError("degenerate substep size", diagnostics={"y": y, "h": h})
-        if source.scalar and h < remaining - 1e-15 * dt:
-            raise NumericError("scalar noise given but the step requires subdivision")
-        xi = source.normal()
-        psi = float(drift_y(x_at(elapsed), y, params))
-        y1 = y + psi * h + math.sqrt(h) * xi
-        if not np.isfinite(y1):
-            raise NumericError("y became non-finite", diagnostics={"y": y, "psi": psi, "h": h})
-        nsub += 1
-        if nsub > _MAX_SUBSTEPS:
-            raise NumericError("substep limit exceeded", diagnostics={"y": y, "dt": dt})
-
-        crossed_floor = y1 <= floor
-        crossed_top = top is not None and y1 >= top
-        u_bot = u_top = None
-        if source.has_bridge:
-            u_bot, u_top = source.bridge_uniforms()
-            if not crossed_floor and y > floor:
-                p = math.exp(-2.0 * (y - floor) * (y1 - floor) / h)
-                crossed_floor = u_bot < p
-                if crossed_floor:
-                    t_star = elapsed + 0.5 * h
-            if not crossed_floor and not crossed_top and top is not None and y < top:
-                p = math.exp(-2.0 * (top - y) * (top - y1) / h)
-                crossed_top = u_top < p
-                if crossed_top:
-                    t_star = elapsed + 0.5 * h
-        if crossed_floor and y1 <= floor:
-            frac = (y - floor) / max(y - y1, 1e-300)
-            t_star = elapsed + h * min(max(frac, 0.0), 1.0)
-        elif crossed_top and top is not None and y1 >= top:
-            frac = (top - y) / max(y1 - y, 1e-300)
-            t_star = elapsed + h * min(max(frac, 0.0), 1.0)
-        if crossed_floor:
-            return floor, KillInfo(t_offset=t_star, reason=config.floor_reason), nsub
-        if crossed_top:
-            return top, KillInfo(t_offset=t_star, reason=ExitReason.LEFT_TRUNCATION), nsub
-
-        y = y1
-        elapsed += h
-        remaining -= h
-    return y, None, nsub
-
-
-def step_y(state: State, dt: float, noise, params: ModelParams, config: SimConfig) -> StepYResult:
-    """One y step of length dt with x frozen at the state's value.
-
-    noise: a Generator/StreamKey (production; enables bridge crossing
-    corrections), an array of per-substep normals, or a single float (valid
-    only when no subdivision is required).
-    """
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
-    x = np.atleast_1d(np.asarray(state.x, dtype=float))
-    src = _NoiseSource(noise)
-    y, kill, nsub = _advance_y(lambda _off: x, state.y, dt, src, params, config)
-    return StepYResult(y=y, kill=kill, n_substeps=nsub)
-
-
-# ---------------------------------------------------------------------------
-# thinning
-
-
-def _x_boundary_offset(x0: np.ndarray, v: float, dt: float, level: float) -> float | None:
-    """First offset in (0, dt] at which ||x0 - v t e1|| reaches `level`."""
-    rest = float(np.sum(np.square(x0[1:])))
-    if rest >= level * level:
-        return 0.0
-    t_star = (x0[0] + math.sqrt(level * level - rest)) / v
-    return t_star if 0.0 < t_star <= dt else None
-
-
-def try_jump(state: State, dt: float, source, params: ModelParams, config: SimConfig) -> TryJumpResult:
-    """Scan one thinning window of length dt starting from `state`.
-
-    Draws the proposal count and times from the rate ceiling, advances y to
-    each proposal time, and applies the two-stage acceptance ratio
-    (arrival factor, then fixation factor). Stops at the first accepted jump
-    or absorption. x evolves affinely inside the window for the acceptance
-    evaluations; applying the jump and the boundary checks in x is the
-    caller's job.
-    """
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
-    gen = rng_mod.as_generator(source)
-    src = _NoiseSource(gen)
-    x0 = np.atleast_1d(np.asarray(state.x, dtype=float))
-    y0 = float(state.y)
-    m_nu = params.mutation_mass()
-    g_sup = params.g_bound(float(np.linalg.norm(x0)) + params.v * dt)
-    f_ceil = config.slack * float(params.f(y0))
-    lam_bar = f_ceil * g_sup * m_nu
-
-    n_prop = int(gen.poisson(lam_bar * dt)) if lam_bar > 0.0 else 0
-    offsets = np.sort(gen.random(n_prop)) * dt if n_prop else np.empty(0)
-
-    def x_at(off: float) -> np.ndarray:
-        out = x0.copy()
-        out[0] -= params.v * off
-        return out
-
-    y = y0
-    elapsed = 0.0
-    exceeded = 0
-    for i in range(n_prop):
-        seg = float(offsets[i]) - elapsed
-        if seg > 0.0:
-            y, kill, _ = _advance_y(lambda off: x_at(elapsed + off), y, seg, src, params, config)
-            if kill is not None:
-                return TryJumpResult(w=None, t_offset=elapsed + kill.t_offset, y=y,
-                                     kill=KillInfo(elapsed + kill.t_offset, kill.reason),
-                                     n_proposals=i, bound_exceeded=exceeded)
-            elapsed = float(offsets[i])
-        w = params.mutation.sample(gen, 1, params.dim)[0]
-        u_f = gen.random()
-        u_g = gen.random()
-        ratio_f = float(params.f(y)) / f_ceil if f_ceil > 0.0 else 0.0
-        if ratio_f > 1.0:
-            exceeded += 1
-            ratio_f = 1.0
-        if u_f >= ratio_f:
-            continue
-        g_val = float(params.g(x_at(elapsed), w))
-        ratio_g = g_val / g_sup if g_sup > 0.0 else 0.0
-        if ratio_g > 1.0:
-            exceeded += 1
-            ratio_g = 1.0
-        if u_g < ratio_g:
-            return TryJumpResult(w=w, t_offset=elapsed, y=y, kill=None,
-                                 n_proposals=i + 1, bound_exceeded=exceeded)
-    seg = dt - elapsed
-    if seg > 0.0:
-        y, kill, _ = _advance_y(lambda off: x_at(elapsed + off), y, seg, src, params, config)
-        if kill is not None:
-            return TryJumpResult(w=None, t_offset=elapsed + kill.t_offset, y=y,
-                                 kill=KillInfo(elapsed + kill.t_offset, kill.reason),
-                                 n_proposals=n_prop, bound_exceeded=exceeded)
-    return TryJumpResult(w=None, t_offset=dt, y=y, kill=None,
-                         n_proposals=n_prop, bound_exceeded=exceeded)
-
-
-# ---------------------------------------------------------------------------
-# full paths
-
-
-def _coerce_init(init, params: ModelParams) -> State:
-    if isinstance(init, State):
-        return State(x=init.x, y=init.y)
+def _coerce_init(init) -> tuple[np.ndarray, float]:
     x, y = init
-    return State(x=np.atleast_1d(np.asarray(x, dtype=float)), y=float(y))
+    return np.atleast_1d(np.asarray(x, dtype=float)).copy(), float(y)
 
 
-def _check_in_bounds(state: State, config: SimConfig) -> None:
-    if state.y <= config.y_floor:
-        raise DomainError(f"initial y {state.y} not above the kill floor {config.y_floor}")
-    if config.y_top is not None and state.y >= config.y_top:
+def _check_in_bounds(x: np.ndarray, y: float, config: SimConfig) -> None:
+    if y <= config.y_floor:
+        raise DomainError(f"initial y {y} not above the kill floor {config.y_floor}")
+    if config.y_top is not None and y >= config.y_top:
         raise DomainError("initial y at or above the truncation ceiling")
-    xn = float(np.linalg.norm(state.x))
+    xn = float(np.linalg.norm(x))
     if config.truncation is not None and xn >= config.truncation:
         raise DomainError("initial x outside the truncation box")
     if xn >= config.x_guard:
         raise DomainError("initial x outside the explosion guard")
 
 
+def _jump_events(ev, rows) -> list[JumpEvent]:
+    return [JumpEvent(t=float(ev.jump_times[i]), w=ev.jump_w[i],
+                      x_before=ev.jump_x_before[i], x_after=ev.jump_x_after[i])
+            for i in rows]
+
+
 def simulate_path(init, params: ModelParams, config: SimConfig,
                   key: rng_mod.StreamKey) -> Trajectory:
     """Simulate one path to absorption, truncation exit, or the horizon.
 
-    Each thinning window consumes the stream key.child(window_index), so any
-    window can be replayed in isolation and trajectories are bit-reproducible
-    from (params, config, key).
+    A one-particle Engine run over fixed dt_max windows (the last one cut at
+    the horizon). Window k draws from key.child(k), so any window can be
+    replayed in isolation and trajectories are bit-reproducible from
+    (params, config, key). Rows are the engine state at every
+    record_every-th window end, plus the exit (or horizon) state.
     """
-    state = _coerce_init(init, params)
-    _check_in_bounds(state, config)
-    v = params.v
+    x0, y0 = _coerce_init(init)
+    _check_in_bounds(x0, y0, config)
+    engine = Engine(params, config)
+    x, y, alive = x0[None, :].copy(), np.array([y0]), np.ones(1, dtype=bool)
+    dt = config.dt_max
+    n_win = int(math.ceil(config.horizon / dt - 1e-9))
 
-    times = [0.0]
-    xs = [state.x.copy()]
-    ys = [state.y]
+    times, xs, ys = [0.0], [x0], [y0]
     jumps: list[JumpEvent] = []
-    t = 0.0
-    x = state.x.copy()
-    y = state.y
-    k = 0
     exit_reason = ExitReason.SURVIVED_HORIZON
     exit_time = config.horizon
-
-    def record(tt, xx, yy, force=False):
-        if force or (k % config.record_every == 0):
-            times.append(tt)
-            xs.append(xx.copy())
-            ys.append(yy)
-
-    while t < config.horizon - 1e-12 * config.horizon:
-        m_nu = params.mutation_mass()
-        lam_bar = config.slack * float(params.f(y)) * params.g_bound(
-            float(np.linalg.norm(x)) + v * config.dt_max) * m_nu
-        dt = min(config.dt_max, config.horizon - t)
-        if lam_bar > 0.0:
-            dt = min(dt, config.prop_target / lam_bar)
-
-        # exact x-boundary crossing inside the window pre-empts the window end
-        x_cross = None
-        for level, reason in ((config.truncation, ExitReason.LEFT_TRUNCATION),
-                              (config.x_guard, ExitReason.EXPLOSION_GUARD)):
-            if level is None:
-                continue
-            off = _x_boundary_offset(x, v, dt, level)
-            if off is not None and (x_cross is None or off < x_cross[0]):
-                x_cross = (off, reason)
-        dt_window = min(dt, x_cross[0]) if x_cross is not None else dt
-        if dt_window <= 0.0:
-            exit_reason = x_cross[1]
-            exit_time = t
+    t = 0.0
+    for k in range(n_win):
+        step = min(dt, config.horizon - t)
+        ev = engine.window(x, y, alive, t, step, rng_mod.stream(key.child(k)))
+        jumps += _jump_events(ev, range(len(ev.jump_ids)))
+        t += step
+        last = k + 1 == n_win or not alive[0]
+        if not alive[0]:
+            exit_reason = reason_from_code(ev.kill_codes[0])
+            exit_time = float(ev.kill_times[0])
+        if last or (k + 1) % config.record_every == 0:
+            times.append(exit_time if last else t)
+            xs.append(x[0].copy())
+            ys.append(float(y[0]))
+        if last:
             break
-
-        res = try_jump(State(x=x, y=y), dt_window, key.child(k), params, config)
-        k += 1
-        if res.kill is not None:
-            exit_reason = res.kill.reason
-            exit_time = t + res.kill.t_offset
-            y = res.y
-            x = x.copy()
-            x[0] -= v * res.kill.t_offset
-            record(exit_time, x, y, force=True)
-            break
-        if res.w is not None:
-            t_jump = t + res.t_offset
-            x_before = x.copy()
-            x_before[0] -= v * res.t_offset
-            x_after = x_before + res.w
-            jumps.append(JumpEvent(t=t_jump, w=res.w.copy(), x_before=x_before, x_after=x_after))
-            t = t_jump
-            x = x_after
-            y = res.y
-            xn = float(np.linalg.norm(x))
-            if config.truncation is not None and xn >= config.truncation:
-                exit_reason = ExitReason.LEFT_TRUNCATION
-                exit_time = t
-                record(t, x, y, force=True)
-                break
-            if xn >= config.x_guard:
-                exit_reason = ExitReason.EXPLOSION_GUARD
-                exit_time = t
-                record(t, x, y, force=True)
-                break
-            record(t, x, y)
-            continue
-        # window completed without jump or kill
-        t = t + dt_window
-        x = x.copy()
-        x[0] -= v * dt_window
-        y = res.y
-        if x_cross is not None and dt_window >= x_cross[0] - 1e-15:
-            exit_reason = x_cross[1]
-            exit_time = t
-            record(t, x, y, force=True)
-            break
-        record(t, x, y)
-    else:
-        exit_time = config.horizon
-
-    if exit_reason is ExitReason.SURVIVED_HORIZON and times[-1] < exit_time:
-        record(exit_time, x, y, force=True)
 
     return Trajectory(times=np.asarray(times), x=np.asarray(xs), y=np.asarray(ys),
                       jumps=jumps, exit_reason=exit_reason, exit_time=exit_time,
-                      sigma=params.sigma, v=v)
+                      sigma=params.sigma, v=params.v)
 
 
 def simulate_q_path(init, params: ModelParams, config: SimConfig, key: rng_mod.StreamKey,
@@ -544,82 +161,48 @@ def simulate_q_path(init, params: ModelParams, config: SimConfig, key: rng_mod.S
                     ratio_cap: float = 50.0) -> Trajectory:
     """Simulate the conditioned (never-absorbed) process by rejection.
 
-    Over each macro step of length config.qprocess_delta, a candidate segment
-    is drawn from the unconditioned dynamics and accepted with probability
-    eta(endpoint)/ceiling; absorbed candidates are always rejected. The
-    per-attempt acceptance equals eta(start)/ceiling, so a global
-    ceiling = eta_max stalls in low-eta corners of the state space; instead
-    the ceiling is min(eta_max, ratio_cap * eta(start)), which bounds the
-    expected attempts by ~ratio_cap everywhere. Candidates whose endpoint
-    value exceeds the ceiling are accepted outright and counted in
-    meta["q_ceiling_violations"] (same contract as the jump-thinning bound:
-    never silently absorbed, surfaced as a measured event count).
+    One walker of the rejection loop behind qsd.conditioned_marginal: over
+    each macro step of length config.qprocess_delta, candidate segments are
+    drawn from the unconditioned dynamics; absorbed candidates are rejected
+    and survivors are accepted with probability eta(endpoint)/ceiling, where
+    ceiling = min(eta_max, ratio_cap * eta(start)) bounds the expected
+    attempts by ~ratio_cap everywhere. Endpoint values above the ceiling are
+    accepted outright and counted in meta["q_ceiling_violations"] (never
+    silently absorbed). Rows are the macro-step endpoints; the jump log holds
+    the jumps of the accepted candidates.
 
     eta: callable (x (n, d), y (n,)) -> values; eta_max: its ceiling on the
     simulation region (taken from eta.max_value when omitted).
     """
-    state = _coerce_init(init, params)
-    _check_in_bounds(state, config)
+    x0, y0 = _coerce_init(init)
+    _check_in_bounds(x0, y0, config)
     if eta_max is None:
         eta_max = float(getattr(eta, "max_value"))
     if not (eta_max > 0.0):
         raise DomainError("eta_max must be positive")
     if not (ratio_cap > 1.0):
         raise DomainError("ratio_cap must exceed 1")
-    h0 = float(np.asarray(eta(state.x[None, :], np.asarray([state.y]))).ravel()[0])
-    if h0 <= 0.0:
+    x, y = x0[None, :].copy(), np.array([y0])
+    if float(np.asarray(eta(x, y)).ravel()[0]) <= 0.0:
         raise DomainError("initial state has nonpositive survival weight")
 
     horizon = config.horizon if horizon is None else horizon
     delta = config.qprocess_delta
-    n_steps = int(round(horizon / delta))
-    sub_cfg = replace(config, horizon=delta, record_every=10**9)
-
-    times = [0.0]
-    xs = [state.x.copy()]
-    ys = [state.y]
+    times, xs, ys = [0.0], [x0], [y0]
     jumps: list[JumpEvent] = []
-    x, y = state.x.copy(), state.y
-    t = 0.0
-    violations = 0
-    rounds_max = 0
-    for step in range(n_steps):
-        h_here = float(np.asarray(eta(x[None, :], np.asarray([y]))).ravel()[0])
-        if h_here <= 0.0:
-            raise NumericError("conditioned path reached a zero-weight state",
-                               diagnostics={"step": step, "x": float(x[0]), "y": y})
-        ceiling = min(eta_max, ratio_cap * h_here)
-        accepted = None
-        for attempt in range(max_attempts):
-            seg_key = key.child(step, attempt)
-            seg = simulate_path((x, y), params, sub_cfg, seg_key.child("path"))
-            if seg.exit_reason is not ExitReason.SURVIVED_HORIZON:
-                continue
-            xe, ye = seg.x[-1], float(seg.y[-1])
-            hval = float(np.asarray(eta(xe[None, :], np.asarray([ye]))).ravel()[0])
-            if hval <= 0.0:
-                continue
-            if hval > ceiling:
-                violations += 1
-            u = rng_mod.stream(seg_key.child("accept")).random()
-            if u * ceiling <= hval:
-                accepted = seg
-                break
-        if accepted is None:
-            raise NumericError("conditioned step rejected every candidate",
-                               diagnostics={"step": step, "attempts": max_attempts})
-        rounds_max = max(rounds_max, attempt + 1)
-        for j in accepted.jumps:
-            jumps.append(JumpEvent(t=t + j.t, w=j.w, x_before=j.x_before, x_after=j.x_after))
-        x = accepted.x[-1].copy()
-        y = float(accepted.y[-1])
-        t += delta
-        times.append(t)
-        xs.append(x.copy())
-        ys.append(y)
 
+    def record(step, accepted):
+        for ev, owner in accepted:
+            jumps.extend(_jump_events(ev, np.flatnonzero(owner >= 0)))
+        times.append((step + 1) * delta)
+        xs.append(x[0].copy())
+        ys.append(float(y[0]))
+
+    stats = _h_transform(x, y, eta, eta_max, Engine(params, config), key,
+                         int(round(horizon / delta)), max_attempts=max_attempts,
+                         ratio_cap=ratio_cap, on_step=record)
     return Trajectory(times=np.asarray(times), x=np.asarray(xs), y=np.asarray(ys),
                       jumps=jumps, exit_reason=ExitReason.SURVIVED_HORIZON, exit_time=horizon,
                       sigma=params.sigma, v=params.v,
-                      meta={"q_ceiling_violations": violations,
-                            "q_attempt_rounds_max": rounds_max})
+                      meta={"q_ceiling_violations": stats["ceiling_violations"],
+                            "q_attempt_rounds_max": stats["max_attempt_rounds"]})

@@ -23,11 +23,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cohort import Engine, WindowEvents
+from .cohort import Engine, SimConfig, WindowEvents
 from .errors import DomainError, MassExtinctionError, NumericError
 from .measure import EmpiricalMeasure, HistGrid, tv_distance, tv_noise_floor
 from .model import ModelParams, fixation_integral, reference_set
-from .pathsim import SimConfig
 from .rng import StreamKey, stream
 
 __all__ = [
@@ -110,6 +109,48 @@ def _init_states(init, size: int, params: ModelParams, config: SimConfig,
 # Fleming-Viot
 
 
+class _FlemingViotStepper:
+    """A Fleming-Viot ensemble advanced one dt_max window at a time.
+
+    Window k draws from key.child("w", k). Killed particles are replaced at
+    the window end by the end-of-window state of a uniformly chosen survivor;
+    the donors of window k come from key.child(resample, k) in kill-time
+    order, so the kill/donor log is replayable. Mutates x and y in place.
+    """
+
+    def __init__(self, params: ModelParams, config: SimConfig, x: np.ndarray,
+                 y: np.ndarray, key: StreamKey, resample: str):
+        self.engine = Engine(params, config)
+        self.dt = config.dt_max
+        self.x, self.y = x, y
+        self.alive = np.ones(len(y), dtype=bool)
+        self.key = key
+        self.resample = resample
+        self.t = 0.0
+        self.k = 0
+        self.bound_exceeded = 0
+
+    def step(self) -> tuple[WindowEvents, np.ndarray]:
+        """One window; returns its events and the donor of each kill."""
+        x, y, alive = self.x, self.y, self.alive
+        ev = self.engine.window(x, y, alive, self.t, self.dt,
+                                stream(self.key.child("w", self.k)))
+        self.bound_exceeded += ev.bound_exceeded
+        donors = np.empty(0, dtype=np.int64)
+        if len(ev.kill_ids):
+            surv = np.flatnonzero(alive)
+            if len(surv) == 0:
+                raise MassExtinctionError("all particles died in one window", time=self.t)
+            g = stream(self.key.child(self.resample, self.k))
+            donors = surv[g.integers(0, len(surv), len(ev.kill_ids))]
+            x[ev.kill_ids] = x[donors]
+            y[ev.kill_ids] = y[donors]
+            alive[ev.kill_ids] = True
+        self.t += self.dt
+        self.k += 1
+        return ev, donors
+
+
 @dataclass
 class QsdEstimate:
     """Output of a Fleming-Viot run, optionally enriched downstream."""
@@ -143,8 +184,8 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
     """Fleming-Viot estimate of (alpha, lambda0) on the truncated domain.
 
     Killed particles are replaced at window ends by the end-of-window state
-    of a uniformly chosen survivor (donor draws come from a dedicated
-    resample stream in kill-time order, so the kill/donor log is replayable).
+    of a uniformly chosen survivor (see _FlemingViotStepper; donors come from
+    the "resample" streams).
     burn_in="auto" tracks the TV between consecutive chunk occupations and
     declares the transient over when that series stops improving: two chunks
     in a row with either TV below plateau_tol or less than a 10% drop while
@@ -154,11 +195,10 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
     if n_particles < 2:
         raise DomainError("need at least 2 particles")
     grid = hist_grid if hist_grid is not None else default_hist_grid(config)
-    engine = Engine(params, config)
     dt = config.dt_max
     gen0 = stream(key.child("init"))
     x, y = _init_states(init, n_particles, params, config, gen0)
-    alive = np.ones(n_particles, dtype=bool)
+    fv = _FlemingViotStepper(params, config, x, y, key, "resample")
 
     occ = np.zeros(grid.n_cells)
     chunk_occ = np.zeros(grid.n_cells)
@@ -173,34 +213,21 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
     plateau_hits = 0
     kills_window = 0
     window_t0 = None
-    bound_exceeded = 0
     t = 0.0
-    k = 0
 
     while True:
         if burn_done and burn_time is not None and window_t0 is None and t >= burn_time - 1e-12:
             window_t0 = t
         if window_t0 is not None and t >= window_t0 + window - 1e-12:
             break
-        ev = engine.window(x, y, alive, t, dt, stream(key.child("w", k)))
-        bound_exceeded += ev.bound_exceeded
-        n_dead = len(ev.kill_ids)
-        if n_dead:
-            surv = np.flatnonzero(alive)
-            if len(surv) == 0:
-                raise MassExtinctionError("all particles died in one window", time=t)
-            g = stream(key.child("resample", k))
-            donors = surv[g.integers(0, len(surv), n_dead)]
-            x[ev.kill_ids] = x[donors]
-            y[ev.kill_ids] = y[donors]
-            alive[ev.kill_ids] = True
+        ev, donors = fv.step()
+        if len(donors):
             kill_times.append(ev.kill_times)
             kill_ids.append(ev.kill_ids)
             donor_ids.append(donors)
             if window_t0 is not None:
-                kills_window += n_dead
-        t += dt
-        k += 1
+                kills_window += len(donors)
+        t = fv.t
         idx = grid.cell_index(x, y)
         inside = idx >= 0
         np.add.at(chunk_occ, idx[inside], dt)
@@ -238,7 +265,7 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
     }
     diag = {
         "tv_series": tv_series,
-        "bound_exceeded": bound_exceeded,
+        "bound_exceeded": fv.bound_exceeded,
         "mean_y_series": np.asarray(mean_y_series),
         "plateau_tol": plateau_tol,
         "burn_in_capped": bool(burn_time is not None and burn_time >= burn_in_cap),
@@ -258,7 +285,9 @@ class CohortResult:
     """Death times and optional snapshots / jump logs of a plain cohort.
 
     slices maps a snapshot time to (live_idx, x_live, y_live): the particle
-    indices still alive at that time and their states.
+    indices still alive at that time and their states. end_x/end_y hold the
+    kill point of every particle that died. bound_exceeded counts the
+    thinning-bound violations over all windows.
     """
 
     death_times: np.ndarray
@@ -271,6 +300,7 @@ class CohortResult:
     jump_norm_after: np.ndarray | None = None
     jump_times: np.ndarray | None = None
     total_time_alive: float = 0.0
+    bound_exceeded: int = 0
 
     def survival(self, t: float) -> float:
         return float(np.mean(self.death_times > t))
@@ -298,10 +328,12 @@ def run_cohort(x0: np.ndarray, y0: np.ndarray, params: ModelParams, config: SimC
     si = 0
     t = 0.0
     alive_time = 0.0
+    bound_exceeded = 0
     for k in range(n_win):
         step = min(dt, horizon - t)
         alive_time += step * np.count_nonzero(alive)
         ev = engine.window(x, y, alive, t, step, stream(key.child("w", k)))
+        bound_exceeded += ev.bound_exceeded
         if len(ev.kill_ids):
             death[ev.kill_ids] = ev.kill_times
         if collect_jumps and len(ev.jump_ids):
@@ -326,7 +358,7 @@ def run_cohort(x0: np.ndarray, y0: np.ndarray, params: ModelParams, config: SimC
         jump_norm_before=np.concatenate(jnb) if jnb else (np.empty(0) if collect_jumps else None),
         jump_norm_after=np.concatenate(jna) if jna else (np.empty(0) if collect_jumps else None),
         jump_times=np.concatenate(jt) if jt else (np.empty(0) if collect_jumps else None),
-        total_time_alive=alive_time,
+        total_time_alive=alive_time, bound_exceeded=bound_exceeded,
     )
 
 
@@ -625,6 +657,7 @@ class ConvergenceCurve:
     r_squared: float
     floor: float
     per_replicate: np.ndarray
+    bound_exceeded: int = 0
 
     def decay_end(self) -> int:
         """Index of the first slice at the plateau (floor + 1 SE), inclusive.
@@ -663,35 +696,23 @@ def convergence_curve(init, reference: EmpiricalMeasure, params: ModelParams,
     grid = reference.grid
     ts = np.arange(slice_dt, t_max + 1e-9, slice_dt)
     curves = np.zeros((n_replicates, len(ts)))
-    engine = Engine(params, config)
     dt = config.dt_max
+    bound_exceeded = 0
     for rep in range(n_replicates):
         gen0 = stream(key.child("rep", rep, "init"))
         x, y = _init_states(init, n_particles, params, config, gen0)
-        alive = np.ones(n_particles, dtype=bool)
+        fv = _FlemingViotStepper(params, config, x, y, key.child("rep", rep), "rs")
         occ = np.zeros(grid.n_cells)
-        t = 0.0
-        k = 0
         si = 0
         while si < len(ts):
-            ev = engine.window(x, y, alive, t, dt, stream(key.child("rep", rep, "w", k)))
-            if len(ev.kill_ids):
-                surv = np.flatnonzero(alive)
-                if len(surv) == 0:
-                    raise MassExtinctionError("replicate died out", time=t)
-                g = stream(key.child("rep", rep, "rs", k))
-                donors = surv[g.integers(0, len(surv), len(ev.kill_ids))]
-                x[ev.kill_ids] = x[donors]
-                y[ev.kill_ids] = y[donors]
-                alive[ev.kill_ids] = True
-            t += dt
-            k += 1
+            fv.step()
             idx = grid.cell_index(x, y)
             np.add.at(occ, idx[idx >= 0], dt)
-            if t + 1e-12 >= ts[si]:
+            if fv.t + 1e-12 >= ts[si]:
                 curves[rep, si] = tv_distance(occ.reshape(grid.shape), reference.masses)
                 occ = np.zeros(grid.n_cells)
                 si += 1
+        bound_exceeded += fv.bound_exceeded
     tv_mean = curves.mean(axis=0)
     tv_se = curves.std(axis=0, ddof=1) / math.sqrt(n_replicates)
     floor = float(tv_mean[-2:].mean())
@@ -708,7 +729,7 @@ def convergence_curve(init, reference: EmpiricalMeasure, params: ModelParams,
         gamma, gamma_se, r2 = float("nan"), float("nan"), float("nan")
     return ConvergenceCurve(t=ts, tv_mean=tv_mean, tv_se=tv_se, gamma_hat=gamma,
                             gamma_se=gamma_se, r_squared=r2, floor=floor,
-                            per_replicate=curves)
+                            per_replicate=curves, bound_exceeded=bound_exceeded)
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +745,7 @@ class BalanceReport:
     quad_tol: float
     n_samples: int
     n_blocks: int
+    bound_exceeded: int = 0
 
     @property
     def sigmas(self) -> float:
@@ -740,35 +762,21 @@ def balance_residual(params: ModelParams, config: SimConfig, key: StreamKey,
     over a stationary ensemble; the MC error comes from block means over
     time, which absorbs the autocorrelation.
     """
-    engine = Engine(params, config)
-    dt = config.dt_max
     if init is None:
         # capped below any ceiling; the raw equilibrium may sit outside a
         # truncated box, where a point start is killed immediately
         init = relaxed_start(params, config)
     gen0 = stream(key.child("init"))
     x, y = _init_states(init, n_particles, params, config, gen0)
-    alive = np.ones(n_particles, dtype=bool)
-    t = 0.0
-    k = 0
+    fv = _FlemingViotStepper(params, config, x, y, key, "rs")
     horizon = burn + collect
     next_sample = burn
     samples: list[float] = []
     sample_times: list[float] = []
     j1_cache: dict[float, float] = {}
-    while t < horizon - 1e-12:
-        ev = engine.window(x, y, alive, t, dt, stream(key.child("w", k)))
-        if len(ev.kill_ids):
-            surv = np.flatnonzero(alive)
-            if len(surv) == 0:
-                raise MassExtinctionError("balance ensemble died out", time=t)
-            g = stream(key.child("rs", k))
-            donors = surv[g.integers(0, len(surv), len(ev.kill_ids))]
-            x[ev.kill_ids] = x[donors]
-            y[ev.kill_ids] = y[donors]
-            alive[ev.kill_ids] = True
-        t += dt
-        k += 1
+    while fv.t < horizon - 1e-12:
+        fv.step()
+        t = fv.t
         if t + 1e-12 >= next_sample and next_sample < horizon:
             fy = np.asarray(params.f(y))
             j1 = np.array([_j1_cached(float(xi[0]), params, j1_cache) for xi in x])
@@ -783,7 +791,7 @@ def balance_residual(params: ModelParams, config: SimConfig, key: StreamKey,
     return BalanceReport(v=params.v, rhs=rhs, residual=params.v - rhs,
                          mc_stderr=se, quad_tol=1e-6,
                          n_samples=len(samples_arr) * n_particles,
-                         n_blocks=len(block_means))
+                         n_blocks=len(block_means), bound_exceeded=fv.bound_exceeded)
 
 
 def _j1_cached(x1: float, params: ModelParams, cache: dict, decimals: int = 3) -> float:
@@ -870,6 +878,23 @@ def conditioned_marginal(start: EmpiricalMeasure, eta: EtaEstimate, params: Mode
     """Evolve never-absorbed walkers by h-transform rejection; returns the
     terminal states (x, y) and attempt statistics.
 
+    Walkers start from `start` (drawn from key.child("init")) and run
+    horizon / config.qprocess_delta macro steps of _h_transform.
+    """
+    gen0 = stream(key.child("init"))
+    x, y = _init_states(start, n_walkers, params, config, gen0)
+    stats = _h_transform(x, y, eta, eta.max_value, Engine(params, config), key,
+                         int(round(horizon / config.qprocess_delta)),
+                         max_attempts=max_attempts, ratio_cap=ratio_cap,
+                         batch_slots=batch_slots)
+    return x, y, stats
+
+
+def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, engine: Engine,
+                 key: StreamKey, n_steps: int, max_attempts: int, ratio_cap: float,
+                 batch_slots: int = 16, on_step=None) -> dict:
+    """Advance walkers (x, y) in place by n_steps h-transform macro steps.
+
     Per macro step of length config.qprocess_delta each pending walker draws
     unconditioned candidate segments; candidates that die are rejected,
     survivors are accepted with probability eta(endpoint)/ceiling. The
@@ -882,35 +907,39 @@ def conditioned_marginal(start: EmpiricalMeasure, eta: EtaEstimate, params: Mode
     batch_slots candidates per pending walker are simulated per round; the
     accepted one is the first accepting slot in slot order, which reproduces
     sequential-attempt semantics while amortizing the per-call overhead.
+    Round r of step s draws its windows from key.child("s", s, "r", r, "w", k)
+    and its acceptance uniforms from key.child("s", s, "r", r, "acc").
+
+    on_step(step, accepted), when given, runs after each macro step;
+    accepted lists (events, owner) per candidate window, where owner maps
+    each logged jump to the walker that accepted its candidate (-1 for
+    rejected candidates).
     """
+    config = engine.config
     delta = config.qprocess_delta
-    n_steps = int(round(horizon / delta))
-    engine = Engine(params, config)
     n_win = max(int(round(delta / config.dt_max)), 1)
     dt = delta / n_win
-    eta_max = eta.max_value
-    gen0 = stream(key.child("init"))
-    x, y = _init_states(start, n_walkers, params, config, gen0)
     attempts_hist: list[int] = []
     violations = 0
     K = max(int(batch_slots), 1)
     max_rounds = max(max_attempts // K, 1)
     for step in range(n_steps):
-        pending = np.arange(n_walkers)
+        pending = np.arange(len(y))
         ceiling_all = np.minimum(eta_max, ratio_cap * eta(x, y))
         if np.any(ceiling_all <= 0.0):
             raise NumericError("conditioned walker reached a zero-weight state",
                                diagnostics={"step": step,
                                             "count": int(np.sum(ceiling_all <= 0.0))})
         rounds = 0
+        accepted = []
         while len(pending) and rounds < max_rounds:
             m = len(pending)
             cx = np.tile(x[pending], (K, 1))
             cy = np.tile(y[pending], K)
             calive = np.ones(K * m, dtype=bool)
-            for k in range(n_win):
-                engine.window(cx, cy, calive, step * delta + k * dt, dt,
-                              stream(key.child("s", step, "r", rounds, "w", k)))
+            events = [engine.window(cx, cy, calive, step * delta + k * dt, dt,
+                                    stream(key.child("s", step, "r", rounds, "w", k)))
+                      for k in range(n_win)]
             hv = np.zeros(K * m)
             live = np.flatnonzero(calive)
             if len(live):
@@ -927,13 +956,18 @@ def conditioned_marginal(start: EmpiricalMeasure, eta: EtaEstimate, params: Mode
                 ids = pending[cols]
                 x[ids] = cx[sel]
                 y[ids] = cy[sel]
+                if on_step is not None:
+                    owner = np.full(K * m, -1, dtype=np.int64)
+                    owner[sel] = ids
+                    accepted += [(ev, owner[ev.jump_ids]) for ev in events]
             pending = pending[~any_ok]
             rounds += 1
         attempts_hist.append(rounds * K)
         if len(pending):
             raise NumericError("conditioned walkers exhausted the retry budget",
                                diagnostics={"step": step, "stuck": len(pending)})
-    stats = {"max_attempt_rounds": int(max(attempts_hist)),
-             "mean_attempt_rounds": float(np.mean(attempts_hist)),
-             "ceiling_violations": violations}
-    return x, y, stats
+        if on_step is not None:
+            on_step(step, accepted)
+    return {"max_attempt_rounds": int(max(attempts_hist, default=0)),
+            "mean_attempt_rounds": float(np.mean(attempts_hist)) if attempts_hist else 0.0,
+            "ceiling_violations": violations}

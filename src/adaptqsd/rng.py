@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["StreamKey", "stream", "as_generator", "gaussian", "next_proposal_clock", "draw_mutation"]
+__all__ = ["StreamKey", "stream"]
 
 Lineage = tuple[int | str, ...]
 
@@ -48,42 +48,3 @@ def _digest_key(key: StreamKey) -> int:
 def stream(key: StreamKey) -> np.random.Generator:
     """Fresh generator for this key; same key always yields the same stream."""
     return np.random.Generator(np.random.Philox(key=_digest_key(key)))
-
-
-def as_generator(source: StreamKey | np.random.Generator) -> np.random.Generator:
-    if isinstance(source, StreamKey):
-        return stream(source)
-    if isinstance(source, np.random.Generator):
-        return source
-    raise DomainError(f"expected StreamKey or Generator, got {type(source).__name__}")
-
-
-def gaussian(source: StreamKey | np.random.Generator, count: int) -> np.ndarray:
-    """`count` standard normals; count = 0 yields an empty array."""
-    if count < 0:
-        raise DomainError("count must be >= 0")
-    return as_generator(source).standard_normal(count)
-
-
-def next_proposal_clock(source: StreamKey | np.random.Generator, rate: float) -> float:
-    """Exponential waiting time with the given rate, via inverse CDF.
-
-    Inverse-CDF sampling makes waiting times at different rates exact
-    monotone couplings of each other when driven by the same stream (halving
-    the rate exactly doubles the time).
-    """
-    if not (rate > 0.0) or not np.isfinite(rate):
-        raise DomainError("rate must be positive and finite")
-    u = as_generator(source).random()
-    return -np.log1p(-u) / rate
-
-
-def draw_mutation(source: StreamKey | np.random.Generator, params, count: int = 1) -> np.ndarray:
-    """Draw `count` mutation effects from the normalized mutation law.
-
-    Returns shape (count, d).
-    """
-    if count < 0:
-        raise DomainError("count must be >= 0")
-    gen = as_generator(source)
-    return params.mutation.sample(gen, count, params.dim)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import fnmatch
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +197,45 @@ def test_diagnose_thread_count_does_not_change_artifacts(tmp_path):
     payload = json.loads(_read(d1 / "diagnose.json"))
     assert payload["lambda0"] > 0.0
     assert "balance_sigmas" in payload
+
+
+_ETA = ["--set", "eta_replicates=60", "--set", "eta_nodes_x=4",
+        "--set", "eta_nodes_y=3", "--set", "eta_t_eval=0.5"]
+
+_TOY_ARGS = {
+    "validate": [],
+    "simulate": ["--set", "horizon=5.0"],
+    "fv": _tiny(),
+    "lambda": ["--set", "replicates=300", "--set", "lambda_horizon=3.0"],
+    "eta": _tiny(*_ETA),
+    "qprocess": _tiny(*_ETA, "--set", "walkers=16", "--set", "q_horizon=0.5",
+                      "--set", "q_paths=2"),
+    "oracle": ["--set", "oracle_nx=24", "--set", "oracle_ny=20"],
+    "diagnose": _DIAG,
+}
+
+
+def _readme_artifacts() -> dict[str, list[str]]:
+    """Subcommand -> artifact names (globs) from the README's CLI table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in text.splitlines():
+        m = re.match(r"\| `(\w+)` \| (.*) \|$", line)
+        if m and m.group(1) in cli.RUNNERS:
+            rows[m.group(1)] = re.findall(r"`([^`]+)`", m.group(2).split(" - ")[0])
+    return rows
+
+
+def test_readme_table_covers_every_subcommand():
+    assert sorted(_readme_artifacts()) == sorted(cli.RUNNERS) == sorted(_TOY_ARGS)
+
+
+@pytest.mark.parametrize("cmd", sorted(_TOY_ARGS))
+def test_readme_artifact_table_matches_manifest(tmp_path, cmd):
+    assert cli.main([cmd, "--out", str(tmp_path)] + _TOY_ARGS[cmd]) == 0
+    listed = json.loads(_read(tmp_path / "manifest.json"))["artifacts"]
+    documented = _readme_artifacts()[cmd]
+    for name in listed:
+        assert sum(fnmatch.fnmatchcase(name, pat) for pat in documented) == 1, name
+    for pat in documented:
+        assert fnmatch.filter(listed, pat), pat

@@ -5,7 +5,9 @@ import pytest
 
 from adaptqsd.cohort import Engine, REASON_CODES, reason_from_code
 from adaptqsd.model import default_params
-from adaptqsd.pathsim import ExitReason, SimConfig, simulate_path
+from adaptqsd.oracle import build_generator, leading_triple, survival_consistency
+from adaptqsd.pathsim import ExitReason, SimConfig
+from adaptqsd.qsd import run_cohort
 from adaptqsd.rng import StreamKey, stream
 
 
@@ -117,32 +119,24 @@ def test_jump_log_norms():
     assert exceeded == 0
 
 
-def test_engine_survival_matches_scalar_paths():
-    # same law, different implementations: compare survival at t = 1
-    params = default_params(r0=-1.0)
-    config = SimConfig()
-    n = 1500
-    key = StreamKey(seed=6, lineage=("dist",))
+def test_engine_survival_matches_oracle():
+    # independent reference: started from the grid oracle's alpha, survival
+    # is exp(-lambda0 t); the oracle side is checked by its own propagator
+    params = default_params()
+    config = SimConfig(truncation=4.0, truncation_y_low=1e-3)
+    genr = build_generator(params, L=4.0, y_min=1e-3, nx=80, ny=60)
+    triple = leading_triple(genr)
+    ts = (1.0, 2.0)
+    assert max(survival_consistency(genr, triple, ts).values()) <= 1e-6
 
-    engine = Engine(params, config)
-    x = np.zeros((n, 1))
-    y = np.full(n, 0.8)
-    alive = np.ones(n, dtype=bool)
-    t = 0.0
-    for k in range(100):
-        engine.window(x, y, alive, t, 0.01, stream(key.child("eng", k)))
-        t += 0.01
-    p_engine = alive.mean()
-
-    cfg1 = SimConfig(horizon=1.0)
-    survived = 0
-    for i in range(n):
-        traj = simulate_path((np.zeros(1), 0.8), params, cfg1, key.child("sc", i))
-        survived += traj.exit_reason is ExitReason.SURVIVED_HORIZON
-    p_scalar = survived / n
-
-    se = np.sqrt(p_engine * (1 - p_engine) / n + p_scalar * (1 - p_scalar) / n)
-    assert abs(p_engine - p_scalar) < 3.5 * se
+    n = 2000
+    key = StreamKey(seed=6, lineage=("surv_oracle",))
+    x0, y0 = triple.alpha.sample(stream(key.child("init")), n)
+    res = run_cohort(x0, y0, params, config, horizon=2.0, key=key.child("cohort"))
+    for t in ts:
+        p = np.exp(-triple.lambda0 * t)
+        se = np.sqrt(p * (1 - p) / n)
+        assert abs(res.survival(t) - p) < 3.5 * se, t
 
 
 def test_reason_code_round_trip():

@@ -1,0 +1,105 @@
+"""Property tests for the path-stepping kernel and the histogram grid."""
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adaptqsd.cohort import REASON_CODES, Engine, SimConfig
+from adaptqsd.measure import HistGrid
+from adaptqsd.model import default_params
+from adaptqsd.rng import StreamKey, stream
+
+_PARAMS = {
+    "default": default_params(),
+    "advantageous": default_params(fixation_family="advantageous_only"),
+    "collapsing": default_params(r0=-4.0),
+    "rescaled": default_params(fixation_family="rescaled_advantageous"),
+}
+_CONFIGS = {
+    "boxed": SimConfig(truncation=4.0, truncation_y_low=1e-3),
+    "boxed_floor": SimConfig(truncation=3.0),
+    "free": SimConfig(),
+    "guarded": SimConfig(x_max=2.0),
+}
+
+
+@st.composite
+def ensembles(draw):
+    params = _PARAMS[draw(st.sampled_from(sorted(_PARAMS)))]
+    config = _CONFIGS[draw(st.sampled_from(sorted(_CONFIGS)))]
+    n = draw(st.integers(1, 64))
+    seed = draw(st.integers(0, 2**31 - 1))
+    gen = stream(StreamKey(seed=seed, lineage=("prop", "init")))
+    x_lim = 0.95 * min(config.truncation or np.inf, config.x_guard)
+    y_top = config.y_top if config.y_top is not None else 5.0
+    x = gen.uniform(-x_lim, x_lim, size=(n, 1))
+    y = np.exp(gen.uniform(np.log(config.y_floor * 1.01), np.log(0.99 * y_top), size=n))
+    # a share of the particles starts next to each kill level
+    edge = gen.random(n)
+    y = np.where(edge < 0.2, config.y_floor * gen.uniform(1.001, 1.5, n), y)
+    y = np.where(edge > 0.8, y_top * gen.uniform(0.9, 0.999, n), y)
+    alive = gen.random(n) < 0.8
+    t0 = draw(st.floats(0.0, 100.0))
+    dt = draw(st.floats(1e-3, 0.2))
+    return params, config, x, y, alive, t0, dt, StreamKey(seed=seed, lineage=("prop", "w"))
+
+
+@settings(max_examples=50, deadline=None)
+@given(ensembles())
+def test_window_invariants(case):
+    params, config, x, y, alive, t0, dt, key = case
+    x0, y0, alive0 = x.copy(), y.copy(), alive.copy()
+    ev = Engine(params, config).window(x, y, alive, t0, dt, stream(key))
+
+    # the dead stay dead and frozen
+    dead0 = ~alive0
+    assert not np.any(alive[dead0])
+    np.testing.assert_array_equal(x[dead0], x0[dead0])
+    np.testing.assert_array_equal(y[dead0], y0[dead0])
+
+    # kills: only particles alive at t0, each once, timed inside the window
+    assert len(np.unique(ev.kill_ids)) == len(ev.kill_ids)
+    assert np.all(alive0[ev.kill_ids])
+    np.testing.assert_array_equal(np.sort(ev.kill_ids), np.flatnonzero(alive0 & ~alive))
+    tol = 1e-12 * max(1.0, t0 + dt)
+    assert np.all((ev.kill_times >= t0 - tol) & (ev.kill_times <= t0 + dt + tol))
+    assert np.all(np.diff(ev.kill_times) >= 0.0)
+    # a particle killed on a y level is left on that level
+    on_floor = ev.kill_ids[np.isin(ev.kill_codes, [REASON_CODES["extinct"],
+                                                   REASON_CODES["trunc_y_low"]])]
+    assert np.all(y[on_floor] == config.y_floor)
+    assert np.all(y[ev.kill_ids[ev.kill_codes == REASON_CODES["trunc_y_top"]]] == config.y_top)
+
+    # survivors strictly inside the domain
+    surv = alive
+    assert np.all(y[surv] > config.y_floor)
+    if config.y_top is not None:
+        assert np.all(y[surv] < config.y_top)
+    x_wall = min(config.truncation or np.inf, config.x_guard)
+    assert np.all(np.linalg.norm(x[surv], axis=1) < x_wall)
+
+    # jumps: inside the window, by particles alive at t0, never more than proposed
+    assert np.all(alive0[ev.jump_ids])
+    assert np.all((ev.jump_times >= t0 - tol) & (ev.jump_times <= t0 + dt + tol))
+    assert ev.n_proposals >= len(ev.jump_ids)
+    np.testing.assert_allclose(ev.jump_x_after, ev.jump_x_before + ev.jump_w, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(nx=st.integers(2, 12), ny=st.integers(2, 12), L=st.floats(0.5, 6.0),
+       y_lo=st.floats(1e-4, 0.5), spacing=st.sampled_from(["log", "linear"]),
+       seed=st.integers(0, 2**31 - 1))
+def test_cell_index_agrees_with_histogramdd(nx, ny, L, y_lo, spacing, seed):
+    grid = HistGrid.for_box(L, y_lo=y_lo, y_hi=y_lo + L, nx=nx, ny=ny, y_spacing=spacing)
+    gen = np.random.default_rng(seed)
+    n = 200
+    # points inside, outside, and exactly on cell edges
+    x = gen.uniform(-1.2 * L, 1.2 * L, size=(n, 1))
+    y = gen.uniform(0.5 * y_lo, 1.2 * (y_lo + L), size=n)
+    x[:20, 0] = gen.choice(grid.x_edges, 20)
+    y[20:40] = gen.choice(grid.y_edges, 20)
+    idx = grid.cell_index(x, y)
+    inside = idx >= 0
+    counts = np.bincount(idx[inside], minlength=grid.n_cells).reshape(grid.shape)
+    np.testing.assert_array_equal(counts, grid.histogram(x, y))

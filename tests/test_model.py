@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adaptqsd.errors import DomainError, UnsupportedModelError
-from adaptqsd.model import (FixationSpec, GrowthSpec, ModelParams, State,
+from adaptqsd.model import (FixationSpec, GrowthSpec, ModelParams,
                             default_params, drift_y, drift_y_envelope,
                             fixation_integral, jump_intensity, n_to_y,
                             rescale_jump_measure, reference_set,
@@ -103,6 +103,11 @@ def test_mutation_mass_and_moments():
     w = params.mutation.sample(stream(StreamKey(seed=3)), 50000, 1)
     assert abs(w.mean()) < 4.0 * params.mutation.tau / np.sqrt(len(w))
     np.testing.assert_allclose(w.std(), params.mutation.tau, rtol=0.02)
+    planar = default_params(dim=2)
+    w2 = planar.mutation.sample(stream(StreamKey(seed=9, lineage=("mut",))), 40000, 2)
+    assert w2.shape == (40000, 2)
+    np.testing.assert_allclose(w2.mean(axis=0), [0.0, 0.0], atol=4.0 * planar.mutation.tau / 200.0)
+    np.testing.assert_allclose(w2.std(axis=0), [planar.mutation.tau] * 2, rtol=0.02)
 
 
 def test_fixation_integral_matches_monte_carlo():
@@ -184,12 +189,3 @@ def test_params_domain_checks():
         default_params(v=-0.1)
     with pytest.raises(DomainError):
         default_params(unknown_key=1.0)
-
-
-def test_state_contract():
-    s = State(x=[1.0, 2.0], y=0.5)
-    assert s.x.shape == (2,)
-    with pytest.raises(DomainError):
-        State(x=[0.0], y=0.0)
-    dead = State.absorbed_state(1)
-    assert dead.absorbed and dead.y == 0.0

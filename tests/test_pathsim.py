@@ -177,3 +177,16 @@ def test_q_path_rejects_zero_weight_start():
     with pytest.raises(DomainError):
         simulate_q_path((np.zeros(1), 2.0), params, config,
                         StreamKey(seed=10), zero, eta_max=1.0)
+
+
+def test_q_path_jump_log_reconstructs_rows():
+    params = default_params()
+    config = SimConfig(horizon=3.0, qprocess_delta=0.1)
+    flat = lambda x, y: np.ones(len(np.atleast_1d(y)))
+    traj = simulate_q_path((np.zeros(1), 2.0), params, config,
+                           StreamKey(seed=12, lineage=("qrec",)), flat, eta_max=1.0)
+    assert len(traj.times) == 31
+    assert len(traj.jumps) > 0
+    for k in range(len(traj.times)):
+        err = np.abs(traj.reconstruct_x(traj.times[k]) - traj.x[k]).max()
+        assert err < 1e-10

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from adaptqsd.errors import DomainError
-from adaptqsd.model import default_params
-from adaptqsd.rng import (StreamKey, as_generator, draw_mutation, gaussian,
-                          next_proposal_clock, stream)
+from adaptqsd.rng import StreamKey, stream
 
 
 def test_same_key_same_stream():
@@ -48,50 +46,3 @@ def test_seed_separates_streams():
     b = stream(StreamKey(seed=2, lineage=("w",))).random(16)
     assert not np.array_equal(a, b)
 
-
-def test_as_generator_passthrough_and_rejection():
-    gen = stream(StreamKey(seed=0))
-    assert as_generator(gen) is gen
-    assert isinstance(as_generator(StreamKey(seed=0)), np.random.Generator)
-    with pytest.raises(DomainError):
-        as_generator("not a key")
-
-
-def test_gaussian_count_contract():
-    key = StreamKey(seed=3)
-    assert gaussian(key, 0).shape == (0,)
-    assert gaussian(key, 5).shape == (5,)
-    with pytest.raises(DomainError):
-        gaussian(key, -1)
-
-
-def test_proposal_clock_is_exponential():
-    gen = stream(StreamKey(seed=11, lineage=("clock",)))
-    rate = 2.5
-    draws = np.array([next_proposal_clock(gen, rate) for _ in range(20000)])
-    assert abs(draws.mean() - 1.0 / rate) < 3.0 * (1.0 / rate) / np.sqrt(len(draws))
-    assert draws.min() > 0.0
-
-
-def test_proposal_clock_rate_coupling():
-    # inverse-CDF sampling: halving the rate doubles the time, draw for draw
-    t1 = next_proposal_clock(StreamKey(seed=5, lineage=("c",)), 2.0)
-    t2 = next_proposal_clock(StreamKey(seed=5, lineage=("c",)), 1.0)
-    assert t2 == pytest.approx(2.0 * t1, rel=1e-12)
-
-
-def test_proposal_clock_rejects_bad_rate():
-    key = StreamKey(seed=0)
-    with pytest.raises(DomainError):
-        next_proposal_clock(key, 0.0)
-    with pytest.raises(DomainError):
-        next_proposal_clock(key, float("inf"))
-
-
-def test_draw_mutation_shape_and_moments():
-    params = default_params(dim=2)
-    w = draw_mutation(StreamKey(seed=9, lineage=("mut",)), params, count=40000)
-    assert w.shape == (40000, 2)
-    tau = params.mutation.tau
-    np.testing.assert_allclose(w.mean(axis=0), [0.0, 0.0], atol=4.0 * tau / 200.0)
-    np.testing.assert_allclose(w.std(axis=0), [tau, tau], rtol=0.02)
