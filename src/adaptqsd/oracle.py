@@ -8,10 +8,10 @@ jump stencil with targets rounded to cell centers. Probability flux through
 any edge of the box, and jump mass landing outside it, feed an implicit kill
 state, making row sums nonpositive (sub-Markov).
 
-The leading eigentriple (lambda0, alpha, eta) comes from power iteration on
-the resolvent (I - delta Q)^{-1} (one sparse LU, forward solves for eta,
-transpose solves for alpha). Time propagation for the consistency checks uses
-Crank-Nicolson substeps sized for 1e-6 relative accuracy.
+The leading eigentriple (lambda0, alpha, eta) comes from ARPACK on the resolvent
+(I - delta Q)^{-1} (one sparse LU, forward solves for eta, transpose solves for
+alpha), polished by power steps on the same LU. The consistency checks propagate
+by Crank-Nicolson substeps sized for 1e-6 relative accuracy, one solve per step.
 
 Everything here is deliberately disjoint from the simulation code path: no
 thinning, no random numbers, no shared stepping logic.
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, splu
 
 from .errors import DomainError, NumericError
 from .measure import EmpiricalMeasure, HistGrid
@@ -32,6 +32,11 @@ from .model import ModelParams, drift_y, fixation_integral
 
 __all__ = ["GridGenerator", "OracleTriple", "build_generator", "leading_triple",
            "survival_consistency", "oracle_q_kernel", "QKernelCheck"]
+
+# the flat cell order j * nx + i is already banded by nx; reordering only
+# costs factorization time
+_PERMC_SPEC = "NATURAL"
+_ROUNDOFF = 1e-12  # largest negative eigenvector entry clipped, relative to max |v|
 
 
 @dataclass
@@ -209,56 +214,76 @@ def build_generator(params: ModelParams, L: float, y_min: float = 1e-3,
     return GridGenerator(grid=grid, params=params, Q=Q, kill_rate=kill, diagnostics=diag)
 
 
+def _factor(Q: sp.spmatrix, scale: float):
+    """Sparse LU of I - scale * Q."""
+    return splu(sp.identity(Q.shape[0], format="csc") - scale * Q.tocsc(),
+                permc_spec=_PERMC_SPEC)
+
+
+def _nonnegative(v: np.ndarray, name: str) -> np.ndarray:
+    """v scaled to max |v| = 1 (fixing ARPACK's phase), round-off negatives clipped."""
+    v = v / v[np.argmax(np.abs(v))]
+    bad = ~np.isfinite(v) | (v.real < -_ROUNDOFF) | (np.abs(v.imag) > _ROUNDOFF)
+    if bad.any():
+        raise NumericError(f"{name} eigenvector is not nonnegative beyond round-off", diagnostics={
+            "bad_entries": int(bad.sum()), "min_entry": float(np.nanmin(v.real))})
+    return np.maximum(v.real, 0.0)
+
+
 def leading_triple(genr: GridGenerator, delta: float = 0.5, tol: float = 1e-10,
                    max_iter: int = 20_000) -> OracleTriple:
-    """Leading eigentriple by resolvent power iteration.
+    """Leading eigentriple: ARPACK on the resolvent, then power-step polish.
 
-    Residual targets: ||alpha Q + lambda alpha||_1 with ||alpha||_1 = 1, and
-    ||Q eta + lambda eta||_inf with ||eta||_inf = 1, both below `tol`.
+    ARPACK (at most max_iter restarts) starts both vectors; 1 to max_iter
+    resolvent steps polish them until ||alpha Q + lambda alpha||_1 with
+    ||alpha||_1 = 1 and ||Q eta + lambda eta||_inf with ||eta||_inf = 1 are
+    both below `tol`. `iterations` counts resolvent solves: ARPACK operator
+    calls plus two per polish step.
     """
     Q = genr.Q
     N = Q.shape[0]
-    K = (sp.identity(N, format="csc") - delta * Q.tocsc())
-    lu = splu(K)
+    lu = _factor(Q, delta)
+    solves = 0
 
-    eta = np.ones(N)
-    alpha = np.full(N, 1.0 / N)
-    lam = 0.0
-    it = 0
-    for it in range(1, max_iter + 1):
-        eta_new = lu.solve(eta)
-        eta_new /= np.abs(eta_new).max()
-        alpha_new = lu.solve(alpha, trans="T")
-        alpha_new = np.maximum(alpha_new, 0.0)
-        s = alpha_new.sum()
-        if not (s > 0.0) or not np.all(np.isfinite(eta_new)):
-            raise NumericError("resolvent iteration degenerated", diagnostics={"iteration": it})
-        alpha_new /= s
-        eta = np.maximum(eta_new, 0.0)
-        alpha = alpha_new
-        if it % 5 == 0 or it == max_iter:
-            qe = Q @ eta
-            lam = -float(eta @ qe) / float(eta @ eta)
-            res_eta = float(np.abs(qe + lam * eta).max()) / float(np.abs(eta).max())
-            qa = Q.T @ alpha
-            lam_a = -float(alpha @ qa) / float(alpha @ alpha)
-            res_alpha = float(np.abs(qa + lam_a * alpha).sum())
-            if res_eta < tol and res_alpha < tol:
-                break
+    def resolvent(v, trans="N"):
+        nonlocal solves
+        solves += 1
+        return lu.solve(v, trans=trans)
+
+    def top_vector(trans, name):
+        op = LinearOperator((N, N), lambda v: resolvent(v, trans), dtype=float)
+        return _nonnegative(eigs(op, k=1, v0=np.ones(N), maxiter=max_iter)[1][:, 0], name)
+
+    try:
+        eta, alpha = top_vector("N", "eta"), top_vector("T", "alpha")
+    except ArpackError as exc:
+        raise NumericError("ARPACK did not converge on the resolvent",
+                           diagnostics={"solves": solves, "arpack": str(exc)}) from exc
+    for _ in range(max_iter):
+        eta = _nonnegative(resolvent(eta), "eta")
+        alpha = _nonnegative(resolvent(alpha, "T"), "alpha")
+        alpha /= alpha.sum()
+        qe = Q @ eta
+        lam = -float(eta @ qe) / float(eta @ eta)
+        res_eta = float(np.abs(qe + lam * eta).max())
+        qa = Q.T @ alpha
+        lam_a = -float(alpha @ qa) / float(alpha @ alpha)
+        res_alpha = float(np.abs(qa + lam_a * alpha).sum())
+        if res_eta < tol and res_alpha < tol:
+            break
     else:
-        raise NumericError("resolvent power iteration did not converge",
-                           diagnostics={"iterations": max_iter, "res_eta": res_eta,
-                                        "res_alpha": res_alpha})
+        raise NumericError("resolvent polish did not reach the residual tolerance",
+                           diagnostics={"polish_steps": max_iter, "solves": solves,
+                                        "res_eta": res_eta, "res_alpha": res_alpha})
 
-    lam = 0.5 * (lam + lam_a)
-    alpha_grid = genr.vec_to_grid(alpha)
-    alpha_meas = EmpiricalMeasure(grid=genr.grid, masses=alpha_grid, n_samples=float("inf"))
     inner = float(alpha @ eta)
     if inner <= 0.0:
         raise NumericError("degenerate alpha-eta pairing")
-    eta_grid = genr.vec_to_grid(eta / inner)
-    return OracleTriple(lambda0=lam, alpha=alpha_meas, eta=eta_grid,
-                        res_alpha=res_alpha, res_eta=res_eta, iterations=it, delta=delta)
+    alpha_meas = EmpiricalMeasure(grid=genr.grid, masses=genr.vec_to_grid(alpha),
+                                  n_samples=float("inf"))
+    return OracleTriple(lambda0=0.5 * (lam + lam_a), alpha=alpha_meas,
+                        eta=genr.vec_to_grid(eta / inner), res_alpha=res_alpha,
+                        res_eta=res_eta, iterations=solves, delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +291,20 @@ def leading_triple(genr: GridGenerator, delta: float = 0.5, tol: float = 1e-10,
 
 
 class _Propagator:
-    """v -> v after n steps of CN for dv/dt = Qv (or the adjoint flow)."""
+    """v -> v after n steps of CN for dv/dt = Qv (or the adjoint flow); v may
+    hold columns. With K = I - hQ/2 a step K^{-1}(2I - K) v is 2 K^{-1} v - v."""
 
     def __init__(self, Q: sp.spmatrix, h: float):
-        N = Q.shape[0]
-        self.h = h
-        self.A = (sp.identity(N, format="csr") + 0.5 * h * Q).tocsr()
-        self.lu = splu((sp.identity(N, format="csc") - 0.5 * h * Q.tocsc()))
+        self.lu = _factor(Q, 0.5 * h)
 
     def forward(self, v: np.ndarray, n: int) -> np.ndarray:
         for _ in range(n):
-            v = self.lu.solve(self.A @ v)
+            v = 2.0 * self.lu.solve(v) - v
         return v
 
     def adjoint(self, v: np.ndarray, n: int) -> np.ndarray:
         for _ in range(n):
-            v = self.A.T @ self.lu.solve(v, trans="T")
+            v = 2.0 * self.lu.solve(v, trans="T") - v
         return v
 
 
@@ -295,22 +318,15 @@ def _step_count(t: float, lam: float, rel_target: float = 5e-7) -> int:
 def survival_consistency(genr: GridGenerator, triple: OracleTriple,
                          ts: tuple[float, ...] = (1.0, 2.0, 5.0)) -> dict[float, float]:
     """Relative error of alpha-started survival against e^{-lambda0 t}."""
-    alpha = genr.grid_to_vec(triple.alpha.masses)
     t_max = max(ts)
-    n_total = _step_count(t_max, triple.lambda0)
-    h = t_max / n_total
+    h = t_max / _step_count(t_max, triple.lambda0)
     prop = _Propagator(genr.Q, h)
-    checkpoints = sorted(ts)
-    out = {}
-    v = alpha.copy()
-    done = 0
-    for t in checkpoints:
+    out, v, done = {}, genr.grid_to_vec(triple.alpha.masses), 0
+    for t in sorted(ts):
         n_t = int(round(t / h))
-        v = prop.adjoint(v, n_t - done)
-        done = n_t
-        surv = float(v.sum())
+        v, done = prop.adjoint(v, n_t - done), n_t
         expected = math.exp(-triple.lambda0 * (h * n_t))
-        out[t] = abs(surv - expected) / expected
+        out[t] = abs(float(v.sum()) - expected) / expected
     return out
 
 
@@ -330,8 +346,8 @@ def oracle_q_kernel(genr: GridGenerator, triple: OracleTriple, t: float,
 
     Row sums are checked for every cell via one forward evolution of eta;
     beta-invariance via one adjoint evolution of alpha. Explicit kernel rows
-    (flat internal indexing) are computed on request via one adjoint
-    evolution per row and returned normalized.
+    (flat internal indexing) are computed on request via one multi-column
+    adjoint evolution and returned normalized.
     """
     if t <= 0.0:
         raise DomainError("t must be positive")
@@ -339,26 +355,24 @@ def oracle_q_kernel(genr: GridGenerator, triple: OracleTriple, t: float,
     eta = genr.grid_to_vec(triple.eta)
     alpha = genr.grid_to_vec(triple.alpha.masses)
     n = _step_count(t, lam)
-    h = t / n
-    prop = _Propagator(genr.Q, h)
+    prop = _Propagator(genr.Q, t / n)
     growth = math.exp(lam * t)
 
-    pe = prop.forward(eta.copy(), n)
+    pe = prop.forward(eta, n)
     row_sums = growth * pe / np.maximum(eta, 1e-300)
     # row sums are only meaningful where eta is resolvable above round-off
     mask = eta > 1e-9 * eta.max()
     row_err = float(np.abs(row_sums[mask] - 1.0).max())
 
-    ap = prop.adjoint(alpha.copy(), n)
+    ap = prop.adjoint(alpha, n)
     beta = alpha * eta
     beta_t = growth * eta * ap
     inv_err = float(np.abs(beta_t - beta).sum())
 
     out_rows = {}
-    for i in rows:
-        e = np.zeros(genr.n_cells)
-        e[i] = 1.0
-        p_row = prop.adjoint(e, n)
-        q_row = growth * p_row * eta / max(eta[i], 1e-300)
-        out_rows[i] = q_row / max(q_row.sum(), 1e-300)
+    if rows:
+        p_rows = prop.adjoint(sp.identity(genr.n_cells, format="csr")[list(rows)].T.toarray(), n)
+        for k, i in enumerate(rows):
+            q_row = growth * p_rows[:, k] * eta / max(eta[i], 1e-300)
+            out_rows[i] = q_row / max(q_row.sum(), 1e-300)
     return QKernelCheck(t=t, row_sum_max_err=row_err, beta_invariance_l1=inv_err, rows=out_rows)

@@ -168,8 +168,9 @@ def simulate_q_path(init, params: ModelParams, config: SimConfig, key: rng_mod.S
     ceiling = min(eta_max, ratio_cap * eta(start)) bounds the expected
     attempts by ~ratio_cap everywhere. Endpoint values above the ceiling are
     accepted outright and counted in meta["q_ceiling_violations"] (never
-    silently absorbed). Rows are the macro-step endpoints; the jump log holds
-    the jumps of the accepted candidates.
+    silently absorbed); meta["q_bound_exceeded"] sums the thinning-bound
+    violations of all candidate windows. Rows are the macro-step endpoints;
+    the jump log holds the jumps of the accepted candidates.
 
     eta: callable (x (n, d), y (n,)) -> values; eta_max: its ceiling on the
     simulation region (taken from eta.max_value when omitted).
@@ -205,4 +206,5 @@ def simulate_q_path(init, params: ModelParams, config: SimConfig, key: rng_mod.S
                       jumps=jumps, exit_reason=ExitReason.SURVIVED_HORIZON, exit_time=horizon,
                       sigma=params.sigma, v=params.v,
                       meta={"q_ceiling_violations": stats["ceiling_violations"],
+                            "q_bound_exceeded": stats["bound_exceeded"],
                             "q_attempt_rounds_max": stats["max_attempt_rounds"]})

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .cohort import Engine, SimConfig, WindowEvents
 from .errors import DomainError, MassExtinctionError, NumericError
@@ -441,9 +442,10 @@ def estimate_lambda0_survival(init, params: ModelParams, config: SimConfig, key:
 # survival capacity eta
 
 
-def _bilinear(x_nodes: np.ndarray, y_nodes: np.ndarray, values: np.ndarray,
-              x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation in (x, log y), clamped at the node hull."""
+def _bilinear_weights(x_nodes: np.ndarray, y_nodes: np.ndarray, x: np.ndarray,
+                      y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat node indices i * len(y_nodes) + j (n, 4) and weights (n, 4) of the
+    bilinear interpolant in (x, log y), clamped at the node hull."""
     x1 = np.atleast_2d(np.asarray(x, dtype=float))[:, 0]
     ly = np.log(np.maximum(np.asarray(y, dtype=float), 1e-300))
     lyn = np.log(y_nodes)
@@ -451,8 +453,20 @@ def _bilinear(x_nodes: np.ndarray, y_nodes: np.ndarray, values: np.ndarray,
     j = np.clip(np.searchsorted(lyn, ly) - 1, 0, len(lyn) - 2)
     wx = np.clip((x1 - x_nodes[i]) / (x_nodes[i + 1] - x_nodes[i]), 0.0, 1.0)
     wy = np.clip((ly - lyn[j]) / (lyn[j + 1] - lyn[j]), 0.0, 1.0)
-    return ((1 - wx) * (1 - wy) * values[i, j] + wx * (1 - wy) * values[i + 1, j]
-            + (1 - wx) * wy * values[i, j + 1] + wx * wy * values[i + 1, j + 1])
+    k = i * len(y_nodes) + j
+    return (np.stack([k, k + len(y_nodes), k + 1, k + len(y_nodes) + 1], axis=1),
+            np.stack([(1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy], axis=1))
+
+
+def _interpolate(idx: np.ndarray, w: np.ndarray, values: np.ndarray) -> np.ndarray:
+    t = w * values.ravel()[idx]
+    return t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3]
+
+
+def _bilinear(x_nodes: np.ndarray, y_nodes: np.ndarray, values: np.ndarray,
+              x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation in (x, log y), clamped at the node hull."""
+    return _interpolate(*_bilinear_weights(x_nodes, y_nodes, x, y), values)
 
 
 @dataclass
@@ -530,28 +544,23 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
     t2 = 2.0 * t_eval
     e1 = math.exp(lambda0 * t_eval)
     e2 = math.exp(lambda0 * t2)
-    sv1 = np.zeros(n_nodes, dtype=np.int64)
-    sv2 = np.zeros(n_nodes, dtype=np.int64)
-    end1_node: list[tuple[np.ndarray, np.ndarray]] = [None] * n_nodes
-    end2_node: list[tuple[np.ndarray, np.ndarray]] = [None] * n_nodes
+    ends = {t_eval: [], t2: []}  # per horizon: (owner node, x, y) of the survivors
     for b0 in range(0, n_nodes, batch_nodes):
-        batch = range(b0, min(b0 + batch_nodes, n_nodes))
-        nb = len(batch)
-        x0 = np.zeros((nb * R, params.dim))
-        y0 = np.empty(nb * R)
-        for bi, node in enumerate(batch):
-            i, j = divmod(node, gy)
-            x0[bi * R:(bi + 1) * R, 0] = xn[i]
-            y0[bi * R:(bi + 1) * R] = yn[j]
-        res = run_cohort(x0, y0, params, config, t2, key.child("batch", b0),
+        i, j = np.divmod(np.repeat(np.arange(b0, min(b0 + batch_nodes, n_nodes)), R), gy)
+        x0 = np.zeros((len(i), params.dim))
+        x0[:, 0] = xn[i]
+        res = run_cohort(x0, yn[j], params, config, t2, key.child("batch", b0),
                          record_slices=(t_eval, t2))
-        for snap_t, store, counts in ((t_eval, end1_node, sv1), (t2, end2_node, sv2)):
+        for snap_t, chunks in ends.items():
             live, lx, ly = res.slices[snap_t]
-            owner = live // R
-            for bi, node in enumerate(batch):
-                sel = owner == bi
-                store[node] = (lx[sel], ly[sel])
-                counts[node] = int(np.count_nonzero(sel))
+            chunks.append((b0 + live // R, lx, ly))
+
+    def endpoints(chunks):
+        owner, lx, ly = (np.concatenate(part) for part in zip(*chunks))
+        return (owner, *_bilinear_weights(xn, yn, lx, ly))
+
+    (own1, idx1, w1), (own2, idx2, w2) = endpoints(ends[t_eval]), endpoints(ends[t2])
+    sv1, sv2 = np.bincount(own1, minlength=n_nodes), np.bincount(own2, minlength=n_nodes)
 
     alpha_w = alpha.masses.ravel()
     g = alpha.grid
@@ -580,36 +589,26 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
         # slow-transient regions (advection-dominated) settle late, so the
         # stopping rule must watch every node with usable endpoint data
         active = sv1 >= max(20, int(0.005 * R))
+        # node-to-node weights: row n sums the interpolation weights of node n's endpoints
+        W1 = sp.csr_matrix((w1.ravel(), (np.repeat(own1, 4), idx1.ravel())),
+                           shape=(n_nodes, n_nodes))
         for it in range(iterations):
-            grid_vals = vals.reshape(gx, gy)
-            new = np.empty(n_nodes)
-            for node in range(n_nodes):
-                lx, ly = end1_node[node]
-                new[node] = e1 * float(np.sum(_bilinear(xn, yn, grid_vals, lx, ly))) / R
-            new, _ = normalized(new)
+            new, _ = normalized(e1 * (W1 @ vals) / R)
             watch = active & (vals > 0)
             delta = float(np.max(np.abs(new[watch] - vals[watch]) / vals[watch])) if watch.any() else 0.0
             vals = new
             iters_done = it + 1
             if delta < iter_tol:
                 break
-        # per-node SE of the last application (interpolant held fixed)
-        grid_vals = vals.reshape(gx, gy)
-        se = np.empty(n_nodes)
-        vals_t2 = np.empty(n_nodes)
-        se_t2 = np.empty(n_nodes)
-        for node in range(n_nodes):
-            lx, ly = end1_node[node]
-            ev = _bilinear(xn, yn, grid_vals, lx, ly)
-            m = float(np.sum(ev)) / R
-            m2 = float(np.sum(ev**2)) / R
-            se[node] = e1 * math.sqrt(max(m2 - m * m, (0.5 / R) ** 2) / R)
-            lx2, ly2 = end2_node[node]
-            ev2 = _bilinear(xn, yn, grid_vals, lx2, ly2)
-            mm = float(np.sum(ev2)) / R
-            mm2 = float(np.sum(ev2**2)) / R
-            vals_t2[node] = e2 * mm
-            se_t2[node] = e2 * math.sqrt(max(mm2 - mm * mm, (0.5 / R) ** 2) / R)
+
+        def mean_se(owner, idx, w, scale):
+            # per-node mean and SE of the last application (interpolant held fixed)
+            ev = _interpolate(idx, w, vals)
+            m, m2 = (np.bincount(owner, v, n_nodes) / R for v in (ev, ev**2))
+            return scale * m, scale * np.sqrt(np.maximum(m2 - m * m, (0.5 / R) ** 2) / R)
+
+        se = mean_se(own1, idx1, w1, e1)[1]
+        vals_t2, se_t2 = mean_se(own2, idx2, w2, e2)
         vals_t2, norm2 = normalized(vals_t2)
         se_t2 = se_t2 / norm2
 
@@ -902,7 +901,9 @@ def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, engine: Engi
     state-dependent min(eta_max, ratio_cap * eta(start)): low-eta walkers
     keep a bounded expected attempt count (~ratio_cap) instead of stalling.
     Candidate endpoints above the ceiling are accepted outright and counted
-    in stats["ceiling_violations"] (candidate-level count).
+    in stats["ceiling_violations"] (candidate-level count); thinning-bound
+    violations over all candidate windows are summed in
+    stats["bound_exceeded"].
 
     batch_slots candidates per pending walker are simulated per round; the
     accepted one is the first accepting slot in slot order, which reproduces
@@ -920,7 +921,7 @@ def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, engine: Engi
     n_win = max(int(round(delta / config.dt_max)), 1)
     dt = delta / n_win
     attempts_hist: list[int] = []
-    violations = 0
+    violations = bound_exceeded = 0
     K = max(int(batch_slots), 1)
     max_rounds = max(max_attempts // K, 1)
     for step in range(n_steps):
@@ -940,6 +941,7 @@ def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, engine: Engi
             events = [engine.window(cx, cy, calive, step * delta + k * dt, dt,
                                     stream(key.child("s", step, "r", rounds, "w", k)))
                       for k in range(n_win)]
+            bound_exceeded += sum(ev.bound_exceeded for ev in events)
             hv = np.zeros(K * m)
             live = np.flatnonzero(calive)
             if len(live):
@@ -970,4 +972,4 @@ def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, engine: Engi
             on_step(step, accepted)
     return {"max_attempt_rounds": int(max(attempts_hist, default=0)),
             "mean_attempt_rounds": float(np.mean(attempts_hist)) if attempts_hist else 0.0,
-            "ceiling_violations": violations}
+            "ceiling_violations": violations, "bound_exceeded": bound_exceeded}

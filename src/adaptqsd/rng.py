@@ -31,6 +31,10 @@ class StreamKey:
         for part in self.lineage:
             if not isinstance(part, (int, str)):
                 raise DomainError("lineage entries must be ints or strings")
+            # "/" separates parts in the digest; inside a part it would let
+            # ("a/sb",) and ("a", "b") share one stream
+            if isinstance(part, str) and "/" in part:
+                raise DomainError("lineage strings must not contain '/'")
 
     def child(self, *parts: int | str) -> "StreamKey":
         return StreamKey(self.seed, self.lineage + tuple(parts))

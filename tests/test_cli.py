@@ -174,6 +174,7 @@ def test_qprocess_subcommand(tmp_path):
     stats = payload["attempt_stats"]
     assert stats["max_attempt_rounds"] >= 1
     assert "ceiling_violations" in stats
+    assert stats["bound_exceeded"] >= 0
     assert (tmp_path / "q_marginal.csv").exists()
     assert (tmp_path / "qpath_0.csv").exists()
 

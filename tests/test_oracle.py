@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from adaptqsd.errors import DomainError
+from adaptqsd.errors import DomainError, NumericError
 from adaptqsd.measure import HistGrid
 from adaptqsd.model import default_params
 from adaptqsd.oracle import (
     GridGenerator,
+    _nonnegative,
+    _Propagator,
     build_generator,
     leading_triple,
     oracle_q_kernel,
@@ -39,6 +41,11 @@ def _toy_generator():
 def toy_triple():
     genr = _toy_generator()
     return genr, leading_triple(genr, delta=0.5)
+
+
+@pytest.fixture(scope="module")
+def tiny_built():
+    return build_generator(default_params(), 4.0, nx=12, ny=10)
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +159,57 @@ def test_q_kernel_requires_positive_time(small_oracle):
     genr, triple = small_oracle
     with pytest.raises(DomainError):
         oracle_q_kernel(genr, triple, 0.0)
+
+
+def test_leading_triple_matches_dense_eig(tiny_built):
+    genr = tiny_built
+    triple = leading_triple(genr)
+    Q = genr.Q.toarray()
+    w, right = np.linalg.eig(Q)
+    wl, left = np.linalg.eig(Q.T)
+    k, kl = np.argmax(w.real), np.argmax(wl.real)
+    assert triple.lambda0 == pytest.approx(-w[k].real, rel=1e-10)
+    eta = right[:, k].real / right[np.argmax(np.abs(right[:, k])), k].real
+    alpha = left[:, kl].real / left[:, kl].real.sum()
+    np.testing.assert_allclose(genr.grid_to_vec(triple.alpha.masses), alpha, rtol=0, atol=1e-8)
+    got_eta = genr.grid_to_vec(triple.eta)
+    np.testing.assert_allclose(got_eta / got_eta.max(), eta, rtol=0, atol=1e-8)
+    # iterations counts resolvent solves: ARPACK's operator calls plus the polish
+    assert triple.iterations > 2
+
+
+@pytest.mark.parametrize("which", ["toy", "built"])
+def test_crank_nicolson_step_is_matvec_free(which, tiny_built):
+    genr = _toy_generator() if which == "toy" else tiny_built
+    Q = genr.Q.toarray()
+    n = Q.shape[0]
+    h = 0.3
+    v = np.random.default_rng(1).random((n, 2))
+    prop = _Propagator(genr.Q, h)
+    K, A = np.eye(n) - 0.5 * h * Q, np.eye(n) + 0.5 * h * Q
+    np.testing.assert_allclose(prop.forward(v, 1), np.linalg.solve(K, A @ v), rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(prop.adjoint(v, 1), A.T @ np.linalg.solve(K.T, v),
+                               rtol=1e-12, atol=1e-14)
+    # columns advance independently
+    np.testing.assert_allclose(prop.adjoint(v, 3)[:, 1], prop.adjoint(v[:, 1], 3), rtol=1e-13)
+
+
+def test_eigen_solve_failures_raise_numeric_error(tiny_built):
+    with pytest.raises(NumericError, match="ARPACK") as info:
+        leading_triple(tiny_built, max_iter=1)
+    assert info.value.diagnostics["solves"] > 0
+    with pytest.raises(NumericError, match="polish") as info:
+        leading_triple(tiny_built, tol=0.0, max_iter=4)
+    diag = info.value.diagnostics
+    assert diag["polish_steps"] == 4
+    assert diag["res_eta"] > 0.0 and diag["res_alpha"] > 0.0
+
+
+def test_only_round_off_negatives_are_clipped():
+    v = _nonnegative(np.array([-2.0, 1e-13, -1.0]) + 0j, "eta")
+    np.testing.assert_array_equal(v, [1.0, 0.0, 0.5])
+    with pytest.raises(NumericError) as info:
+        _nonnegative(np.array([1.0, -1e-9, 0.5]), "alpha")
+    assert info.value.diagnostics["bad_entries"] == 1
+    with pytest.raises(NumericError):
+        _nonnegative(np.array([1.0, 0.5 + 1e-6j]), "eta")

@@ -168,6 +168,17 @@ def test_q_path_with_flat_weight_survives_horizon():
     np.testing.assert_allclose(np.diff(traj.times), 0.1, rtol=1e-9)
     assert traj.meta["q_ceiling_violations"] == 0
     assert traj.meta["q_attempt_rounds_max"] >= 1
+    assert traj.meta["q_bound_exceeded"] >= 0
+
+
+def test_q_path_reports_bound_exceeded():
+    # a thinning slack just above 1 lets the jump-rate bound be exceeded
+    params = default_params()
+    flat = lambda x, y: np.ones(len(np.atleast_1d(y)))
+    key = StreamKey(seed=9, lineage=("q",))
+    loose = simulate_q_path((np.zeros(1), 2.0), params, SimConfig(horizon=1.0, slack=1.01),
+                            key, flat, eta_max=1.0)
+    assert loose.meta["q_bound_exceeded"] > 0
 
 
 def test_q_path_rejects_zero_weight_start():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from adaptqsd.cohort import Engine
 from adaptqsd.errors import DomainError, MassExtinctionError
 from adaptqsd.measure import EmpiricalMeasure, HistGrid
 from adaptqsd.model import default_params
@@ -10,11 +11,13 @@ from adaptqsd.pathsim import SimConfig
 from adaptqsd.qsd import (
     ConvergenceCurve,
     EtaEstimate,
+    _bilinear,
     balance_residual,
     beta_from,
     conditioned_marginal,
     estimate_eta,
     estimate_lambda0_survival,
+    eta_node_grid,
     fleming_viot,
     relaxed_start,
     run_cohort,
@@ -151,6 +154,72 @@ def test_estimate_eta_refined(tiny_fv, params):
     assert far == pytest.approx(edge)
 
 
+def _per_node_eta(alpha, lambda0, params, config, key, t_eval, replicates, nodes,
+                  iterations=40, iter_tol=0.004, batch_nodes=60):
+    """estimate_eta's fixed point written node by node (reference for the sparse one)."""
+    xn, yn = eta_node_grid(alpha.grid, *nodes)
+    gx, gy = len(xn), len(yn)
+    R, t2 = replicates, 2.0 * t_eval
+    e1, e2 = np.exp(lambda0 * t_eval), np.exp(lambda0 * t2)
+    ends = {t_eval: [None] * gx * gy, t2: [None] * gx * gy}
+    for b0 in range(0, gx * gy, batch_nodes):
+        batch = range(b0, min(b0 + batch_nodes, gx * gy))
+        x0 = np.zeros((len(batch) * R, params.dim))
+        y0 = np.empty(len(batch) * R)
+        for bi, node in enumerate(batch):
+            x0[bi * R:(bi + 1) * R, 0] = xn[node // gy]
+            y0[bi * R:(bi + 1) * R] = yn[node % gy]
+        res = run_cohort(x0, y0, params, config, t2, key.child("batch", b0),
+                         record_slices=(t_eval, t2))
+        for t, store in ends.items():
+            live, lx, ly = res.slices[t]
+            for bi, node in enumerate(batch):
+                sel = live // R == bi
+                store[node] = (lx[sel], ly[sel])
+    g = alpha.grid
+    cx, cy = np.repeat(g.x_centers, g.ny)[:, None], np.tile(g.y_centers, g.nx)
+
+    def normalized(v):
+        inner = float(np.dot(alpha.masses.ravel(), _bilinear(xn, yn, v.reshape(gx, gy), cx, cy)))
+        return v / inner, inner
+
+    def node_sums(v, store, power=1):
+        vals = v.reshape(gx, gy)
+        return np.array([np.sum(_bilinear(xn, yn, vals, lx, ly) ** power) for lx, ly in store])
+
+    sv1 = np.array([len(ly) for _, ly in ends[t_eval]])
+    vals = normalized(e2 * np.array([len(ly) for _, ly in ends[t2]]) / R)[0]
+    active = sv1 >= max(20, int(0.005 * R))
+    used = 0
+    for used in range(1, iterations + 1):
+        new = normalized(e1 * node_sums(vals, ends[t_eval]) / R)[0]
+        watch = active & (vals > 0)
+        delta = float(np.max(np.abs(new[watch] - vals[watch]) / vals[watch])) if watch.any() else 0.0
+        vals = new
+        if delta < iter_tol:
+            break
+    out = {"values": vals, "iterations_used": used, "survivors_t1": sv1}
+    for name, t, e in (("stderr", t_eval, e1), ("stderr_t2", t2, e2)):
+        m, m2 = node_sums(vals, ends[t]) / R, node_sums(vals, ends[t], 2) / R
+        out[name] = e * np.sqrt(np.maximum(m2 - m * m, (0.5 / R) ** 2) / R)
+    out["values_t2"], inner2 = normalized(e2 * m)  # m of the last horizon, t2
+    out["stderr_t2"] = out["stderr_t2"] / inner2
+    return out
+
+
+def test_estimate_eta_sparse_fixed_point_matches_per_node_reference(tiny_fv, params):
+    config = _boxed_config()
+    args = (tiny_fv.alpha, tiny_fv.lambda0, params, config,
+            StreamKey(seed=11, lineage=("eta1",)))
+    kw = dict(t_eval=1.0, replicates=150, nodes=(5, 4))
+    eta = estimate_eta(*args, **kw)
+    ref = _per_node_eta(*args, **kw)
+    assert eta.iterations_used == ref["iterations_used"] >= 2
+    np.testing.assert_array_equal(eta.survivors_t1.ravel(), ref["survivors_t1"])
+    for name in ("values", "stderr", "values_t2", "stderr_t2"):
+        np.testing.assert_allclose(getattr(eta, name).ravel(), ref[name], rtol=1e-12, atol=0.0)
+
+
 def _flat_eta(level=1.0):
     xn = np.array([-4.0, 4.0])
     yn = np.array([1e-3, 4.0])
@@ -257,3 +326,30 @@ def test_conditioned_marginal_flat_eta(params):
     assert x1.shape == (30, 1) and y1.shape == (30,)
     assert np.all((y1 > 1e-3) & (y1 < 4.0))
     assert np.all(np.abs(x1[:, 0]) < 4.0)
+
+
+def test_conditioned_marginal_sums_bound_exceeded(params, monkeypatch):
+    # a thinning slack just above 1 lets the jump-rate bound be exceeded
+    config = _boxed_config(slack=1.01)
+    grid = HistGrid.for_box(4.0, y_lo=1e-3, nx=6, ny=5, dim=1)
+    masses = np.zeros(grid.shape)
+    masses[2, 3] = 1.0
+    start = EmpiricalMeasure(grid=grid, masses=masses, n_samples=1000)
+    key = StreamKey(seed=12, lineage=("cm",))
+    x0, y0, stats0 = conditioned_marginal(start, _flat_eta(1.0), params, config, key,
+                                          n_walkers=30, horizon=1.0)
+    seen = []
+    window = Engine.window
+
+    def counting(self, *args):
+        ev = window(self, *args)
+        seen.append(ev.bound_exceeded)
+        return ev
+
+    monkeypatch.setattr(Engine, "window", counting)
+    x1, y1, stats1 = conditioned_marginal(start, _flat_eta(1.0), params, config, key,
+                                          n_walkers=30, horizon=1.0)
+    assert stats1["bound_exceeded"] == sum(seen) > 0
+    assert stats1 == stats0
+    np.testing.assert_array_equal(x1, x0)
+    np.testing.assert_array_equal(y1, y0)

@@ -2,9 +2,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptqsd.errors import DomainError
-from adaptqsd.rng import StreamKey, stream
+from adaptqsd.rng import StreamKey, _digest_key, stream
+
+_PARTS = st.one_of(st.integers(-10**6, 10**6), st.text(st.characters(codec="utf-8",
+                                                                   exclude_characters="/"),
+                                                      max_size=6))
+_LINEAGES = st.lists(_PARTS, max_size=4).map(tuple)
 
 
 def test_same_key_same_stream():
@@ -46,3 +53,28 @@ def test_seed_separates_streams():
     b = stream(StreamKey(seed=2, lineage=("w",))).random(16)
     assert not np.array_equal(a, b)
 
+
+@pytest.mark.parametrize("spliced, parts", [(("a/sb",), ("a", "b")), (("x/i3",), ("x", 3))])
+def test_lineage_rejects_separator_in_strings(spliced, parts):
+    # a spliced lineage would digest to the same bytes as its split form
+    with pytest.raises(DomainError):
+        StreamKey(seed=0, lineage=spliced)
+    with pytest.raises(DomainError):
+        StreamKey(seed=0).child(*spliced)
+    assert StreamKey(seed=0, lineage=parts).lineage == parts
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), a=_LINEAGES, b=_LINEAGES)
+def test_distinct_lineages_have_distinct_digests(seed, a, b):
+    ka, kb = StreamKey(seed, a), StreamKey(seed, b)
+    assert (_digest_key(ka) == _digest_key(kb)) == (ka == kb)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32), lineage=_LINEAGES, part=_PARTS)
+def test_stream_is_a_function_of_the_key_and_children_differ(seed, lineage, part):
+    key = StreamKey(seed, lineage)
+    draws = stream(key).random(8)
+    np.testing.assert_array_equal(draws, stream(StreamKey(seed, tuple(lineage))).random(8))
+    assert not np.array_equal(draws, stream(key.child(part)).random(8))
