@@ -280,7 +280,7 @@ def run_simulate(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> l
 
 
 def _run_fv(cfg: dict, params: ModelParams, sim: SimConfig):
-    grid = default_hist_grid(sim, nx=int(cfg["nx"]), ny=int(cfg["ny"]))
+    grid = default_hist_grid(sim, nx=int(cfg["nx"]), ny=int(cfg["ny"]), dim=params.dim)
     burn = cfg["burn_in"]
     if burn != "auto":
         burn = float(burn)

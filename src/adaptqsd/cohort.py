@@ -283,7 +283,7 @@ class Engine:
         kill_off = np.full(m, np.nan)
         kill_code = np.full(m, -1, dtype=np.int8)
 
-        g_sup = p.g_bound_vec(np.linalg.norm(xa, axis=1) + v * dt)
+        g_sup = p.g_bound(np.linalg.norm(xa, axis=1) + v * dt)
         f_ceil = cfg.slack * p.f(ya)
         lam_bar = f_ceil * g_sup * self.m_nu
 

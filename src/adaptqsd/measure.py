@@ -78,17 +78,15 @@ class HistGrid:
         return int(np.prod(self.shape))
 
     def histogram(self, x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """Weighted counts over cells; points outside the box are dropped.
+        """Weighted counts over cells (binned by cell_index); points outside
+        the box are dropped.
 
         x: (n, dim), y: (n,). Returns an array of self.shape.
         """
-        x = np.asarray(x, dtype=float).reshape(len(y), self.dim)
-        y = np.asarray(y, dtype=float)
-        coords = [x[:, k] for k in range(self.dim)] + [y]
-        edges = [self.x_edges] * self.dim + [self.y_edges]
-        sample = np.stack(coords, axis=1)
-        hist, _ = np.histogramdd(sample, bins=edges, weights=weights)
-        return hist
+        idx = self.cell_index(x, y)
+        inside = idx >= 0
+        w = None if weights is None else np.asarray(weights, dtype=float)[inside]
+        return np.bincount(idx[inside], w, self.n_cells).astype(float).reshape(self.shape)
 
     def cell_index(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Flat cell index per point, -1 if outside the box."""

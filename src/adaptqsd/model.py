@@ -160,13 +160,15 @@ class FixationSpec:
         wn = np.sqrt(np.sum(np.square(w), axis=-1))
         return g / np.maximum(np.minimum(wn, 1.0), 1e-300)
 
-    def bound(self, x_norm: float, growth: GrowthSpec) -> float:
-        """Upper bound for sup_w g(x, w) over ||x|| <= x_norm."""
+    def bound(self, x_norm: float | np.ndarray, growth: GrowthSpec) -> float | np.ndarray:
+        """Upper bound for sup_w g(x, w) over ||x|| <= x_norm, elementwise
+        for an array of norms (a scalar for a scalar)."""
+        x_norm = np.asarray(x_norm, dtype=float)
         if self.family != "rescaled_advantageous":
-            return self.g_max
+            return np.full(x_norm.shape, self.g_max)[()]
         # for |w| >= 1 the factor is 1; for |w| < 1,
         # (1 - exp(-s dr))/|w| <= s*dr/|w| <= s*a*(2||x|| + |w|) <= s*a*(2||x|| + 1)
-        return self.g_max * max(1.0, self.s * growth.a * (2.0 * x_norm + 1.0))
+        return (self.g_max * np.maximum(1.0, self.s * growth.a * (2.0 * x_norm + 1.0)))[()]
 
 
 @dataclass(frozen=True)
@@ -227,11 +229,8 @@ class MutationSpec:
 
     def density_sup(self, dim: int) -> float:
         """Analytic sup of the Lebesgue density of nu."""
-        peak = self.m_nu * (2.0 * math.pi * self.tau**2) ** (-dim / 2.0)
-        if self.family == "gaussian":
-            return peak
-        # tilt factor <= 1; crude but valid bound
-        return peak
+        # the size tilt factor is <= 1, so the Gaussian peak bounds both families
+        return self.m_nu * (2.0 * math.pi * self.tau**2) ** (-dim / 2.0)
 
     def sample(self, gen: np.random.Generator, size: int, dim: int) -> np.ndarray:
         """Draw `size` effects from the normalized law nu / nu(R^d)."""
@@ -294,19 +293,8 @@ class ModelParams:
     def mutation_mass(self) -> float:
         return self.mutation.total_mass(self.dim)
 
-    def g_bound(self, x_norm: float) -> float:
+    def g_bound(self, x_norm: float | np.ndarray) -> float | np.ndarray:
         return self.fixation.bound(x_norm, self.growth)
-
-    def g_bound_vec(self, x_norms: np.ndarray) -> np.ndarray:
-        x_norms = np.asarray(x_norms, dtype=float)
-        if self.fixation.family != "rescaled_advantageous":
-            return np.full_like(x_norms, self.fixation.g_max)
-        factor = self.fixation.s * self.growth.a * (2.0 * x_norms + 1.0)
-        return self.fixation.g_max * np.maximum(1.0, factor)
-
-    def thinning_bound(self, y, x_norm: float = 0.0) -> np.ndarray:
-        """f(y) * sup_g * nu(R^d): exact proposal-rate ceiling at (x, y)."""
-        return self.f(y) * self.g_bound(x_norm) * self.mutation_mass()
 
 
 # ---------------------------------------------------------------------------

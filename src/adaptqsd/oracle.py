@@ -347,7 +347,10 @@ def oracle_q_kernel(genr: GridGenerator, triple: OracleTriple, t: float,
     Row sums are checked for every cell via one forward evolution of eta;
     beta-invariance via one adjoint evolution of alpha. Explicit kernel rows
     (flat internal indexing) are computed on request via one multi-column
-    adjoint evolution and returned normalized.
+    adjoint evolution and returned normalized. That evolution starts from
+    point masses, whose stiff modes CN keeps (amplification near -1) and the
+    division by eta at the start cell magnifies, so its first step is two
+    backward-Euler half-steps (Rannacher start-up) with the same factorization.
     """
     if t <= 0.0:
         raise DomainError("t must be positive")
@@ -371,7 +374,8 @@ def oracle_q_kernel(genr: GridGenerator, triple: OracleTriple, t: float,
 
     out_rows = {}
     if rows:
-        p_rows = prop.adjoint(sp.identity(genr.n_cells, format="csr")[list(rows)].T.toarray(), n)
+        p_rows = sp.identity(genr.n_cells, format="csr")[list(rows)].T.toarray()
+        p_rows = prop.adjoint(prop.lu.solve(prop.lu.solve(p_rows, trans="T"), trans="T"), n - 1)
         for k, i in enumerate(rows):
             q_row = growth * p_rows[:, k] * eta / max(eta[i], 1e-300)
             out_rows[i] = q_row / max(q_row.sum(), 1e-300)

@@ -7,14 +7,19 @@ The stack, bottom to top:
   estimates the decay rate lambda0;
 - estimate_lambda0_survival: independent lambda0 estimate from the survival
   curve of a plain (non-interacting) cohort started from alpha;
-- estimate_eta: survival capacity eta on a coarse node grid from per-node
-  cohorts, rescaled by e^{lambda0 t} and normalized to <alpha, eta> = 1;
+- estimate_eta: survival capacity eta on a coarse node grid, the eigen fixed
+  point through per-node cohort endpoints, normalized to <alpha, eta> = 1;
 - beta_from: the conditioned-process law beta = eta * alpha;
 - conditioned_marginal: ensemble of never-absorbed walkers evolved by
   rejection against eta (the h-transform of the time-discretized kernel);
 - convergence_curve, balance_residual, truncation_family: diagnostics for
   the relaxation rate, the speed/flux balance identity, and the truncation
   family consistency.
+
+estimate_eta and balance_residual compute in d = 1 only and raise
+UnsupportedModelError otherwise (beta_from and conditioned_marginal take
+their eta); fleming_viot, the survival regression, convergence_curve and
+truncation_family run in any dimension.
 """
 from __future__ import annotations
 
@@ -25,13 +30,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cohort import Engine, SimConfig, WindowEvents
-from .errors import DomainError, MassExtinctionError, NumericError
+from .errors import DomainError, MassExtinctionError, NumericError, UnsupportedModelError
 from .measure import EmpiricalMeasure, HistGrid, tv_distance, tv_noise_floor
 from .model import ModelParams, fixation_integral, reference_set
 from .rng import StreamKey, stream
 
 __all__ = [
-    "ParticleEnsemble", "QsdEstimate", "SurvivalEstimate", "EtaEstimate",
+    "QsdEstimate", "SurvivalEstimate", "EtaEstimate",
     "CohortResult", "fleming_viot", "run_cohort", "estimate_lambda0_survival",
     "estimate_eta", "beta_from", "convergence_curve", "balance_residual",
     "truncation_family", "conditioned_marginal", "tv_distance", "tv_noise_floor",
@@ -40,38 +45,16 @@ __all__ = [
 
 
 def default_hist_grid(config: SimConfig, nx: int = 80, ny: int = 60,
-                      L: float | None = None) -> HistGrid:
+                      dim: int = 1) -> HistGrid:
     """Histogram grid covering the truncation box (shared with the oracle)."""
-    box = L if L is not None else config.truncation
-    if box is None:
+    if config.truncation is None:
         raise DomainError("untruncated runs need an explicit histogram grid")
-    return HistGrid.for_box(box, y_lo=config.y_floor, nx=nx, ny=ny, dim=1)
+    return HistGrid.for_box(config.truncation, y_lo=config.y_floor, nx=nx, ny=ny, dim=dim)
 
 
-@dataclass
-class ParticleEnsemble:
-    """Mutable particle arrays plus the clock; the unit all runners share."""
-
-    x: np.ndarray
-    y: np.ndarray
-    alive: np.ndarray
-    t: float = 0.0
-
-    @property
-    def size(self) -> int:
-        return len(self.y)
-
-    @property
-    def n_alive(self) -> int:
-        return int(np.count_nonzero(self.alive))
-
-    @classmethod
-    def from_states(cls, x: np.ndarray, y: np.ndarray) -> "ParticleEnsemble":
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.asarray(y, dtype=float)
-        if x.shape[0] != len(y):
-            raise DomainError("x and y lengths differ")
-        return cls(x=x.copy(), y=y.copy(), alive=np.ones(len(y), dtype=bool))
+def _cell_centers(grid: HistGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Centre of every cell of a d = 1 grid in C order: x (n, 1), y (n,)."""
+    return np.repeat(grid.x_centers, grid.ny)[:, None], np.tile(grid.y_centers, grid.nx)
 
 
 def _init_states(init, size: int, params: ModelParams, config: SimConfig,
@@ -79,8 +62,7 @@ def _init_states(init, size: int, params: ModelParams, config: SimConfig,
     """Resolve an initial-condition spec into (x (n, d), y (n,)) arrays.
 
     Accepts an EmpiricalMeasure (sampled), "reference" (uniform on the
-    canonical reference box), a (x, y) point or array pair, or an explicit
-    ParticleEnsemble.
+    canonical reference box), or a (x, y) point or array pair.
     """
     if isinstance(init, EmpiricalMeasure):
         x, y = init.sample(gen, size)
@@ -88,8 +70,6 @@ def _init_states(init, size: int, params: ModelParams, config: SimConfig,
         if init != "reference":
             raise DomainError(f"unknown initial condition {init!r}")
         x, y = reference_set(params).sample(gen, size)
-    elif isinstance(init, ParticleEnsemble):
-        x, y = init.x.copy(), init.y.copy()
     else:
         x0, y0 = init
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -154,7 +134,7 @@ class _FlemingViotStepper:
 
 @dataclass
 class QsdEstimate:
-    """Output of a Fleming-Viot run, optionally enriched downstream."""
+    """Output of a Fleming-Viot run."""
 
     alpha: EmpiricalMeasure
     lambda0: float
@@ -165,16 +145,6 @@ class QsdEstimate:
     window: tuple[float, float]
     kill_log: dict
     diagnostics: dict = field(default_factory=dict)
-    lambda0_survival: "SurvivalEstimate | None" = None
-    eta: "EtaEstimate | None" = None
-    beta: EmpiricalMeasure | None = None
-
-    def lambda_consistency_z(self) -> float:
-        """z-score between the kill-flux and survival-curve estimators."""
-        if self.lambda0_survival is None:
-            raise DomainError("no survival estimate attached")
-        se = math.hypot(self.lambda0_stderr, self.lambda0_survival.stderr)
-        return abs(self.lambda0 - self.lambda0_survival.lambda0) / max(se, 1e-300)
 
 
 def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
@@ -195,7 +165,7 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
     """
     if n_particles < 2:
         raise DomainError("need at least 2 particles")
-    grid = hist_grid if hist_grid is not None else default_hist_grid(config)
+    grid = hist_grid if hist_grid is not None else default_hist_grid(config, dim=params.dim)
     dt = config.dt_max
     gen0 = stream(key.child("init"))
     x, y = _init_states(init, n_particles, params, config, gen0)
@@ -474,9 +444,8 @@ class EtaEstimate:
     """Survival capacity on a coarse node grid, callable via bilinear
     interpolation in (x, log y).
 
-    values / values_t2 hold the refined estimate and its independent-leg
-    second-horizon counterpart; values_direct1 / values_direct2 keep the
-    plain e^{lambda t} * survivor-fraction statistics at both horizons.
+    values / values_t2 hold the fixed-point estimate and its independent-leg
+    second-horizon counterpart.
     """
 
     x_nodes: np.ndarray
@@ -489,10 +458,7 @@ class EtaEstimate:
     stderr_t2: np.ndarray
     t_eval: float
     lambda0_used: float
-    values_direct1: np.ndarray | None = None
-    values_direct2: np.ndarray | None = None
     iterations_used: int = 0
-    norm_inner: float = 1.0
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return _bilinear(self.x_nodes, self.y_nodes, self.values, x, y)
@@ -527,16 +493,20 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
     """Survival capacity eta(x, y) = lim e^{lambda0 t} P_{x,y}(alive at t).
 
     Per node, `replicates` paths run to 2 t_eval, recording survival and the
-    survivor endpoints at both horizons. The direct statistic
+    survivor endpoints at both horizons. The plain statistic
     e^{lambda0 t} * survivor fraction is transient-biased at affordable
-    horizons, so the returned values apply the eigen fixed point: iterate
+    horizons; it only starts the eigen fixed point
     eta <- e^{lambda0 t_eval} * mean(alive * eta(endpoint at t_eval)),
-    renormalizing <alpha, eta> = 1 each pass (this also absorbs the scale
-    drift from an imperfect lambda0), until the node values settle.
-    iterations=0 returns the plain direct statistic. The t2 fields apply the
-    final interpolant through the 2 t_eval endpoints as a second-horizon
-    consistency leg.
+    renormalized to <alpha, eta> = 1 each pass (this also absorbs the scale
+    drift from an imperfect lambda0), which runs until the node values settle
+    or `iterations` (>= 1) passes are done. The t2 fields apply the final
+    interpolant through the 2 t_eval endpoints as a second-horizon
+    consistency leg. Implemented for d = 1.
     """
+    if params.dim != 1:
+        raise UnsupportedModelError("estimate_eta is implemented for d = 1 only")
+    if iterations < 1:
+        raise DomainError("iterations must be >= 1")
     xn, yn = eta_node_grid(alpha.grid, *nodes)
     gx, gy = len(xn), len(yn)
     n_nodes = gx * gy
@@ -563,9 +533,7 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
     sv1, sv2 = np.bincount(own1, minlength=n_nodes), np.bincount(own2, minlength=n_nodes)
 
     alpha_w = alpha.masses.ravel()
-    g = alpha.grid
-    cell_x = np.repeat(g.x_centers, g.ny)[:, None]
-    cell_y = np.tile(g.y_centers, g.nx)
+    cell_x, cell_y = _cell_centers(alpha.grid)
 
     def normalized(v_flat):
         inner = float(np.dot(alpha_w, _bilinear(xn, yn, v_flat.reshape(gx, gy), cell_x, cell_y)))
@@ -573,69 +541,43 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
             raise NumericError("alpha-eta inner product not positive")
         return v_flat / inner, inner
 
-    direct1 = e1 * sv1 / R
-    direct2 = e2 * sv2 / R
-    if iterations == 0:
-        # plain statistic; SE is the binomial error of the survivor fraction
-        vals, inner = normalized(direct1.copy())
-        p1, p2 = sv1 / R, sv2 / R
-        se = e1 * np.sqrt(np.maximum(p1 * (1 - p1), 1.0 / R) / R) / inner
-        vals_t2 = direct2 / inner
-        se_t2 = e2 * np.sqrt(np.maximum(p2 * (1 - p2), 1.0 / R) / R) / inner
-        iters_done = 0
-    else:
-        vals, _ = normalized(direct2.copy())
-        iters_done = 0
-        # slow-transient regions (advection-dominated) settle late, so the
-        # stopping rule must watch every node with usable endpoint data
-        active = sv1 >= max(20, int(0.005 * R))
-        # node-to-node weights: row n sums the interpolation weights of node n's endpoints
-        W1 = sp.csr_matrix((w1.ravel(), (np.repeat(own1, 4), idx1.ravel())),
-                           shape=(n_nodes, n_nodes))
-        for it in range(iterations):
-            new, _ = normalized(e1 * (W1 @ vals) / R)
-            watch = active & (vals > 0)
-            delta = float(np.max(np.abs(new[watch] - vals[watch]) / vals[watch])) if watch.any() else 0.0
-            vals = new
-            iters_done = it + 1
-            if delta < iter_tol:
-                break
+    vals, _ = normalized(e2 * sv2 / R)
+    # slow-transient regions (advection-dominated) settle late, so the
+    # stopping rule must watch every node with usable endpoint data
+    active = sv1 >= max(20, int(0.005 * R))
+    # node-to-node weights: row n sums the interpolation weights of node n's endpoints
+    W1 = sp.csr_matrix((w1.ravel(), (np.repeat(own1, 4), idx1.ravel())),
+                       shape=(n_nodes, n_nodes))
+    for iters_done in range(1, iterations + 1):
+        new, _ = normalized(e1 * (W1 @ vals) / R)
+        watch = active & (vals > 0)
+        delta = float(np.max(np.abs(new[watch] - vals[watch]) / vals[watch])) if watch.any() else 0.0
+        vals = new
+        if delta < iter_tol:
+            break
 
-        def mean_se(owner, idx, w, scale):
-            # per-node mean and SE of the last application (interpolant held fixed)
-            ev = _interpolate(idx, w, vals)
-            m, m2 = (np.bincount(owner, v, n_nodes) / R for v in (ev, ev**2))
-            return scale * m, scale * np.sqrt(np.maximum(m2 - m * m, (0.5 / R) ** 2) / R)
+    def mean_se(owner, idx, w, scale):
+        # per-node mean and SE of the last application (interpolant held fixed)
+        ev = _interpolate(idx, w, vals)
+        m, m2 = (np.bincount(owner, v, n_nodes) / R for v in (ev, ev**2))
+        return scale * m, scale * np.sqrt(np.maximum(m2 - m * m, (0.5 / R) ** 2) / R)
 
-        se = mean_se(own1, idx1, w1, e1)[1]
-        vals_t2, se_t2 = mean_se(own2, idx2, w2, e2)
-        vals_t2, norm2 = normalized(vals_t2)
-        se_t2 = se_t2 / norm2
+    se = mean_se(own1, idx1, w1, e1)[1]
+    vals_t2, se_t2 = mean_se(own2, idx2, w2, e2)
+    vals_t2, norm2 = normalized(vals_t2)
+    se_t2 = se_t2 / norm2
 
     return EtaEstimate(x_nodes=xn, y_nodes=yn,
                        values=vals.reshape(gx, gy), stderr=se.reshape(gx, gy),
                        survivors_t1=sv1.reshape(gx, gy), survivors_t2=sv2.reshape(gx, gy),
                        values_t2=vals_t2.reshape(gx, gy), stderr_t2=se_t2.reshape(gx, gy),
-                       t_eval=t_eval, lambda0_used=lambda0,
-                       values_direct1=direct1.reshape(gx, gy),
-                       values_direct2=direct2.reshape(gx, gy),
-                       iterations_used=iters_done)
-
-
-def _alpha_eta_inner(alpha: EmpiricalMeasure, eta: EtaEstimate) -> float:
-    g = alpha.grid
-    xc = np.repeat(g.x_centers, g.ny)[:, None]
-    yc = np.tile(g.y_centers, g.nx)
-    vals = eta(xc, yc)
-    return float(np.dot(alpha.masses.ravel(), vals))
+                       t_eval=t_eval, lambda0_used=lambda0, iterations_used=iters_done)
 
 
 def beta_from(alpha: EmpiricalMeasure, eta: EtaEstimate) -> EmpiricalMeasure:
     """beta = eta * alpha, renormalized on alpha's grid."""
     g = alpha.grid
-    xc = np.repeat(g.x_centers, g.ny)[:, None]
-    yc = np.tile(g.y_centers, g.nx)
-    weights = eta(xc, yc).reshape(g.shape)
+    weights = eta(*_cell_centers(g)).reshape(g.shape)
     masses = alpha.masses * weights
     if masses.sum() <= EmpiricalMeasure.MIN_TOTAL:
         raise DomainError("beta degenerate: alpha and eta have disjoint support")
@@ -741,7 +683,6 @@ class BalanceReport:
     rhs: float
     residual: float
     mc_stderr: float
-    quad_tol: float
     n_samples: int
     n_blocks: int
     bound_exceeded: int = 0
@@ -759,8 +700,11 @@ def balance_residual(params: ModelParams, config: SimConfig, key: StreamKey,
 
     J1(x) = integral of w1 g(x, w) nu(dw). The expectation is a time average
     over a stationary ensemble; the MC error comes from block means over
-    time, which absorbs the autocorrelation.
+    time, which absorbs the autocorrelation. Implemented for d = 1 (J1 is
+    cached by x1).
     """
+    if params.dim != 1:
+        raise UnsupportedModelError("balance_residual is implemented for d = 1 only")
     if init is None:
         # capped below any ceiling; the raw equilibrium may sit outside a
         # truncated box, where a point start is killed immediately
@@ -771,16 +715,13 @@ def balance_residual(params: ModelParams, config: SimConfig, key: StreamKey,
     horizon = burn + collect
     next_sample = burn
     samples: list[float] = []
-    sample_times: list[float] = []
     j1_cache: dict[float, float] = {}
     while fv.t < horizon - 1e-12:
         fv.step()
-        t = fv.t
-        if t + 1e-12 >= next_sample and next_sample < horizon:
+        if fv.t + 1e-12 >= next_sample and next_sample < horizon:
             fy = np.asarray(params.f(y))
             j1 = np.array([_j1_cached(float(xi[0]), params, j1_cache) for xi in x])
             samples.append(float(np.mean(fy * j1)))
-            sample_times.append(t)
             next_sample += sample_dt
     samples_arr = np.asarray(samples)
     blocks = np.array_split(samples_arr, n_blocks)
@@ -788,7 +729,7 @@ def balance_residual(params: ModelParams, config: SimConfig, key: StreamKey,
     rhs = float(samples_arr.mean())
     se = float(block_means.std(ddof=1) / math.sqrt(len(block_means)))
     return BalanceReport(v=params.v, rhs=rhs, residual=params.v - rhs,
-                         mc_stderr=se, quad_tol=1e-6,
+                         mc_stderr=se,
                          n_samples=len(samples_arr) * n_particles,
                          n_blocks=len(block_means), bound_exceeded=fv.bound_exceeded)
 
@@ -847,7 +788,7 @@ def truncation_family(params: ModelParams, base_config: SimConfig, key: StreamKe
     directly comparable. The y floor follows the base config's convention.
     """
     Ls = sorted(float(v) for v in Ls)
-    grid = HistGrid.for_box(Ls[-1], y_lo=base_config.y_floor, nx=nx, ny=ny, dim=1)
+    grid = HistGrid.for_box(Ls[-1], y_lo=base_config.y_floor, nx=nx, ny=ny, dim=params.dim)
     runs = []
     for L in Ls:
         cfg = replace(base_config, truncation=L)
@@ -868,12 +809,14 @@ def truncation_family(params: ModelParams, base_config: SimConfig, key: StreamKe
 # ---------------------------------------------------------------------------
 # conditioned ensemble (vectorized h-transform rejection)
 
+# candidate segments simulated per pending walker and rejection round
+_BATCH_SLOTS = 16
+
 
 def conditioned_marginal(start: EmpiricalMeasure, eta: EtaEstimate, params: ModelParams,
                          config: SimConfig, key: StreamKey, n_walkers: int = 500,
                          horizon: float = 20.0, max_attempts: int = 2000,
-                         ratio_cap: float = 50.0, batch_slots: int = 16
-                         ) -> tuple[np.ndarray, np.ndarray, dict]:
+                         ratio_cap: float = 50.0) -> tuple[np.ndarray, np.ndarray, dict]:
     """Evolve never-absorbed walkers by h-transform rejection; returns the
     terminal states (x, y) and attempt statistics.
 
@@ -884,14 +827,13 @@ def conditioned_marginal(start: EmpiricalMeasure, eta: EtaEstimate, params: Mode
     x, y = _init_states(start, n_walkers, params, config, gen0)
     stats = _h_transform(x, y, eta, eta.max_value, Engine(params, config), key,
                          int(round(horizon / config.qprocess_delta)),
-                         max_attempts=max_attempts, ratio_cap=ratio_cap,
-                         batch_slots=batch_slots)
+                         max_attempts=max_attempts, ratio_cap=ratio_cap)
     return x, y, stats
 
 
 def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, engine: Engine,
                  key: StreamKey, n_steps: int, max_attempts: int, ratio_cap: float,
-                 batch_slots: int = 16, on_step=None) -> dict:
+                 on_step=None) -> dict:
     """Advance walkers (x, y) in place by n_steps h-transform macro steps.
 
     Per macro step of length config.qprocess_delta each pending walker draws
@@ -905,7 +847,7 @@ def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, engine: Engi
     violations over all candidate windows are summed in
     stats["bound_exceeded"].
 
-    batch_slots candidates per pending walker are simulated per round; the
+    _BATCH_SLOTS candidates per pending walker are simulated per round; the
     accepted one is the first accepting slot in slot order, which reproduces
     sequential-attempt semantics while amortizing the per-call overhead.
     Round r of step s draws its windows from key.child("s", s, "r", r, "w", k)
@@ -922,7 +864,7 @@ def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, engine: Engi
     dt = delta / n_win
     attempts_hist: list[int] = []
     violations = bound_exceeded = 0
-    K = max(int(batch_slots), 1)
+    K = _BATCH_SLOTS
     max_rounds = max(max_attempts // K, 1)
     for step in range(n_steps):
         pending = np.arange(len(y))

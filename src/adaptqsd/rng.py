@@ -31,10 +31,15 @@ class StreamKey:
         for part in self.lineage:
             if not isinstance(part, (int, str)):
                 raise DomainError("lineage entries must be ints or strings")
-            # "/" separates parts in the digest; inside a part it would let
-            # ("a/sb",) and ("a", "b") share one stream
-            if isinstance(part, str) and "/" in part:
-                raise DomainError("lineage strings must not contain '/'")
+            if isinstance(part, str):
+                # "/" separates parts in the digest; inside a part it would let
+                # ("a/sb",) and ("a", "b") share one stream
+                if "/" in part:
+                    raise DomainError("lineage strings must not contain '/'")
+                try:
+                    part.encode()  # the digest hashes UTF-8; lone surrogates have none
+                except UnicodeEncodeError as exc:
+                    raise DomainError("lineage strings must be encodable as UTF-8") from exc
 
     def child(self, *parts: int | str) -> "StreamKey":
         return StreamKey(self.seed, self.lineage + tuple(parts))

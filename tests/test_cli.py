@@ -179,6 +179,22 @@ def test_qprocess_subcommand(tmp_path):
     assert (tmp_path / "qpath_0.csv").exists()
 
 
+def test_fv_runs_in_two_dimensions(tmp_path):
+    assert cli.main(["fv", "--out", str(tmp_path), "--set", "dim=2"] + _tiny()) == 0
+    lines = (tmp_path / "alpha.csv").read_text().strip().splitlines()
+    assert lines[0] == "x1,x2,y,mass"
+    assert len(lines) == 10 * 10 * 8 + 1
+
+
+def test_eta_in_two_dimensions_exits_2(tmp_path, capsys):
+    rc = cli.main(["eta", "--out", str(tmp_path), "--set", "dim=2"] + _tiny(
+        "--set", "eta_replicates=60", "--set", "eta_nodes_x=4",
+        "--set", "eta_nodes_y=3", "--set", "eta_t_eval=0.5"))
+    assert rc == 2
+    assert "d = 1" in capsys.readouterr().err
+    assert not (tmp_path / "eta.csv").exists()
+
+
 _DIAG = ["--set", "particles=20", "--set", "window=1.5", "--set", "burn_in=1.0",
          "--set", "nx=8", "--set", "ny=8", "--set", "conv_replicates=2",
          "--set", "conv_particles=40", "--set", "t_max=1.5",

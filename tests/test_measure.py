@@ -37,12 +37,27 @@ def test_histogram_and_cell_index_agree():
     gen = stream(StreamKey(seed=1, lineage=("hist",)))
     x = gen.uniform(-5.0, 5.0, size=(4000, 1))
     y = gen.uniform(1e-4, 5.0, size=4000)
+    w = gen.random(4000)
+    edges = [g.x_edges, g.y_edges]
+    sample = np.column_stack([x[:, 0], y])
     hist = g.histogram(x, y)
+    np.testing.assert_array_equal(hist, np.histogramdd(sample, bins=edges)[0])
+    np.testing.assert_array_equal(g.histogram(x, y, w),
+                                  np.histogramdd(sample, bins=edges, weights=w)[0])
     idx = g.cell_index(x, y)
     counted = np.bincount(idx[idx >= 0], minlength=g.n_cells).reshape(g.shape)
     np.testing.assert_array_equal(hist, counted)
     inside = (np.abs(x[:, 0]) <= 4.0) & (y >= 1e-3) & (y <= 4.0)
     assert hist.sum() == inside.sum()
+
+
+def test_histogram_matches_histogramdd_in_2d():
+    g = HistGrid.for_box(2.0, y_lo=1e-2, nx=5, ny=4, dim=2)
+    gen = stream(StreamKey(seed=2, lineage=("hist2",)))
+    x = gen.uniform(-2.5, 2.5, size=(3000, 2))
+    y = gen.uniform(1e-3, 2.5, size=3000)
+    ref, _ = np.histogramdd(np.column_stack([x, y]), bins=[g.x_edges, g.x_edges, g.y_edges])
+    np.testing.assert_array_equal(g.histogram(x, y), ref)
 
 
 def test_cell_index_boundary_points():

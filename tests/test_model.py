@@ -135,6 +135,21 @@ def test_jump_intensity_and_bound():
     assert total0 == 0.0 and bound0 == 0.0
 
 
+@pytest.mark.parametrize("family", ["deleterious_ok", "advantageous_only",
+                                    "rescaled_advantageous"])
+def test_fixation_bound_elementwise_matches_scalar(family):
+    params = default_params(fixation_family=family)
+    norms = np.array([0.0, 0.3, 1.7, 4.2])
+    vec = params.g_bound(norms)
+    assert vec.shape == norms.shape
+    np.testing.assert_array_equal(vec, [params.g_bound(float(n)) for n in norms])
+    assert np.ndim(params.g_bound(1.7)) == 0
+    # the bound dominates g on the ball it covers
+    x = np.array([[-1.7], [1.2], [0.4]])
+    w = np.linspace(-3.0, 3.0, 121)[:, None, None]
+    assert np.all(params.g(x, w) <= params.g_bound(1.7) * (1.0 + 1e-12))
+
+
 def test_rescaled_pair_preserves_jump_integrals():
     # the tilt moves mass between g and nu; their product must not change
     adv = default_params(fixation_family="advantageous_only")

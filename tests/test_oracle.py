@@ -140,6 +140,19 @@ def test_q_kernel_small_grid(small_oracle):
     assert row.min() > -1e-3
 
 
+def test_q_kernel_rows_from_point_masses_do_not_oscillate(acc_oracle):
+    # 80x60, L = 4, t = 1. Row 5 sits on the bottom edge, where eta is ~1e-10 of
+    # its max; Crank-Nicolson alone gave it an entry of -2.17 and negative mass
+    # -2.60, and interior row 2440 a minimum entry of -1.2e-5
+    genr, triple = acc_oracle
+    chk = oracle_q_kernel(genr, triple, 1.0, rows=(5, 2440))
+    row5, row2440 = chk.rows[5], chk.rows[2440]
+    assert row5[row5 < 0.0].sum() >= -1e-4
+    assert row2440.min() >= -1e-9
+    for row in (row5, row2440):
+        assert row.sum() == pytest.approx(1.0, abs=1e-9)
+
+
 def test_beta_combines_alpha_and_eta(small_oracle):
     _, triple = small_oracle
     beta = triple.beta()

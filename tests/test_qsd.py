@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adaptqsd.cohort import Engine
-from adaptqsd.errors import DomainError, MassExtinctionError
+from adaptqsd.errors import DomainError, MassExtinctionError, UnsupportedModelError
 from adaptqsd.measure import EmpiricalMeasure, HistGrid
 from adaptqsd.model import default_params
 from adaptqsd.pathsim import SimConfig
@@ -117,15 +117,17 @@ def test_survival_estimate_small_n_flag(params):
     assert est.n_paths == 400
 
 
-def test_estimate_eta_direct_statistic(tiny_fv, params):
+def test_estimate_eta_refined(tiny_fv, params):
     config = _boxed_config()
     eta = estimate_eta(tiny_fv.alpha, tiny_fv.lambda0, params, config,
-                       StreamKey(seed=10, lineage=("eta0",)), t_eval=1.0,
-                       replicates=120, nodes=(5, 4), iterations=0)
-    assert eta.iterations_used == 0
+                       StreamKey(seed=11, lineage=("eta1",)), t_eval=1.0,
+                       replicates=150, nodes=(5, 4), iterations=10, iter_tol=0.02)
+    assert 1 <= eta.iterations_used <= 10
     assert eta.values.shape == (5, 4)
+    assert np.all(np.isfinite(eta.values))
     assert np.all(eta.values >= 0.0)
     assert eta.max_value > 0.0
+    assert np.all(eta.stderr >= 0.0)
     # normalization: <alpha, eta> == 1 under the same interpolant
     g = tiny_fv.alpha.grid
     xc = np.repeat(g.x_centers, g.ny)[:, None]
@@ -134,17 +136,8 @@ def test_estimate_eta_direct_statistic(tiny_fv, params):
     assert inner == pytest.approx(1.0, rel=1e-9)
     # nodes at the hostile far edge have no survivors and eta pinned to zero
     assert eta.zero_nodes.shape == (5, 4)
+    assert eta.zero_nodes.any()
     assert np.all(eta.values[eta.zero_nodes] == 0.0)
-
-
-def test_estimate_eta_refined(tiny_fv, params):
-    config = _boxed_config()
-    eta = estimate_eta(tiny_fv.alpha, tiny_fv.lambda0, params, config,
-                       StreamKey(seed=11, lineage=("eta1",)), t_eval=1.0,
-                       replicates=150, nodes=(5, 4), iterations=10, iter_tol=0.02)
-    assert 1 <= eta.iterations_used <= 10
-    assert np.all(np.isfinite(eta.values))
-    assert np.all(eta.stderr >= 0.0)
     z = eta.consistency_z()
     assert z.shape == (5, 4)
     assert np.all(np.isfinite(z))
@@ -152,6 +145,20 @@ def test_estimate_eta_refined(tiny_fv, params):
     far = eta(np.array([[99.0]]), np.array([2.0]))
     edge = eta(np.array([[eta.x_nodes[-1]]]), np.array([2.0]))
     assert far == pytest.approx(edge)
+
+
+def test_estimate_eta_and_balance_reject_what_they_cannot_compute(tiny_fv, params):
+    config = _boxed_config()
+    args = (tiny_fv.alpha, tiny_fv.lambda0)
+    key = StreamKey(seed=12, lineage=("eta_guard",))
+    with pytest.raises(DomainError):
+        estimate_eta(*args, params, config, key, iterations=0)
+    # the node interpolant and the J1 cache read only the first x coordinate
+    planar = default_params(dim=2)
+    with pytest.raises(UnsupportedModelError):
+        estimate_eta(*args, planar, config, key)
+    with pytest.raises(UnsupportedModelError):
+        balance_residual(planar, SimConfig(), key)
 
 
 def _per_node_eta(alpha, lambda0, params, config, key, t_eval, replicates, nodes,

@@ -78,3 +78,12 @@ def test_stream_is_a_function_of_the_key_and_children_differ(seed, lineage, part
     draws = stream(key).random(8)
     np.testing.assert_array_equal(draws, stream(StreamKey(seed, tuple(lineage))).random(8))
     assert not np.array_equal(draws, stream(key.child(part)).random(8))
+
+
+def test_lineage_string_must_encode_as_utf8():
+    # the digest hashes UTF-8 bytes; a lone surrogate must fail at construction
+    with pytest.raises(DomainError):
+        StreamKey(seed=1, lineage=("a", "\ud800"))
+    with pytest.raises(DomainError):
+        StreamKey(seed=1).child("x\udfff")
+    stream(StreamKey(seed=1, lineage=("\u00e9t\u00e9", "\U0001f600")))
