@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,8 @@ from . import __version__
 from .errors import (AdaptQsdError, ConfigError, DomainError, HypothesisError,
                      MassExtinctionError, NumericError, UnsupportedModelError)
 from .measure import EmpiricalMeasure
-from .model import ModelParams, default_params, reference_set, validate_hypotheses
+from .model import (ModelParams, default_params, flat_params, reference_set,
+                    validate_hypotheses)
 from .oracle import build_generator, leading_triple
 from .pathsim import SimConfig, simulate_path, simulate_q_path
 from .qsd import (balance_residual, beta_from, conditioned_marginal,
@@ -41,36 +42,18 @@ EXIT_CODES = {
     MassExtinctionError: 5,
 }
 
-# symbol-to-key map: model block, numerics block, experiment block
+# numerics block: the SimConfig fields, with the truncation half-width under key L
+_SIM_FIELDS = {("L" if f.name == "truncation" else f.name): f for f in fields(SimConfig)}
+
+# model block, numerics block, experiment block; the model and numerics
+# defaults are the library's, except that the CLI runs on a truncation box
 DEFAULT_CONFIG: dict = {
-    # model
-    "dim": 1,
-    "v": 0.2,
-    "sigma": 1.0,
-    "gamma_n": 0.1,
-    "r0": 2.0,
-    "a": 0.5,
-    "mu": 1.0,
-    "fixation_family": "deleterious_ok",
-    "g_max": 1.0,
-    "s": 2.0,
-    "mutation_family": "gaussian",
-    "m_nu": 1.0,
-    "tau": 0.5,
-    # numerics
+    **flat_params(ModelParams()),
+    **{key: f.default for key, f in _SIM_FIELDS.items()},
     "L": 4.0,
     "truncation_y_low": 0.001,
-    "dt_max": 0.01,
-    "y_ext": 0.001,
-    "x_max": None,
-    "horizon": 50.0,
-    "substep_alpha": 0.5,
-    "slack": 1.5,
-    "qprocess_delta": 0.05,
-    "record_every": 1,
     # experiment
     "seed": 0,
-    "threads": 1,
     "particles": 2000,
     "window": 50.0,
     "burn_in": "auto",
@@ -99,11 +82,11 @@ DEFAULT_CONFIG: dict = {
 }
 
 # keys that do not influence results; excluded from the manifest hash
-NON_SEMANTIC_KEYS = ("out", "threads")
+NON_SEMANTIC_KEYS = ("out",)
 
 
 def load_config(path: str | None, overrides: list[str], seed: int | None,
-                threads: int | None, out: str | None) -> dict:
+                out: str | None) -> dict:
     """Merge defaults <- config file <- --set overrides <- dedicated flags."""
     cfg = dict(DEFAULT_CONFIG)
     if path is not None:
@@ -128,8 +111,6 @@ def load_config(path: str | None, overrides: list[str], seed: int | None,
         _merge(cfg, {k: val})
     if seed is not None:
         cfg["seed"] = seed
-    if threads is not None:
-        cfg["threads"] = threads
     if out is not None:
         cfg["out"] = out
     return cfg
@@ -142,32 +123,25 @@ def _merge(cfg: dict, updates: dict) -> None:
         cfg[k] = v
 
 
+def _typed(value, default, nullable: bool):
+    """value cast to the type of its default (float for a None default)."""
+    if value is None and nullable:
+        return None
+    return (float if default is None else type(default))(value)
+
+
 def build_params(cfg: dict) -> ModelParams:
     try:
-        return default_params(
-            dim=int(cfg["dim"]), v=float(cfg["v"]), sigma=float(cfg["sigma"]),
-            gamma_n=float(cfg["gamma_n"]), r0=float(cfg["r0"]), a=float(cfg["a"]),
-            mu=float(cfg["mu"]), fixation_family=str(cfg["fixation_family"]),
-            g_max=float(cfg["g_max"]), s=float(cfg["s"]),
-            mutation_family=str(cfg["mutation_family"]),
-            m_nu=float(cfg["m_nu"]), tau=float(cfg["tau"]))
+        return default_params(**{k: _typed(cfg[k], d, False)
+                                 for k, d in flat_params(ModelParams()).items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad model field: {exc}") from exc
 
 
 def build_sim(cfg: dict) -> SimConfig:
     try:
-        return SimConfig(
-            dt_max=float(cfg["dt_max"]), y_ext=float(cfg["y_ext"]),
-            x_max=None if cfg["x_max"] is None else float(cfg["x_max"]),
-            horizon=float(cfg["horizon"]),
-            truncation=None if cfg["L"] is None else float(cfg["L"]),
-            truncation_y_low=(None if cfg["truncation_y_low"] is None
-                              else float(cfg["truncation_y_low"])),
-            substep_alpha=float(cfg["substep_alpha"]),
-            slack=float(cfg["slack"]),
-            qprocess_delta=float(cfg["qprocess_delta"]),
-            record_every=int(cfg["record_every"]))
+        return SimConfig(**{f.name: _typed(cfg[key], DEFAULT_CONFIG[key], f.default is None)
+                            for key, f in _SIM_FIELDS.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad numerics field: {exc}") from exc
 
@@ -176,6 +150,10 @@ def build_sim(cfg: dict) -> SimConfig:
 # diagnostics and plain path simulation stay runnable on degenerate models
 # (e.g. the mutation-free zero-flux control) with a warning instead
 GATED_COMMANDS = frozenset({"fv", "lambda", "eta", "qprocess", "oracle"})
+
+# subcommands on the eta node interpolant or the balance J1 cache, which read
+# one lag coordinate (oracle rejects d != 1 itself, before any work)
+ONE_DIM_COMMANDS = frozenset({"eta", "qprocess", "diagnose"})
 
 
 def _check_hypotheses(cmd: str, params: ModelParams) -> None:
@@ -397,37 +375,23 @@ def run_oracle(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> lis
 
 
 def run_diagnose(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> list[str]:
+    # the convergence reference is the fv alpha coarsened 4 x 4
+    if int(cfg["nx"]) % 4 or int(cfg["ny"]) % 4:
+        raise ConfigError("diagnose needs nx and ny divisible by 4")
     fv = _run_fv(cfg, params, sim)
-
-    def conv_stage():
-        start = relaxed_start(params, sim)
-        return convergence_curve(start, fv.alpha.coarsen(4, 4), params, sim,
-                                 _key(cfg, "convergence"),
-                                 n_replicates=int(cfg["conv_replicates"]),
-                                 n_particles=int(cfg["conv_particles"]),
-                                 t_max=float(cfg["t_max"]),
-                                 slice_dt=float(cfg["slice_dt"]))
-
-    def balance_stage():
-        return balance_residual(params, sim, _key(cfg, "balance"),
-                                n_particles=int(cfg["balance_particles"]),
-                                burn=float(cfg["balance_burn"]),
-                                collect=float(cfg["balance_collect"]))
-
-    def trunc_stage():
-        return truncation_family(params, sim, _key(cfg, "truncation"),
-                                 Ls=tuple(float(L) for L in cfg["L_list"]),
-                                 n_particles=int(cfg["particles"]),
-                                 window=float(cfg["window"]),
-                                 nx=int(cfg["nx"]), ny=int(cfg["ny"]))
-
-    stages = (conv_stage, balance_stage, trunc_stage)
-    n_workers = max(int(cfg["threads"]), 1)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            curve, bal, fam = [f.result() for f in [pool.submit(s) for s in stages]]
-    else:
-        curve, bal, fam = [s() for s in stages]
+    curve = convergence_curve(relaxed_start(params, sim), fv.alpha.coarsen(4, 4), params,
+                              sim, _key(cfg, "convergence"),
+                              n_replicates=int(cfg["conv_replicates"]),
+                              n_particles=int(cfg["conv_particles"]),
+                              t_max=float(cfg["t_max"]), slice_dt=float(cfg["slice_dt"]))
+    bal = balance_residual(params, sim, _key(cfg, "balance"),
+                           n_particles=int(cfg["balance_particles"]),
+                           burn=float(cfg["balance_burn"]),
+                           collect=float(cfg["balance_collect"]))
+    fam = truncation_family(params, sim, _key(cfg, "truncation"),
+                            Ls=tuple(float(L) for L in cfg["L_list"]),
+                            n_particles=int(cfg["particles"]), window=float(cfg["window"]),
+                            nx=int(cfg["nx"]), ny=int(cfg["ny"]))
 
     with open(out / "convergence.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -490,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc, description=desc)
         p.add_argument("--config", help="JSON config path (defaults are built in)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, help="worker pool size")
         p.add_argument("--out", help="output directory (default: ./out)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one config key (JSON-parsed value)")
@@ -500,9 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.set, args.seed, args.threads, args.out)
+        cfg = load_config(args.config, args.set, args.seed, args.out)
         params = build_params(cfg)
         sim = build_sim(cfg)
+        if params.dim != 1 and args.cmd in ONE_DIM_COMMANDS:
+            raise UnsupportedModelError(f"{args.cmd} is implemented for d = 1 only")
         if args.cmd != "validate":
             _check_hypotheses(args.cmd, params)
         out = Path(cfg["out"])

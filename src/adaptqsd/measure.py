@@ -18,7 +18,7 @@ __all__ = ["HistGrid", "EmpiricalMeasure", "tv_distance", "tv_noise_floor"]
 @dataclass(frozen=True)
 class HistGrid:
     """Product grid: uniform cells in each x-coordinate on [-L, L], and
-    log-spaced (default) or uniform cells in y on [y_lo, y_hi]."""
+    log-spaced cells in y on [y_lo, y_hi]."""
 
     dim: int
     x_lo: float
@@ -27,7 +27,6 @@ class HistGrid:
     y_lo: float
     y_hi: float
     ny: int
-    y_spacing: str = "log"
 
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
@@ -36,16 +35,12 @@ class HistGrid:
             raise DomainError("x_lo must be below x_hi")
         if not (0.0 < self.y_lo < self.y_hi):
             raise DomainError("need 0 < y_lo < y_hi")
-        if self.y_spacing not in ("log", "linear"):
-            raise DomainError("y_spacing must be 'log' or 'linear'")
 
     @classmethod
     def for_box(cls, L: float, y_lo: float, y_hi: float | None = None,
-                nx: int = 80, ny: int = 60, dim: int = 1,
-                y_spacing: str = "log") -> "HistGrid":
+                nx: int = 80, ny: int = 60, dim: int = 1) -> "HistGrid":
         return cls(dim=dim, x_lo=-L, x_hi=L, nx=nx,
-                   y_lo=y_lo, y_hi=(L if y_hi is None else y_hi), ny=ny,
-                   y_spacing=y_spacing)
+                   y_lo=y_lo, y_hi=(L if y_hi is None else y_hi), ny=ny)
 
     @property
     def x_edges(self) -> np.ndarray:
@@ -53,9 +48,7 @@ class HistGrid:
 
     @property
     def y_edges(self) -> np.ndarray:
-        if self.y_spacing == "log":
-            return np.geomspace(self.y_lo, self.y_hi, self.ny + 1)
-        return np.linspace(self.y_lo, self.y_hi, self.ny + 1)
+        return np.geomspace(self.y_lo, self.y_hi, self.ny + 1)
 
     @property
     def x_centers(self) -> np.ndarray:
@@ -65,9 +58,7 @@ class HistGrid:
     @property
     def y_centers(self) -> np.ndarray:
         e = self.y_edges
-        if self.y_spacing == "log":
-            return np.sqrt(e[:-1] * e[1:])
-        return 0.5 * (e[:-1] + e[1:])
+        return np.sqrt(e[:-1] * e[1:])
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -176,7 +167,7 @@ class EmpiricalMeasure:
         m = m.reshape(m.shape[:-1] + (self.grid.ny // fy, fy)).sum(axis=-1)
         sub = HistGrid(dim=self.grid.dim, x_lo=self.grid.x_lo, x_hi=self.grid.x_hi,
                        nx=self.grid.nx // fx, y_lo=self.grid.y_lo, y_hi=self.grid.y_hi,
-                       ny=self.grid.ny // fy, y_spacing=self.grid.y_spacing)
+                       ny=self.grid.ny // fy)
         return EmpiricalMeasure(grid=sub, masses=m, n_samples=self.n_samples)
 
     def to_rows(self):

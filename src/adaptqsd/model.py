@@ -28,6 +28,7 @@ from scipy.special import expit
 from scipy.stats import norm as _norm
 
 from .errors import DomainError, NumericError, UnsupportedModelError
+from .rng import StreamKey, stream
 
 __all__ = [
     "GrowthSpec",
@@ -49,6 +50,7 @@ __all__ = [
     "reference_set",
     "y_equilibrium",
     "default_params",
+    "flat_params",
 ]
 
 
@@ -127,7 +129,7 @@ class FixationSpec:
 
     family: str = "deleterious_ok"
     g_max: float = 1.0
-    s: float = 1.0
+    s: float = 2.0
 
     _FAMILIES = ("deleterious_ok", "advantageous_only", "rescaled_advantageous")
 
@@ -223,7 +225,7 @@ class MutationSpec:
             pdf1 = pdf0 * math.exp(-1.0 / (2.0 * t * t))
             expectation = 2.0 * t * t * (pdf0 - pdf1) + 2.0 * _norm.sf(1.0 / t)
             return self.m_nu * expectation
-        nodes, weights = _gh_grid(64, dim)
+        nodes, weights = _gh_grid(_QUAD_ORDER, dim)
         wn = np.sqrt(np.sum(np.square(nodes * self.tau * math.sqrt(2.0)), axis=-1))
         return self.m_nu * float(np.sum(weights * np.minimum(wn, 1.0)))
 
@@ -359,6 +361,11 @@ def y_equilibrium(r_value: float, gamma: float) -> float | None:
 # quadrature over the mutation measure
 
 
+# Gauss-Hermite / Gauss-Legendre order of the mutation-measure quadrature;
+# fixation_integral checks it against half this order
+_QUAD_ORDER = 64
+
+
 @lru_cache(maxsize=32)
 def _gh_grid(order: int, dim: int):
     """Tensor Gauss-Hermite nodes/weights for E over N(0, I_d/2)-style kernels.
@@ -414,7 +421,7 @@ def _integral_once(x: np.ndarray, params: ModelParams, order: int, weight: str) 
     return mut.m_nu * float(np.sum(wts * vals))
 
 
-def fixation_integral(x, params: ModelParams, order: int = 64, weight: str = "one") -> float:
+def fixation_integral(x, params: ModelParams, weight: str = "one") -> float:
     """integral of weight(w) * g(x, w) nu(dw) with convergence check.
 
     weight: "one" for the acceptance rate factor, "w1" for the first-component
@@ -425,20 +432,20 @@ def fixation_integral(x, params: ModelParams, order: int = 64, weight: str = "on
         raise DomainError(f"unknown weight {weight!r}")
     if params.mutation.m_nu == 0.0:
         return 0.0
-    full = _integral_once(x, params, order, weight)
-    half = _integral_once(x, params, max(order // 2, 8), weight)
+    full = _integral_once(x, params, _QUAD_ORDER, weight)
+    half = _integral_once(x, params, _QUAD_ORDER // 2, weight)
     scale = params.fixation.g_max * params.mutation_mass() * (1.0 + params.mutation.tau)
     tol = 1e-6 if (params.dim == 1 or not params.fixation.advantageous) else 1e-2
     err = abs(full - half) / max(abs(full), abs(half), 1e-9 * scale)
     if err > max(tol, 1e-3) and abs(full - half) > 1e-12 * scale:
         raise NumericError(
             "mutation-measure quadrature did not converge",
-            diagnostics={"order": order, "value": full, "half_order_value": half, "rel_change": err},
+            diagnostics={"order": _QUAD_ORDER, "value": full, "half_order_value": half, "rel_change": err},
         )
     return full
 
 
-def jump_intensity(x, y, params: ModelParams, order: int = 64) -> tuple[float, float]:
+def jump_intensity(x, y, params: ModelParams) -> tuple[float, float]:
     """Total accepted-jump rate at (x, y) and the thinning proposal bound.
 
     Returns (total, bound) with
@@ -450,7 +457,7 @@ def jump_intensity(x, y, params: ModelParams, order: int = 64) -> tuple[float, f
         raise DomainError("jump_intensity requires y >= 0")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     fy = float(params.f(y))
-    total = fy * fixation_integral(x, params, order=order, weight="one")
+    total = fy * fixation_integral(x, params, weight="one")
     bound = fy * params.g_bound(float(np.linalg.norm(x))) * params.mutation_mass()
     return total, bound
 
@@ -592,18 +599,22 @@ def _characteristic_scale(params: ModelParams) -> float:
     return scale
 
 
-def validate_hypotheses(params: ModelParams, n_grid: int = 10_000, seed: int = 0) -> HypothesisReport:
+# probe pairs (x, w) drawn for the grid-sampled hypothesis checks
+_PROBE_POINTS = 10_000
+
+
+def validate_hypotheses(params: ModelParams) -> HypothesisReport:
     """Check the structural hypotheses; analytic per family where possible,
     grid-sampled in a box of half-width 4x the characteristic scale otherwise.
 
     Never raises: numeric trouble inside a check is reported as a violation
     with the error message as detail.
     """
-    gen = np.random.default_rng(seed)
+    gen = stream(StreamKey(0, ("hypotheses",)))
     half = 4.0 * _characteristic_scale(params)
     d = params.dim
-    xs = gen.uniform(-half, half, size=(n_grid, d))
-    ws = gen.uniform(-half, half, size=(n_grid, d))
+    xs = gen.uniform(-half, half, size=(_PROBE_POINTS, d))
+    ws = gen.uniform(-half, half, size=(_PROBE_POINTS, d))
     checks: dict[str, HypothesisCheck] = {}
 
     def record(code, status, detail):
@@ -637,7 +648,7 @@ def validate_hypotheses(params: ModelParams, n_grid: int = 10_000, seed: int = 0
 
     def h4():
         mass = params.mutation_mass()
-        nodes, wts = _gh_grid(64, d)
+        nodes, wts = _gh_grid(_QUAD_ORDER, d)
         total = float(np.sum(wts))  # normalized Gaussian integrates to 1
         if mass > 0.0 and np.isfinite(mass) and abs(total - 1.0) < 1e-8:
             record("H4", "satisfied", f"total mass {mass:.6g}; base density integrates to 1 within 1e-8")
@@ -723,34 +734,35 @@ def validate_hypotheses(params: ModelParams, n_grid: int = 10_000, seed: int = 0
 # convenience constructor
 
 
-def default_params(**overrides) -> ModelParams:
-    """Reference parameter set used by the shipped config and most tests.
+# flat name -> (component field of ModelParams, or None for its own field; field)
+_FLAT_FIELDS = {
+    "dim": (None, "dim"), "v": (None, "v"), "sigma": (None, "sigma"),
+    "gamma_n": (None, "gamma_n"), "r0": ("growth", "r0"), "a": ("growth", "a"),
+    "mu": ("arrival", "mu"), "fixation_family": ("fixation", "family"),
+    "g_max": ("fixation", "g_max"), "s": ("fixation", "s"),
+    "mutation_family": ("mutation", "family"), "m_nu": ("mutation", "m_nu"),
+    "tau": ("mutation", "tau"),
+}
 
-    Accepts flat overrides for the scalar fields of every component spec,
-    e.g. default_params(r0=4.0, v=0.1, fixation_family="advantageous_only").
+
+def flat_params(params: ModelParams) -> dict:
+    """The scalar fields of params under the flat names default_params takes."""
+    return {name: getattr(getattr(params, part) if part else params, fld)
+            for name, (part, fld) in _FLAT_FIELDS.items()}
+
+
+def default_params(**overrides) -> ModelParams:
+    """ModelParams() with flat overrides for the scalar fields of every
+    component spec, e.g. default_params(r0=4.0, v=0.1,
+    fixation_family="advantageous_only"); the names are those of flat_params.
     """
-    growth = GrowthSpec(r0=overrides.pop("r0", 2.0), a=overrides.pop("a", 0.5))
-    arrival = ArrivalSpec(mu=overrides.pop("mu", 1.0))
-    fixation = FixationSpec(
-        family=overrides.pop("fixation_family", "deleterious_ok"),
-        g_max=overrides.pop("g_max", 1.0),
-        s=overrides.pop("s", 2.0),
-    )
-    mutation = MutationSpec(
-        family=overrides.pop("mutation_family", "gaussian"),
-        m_nu=overrides.pop("m_nu", 1.0),
-        tau=overrides.pop("tau", 0.5),
-    )
-    params = ModelParams(
-        dim=overrides.pop("dim", 1),
-        v=overrides.pop("v", 0.2),
-        sigma=overrides.pop("sigma", 1.0),
-        gamma_n=overrides.pop("gamma_n", 0.1),
-        growth=growth,
-        arrival=arrival,
-        fixation=fixation,
-        mutation=mutation,
-    )
-    if overrides:
-        raise DomainError(f"unknown parameter overrides: {sorted(overrides)}")
-    return params
+    unknown = sorted(set(overrides) - set(_FLAT_FIELDS))
+    if unknown:
+        raise DomainError(f"unknown parameter overrides: {unknown}")
+    params = ModelParams()
+    parts: dict = {part: {} for part, _ in _FLAT_FIELDS.values()}
+    for name, value in overrides.items():
+        part, fld = _FLAT_FIELDS[name]
+        parts[part][fld] = value
+    return replace(params, **parts.pop(None), **{part: replace(getattr(params, part), **kw)
+                                                 for part, kw in parts.items()})

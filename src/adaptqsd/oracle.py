@@ -9,7 +9,7 @@ any edge of the box, and jump mass landing outside it, feed an implicit kill
 state, making row sums nonpositive (sub-Markov).
 
 The leading eigentriple (lambda0, alpha, eta) comes from ARPACK on the resolvent
-(I - delta Q)^{-1} (one sparse LU, forward solves for eta, transpose solves for
+(I - Q/2)^{-1} (one sparse LU, forward solves for eta, transpose solves for
 alpha), polished by power steps on the same LU. The consistency checks propagate
 by Crank-Nicolson substeps sized for 1e-6 relative accuracy, one solve per step.
 
@@ -37,6 +37,10 @@ __all__ = ["GridGenerator", "OracleTriple", "build_generator", "leading_triple",
 # costs factorization time
 _PERMC_SPEC = "NATURAL"
 _ROUNDOFF = 1e-12  # largest negative eigenvector entry clipped, relative to max |v|
+# leading_triple: eigen-residual target, and the cap on ARPACK restarts and on
+# resolvent polish steps
+_TOL = 1e-10
+_MAX_ITER = 20_000
 
 
 @dataclass
@@ -71,15 +75,13 @@ class OracleTriple:
     res_alpha: float
     res_eta: float
     iterations: int
-    delta: float
 
     def beta(self) -> EmpiricalMeasure:
         return EmpiricalMeasure(grid=self.alpha.grid, masses=self.alpha.masses * self.eta)
 
 
 def build_generator(params: ModelParams, L: float, y_min: float = 1e-3,
-                    nx: int = 80, ny: int = 60, jump_sigmas: float = 8.0,
-                    scc_min_frac: float = 0.9) -> GridGenerator:
+                    nx: int = 80, ny: int = 60) -> GridGenerator:
     """Assemble the generator for the box B(0, L) x [y_min, L]."""
     if params.dim != 1:
         raise DomainError("grid oracle is implemented for d = 1")
@@ -153,9 +155,10 @@ def build_generator(params: ModelParams, L: float, y_min: float = 1e-3,
         vals.append(np.full(inner.sum(), t_rate))
         kill[flat(0, j)] += t_rate
 
-    # --- jumps: banded stencil in the x direction, separable in (i, j)
+    # --- jumps: banded stencil in the x direction, separable in (i, j),
+    # reaching 8 mutation standard deviations
     fy = np.asarray(params.f(yc))  # (ny,)
-    band = int(math.ceil(jump_sigmas * params.mutation.tau / hx))
+    band = int(math.ceil(8.0 * params.mutation.tau / hx))
     total_int = np.array([fixation_integral(np.array([x0]), params) for x0 in xc])  # (nx,)
     in_grid = np.zeros(nx)  # accumulated discrete integral per source column
     for di in range(-band, band + 1):
@@ -201,11 +204,12 @@ def build_generator(params: ModelParams, L: float, y_min: float = 1e-3,
     Q = Q - sp.diags(out_rate)
     Q = Q.tocsr()
 
-    # reachability scan on the off-diagonal pattern
+    # reachability scan on the off-diagonal pattern: the largest strongly
+    # connected component must hold 90% of the cells
     pattern = sp.coo_matrix((np.ones_like(dat), (r, c)), shape=(N, N)).tocsr()
     n_comp, labels = connected_components(pattern, directed=True, connection="strong")
     frac = np.bincount(labels).max() / N
-    if frac < scc_min_frac:
+    if frac < 0.9:
         raise NumericError("generator not irreducible on its main component",
                            diagnostics={"n_components": int(n_comp), "largest_frac": float(frac)})
 
@@ -230,19 +234,19 @@ def _nonnegative(v: np.ndarray, name: str) -> np.ndarray:
     return np.maximum(v.real, 0.0)
 
 
-def leading_triple(genr: GridGenerator, delta: float = 0.5, tol: float = 1e-10,
-                   max_iter: int = 20_000) -> OracleTriple:
-    """Leading eigentriple: ARPACK on the resolvent, then power-step polish.
+def leading_triple(genr: GridGenerator) -> OracleTriple:
+    """Leading eigentriple: ARPACK on the resolvent (I - Q/2)^{-1}, then
+    power-step polish.
 
-    ARPACK (at most max_iter restarts) starts both vectors; 1 to max_iter
+    ARPACK (at most _MAX_ITER restarts) starts both vectors; 1 to _MAX_ITER
     resolvent steps polish them until ||alpha Q + lambda alpha||_1 with
     ||alpha||_1 = 1 and ||Q eta + lambda eta||_inf with ||eta||_inf = 1 are
-    both below `tol`. `iterations` counts resolvent solves: ARPACK operator
+    both below _TOL. `iterations` counts resolvent solves: ARPACK operator
     calls plus two per polish step.
     """
     Q = genr.Q
     N = Q.shape[0]
-    lu = _factor(Q, delta)
+    lu = _factor(Q, 0.5)
     solves = 0
 
     def resolvent(v, trans="N"):
@@ -252,14 +256,14 @@ def leading_triple(genr: GridGenerator, delta: float = 0.5, tol: float = 1e-10,
 
     def top_vector(trans, name):
         op = LinearOperator((N, N), lambda v: resolvent(v, trans), dtype=float)
-        return _nonnegative(eigs(op, k=1, v0=np.ones(N), maxiter=max_iter)[1][:, 0], name)
+        return _nonnegative(eigs(op, k=1, v0=np.ones(N), maxiter=_MAX_ITER)[1][:, 0], name)
 
     try:
         eta, alpha = top_vector("N", "eta"), top_vector("T", "alpha")
     except ArpackError as exc:
         raise NumericError("ARPACK did not converge on the resolvent",
                            diagnostics={"solves": solves, "arpack": str(exc)}) from exc
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         eta = _nonnegative(resolvent(eta), "eta")
         alpha = _nonnegative(resolvent(alpha, "T"), "alpha")
         alpha /= alpha.sum()
@@ -269,11 +273,11 @@ def leading_triple(genr: GridGenerator, delta: float = 0.5, tol: float = 1e-10,
         qa = Q.T @ alpha
         lam_a = -float(alpha @ qa) / float(alpha @ alpha)
         res_alpha = float(np.abs(qa + lam_a * alpha).sum())
-        if res_eta < tol and res_alpha < tol:
+        if res_eta < _TOL and res_alpha < _TOL:
             break
     else:
         raise NumericError("resolvent polish did not reach the residual tolerance",
-                           diagnostics={"polish_steps": max_iter, "solves": solves,
+                           diagnostics={"polish_steps": _MAX_ITER, "solves": solves,
                                         "res_eta": res_eta, "res_alpha": res_alpha})
 
     inner = float(alpha @ eta)
@@ -283,7 +287,7 @@ def leading_triple(genr: GridGenerator, delta: float = 0.5, tol: float = 1e-10,
                                   n_samples=float("inf"))
     return OracleTriple(lambda0=0.5 * (lam + lam_a), alpha=alpha_meas,
                         eta=genr.vec_to_grid(eta / inner), res_alpha=res_alpha,
-                        res_eta=res_eta, iterations=solves, delta=delta)
+                        res_eta=res_eta, iterations=solves)
 
 
 # ---------------------------------------------------------------------------

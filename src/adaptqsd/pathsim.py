@@ -157,16 +157,15 @@ def simulate_path(init, params: ModelParams, config: SimConfig,
 
 def simulate_q_path(init, params: ModelParams, config: SimConfig, key: rng_mod.StreamKey,
                     eta, eta_max: float | None = None,
-                    horizon: float | None = None, max_attempts: int = 2000,
-                    ratio_cap: float = 50.0) -> Trajectory:
+                    horizon: float | None = None) -> Trajectory:
     """Simulate the conditioned (never-absorbed) process by rejection.
 
     One walker of the rejection loop behind qsd.conditioned_marginal: over
     each macro step of length config.qprocess_delta, candidate segments are
     drawn from the unconditioned dynamics; absorbed candidates are rejected
     and survivors are accepted with probability eta(endpoint)/ceiling, where
-    ceiling = min(eta_max, ratio_cap * eta(start)) bounds the expected
-    attempts by ~ratio_cap everywhere. Endpoint values above the ceiling are
+    ceiling = min(eta_max, qsd._RATIO_CAP * eta(start)) bounds the expected
+    attempts by ~qsd._RATIO_CAP everywhere. Endpoint values above the ceiling are
     accepted outright and counted in meta["q_ceiling_violations"] (never
     silently absorbed); meta["q_bound_exceeded"] sums the thinning-bound
     violations of all candidate windows. Rows are the macro-step endpoints;
@@ -181,8 +180,6 @@ def simulate_q_path(init, params: ModelParams, config: SimConfig, key: rng_mod.S
         eta_max = float(getattr(eta, "max_value"))
     if not (eta_max > 0.0):
         raise DomainError("eta_max must be positive")
-    if not (ratio_cap > 1.0):
-        raise DomainError("ratio_cap must exceed 1")
     x, y = x0[None, :].copy(), np.array([y0])
     if float(np.asarray(eta(x, y)).ravel()[0]) <= 0.0:
         raise DomainError("initial state has nonpositive survival weight")
@@ -200,8 +197,7 @@ def simulate_q_path(init, params: ModelParams, config: SimConfig, key: rng_mod.S
         ys.append(float(y[0]))
 
     stats = _h_transform(x, y, eta, eta_max, Engine(params, config), key,
-                         int(round(horizon / delta)), max_attempts=max_attempts,
-                         ratio_cap=ratio_cap, on_step=record)
+                         int(round(horizon / delta)), on_step=record)
     return Trajectory(times=np.asarray(times), x=np.asarray(xs), y=np.asarray(ys),
                       jumps=jumps, exit_reason=ExitReason.SURVIVED_HORIZON, exit_time=horizon,
                       sigma=params.sigma, v=params.v,

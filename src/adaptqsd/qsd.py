@@ -89,6 +89,11 @@ def _init_states(init, size: int, params: ModelParams, config: SimConfig,
 # ---------------------------------------------------------------------------
 # Fleming-Viot
 
+# burn_in="auto": occupation chunk length, plateau TV and burn-in time cap
+_FV_CHUNK = 2.0
+_PLATEAU_TOL = 0.05
+_BURN_IN_CAP = 100.0
+
 
 class _FlemingViotStepper:
     """A Fleming-Viot ensemble advanced one dt_max window at a time.
@@ -150,18 +155,17 @@ class QsdEstimate:
 def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
                  n_particles: int = 2000, window: float = 50.0,
                  burn_in: float | str = "auto", init="reference",
-                 hist_grid: HistGrid | None = None, chunk: float = 2.0,
-                 plateau_tol: float = 0.05, burn_in_cap: float = 100.0) -> QsdEstimate:
+                 hist_grid: HistGrid | None = None) -> QsdEstimate:
     """Fleming-Viot estimate of (alpha, lambda0) on the truncated domain.
 
     Killed particles are replaced at window ends by the end-of-window state
     of a uniformly chosen survivor (see _FlemingViotStepper; donors come from
     the "resample" streams).
-    burn_in="auto" tracks the TV between consecutive chunk occupations and
-    declares the transient over when that series stops improving: two chunks
-    in a row with either TV below plateau_tol or less than a 10% drop while
-    already in the low-TV regime. After that, occupation is averaged over
-    `window` more time units.
+    burn_in="auto" tracks the TV between consecutive _FV_CHUNK occupations
+    and declares the transient over when that series stops improving (or at
+    _BURN_IN_CAP): two chunks in a row with either TV below _PLATEAU_TOL or
+    less than a 10% drop while already in the low-TV regime. After that,
+    occupation is averaged over `window` more time units.
     """
     if n_particles < 2:
         raise DomainError("need at least 2 particles")
@@ -178,7 +182,6 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
     kill_times: list[np.ndarray] = []
     kill_ids: list[np.ndarray] = []
     donor_ids: list[np.ndarray] = []
-    mean_y_series: list[float] = []
     burn_done = burn_in != "auto"
     burn_time = float(burn_in) if burn_in != "auto" else None
     plateau_hits = 0
@@ -204,9 +207,8 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
         np.add.at(chunk_occ, idx[inside], dt)
         if window_t0 is not None:
             np.add.at(occ, idx[inside], dt)
-        mean_y_series.append(float(np.mean(y)))
 
-        if t + 1e-12 >= (len(tv_series) + 1) * chunk:
+        if t + 1e-12 >= (len(tv_series) + 1) * _FV_CHUNK:
             cur = chunk_occ / max(chunk_occ.sum(), 1e-300)
             if prev_chunk is not None:
                 prev_tv = tv_series[-1][1]
@@ -215,8 +217,8 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
                 if not burn_done:
                     # stall test: no 10% improvement while already low
                     stalled = tv > 0.9 * prev_tv and tv < 0.35
-                    plateau_hits = plateau_hits + 1 if (tv < plateau_tol or stalled) else 0
-                    if plateau_hits >= 2 or t >= burn_in_cap:
+                    plateau_hits = plateau_hits + 1 if (tv < _PLATEAU_TOL or stalled) else 0
+                    if plateau_hits >= 2 or t >= _BURN_IN_CAP:
                         burn_done = True
                         burn_time = t
             else:
@@ -237,9 +239,8 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
     diag = {
         "tv_series": tv_series,
         "bound_exceeded": fv.bound_exceeded,
-        "mean_y_series": np.asarray(mean_y_series),
-        "plateau_tol": plateau_tol,
-        "burn_in_capped": bool(burn_time is not None and burn_time >= burn_in_cap),
+        "plateau_tol": _PLATEAU_TOL,
+        "burn_in_capped": bool(burn_time is not None and burn_time >= _BURN_IN_CAP),
     }
     return QsdEstimate(alpha=alpha, lambda0=lam, lambda0_stderr=lam_se,
                        kills_in_window=kills_window, n_particles=n_particles,
@@ -336,6 +337,9 @@ def run_cohort(x0: np.ndarray, y0: np.ndarray, params: ModelParams, config: SimC
 # ---------------------------------------------------------------------------
 # lambda0 from the survival curve
 
+# bootstrap resamples of the death times behind the slope's standard error
+_N_BOOTSTRAP = 200
+
 
 @dataclass
 class SurvivalEstimate:
@@ -351,9 +355,7 @@ class SurvivalEstimate:
 
 
 def estimate_lambda0_survival(init, params: ModelParams, config: SimConfig, key: StreamKey,
-                              n_paths: int = 5000, horizon: float = 8.0,
-                              t_grid: np.ndarray | None = None,
-                              min_survivors: int = 10, n_bootstrap: int = 200) -> SurvivalEstimate:
+                              n_paths: int = 5000, horizon: float = 8.0) -> SurvivalEstimate:
     """lambda0 from weighted log-linear regression of the survival curve.
 
     init should be (close to) the quasi-stationary law; started there the
@@ -368,14 +370,12 @@ def estimate_lambda0_survival(init, params: ModelParams, config: SimConfig, key:
     x0, y0 = _init_states(init, n_paths, params, config, gen)
     res = run_cohort(x0, y0, params, config, horizon, key.child("cohort"))
     death = res.death_times
-    if t_grid is None:
-        t_grid = np.geomspace(0.25, horizon, 24)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.geomspace(0.25, horizon, 24)
 
     def fit(death_times):
         surv = np.array([np.count_nonzero(death_times > tt) for tt in t_grid], dtype=float)
         s = surv / len(death_times)
-        mask = surv >= min_survivors
+        mask = surv >= 10  # fewer survivors make the log-survival too noisy
         if mask.sum() < 4:
             raise NumericError("too few usable survival points",
                                diagnostics={"usable": int(mask.sum())})
@@ -394,7 +394,7 @@ def estimate_lambda0_survival(init, params: ModelParams, config: SimConfig, key:
 
     boot_gen = stream(key.child("bootstrap"))
     slopes = []
-    for _ in range(n_bootstrap):
+    for _ in range(_N_BOOTSTRAP):
         sample = death[boot_gen.integers(0, n_paths, n_paths)]
         try:
             c, *_ = fit(sample)
@@ -456,8 +456,6 @@ class EtaEstimate:
     survivors_t2: np.ndarray
     values_t2: np.ndarray
     stderr_t2: np.ndarray
-    t_eval: float
-    lambda0_used: float
     iterations_used: int = 0
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -481,15 +479,20 @@ class EtaEstimate:
 def eta_node_grid(grid: HistGrid, nx: int = 30, ny: int = 20) -> tuple[np.ndarray, np.ndarray]:
     """Node locations: cell centers of an (nx, ny) coarsening of the box."""
     sub = HistGrid(dim=grid.dim, x_lo=grid.x_lo, x_hi=grid.x_hi, nx=nx,
-                   y_lo=grid.y_lo, y_hi=grid.y_hi, ny=ny, y_spacing=grid.y_spacing)
+                   y_lo=grid.y_lo, y_hi=grid.y_hi, ny=ny)
     return sub.x_centers, sub.y_centers
+
+
+# nodes per cohort run, and the cap and relative-change tolerance of the
+# eta fixed-point passes
+_ETA_BATCH_NODES = 60
+_ETA_MAX_PASSES = 40
+_ETA_TOL = 0.004
 
 
 def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
                  config: SimConfig, key: StreamKey, t_eval: float = 2.0,
-                 replicates: int = 3000, nodes: tuple[int, int] = (30, 20),
-                 batch_nodes: int = 60, iterations: int = 40,
-                 iter_tol: float = 0.004) -> EtaEstimate:
+                 replicates: int = 3000, nodes: tuple[int, int] = (30, 20)) -> EtaEstimate:
     """Survival capacity eta(x, y) = lim e^{lambda0 t} P_{x,y}(alive at t).
 
     Per node, `replicates` paths run to 2 t_eval, recording survival and the
@@ -499,14 +502,12 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
     eta <- e^{lambda0 t_eval} * mean(alive * eta(endpoint at t_eval)),
     renormalized to <alpha, eta> = 1 each pass (this also absorbs the scale
     drift from an imperfect lambda0), which runs until the node values settle
-    or `iterations` (>= 1) passes are done. The t2 fields apply the final
+    or _ETA_MAX_PASSES passes are done. The t2 fields apply the final
     interpolant through the 2 t_eval endpoints as a second-horizon
     consistency leg. Implemented for d = 1.
     """
     if params.dim != 1:
         raise UnsupportedModelError("estimate_eta is implemented for d = 1 only")
-    if iterations < 1:
-        raise DomainError("iterations must be >= 1")
     xn, yn = eta_node_grid(alpha.grid, *nodes)
     gx, gy = len(xn), len(yn)
     n_nodes = gx * gy
@@ -515,8 +516,8 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
     e1 = math.exp(lambda0 * t_eval)
     e2 = math.exp(lambda0 * t2)
     ends = {t_eval: [], t2: []}  # per horizon: (owner node, x, y) of the survivors
-    for b0 in range(0, n_nodes, batch_nodes):
-        i, j = np.divmod(np.repeat(np.arange(b0, min(b0 + batch_nodes, n_nodes)), R), gy)
+    for b0 in range(0, n_nodes, _ETA_BATCH_NODES):
+        i, j = np.divmod(np.repeat(np.arange(b0, min(b0 + _ETA_BATCH_NODES, n_nodes)), R), gy)
         x0 = np.zeros((len(i), params.dim))
         x0[:, 0] = xn[i]
         res = run_cohort(x0, yn[j], params, config, t2, key.child("batch", b0),
@@ -548,12 +549,12 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
     # node-to-node weights: row n sums the interpolation weights of node n's endpoints
     W1 = sp.csr_matrix((w1.ravel(), (np.repeat(own1, 4), idx1.ravel())),
                        shape=(n_nodes, n_nodes))
-    for iters_done in range(1, iterations + 1):
+    for iters_done in range(1, _ETA_MAX_PASSES + 1):
         new, _ = normalized(e1 * (W1 @ vals) / R)
         watch = active & (vals > 0)
         delta = float(np.max(np.abs(new[watch] - vals[watch]) / vals[watch])) if watch.any() else 0.0
         vals = new
-        if delta < iter_tol:
+        if delta < _ETA_TOL:
             break
 
     def mean_se(owner, idx, w, scale):
@@ -571,7 +572,7 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
                        values=vals.reshape(gx, gy), stderr=se.reshape(gx, gy),
                        survivors_t1=sv1.reshape(gx, gy), survivors_t2=sv2.reshape(gx, gy),
                        values_t2=vals_t2.reshape(gx, gy), stderr_t2=se_t2.reshape(gx, gy),
-                       t_eval=t_eval, lambda0_used=lambda0, iterations_used=iters_done)
+                       iterations_used=iters_done)
 
 
 def beta_from(alpha: EmpiricalMeasure, eta: EtaEstimate) -> EmpiricalMeasure:
@@ -597,7 +598,6 @@ class ConvergenceCurve:
     gamma_se: float
     r_squared: float
     floor: float
-    per_replicate: np.ndarray
     bound_exceeded: int = 0
 
     def decay_end(self) -> int:
@@ -610,16 +610,16 @@ class ConvergenceCurve:
         hits = np.flatnonzero(at_floor)
         return int(hits[0]) if len(hits) else len(self.tv_mean) - 1
 
-    def monotone_violation_rate(self, sigmas: float = 1.0) -> float:
+    def monotone_violation_rate(self) -> float:
         """Fraction of adjacent pairs on the decaying segment that rise by
-        more than `sigmas` joint standard errors."""
+        more than one joint standard error."""
         end = self.decay_end()
         if end < 1:
             return 0.0
         tv = self.tv_mean[:end + 1]
         se = self.tv_se[:end + 1]
         diffs = np.diff(tv)
-        tol = sigmas * np.sqrt(se[1:] ** 2 + se[:-1] ** 2)
+        tol = np.sqrt(se[1:] ** 2 + se[:-1] ** 2)
         return float(np.mean(diffs > tol))
 
 
@@ -670,7 +670,7 @@ def convergence_curve(init, reference: EmpiricalMeasure, params: ModelParams,
         gamma, gamma_se, r2 = float("nan"), float("nan"), float("nan")
     return ConvergenceCurve(t=ts, tv_mean=tv_mean, tv_se=tv_se, gamma_hat=gamma,
                             gamma_se=gamma_se, r_squared=r2, floor=floor,
-                            per_replicate=curves, bound_exceeded=bound_exceeded)
+                            bound_exceeded=bound_exceeded)
 
 
 # ---------------------------------------------------------------------------
@@ -692,25 +692,26 @@ class BalanceReport:
         return abs(self.residual) / max(self.mc_stderr, 1e-300)
 
 
+# time blocks whose means give the balance residual's MC error
+_BALANCE_BLOCKS = 20
+
+
 def balance_residual(params: ModelParams, config: SimConfig, key: StreamKey,
                      n_particles: int = 400, burn: float = 30.0,
-                     collect: float = 100.0, sample_dt: float = 0.5,
-                     n_blocks: int = 20, init=None) -> BalanceReport:
+                     collect: float = 100.0) -> BalanceReport:
     """Residual of the speed/flux identity v = E_alpha[f(y) J1(x)].
 
-    J1(x) = integral of w1 g(x, w) nu(dw). The expectation is a time average
-    over a stationary ensemble; the MC error comes from block means over
-    time, which absorbs the autocorrelation. Implemented for d = 1 (J1 is
-    cached by x1).
+    J1(x) = integral of w1 g(x, w) nu(dw). The expectation is a time average,
+    sampled every 0.5 time units, over a stationary ensemble started from
+    relaxed_start; the MC error comes from block means over time, which
+    absorbs the autocorrelation. Implemented for d = 1 (J1 is cached by x1).
     """
     if params.dim != 1:
         raise UnsupportedModelError("balance_residual is implemented for d = 1 only")
-    if init is None:
-        # capped below any ceiling; the raw equilibrium may sit outside a
-        # truncated box, where a point start is killed immediately
-        init = relaxed_start(params, config)
     gen0 = stream(key.child("init"))
-    x, y = _init_states(init, n_particles, params, config, gen0)
+    # capped below any ceiling; the raw equilibrium may sit outside a
+    # truncated box, where a point start is killed immediately
+    x, y = _init_states(relaxed_start(params, config), n_particles, params, config, gen0)
     fv = _FlemingViotStepper(params, config, x, y, key, "rs")
     horizon = burn + collect
     next_sample = burn
@@ -722,9 +723,9 @@ def balance_residual(params: ModelParams, config: SimConfig, key: StreamKey,
             fy = np.asarray(params.f(y))
             j1 = np.array([_j1_cached(float(xi[0]), params, j1_cache) for xi in x])
             samples.append(float(np.mean(fy * j1)))
-            next_sample += sample_dt
+            next_sample += 0.5
     samples_arr = np.asarray(samples)
-    blocks = np.array_split(samples_arr, n_blocks)
+    blocks = np.array_split(samples_arr, _BALANCE_BLOCKS)
     block_means = np.array([b.mean() for b in blocks if len(b)])
     rhs = float(samples_arr.mean())
     se = float(block_means.std(ddof=1) / math.sqrt(len(block_means)))
@@ -749,20 +750,19 @@ def _bulk_equilibrium_y(params: ModelParams) -> float:
     return ystar
 
 
-def relaxed_start(params: ModelParams, config: SimConfig,
-                  ceiling_margin: float = 0.9) -> tuple[np.ndarray, float]:
+def relaxed_start(params: ModelParams, config: SimConfig) -> tuple[np.ndarray, float]:
     """Point start for a zero-lag population at its stable size.
 
     Returns (x0, y0) with x0 = 0 and y0 the stable equilibrium of the size
     drift at full growth rate. A truncated domain may place that equilibrium
     at or above the absorbing ceiling, where a point start would be killed
-    within the first step; in that case y0 is capped at ceiling_margin times
-    the ceiling.
+    within the first step; in that case y0 is capped at 0.9 times the
+    ceiling.
     """
     ystar = _bulk_equilibrium_y(params)
     top = config.y_top
     if top is not None:
-        ystar = min(ystar, ceiling_margin * top)
+        ystar = min(ystar, 0.9 * top)
     return np.zeros(params.dim), ystar
 
 
@@ -776,7 +776,6 @@ class TruncationFamily:
     lambda_hat: np.ndarray
     lambda_se: np.ndarray
     tv_to_largest: np.ndarray
-    estimates: list[QsdEstimate]
 
 
 def truncation_family(params: ModelParams, base_config: SimConfig, key: StreamKey,
@@ -802,21 +801,22 @@ def truncation_family(params: ModelParams, base_config: SimConfig, key: StreamKe
         lambda_hat=np.array([r.lambda0 for r in runs]),
         lambda_se=np.array([r.lambda0_stderr for r in runs]),
         tv_to_largest=tvs,
-        estimates=runs,
     )
 
 
 # ---------------------------------------------------------------------------
 # conditioned ensemble (vectorized h-transform rejection)
 
-# candidate segments simulated per pending walker and rejection round
+# candidate segments simulated per pending walker and rejection round; the
+# attempt budget per walker and macro step; the cap on ceiling / eta(start)
 _BATCH_SLOTS = 16
+_MAX_ATTEMPTS = 2000
+_RATIO_CAP = 50.0
 
 
 def conditioned_marginal(start: EmpiricalMeasure, eta: EtaEstimate, params: ModelParams,
                          config: SimConfig, key: StreamKey, n_walkers: int = 500,
-                         horizon: float = 20.0, max_attempts: int = 2000,
-                         ratio_cap: float = 50.0) -> tuple[np.ndarray, np.ndarray, dict]:
+                         horizon: float = 20.0) -> tuple[np.ndarray, np.ndarray, dict]:
     """Evolve never-absorbed walkers by h-transform rejection; returns the
     terminal states (x, y) and attempt statistics.
 
@@ -826,22 +826,20 @@ def conditioned_marginal(start: EmpiricalMeasure, eta: EtaEstimate, params: Mode
     gen0 = stream(key.child("init"))
     x, y = _init_states(start, n_walkers, params, config, gen0)
     stats = _h_transform(x, y, eta, eta.max_value, Engine(params, config), key,
-                         int(round(horizon / config.qprocess_delta)),
-                         max_attempts=max_attempts, ratio_cap=ratio_cap)
+                         int(round(horizon / config.qprocess_delta)))
     return x, y, stats
 
 
 def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, engine: Engine,
-                 key: StreamKey, n_steps: int, max_attempts: int, ratio_cap: float,
-                 on_step=None) -> dict:
+                 key: StreamKey, n_steps: int, on_step=None) -> dict:
     """Advance walkers (x, y) in place by n_steps h-transform macro steps.
 
     Per macro step of length config.qprocess_delta each pending walker draws
     unconditioned candidate segments; candidates that die are rejected,
     survivors are accepted with probability eta(endpoint)/ceiling. The
     per-attempt acceptance equals eta(start)/ceiling, so the ceiling is the
-    state-dependent min(eta_max, ratio_cap * eta(start)): low-eta walkers
-    keep a bounded expected attempt count (~ratio_cap) instead of stalling.
+    state-dependent min(eta_max, _RATIO_CAP * eta(start)): low-eta walkers
+    keep a bounded expected attempt count (~_RATIO_CAP) instead of stalling.
     Candidate endpoints above the ceiling are accepted outright and counted
     in stats["ceiling_violations"] (candidate-level count); thinning-bound
     violations over all candidate windows are summed in
@@ -865,10 +863,10 @@ def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, engine: Engi
     attempts_hist: list[int] = []
     violations = bound_exceeded = 0
     K = _BATCH_SLOTS
-    max_rounds = max(max_attempts // K, 1)
+    max_rounds = max(_MAX_ATTEMPTS // K, 1)
     for step in range(n_steps):
         pending = np.arange(len(y))
-        ceiling_all = np.minimum(eta_max, ratio_cap * eta(x, y))
+        ceiling_all = np.minimum(eta_max, _RATIO_CAP * eta(x, y))
         if np.any(ceiling_all <= 0.0):
             raise NumericError("conditioned walker reached a zero-weight state",
                                diagnostics={"step": step,

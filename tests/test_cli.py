@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import fnmatch
 import json
 import re
@@ -9,6 +10,8 @@ import pytest
 
 from adaptqsd import cli
 from adaptqsd.errors import MassExtinctionError, NumericError
+from adaptqsd.model import ModelParams
+from adaptqsd.pathsim import SimConfig
 
 
 def _tiny(*extra):
@@ -31,7 +34,6 @@ def test_fv_rerun_is_byte_identical(tmp_path):
     manifest = json.loads(_read(d1 / "manifest.json"))
     assert manifest["artifacts"] == ["alpha.csv", "lambda0.json"]
     assert "out" not in manifest["config"]
-    assert "threads" not in manifest["config"]
     payload = json.loads(_read(d1 / "lambda0.json"))
     assert payload["lambda0"] > 0.0
 
@@ -45,6 +47,39 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 def test_invalid_model_value_exits_2(tmp_path):
     rc = cli.main(["fv", "--out", str(tmp_path), "--set", "sigma=-1"])
     assert rc == 2
+
+
+def _dataclass_defaults() -> dict:
+    """ModelParams() and SimConfig() defaults under their CLI keys."""
+    p = ModelParams()
+    model = {"dim": p.dim, "v": p.v, "sigma": p.sigma, "gamma_n": p.gamma_n,
+             "r0": p.growth.r0, "a": p.growth.a, "mu": p.arrival.mu,
+             "fixation_family": p.fixation.family, "g_max": p.fixation.g_max,
+             "s": p.fixation.s, "mutation_family": p.mutation.family,
+             "m_nu": p.mutation.m_nu, "tau": p.mutation.tau}
+    numerics = {("L" if f.name == "truncation" else f.name): f.default
+                for f in dataclasses.fields(SimConfig)}
+    return {**model, **numerics}
+
+
+def test_default_config_takes_model_and_numerics_defaults_from_the_dataclasses():
+    cfg = cli.DEFAULT_CONFIG
+    for key, value in _dataclass_defaults().items():
+        if key not in ("L", "truncation_y_low"):
+            assert cfg[key] == value and type(cfg[key]) is type(value), key
+    # the CLI's own box; the library default is untruncated
+    assert (cfg["L"], cfg["truncation_y_low"]) == (4.0, 0.001)
+
+
+@pytest.mark.parametrize("key", sorted(_dataclass_defaults()))
+def test_bad_model_or_numerics_value_exits_2(tmp_path, key):
+    assert cli.main(["validate", "--out", str(tmp_path), "--set", f"{key}=nope"]) == 2
+
+
+def test_null_only_where_the_library_default_is_none(tmp_path):
+    nullable = ["--set", "L=null", "--set", "truncation_y_low=null", "--set", "x_max=null"]
+    assert cli.main(["validate", "--out", str(tmp_path)] + nullable) == 0
+    assert cli.main(["validate", "--out", str(tmp_path), "--set", "dt_max=null"]) == 2
 
 
 def test_validate_report(tmp_path, capsys):
@@ -96,9 +131,9 @@ def test_exit_code_mapping(tmp_path, monkeypatch):
 
 
 def test_manifest_hash_semantics(tmp_path):
-    cfg1 = cli.load_config(None, [], seed=7, threads=1, out="x")
-    cfg2 = cli.load_config(None, [], seed=7, threads=4, out="y")
-    cfg3 = cli.load_config(None, [], seed=8, threads=1, out="x")
+    cfg1 = cli.load_config(None, [], seed=7, out="x")
+    cfg2 = cli.load_config(None, [], seed=7, out="y")
+    cfg3 = cli.load_config(None, [], seed=8, out="x")
     shas = []
     for i, cfg in enumerate((cfg1, cfg2, cfg3)):
         d = tmp_path / str(i)
@@ -186,13 +221,36 @@ def test_fv_runs_in_two_dimensions(tmp_path):
     assert len(lines) == 10 * 10 * 8 + 1
 
 
-def test_eta_in_two_dimensions_exits_2(tmp_path, capsys):
+def _fail_if_fv_runs(monkeypatch):
+    def fleming_viot(*args, **kwargs):
+        raise AssertionError("fleming_viot ran before the config was rejected")
+
+    monkeypatch.setattr(cli, "fleming_viot", fleming_viot)
+
+
+def test_eta_in_two_dimensions_exits_2(tmp_path, capsys, monkeypatch):
+    _fail_if_fv_runs(monkeypatch)
     rc = cli.main(["eta", "--out", str(tmp_path), "--set", "dim=2"] + _tiny(
         "--set", "eta_replicates=60", "--set", "eta_nodes_x=4",
         "--set", "eta_nodes_y=3", "--set", "eta_t_eval=0.5"))
     assert rc == 2
     assert "d = 1" in capsys.readouterr().err
     assert not (tmp_path / "eta.csv").exists()
+
+
+@pytest.mark.parametrize("cmd", ["qprocess", "diagnose"])
+def test_d1_commands_reject_two_dimensions_before_any_estimate(tmp_path, capsys,
+                                                               monkeypatch, cmd):
+    _fail_if_fv_runs(monkeypatch)
+    assert cli.main([cmd, "--out", str(tmp_path), "--set", "dim=2"]) == 2
+    assert "d = 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["nx=10", "ny=6"])
+def test_diagnose_rejects_a_grid_it_cannot_coarsen(tmp_path, capsys, monkeypatch, grid):
+    _fail_if_fv_runs(monkeypatch)
+    assert cli.main(["diagnose", "--out", str(tmp_path), "--set", grid]) == 2
+    assert "divisible by 4" in capsys.readouterr().err
 
 
 _DIAG = ["--set", "particles=20", "--set", "window=1.5", "--set", "burn_in=1.0",
@@ -203,11 +261,11 @@ _DIAG = ["--set", "particles=20", "--set", "window=1.5", "--set", "burn_in=1.0",
          "--set", "L_list=[4.0]"]
 
 
-def test_diagnose_thread_count_does_not_change_artifacts(tmp_path):
-    d1 = tmp_path / "serial"
-    d2 = tmp_path / "pooled"
-    assert cli.main(["diagnose", "--out", str(d1), "--threads", "1"] + _DIAG) == 0
-    assert cli.main(["diagnose", "--out", str(d2), "--threads", "2"] + _DIAG) == 0
+def test_diagnose_rerun_is_byte_identical(tmp_path):
+    d1 = tmp_path / "a"
+    d2 = tmp_path / "b"
+    assert cli.main(["diagnose", "--out", str(d1)] + _DIAG) == 0
+    assert cli.main(["diagnose", "--out", str(d2)] + _DIAG) == 0
     for name in ("convergence.csv", "balance.json", "truncation.csv",
                  "diagnose.json", "manifest.json"):
         assert _read(d1 / name) == _read(d2 / name), name

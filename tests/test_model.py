@@ -197,6 +197,11 @@ def test_reference_set_samples_inside():
     assert np.all(box.contains(x, y))
 
 
+def test_default_params_are_the_dataclass_defaults():
+    assert ModelParams() == default_params()
+    assert default_params(s=1.0, dim=2).fixation.s == 1.0
+
+
 def test_params_domain_checks():
     with pytest.raises(DomainError):
         ModelParams(dim=0)

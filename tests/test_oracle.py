@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from adaptqsd import oracle
 from adaptqsd.errors import DomainError, NumericError
 from adaptqsd.measure import HistGrid
 from adaptqsd.model import default_params
@@ -40,7 +41,7 @@ def _toy_generator():
 @pytest.fixture(scope="module")
 def toy_triple():
     genr = _toy_generator()
-    return genr, leading_triple(genr, delta=0.5)
+    return genr, leading_triple(genr)
 
 
 @pytest.fixture(scope="module")
@@ -207,12 +208,15 @@ def test_crank_nicolson_step_is_matvec_free(which, tiny_built):
     np.testing.assert_allclose(prop.adjoint(v, 3)[:, 1], prop.adjoint(v[:, 1], 3), rtol=1e-13)
 
 
-def test_eigen_solve_failures_raise_numeric_error(tiny_built):
+def test_eigen_solve_failures_raise_numeric_error(tiny_built, monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_ITER", 1)
     with pytest.raises(NumericError, match="ARPACK") as info:
-        leading_triple(tiny_built, max_iter=1)
+        leading_triple(tiny_built)
     assert info.value.diagnostics["solves"] > 0
+    monkeypatch.setattr(oracle, "_TOL", 0.0)
+    monkeypatch.setattr(oracle, "_MAX_ITER", 4)
     with pytest.raises(NumericError, match="polish") as info:
-        leading_triple(tiny_built, tol=0.0, max_iter=4)
+        leading_triple(tiny_built)
     diag = info.value.diagnostics
     assert diag["polish_steps"] == 4
     assert diag["res_eta"] > 0.0 and diag["res_alpha"] > 0.0

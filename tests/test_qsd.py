@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from adaptqsd import qsd
 from adaptqsd.cohort import Engine
 from adaptqsd.errors import DomainError, MassExtinctionError, UnsupportedModelError
 from adaptqsd.measure import EmpiricalMeasure, HistGrid
@@ -56,11 +57,12 @@ def test_fleming_viot_contract(tiny_fv):
     assert np.all(np.diff(log["times"]) >= 0.0)
 
 
-def test_fleming_viot_auto_burn(params):
+def test_fleming_viot_auto_burn(params, monkeypatch):
+    monkeypatch.setattr(qsd, "_FV_CHUNK", 1.0)
+    monkeypatch.setattr(qsd, "_BURN_IN_CAP", 12.0)
     grid = HistGrid.for_box(4.0, y_lo=1e-3, nx=12, ny=10, dim=1)
     est = fleming_viot(params, _boxed_config(), StreamKey(seed=42, lineage=("auto",)),
-                       n_particles=80, window=4.0, burn_in="auto", hist_grid=grid,
-                       chunk=1.0, burn_in_cap=12.0)
+                       n_particles=80, window=4.0, burn_in="auto", hist_grid=grid)
     assert 0.0 < est.burn_in_time <= 12.0
     assert len(est.diagnostics["tv_series"]) >= 2
     t0, t1 = est.window
@@ -104,11 +106,12 @@ def test_run_cohort_slices_and_jumps(params):
     assert res.survival(1.0) == pytest.approx(len(live1) / n)
 
 
-def test_survival_estimate_small_n_flag(params):
+def test_survival_estimate_small_n_flag(params, monkeypatch):
+    monkeypatch.setattr(qsd, "_N_BOOTSTRAP", 40)
     config = _boxed_config()
     est = estimate_lambda0_survival((np.zeros(1), 1.5), params, config,
                                     StreamKey(seed=9, lineage=("surv",)),
-                                    n_paths=400, horizon=4.0, n_bootstrap=40)
+                                    n_paths=400, horizon=4.0)
     assert est.flags and "1000" in est.flags[0]
     assert est.lambda0 > 0.0
     assert np.all(np.diff(est.survivors) <= 0)
@@ -117,11 +120,13 @@ def test_survival_estimate_small_n_flag(params):
     assert est.n_paths == 400
 
 
-def test_estimate_eta_refined(tiny_fv, params):
+def test_estimate_eta_refined(tiny_fv, params, monkeypatch):
+    monkeypatch.setattr(qsd, "_ETA_MAX_PASSES", 10)
+    monkeypatch.setattr(qsd, "_ETA_TOL", 0.02)
     config = _boxed_config()
     eta = estimate_eta(tiny_fv.alpha, tiny_fv.lambda0, params, config,
                        StreamKey(seed=11, lineage=("eta1",)), t_eval=1.0,
-                       replicates=150, nodes=(5, 4), iterations=10, iter_tol=0.02)
+                       replicates=150, nodes=(5, 4))
     assert 1 <= eta.iterations_used <= 10
     assert eta.values.shape == (5, 4)
     assert np.all(np.isfinite(eta.values))
@@ -151,8 +156,6 @@ def test_estimate_eta_and_balance_reject_what_they_cannot_compute(tiny_fv, param
     config = _boxed_config()
     args = (tiny_fv.alpha, tiny_fv.lambda0)
     key = StreamKey(seed=12, lineage=("eta_guard",))
-    with pytest.raises(DomainError):
-        estimate_eta(*args, params, config, key, iterations=0)
     # the node interpolant and the J1 cache read only the first x coordinate
     planar = default_params(dim=2)
     with pytest.raises(UnsupportedModelError):
@@ -161,16 +164,15 @@ def test_estimate_eta_and_balance_reject_what_they_cannot_compute(tiny_fv, param
         balance_residual(planar, SimConfig(), key)
 
 
-def _per_node_eta(alpha, lambda0, params, config, key, t_eval, replicates, nodes,
-                  iterations=40, iter_tol=0.004, batch_nodes=60):
+def _per_node_eta(alpha, lambda0, params, config, key, t_eval, replicates, nodes):
     """estimate_eta's fixed point written node by node (reference for the sparse one)."""
     xn, yn = eta_node_grid(alpha.grid, *nodes)
     gx, gy = len(xn), len(yn)
     R, t2 = replicates, 2.0 * t_eval
     e1, e2 = np.exp(lambda0 * t_eval), np.exp(lambda0 * t2)
     ends = {t_eval: [None] * gx * gy, t2: [None] * gx * gy}
-    for b0 in range(0, gx * gy, batch_nodes):
-        batch = range(b0, min(b0 + batch_nodes, gx * gy))
+    for b0 in range(0, gx * gy, qsd._ETA_BATCH_NODES):
+        batch = range(b0, min(b0 + qsd._ETA_BATCH_NODES, gx * gy))
         x0 = np.zeros((len(batch) * R, params.dim))
         y0 = np.empty(len(batch) * R)
         for bi, node in enumerate(batch):
@@ -198,12 +200,12 @@ def _per_node_eta(alpha, lambda0, params, config, key, t_eval, replicates, nodes
     vals = normalized(e2 * np.array([len(ly) for _, ly in ends[t2]]) / R)[0]
     active = sv1 >= max(20, int(0.005 * R))
     used = 0
-    for used in range(1, iterations + 1):
+    for used in range(1, qsd._ETA_MAX_PASSES + 1):
         new = normalized(e1 * node_sums(vals, ends[t_eval]) / R)[0]
         watch = active & (vals > 0)
         delta = float(np.max(np.abs(new[watch] - vals[watch]) / vals[watch])) if watch.any() else 0.0
         vals = new
-        if delta < iter_tol:
+        if delta < qsd._ETA_TOL:
             break
     out = {"values": vals, "iterations_used": used, "survivors_t1": sv1}
     for name, t, e in (("stderr", t_eval, e1), ("stderr_t2", t2, e2)):
@@ -235,8 +237,7 @@ def _flat_eta(level=1.0):
     return EtaEstimate(x_nodes=xn, y_nodes=yn, values=vals, stderr=zeros,
                        survivors_t1=np.ones((2, 2), dtype=np.int64),
                        survivors_t2=np.ones((2, 2), dtype=np.int64),
-                       values_t2=vals, stderr_t2=zeros, t_eval=1.0,
-                       lambda0_used=0.8)
+                       values_t2=vals, stderr_t2=zeros)
 
 
 def test_beta_from_flat_eta_is_alpha(tiny_fv):
@@ -265,7 +266,7 @@ def _curve(tv, se=0.01, floor=None):
     return ConvergenceCurve(t=np.arange(1.0, len(tv) + 1.0),
                             tv_mean=tv, tv_se=np.full(len(tv), se),
                             gamma_hat=0.5, gamma_se=0.05, r_squared=0.95,
-                            floor=floor, per_replicate=np.tile(tv, (2, 1)))
+                            floor=floor)
 
 
 def test_convergence_decay_end():
@@ -289,10 +290,10 @@ def test_monotone_violation_rate_ignores_plateau_noise():
     assert late.monotone_violation_rate() == 0.0
 
 
-def test_balance_report_contract(params):
+def test_balance_report_contract(params, monkeypatch):
+    monkeypatch.setattr(qsd, "_BALANCE_BLOCKS", 4)
     rep = balance_residual(params, SimConfig(), StreamKey(seed=13, lineage=("bal",)),
-                           n_particles=40, burn=2.0, collect=6.0, sample_dt=0.5,
-                           n_blocks=4)
+                           n_particles=40, burn=2.0, collect=6.0)
     assert rep.v == pytest.approx(params.v)
     assert rep.rhs > 0.0
     assert rep.mc_stderr > 0.0
@@ -301,13 +302,13 @@ def test_balance_report_contract(params):
     assert 1 <= rep.n_blocks <= 4
 
 
-def test_balance_zero_flux_control(params):
+def test_balance_zero_flux_control(params, monkeypatch):
     # without mutation the jump flux vanishes identically, so the identity
     # residual equals the environment speed exactly
+    monkeypatch.setattr(qsd, "_BALANCE_BLOCKS", 3)
     quiet = default_params(m_nu=0.0)
     rep = balance_residual(quiet, SimConfig(), StreamKey(seed=14, lineage=("bal0",)),
-                           n_particles=30, burn=1.0, collect=3.0, sample_dt=0.5,
-                           n_blocks=3)
+                           n_particles=30, burn=1.0, collect=3.0)
     assert rep.rhs == 0.0
     assert rep.residual == quiet.v
 
