@@ -45,6 +45,8 @@ EXIT_CODES = {
 # numerics block: the SimConfig fields, with the truncation half-width under key L
 _SIM_FIELDS = {("L" if f.name == "truncation" else f.name): f for f in fields(SimConfig)}
 
+_MODEL_KEYS = frozenset(flat_params(ModelParams()))
+
 # model block, numerics block, experiment block; the model and numerics
 # defaults are the library's, except that the CLI runs on a truncation box
 DEFAULT_CONFIG: dict = {
@@ -146,6 +148,26 @@ def build_sim(cfg: dict) -> SimConfig:
         raise ConfigError(f"bad numerics field: {exc}") from exc
 
 
+def build_experiment(cfg: dict) -> dict:
+    """cfg with the experiment block cast to the types of its defaults;
+    burn_in stays "auto" or becomes a float, L_list a tuple of floats."""
+    typed = dict(cfg)
+    for key, default in DEFAULT_CONFIG.items():
+        if key in _MODEL_KEYS or key in _SIM_FIELDS:
+            continue
+        value = cfg[key]
+        try:
+            if key == "burn_in":
+                typed[key] = value if value == "auto" else float(value)
+            elif key == "L_list":
+                typed[key] = tuple(float(L) for L in value)
+            else:
+                typed[key] = type(default)(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad experiment field {key}={value!r}: {exc}") from exc
+    return typed
+
+
 # subcommands whose outputs rely on the existence/uniqueness guarantees;
 # diagnostics and plain path simulation stay runnable on degenerate models
 # (e.g. the mutation-free zero-flux control) with a warning instead
@@ -169,7 +191,7 @@ def _check_hypotheses(cmd: str, params: ModelParams) -> None:
 
 
 def _key(cfg: dict, *lineage) -> StreamKey:
-    return StreamKey(seed=int(cfg["seed"]), lineage=("cli",) + lineage)
+    return StreamKey(seed=cfg["seed"], lineage=("cli",) + lineage)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +280,9 @@ def run_simulate(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> l
 
 
 def _run_fv(cfg: dict, params: ModelParams, sim: SimConfig):
-    grid = default_hist_grid(sim, nx=int(cfg["nx"]), ny=int(cfg["ny"]), dim=params.dim)
-    burn = cfg["burn_in"]
-    if burn != "auto":
-        burn = float(burn)
-    return fleming_viot(params, sim, _key(cfg, "fv"),
-                        n_particles=int(cfg["particles"]),
-                        window=float(cfg["window"]), burn_in=burn, hist_grid=grid)
+    grid = default_hist_grid(sim, nx=cfg["nx"], ny=cfg["ny"], dim=params.dim)
+    return fleming_viot(params, sim, _key(cfg, "fv"), n_particles=cfg["particles"],
+                        window=cfg["window"], burn_in=cfg["burn_in"], hist_grid=grid)
 
 
 def run_fv(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> list[str]:
@@ -276,8 +294,8 @@ def run_fv(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> list[st
 
 def run_lambda(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> list[str]:
     est = estimate_lambda0_survival("reference", params, sim, _key(cfg, "lambda"),
-                                    n_paths=int(cfg["replicates"]),
-                                    horizon=float(cfg["lambda_horizon"]))
+                                    n_paths=cfg["replicates"],
+                                    horizon=cfg["lambda_horizon"])
     write_json(out / "survival.json", {
         "lambda0": est.lambda0,
         "stderr": est.stderr,
@@ -297,9 +315,9 @@ def run_lambda(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> lis
 def _run_eta(cfg: dict, params: ModelParams, sim: SimConfig):
     fv = _run_fv(cfg, params, sim)
     eta = estimate_eta(fv.alpha, fv.lambda0, params, sim, _key(cfg, "eta"),
-                       t_eval=float(cfg["eta_t_eval"]),
-                       replicates=int(cfg["eta_replicates"]),
-                       nodes=(int(cfg["eta_nodes_x"]), int(cfg["eta_nodes_y"])))
+                       t_eval=cfg["eta_t_eval"],
+                       replicates=cfg["eta_replicates"],
+                       nodes=(cfg["eta_nodes_x"], cfg["eta_nodes_y"]))
     return fv, eta
 
 
@@ -326,24 +344,24 @@ def run_qprocess(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> l
     fv, eta = _run_eta(cfg, params, sim)
     beta = beta_from(fv.alpha, eta)
     qx, qy, stats = conditioned_marginal(beta, eta, params, sim, _key(cfg, "qmarginal"),
-                                         n_walkers=int(cfg["walkers"]),
-                                         horizon=float(cfg["q_horizon"]))
+                                         n_walkers=cfg["walkers"],
+                                         horizon=cfg["q_horizon"])
     hist = fv.alpha.grid.histogram(qx, qy)
     write_measure_csv(out / "q_marginal.csv",
                       EmpiricalMeasure(fv.alpha.grid, hist / hist.sum(),
-                                       n_samples=int(cfg["walkers"])))
+                                       n_samples=cfg["walkers"]))
     artifacts = ["q_marginal.csv", "beta.csv", "qprocess.json"]
     write_measure_csv(out / "beta.csv", beta)
-    for i in range(int(cfg["q_paths"])):
+    for i in range(cfg["q_paths"]):
         sx, sy = beta.sample(stream(_key(cfg, "qpath", i, "start")), 1)
         traj = simulate_q_path((sx[0], float(sy[0])), params, sim,
                                _key(cfg, "qpath", i), eta,
-                               eta_max=eta.max_value, horizon=float(cfg["q_horizon"]))
+                               eta_max=eta.max_value, horizon=cfg["q_horizon"])
         name = f"qpath_{i}.csv"
         traj.write_csv(out / name)
         artifacts.append(name)
-    write_json(out / "qprocess.json", {"walkers": int(cfg["walkers"]),
-                                       "horizon": float(cfg["q_horizon"]),
+    write_json(out / "qprocess.json", {"walkers": cfg["walkers"],
+                                       "horizon": cfg["q_horizon"],
                                        "attempt_stats": stats})
     return artifacts
 
@@ -352,15 +370,15 @@ def run_oracle(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> lis
     if sim.truncation is None:
         raise ConfigError("oracle needs a truncation half-width L")
     genr = build_generator(params, L=sim.truncation, y_min=sim.y_floor,
-                           nx=int(cfg["oracle_nx"]), ny=int(cfg["oracle_ny"]))
+                           nx=cfg["oracle_nx"], ny=cfg["oracle_ny"])
     tri = leading_triple(genr)
     write_json(out / "oracle.json", {
         "lambda0": tri.lambda0,
         "residual_alpha": tri.res_alpha,
         "residual_eta": tri.res_eta,
         "iterations": int(tri.iterations),
-        "nx": int(cfg["oracle_nx"]),
-        "ny": int(cfg["oracle_ny"]),
+        "nx": cfg["oracle_nx"],
+        "ny": cfg["oracle_ny"],
     })
     write_measure_csv(out / "oracle_alpha.csv", tri.alpha)
     grid = tri.alpha.grid
@@ -376,22 +394,22 @@ def run_oracle(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> lis
 
 def run_diagnose(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> list[str]:
     # the convergence reference is the fv alpha coarsened 4 x 4
-    if int(cfg["nx"]) % 4 or int(cfg["ny"]) % 4:
+    if cfg["nx"] % 4 or cfg["ny"] % 4:
         raise ConfigError("diagnose needs nx and ny divisible by 4")
     fv = _run_fv(cfg, params, sim)
     curve = convergence_curve(relaxed_start(params, sim), fv.alpha.coarsen(4, 4), params,
                               sim, _key(cfg, "convergence"),
-                              n_replicates=int(cfg["conv_replicates"]),
-                              n_particles=int(cfg["conv_particles"]),
-                              t_max=float(cfg["t_max"]), slice_dt=float(cfg["slice_dt"]))
+                              n_replicates=cfg["conv_replicates"],
+                              n_particles=cfg["conv_particles"],
+                              t_max=cfg["t_max"], slice_dt=cfg["slice_dt"])
     bal = balance_residual(params, sim, _key(cfg, "balance"),
-                           n_particles=int(cfg["balance_particles"]),
-                           burn=float(cfg["balance_burn"]),
-                           collect=float(cfg["balance_collect"]))
+                           n_particles=cfg["balance_particles"],
+                           burn=cfg["balance_burn"],
+                           collect=cfg["balance_collect"])
     fam = truncation_family(params, sim, _key(cfg, "truncation"),
-                            Ls=tuple(float(L) for L in cfg["L_list"]),
-                            n_particles=int(cfg["particles"]), window=float(cfg["window"]),
-                            nx=int(cfg["nx"]), ny=int(cfg["ny"]))
+                            Ls=cfg["L_list"],
+                            n_particles=cfg["particles"], window=cfg["window"],
+                            nx=cfg["nx"], ny=cfg["ny"])
 
     with open(out / "convergence.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -466,6 +484,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.set, args.seed, args.out)
         params = build_params(cfg)
         sim = build_sim(cfg)
+        run_cfg = build_experiment(cfg)
         if params.dim != 1 and args.cmd in ONE_DIM_COMMANDS:
             raise UnsupportedModelError(f"{args.cmd} is implemented for d = 1 only")
         if args.cmd != "validate":
@@ -475,7 +494,7 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output dir {out}: {exc}") from exc
-        artifacts = RUNNERS[args.cmd](cfg, params, sim, out)
+        artifacts = RUNNERS[args.cmd](run_cfg, params, sim, out)
         write_manifest(out, cfg, artifacts)
     except AdaptQsdError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,14 +18,22 @@ the package's single discretization of the process:
   the ceiling stays a valid bound because accepted jumps never raise it
   (stock families: constant in x; rescaled family: jumps shrink ||x||).
 
+A window runs in segments that end at each particle's next proposal,
+box-crossing time or the window end. Each segment steps a compacted,
+ascending copy of its pending rows in substep rounds; the copy shrinks as
+rows finish their segment or die, so late rounds cost only the few rows near
+the extinction boundary.
+
 Every estimator (Fleming-Viot, survival cohorts, eta, the conditioned
 ensemble) and the single-path front ends in pathsim run on this kernel. All
-draws of a window come from one generator with a fixed draw order, so runs
-are bit-reproducible and individual windows replayable.
+draws of a window come from one generator with a fixed draw order (per
+round: one normal and two bridge uniforms per stepping row, rows ascending),
+so runs are bit-reproducible and individual windows replayable.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,81 +189,106 @@ class Engine:
         self._floor_code = (REASON_CODES["extinct"]
                            if config.floor_reason is ExitReason.EXTINCT
                            else REASON_CODES["trunc_y_low"])
+        # |x| exit levels in crossing order: the box edge, then the guard
+        # unless the box edge always comes first (ties go to the box)
+        self._x_levels = []
+        if config.truncation is not None:
+            self._x_levels.append((config.truncation, REASON_CODES["trunc_x"]))
+        if config.truncation is None or config.x_guard < config.truncation:
+            self._x_levels.append((config.x_guard, REASON_CODES["x_guard"]))
 
     # -- substep kernel ----------------------------------------------------
 
-    def _advance(self, xa, ya, rem, live, gen, off, kill_off, kill_code, dt_scale):
-        """Drive each particle through its remaining segment time.
+    def _advance(self, xa, ya, live, off, kill_code, rows, rem, gen, dt):
+        """Drive the pending rows `rows` (ascending) through their segment
+        times `rem`.
 
-        Mutates xa/ya/rem/live/off/kill_* in place. Each substep draws one
-        normal and two bridge uniforms per active particle; kills interpolate
-        the time within the crossing substep and leave the particle at its
-        kill point (x moved to the kill time, y on the level it crossed).
+        Steps a compacted copy of the rows that still have time left, which
+        is written back to xa/ya/off and shrunk in each round where rows
+        finish or die. Each substep round draws one normal and two bridge
+        uniforms per stepping row; kills interpolate the time within the
+        crossing substep and leave the particle at its kill point (x and off
+        moved to the kill time, y on the level it crossed).
         """
         cfg = self.config
         floor = cfg.y_floor
         top = cfg.y_top
         v = self.params.v
+        # rows further than 20 sqrt(dt) below the ceiling cannot reach it:
+        # with h <= dt the bridge exponent is below -800, where exp is 0
+        top_reach = None if top is None else top - 20.0 * math.sqrt(dt)
+        step = rem > 1e-15 * dt
+        rows, rem = rows[step], rem[step]
+        x, y, o = xa[rows], ya[rows], off[rows]
         guard = 0
-        while True:
-            idx = np.flatnonzero(live & (rem > 1e-15 * dt_scale))
-            if len(idx) == 0:
-                return
+        while len(rows):
             guard += 1
             if guard > _MAX_ITER:
                 raise NumericError("substep iteration limit exceeded",
-                                   diagnostics={"min_y": float(ya[idx].min())})
-            yv = ya[idx]
-            h = np.minimum(rem[idx], cfg.substep_alpha * yv * yv)
-            xi = gen.standard_normal(len(idx))
-            u_bot = gen.random(len(idx))
-            u_top = gen.random(len(idx))
-            psi = drift_y(xa[idx], yv, self.params)
-            y1 = yv + psi * h + np.sqrt(h) * xi
-            if not np.all(np.isfinite(y1)):
+                                   diagnostics={"min_y": float(y.min())})
+            n = len(rows)
+            h = np.minimum(rem, cfg.substep_alpha * y * y)
+            xi = gen.standard_normal(n)
+            u = gen.random(2 * n)  # bridge uniforms: floor half, ceiling half
+            psi = drift_y(x, y, self.params)
+            y1 = y + psi * h + np.sqrt(h) * xi
+            if not np.isfinite(y1).all():
                 raise NumericError("y became non-finite in cohort advance")
 
-            hit_floor = y1 <= floor
-            can_bridge = (yv > floor) & ~hit_floor
-            with np.errstate(over="ignore", invalid="ignore"):
-                p_bot = np.exp(-2.0 * (yv - floor) * np.maximum(y1 - floor, 0.0) / h)
-            killed = hit_floor | (can_bridge & (u_bot < p_bot))
-            frac = np.where(hit_floor,
-                            np.clip((yv - floor) / np.maximum(yv - y1, 1e-300), 0.0, 1.0),
-                            0.5)
-            code = np.full(len(idx), self._floor_code, dtype=np.int8)
-            if top is not None:
-                hit_top = (y1 >= top) & ~killed
-                below = (yv < top) & ~killed & ~hit_top
-                with np.errstate(over="ignore", invalid="ignore"):
-                    p_top = np.exp(-2.0 * (top - yv) * np.maximum(top - y1, 0.0) / h)
-                top_kill = hit_top | (below & (u_top < p_top))
-                frac = np.where(top_kill,
-                                np.where(hit_top,
-                                         np.clip((top - yv) / np.maximum(y1 - yv, 1e-300), 0.0, 1.0),
-                                         0.5),
-                                frac)
-                code = np.where(top_kill, REASON_CODES["trunc_y_top"], code).astype(np.int8)
-                killed = killed | top_kill
+            # a level is hit at the substep end, or crossed and back inside
+            # with the Brownian-bridge probability
+            p_bot = np.exp(-2.0 * (y - floor) * np.maximum(y1 - floor, 0.0) / h)
+            killed = (y1 <= floor) | ((y > floor) & (u[:n] < p_bot))
+            at_top = None
+            if top is not None and max(y.max(), y1.max()) > top_reach:
+                p_top = np.exp(-2.0 * (top - y) * np.maximum(top - y1, 0.0) / h)
+                at_top = ~killed & ((y1 >= top) | ((y < top) & (u[n:] < p_top)))
+                killed |= at_top
 
-            dead_local = np.flatnonzero(killed)
-            if len(dead_local):
-                di = idx[dead_local]
-                to_kill = frac[dead_local] * h[dead_local]
+            dead = np.flatnonzero(killed)
+            if len(dead):
+                yd, y1d, di = y[dead], y1[dead], rows[dead]
+                frac = np.where(y1d <= floor,
+                                np.clip((yd - floor) / np.maximum(yd - y1d, 1e-300), 0.0, 1.0),
+                                0.5)
+                y1[dead] = floor
+                kill_code[di] = self._floor_code
+                if at_top is not None:
+                    up = at_top[dead]
+                    frac = np.where(up, np.where(y1d >= top, np.clip(
+                        (top - yd) / np.maximum(y1d - yd, 1e-300), 0.0, 1.0), 0.5), frac)
+                    y1[dead[up]] = top
+                    kill_code[di[up]] = REASON_CODES["trunc_y_top"]
+                h[dead] = frac * h[dead]  # the dead step only to their kill time
                 live[di] = False
-                kill_off[di] = off[di] + to_kill
-                kill_code[di] = code[dead_local]
-                xa[di, 0] -= v * to_kill
-                ya[di] = floor
-                if top is not None:
-                    ya[di[code[dead_local] == REASON_CODES["trunc_y_top"]]] = top
 
-            ok = np.flatnonzero(~killed)
-            oi = idx[ok]
-            ya[oi] = y1[ok]
-            xa[oi, 0] -= v * h[ok]
-            rem[oi] -= h[ok]
-            off[oi] += h[ok]
+            x[:, 0] -= v * h
+            y = y1
+            o = o + h
+            rem = rem - h
+            done = killed | (rem <= 1e-15 * dt)
+            if done.any():
+                xa[rows], ya[rows], off[rows] = x, y, o
+                keep = ~done
+                rows, x, y, o, rem = rows[keep], x[keep], y[keep], o[keep], rem[keep]
+
+    def _crossings(self, x, o):
+        """First time each row's affine x path reaches an |x| exit level,
+        with its reason code; x is (k, d) at segment offsets o."""
+        v = self.params.v
+        rest = np.square(x[:, 1:]).sum(axis=1)
+        out = codes = None
+        for level, code in self._x_levels:
+            room = level * level - rest
+            t_hit = np.where(room > 0.0, (x[:, 0] + np.sqrt(np.maximum(room, 0.0))) / v, 0.0)
+            cand = o + np.maximum(t_hit, 0.0)
+            if out is None:
+                out, codes = cand, np.full(len(o), code, dtype=np.int8)
+            else:
+                better = cand < out
+                out = np.where(better, cand, out)
+                codes[better] = code
+        return out, codes
 
     # -- one full window ---------------------------------------------------
 
@@ -275,12 +308,11 @@ class Engine:
         if len(idx_all) == 0:
             return ev
 
-        xa = np.array(x[idx_all], dtype=float)
-        ya = np.array(y[idx_all], dtype=float)
+        xa = x[idx_all].astype(float, copy=False)
+        ya = y[idx_all].astype(float, copy=False)
         m = len(idx_all)
         live = np.ones(m, dtype=bool)
-        off = np.zeros(m)
-        kill_off = np.full(m, np.nan)
+        off = np.zeros(m)  # time reached in the window; for the dead, their kill time
         kill_code = np.full(m, -1, dtype=np.int8)
 
         g_sup = p.g_bound(np.linalg.norm(xa, axis=1) + v * dt)
@@ -289,59 +321,42 @@ class Engine:
 
         n_prop = gen.poisson(lam_bar * dt)
         kmax = int(n_prop.max())
+        # sorted proposal times per row, inf-padded with one spare column so
+        # that prop_times[r, ptr[r]] is the next one (inf once exhausted)
+        prop_times = np.full((m, kmax + 1), np.inf)
         if kmax > 0:
             raw = gen.random((m, kmax)) * dt
-            raw[np.arange(kmax)[None, :] >= n_prop[:, None]] = np.inf
-            prop_times = np.sort(raw, axis=1)
-        else:
-            prop_times = np.full((m, 1), np.inf)
+            prop_times[:, :kmax] = np.where(np.arange(kmax) < n_prop[:, None], raw, np.inf)
+            multi = np.flatnonzero(n_prop > 1)  # other rows are sorted already
+            prop_times[multi] = np.sort(prop_times[multi], axis=1)
         ptr = np.zeros(m, dtype=np.int64)
-
-        def crossings():
-            out = np.full(m, np.inf)
-            codes = np.full(m, -1, dtype=np.int8)
-            rest = np.sum(np.square(xa[:, 1:]), axis=1)
-            for level, code in ((cfg.truncation, REASON_CODES["trunc_x"]),
-                                (cfg.x_guard, REASON_CODES["x_guard"])):
-                if level is None:
-                    continue
-                room = level * level - rest
-                t_hit = np.where(room > 0.0,
-                                 (xa[:, 0] + np.sqrt(np.maximum(room, 0.0))) / v,
-                                 0.0)
-                cand = off + np.maximum(t_hit, 0.0)
-                better = cand < out
-                out = np.where(better, cand, out)
-                codes = np.where(better, code, codes).astype(np.int8)
-            return out, codes
 
         jacc: dict[str, list] = {k: [] for k in ("ids", "t", "w", "xb", "xa")}
         exceeded = 0
         total_props = 0
+        rows = np.arange(m)  # pending rows, ascending; once done, never pending again
 
         for _round in range(2 * kmax + 16):
-            pending = live & (off < dt * (1.0 - 1e-15))
-            if not pending.any():
+            rows = rows[live[rows] & (off[rows] < dt * (1.0 - 1e-15))]
+            if not len(rows):
                 break
-            safe = np.minimum(ptr, prop_times.shape[1] - 1)
-            nxt_prop = prop_times[np.arange(m), safe]
-            nxt_prop = np.where(ptr >= n_prop, np.inf, nxt_prop)
-            cross, cross_code = crossings()
+            o = off[rows]
+            nxt_prop = prop_times[rows, ptr[rows]]
+            cross, cross_code = self._crossings(xa[rows], o)
             nxt = np.minimum(np.minimum(nxt_prop, cross), dt)
+            self._advance(xa, ya, live, off, kill_code, rows,
+                          np.maximum(nxt - o, 0.0), gen, dt)
+            arrived = live[rows]
 
-            rem = np.where(pending, np.maximum(nxt - off, 0.0), 0.0)
-            self._advance(xa, ya, rem, live, gen, off, kill_off, kill_code, dt)
-            arrived = pending & live
-
-            evt_cross = arrived & np.isfinite(cross) & (cross <= np.minimum(nxt_prop, dt))
+            evt_cross = arrived & (cross <= np.minimum(nxt_prop, dt))
             ei = np.flatnonzero(evt_cross)
             if len(ei):
-                live[ei] = False
-                kill_off[ei] = cross[ei]
-                kill_code[ei] = cross_code[ei]
+                gone = rows[ei]
+                live[gone] = False
+                off[gone] = cross[ei]
+                kill_code[gone] = cross_code[ei]
 
-            evt_prop = arrived & ~evt_cross & np.isfinite(nxt_prop) & (nxt_prop <= dt)
-            pi = np.flatnonzero(evt_prop)
+            pi = rows[arrived & ~evt_cross & (nxt_prop <= dt)]
             if len(pi):
                 total_props += len(pi)
                 w = p.mutation.sample(gen, len(pi), self.dim)
@@ -376,7 +391,6 @@ class Engine:
                     if len(oi):
                         gone = ai[oi]
                         live[gone] = False
-                        kill_off[gone] = off[gone]
                         kill_code[gone] = np.where(na[oi] >= cfg.x_guard,
                                                    REASON_CODES["x_guard"],
                                                    REASON_CODES["trunc_x"]).astype(np.int8)
@@ -386,9 +400,9 @@ class Engine:
 
         dead = np.flatnonzero(~live)
         if len(dead):
-            order = dead[np.argsort(kill_off[dead], kind="stable")]
+            order = dead[np.argsort(off[dead], kind="stable")]
             ev.kill_ids = idx_all[order]
-            ev.kill_times = t0 + kill_off[order]
+            ev.kill_times = t0 + off[order]
             ev.kill_codes = kill_code[order]
         if jacc["ids"]:
             ev.jump_ids = np.concatenate(jacc["ids"])

@@ -7,6 +7,7 @@ with no resampling step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,13 +43,13 @@ class HistGrid:
         return cls(dim=dim, x_lo=-L, x_hi=L, nx=nx,
                    y_lo=y_lo, y_hi=(L if y_hi is None else y_hi), ny=ny)
 
-    @property
+    @cached_property
     def x_edges(self) -> np.ndarray:
-        return np.linspace(self.x_lo, self.x_hi, self.nx + 1)
+        return _read_only(np.linspace(self.x_lo, self.x_hi, self.nx + 1))
 
-    @property
+    @cached_property
     def y_edges(self) -> np.ndarray:
-        return np.geomspace(self.y_lo, self.y_hi, self.ny + 1)
+        return _read_only(np.geomspace(self.y_lo, self.y_hi, self.ny + 1))
 
     @property
     def x_centers(self) -> np.ndarray:
@@ -80,26 +81,49 @@ class HistGrid:
         return np.bincount(idx[inside], w, self.n_cells).astype(float).reshape(self.shape)
 
     def cell_index(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Flat cell index per point, -1 if outside the box."""
+        """Flat cell index per point, -1 if outside the box (or NaN).
+
+        Cells are [e_i, e_i+1), the last one closed. Each coordinate's cell
+        is guessed in O(1) from the uniform x or log-uniform y spacing, then
+        corrected by one comparison against each neighbouring edge.
+        """
         x = np.asarray(x, dtype=float).reshape(len(np.atleast_1d(y)), self.dim)
         y = np.atleast_1d(np.asarray(y, dtype=float))
+        x_scale = self.nx / (self.x_hi - self.x_lo)
         idx = np.zeros(len(y), dtype=np.int64)
         ok = np.ones(len(y), dtype=bool)
         for k in range(self.dim):
-            i = np.searchsorted(self.x_edges, x[:, k], side="right") - 1
-            i = np.where(x[:, k] == self.x_hi, self.nx - 1, i)
-            ok &= (i >= 0) & (i < self.nx)
-            idx = idx * self.nx + np.clip(i, 0, self.nx - 1)
-        j = np.searchsorted(self.y_edges, y, side="right") - 1
-        j = np.where(y == self.y_hi, self.ny - 1, j)
-        ok &= (j >= 0) & (j < self.ny)
-        idx = idx * self.ny + np.clip(j, 0, self.ny - 1)
+            xk = x[:, k]
+            ok &= (xk >= self.x_lo) & (xk <= self.x_hi)
+            idx = idx * self.nx + _bin(xk, (xk - self.x_lo) * x_scale, self.x_edges)
+        # the log guess sees y clamped to y_lo, so y <= 0 needs no log
+        log_y = np.log(np.maximum(y, self.y_lo))
+        y_scale = self.ny / np.log(self.y_hi / self.y_lo)
+        ok &= (y >= self.y_lo) & (y <= self.y_hi)
+        idx = idx * self.ny + _bin(y, (log_y - np.log(self.y_lo)) * y_scale, self.y_edges)
         return np.where(ok, idx, -1)
 
     def same_edges(self, other: "HistGrid") -> bool:
         return (self.dim == other.dim and self.shape == other.shape
                 and np.allclose(self.x_edges, other.x_edges)
                 and np.allclose(self.y_edges, other.y_edges))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _bin(v: np.ndarray, guess: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Cell of each v from a guess within one cell of it. The outer edges
+    count as -inf and +inf, so the top edge falls in the last cell and
+    values outside (or NaN) get some cell, which the caller masks."""
+    n = len(edges) - 1
+    inner = np.concatenate(([-np.inf], edges[1:-1], [np.inf]))
+    i = np.fmin(np.fmax(guess, 0.0), n - 1).astype(np.int64)  # NaN -> 0
+    i -= v < inner[i]
+    i += v >= inner[i + 1]
+    return i
 
 
 @dataclass

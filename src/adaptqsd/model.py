@@ -82,7 +82,7 @@ class GrowthSpec:
     def rate(self, x: np.ndarray) -> np.ndarray:
         """r(x) for x of shape (..., d); returns shape (...)."""
         x = np.asarray(x, dtype=float)
-        return self.r0 - self.a * np.sum(np.square(x), axis=-1)
+        return self.r0 - self.a * np.square(x).sum(axis=-1)
 
     @property
     def r_sup(self) -> float:
@@ -328,7 +328,7 @@ def drift_y(x, y, params: ModelParams):
     strictly positive.
     """
     y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0):
+    if (y <= 0.0).any():
         raise DomainError("drift_y requires y > 0")
     r = params.r(x)
     return -0.5 / y + 0.5 * r * y - params.gamma * y**3

@@ -76,6 +76,26 @@ def test_bad_model_or_numerics_value_exits_2(tmp_path, key):
     assert cli.main(["validate", "--out", str(tmp_path), "--set", f"{key}=nope"]) == 2
 
 
+@pytest.mark.parametrize("cmd,setting", [
+    ("fv", "particles=abc"), ("diagnose", "nx=abc"), ("fv", "window=[1]"),
+    ("fv", "burn_in=soon"), ("diagnose", "L_list=3"), ("qprocess", "walkers=null"),
+])
+def test_bad_experiment_value_exits_2_before_any_run(tmp_path, capsys, monkeypatch, cmd, setting):
+    monkeypatch.setattr(cli, "fleming_viot", None)  # any estimator call would raise
+    assert cli.main([cmd, "--out", str(tmp_path), "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad experiment field") and "Traceback" not in err
+
+
+def test_experiment_block_is_cast_to_default_types():
+    cfg = cli.build_experiment(cli.load_config(None, ['particles="40"', "window=2",
+                                                      "burn_in=1", "L_list=[3, 4]"], 5, None))
+    assert (cfg["particles"], cfg["window"], cfg["burn_in"], cfg["L_list"]) == (40, 2.0, 1.0,
+                                                                               (3.0, 4.0))
+    assert type(cfg["window"]) is float and type(cfg["seed"]) is int
+    assert cli.build_experiment(cli.DEFAULT_CONFIG)["burn_in"] == "auto"
+
+
 def test_null_only_where_the_library_default_is_none(tmp_path):
     nullable = ["--set", "L=null", "--set", "truncation_y_low=null", "--set", "x_max=null"]
     assert cli.main(["validate", "--out", str(tmp_path)] + nullable) == 0

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from adaptqsd import cli
 from adaptqsd.cohort import Engine, REASON_CODES, reason_from_code
 from adaptqsd.model import default_params
 from adaptqsd.oracle import build_generator, leading_triple, survival_consistency
@@ -146,3 +149,71 @@ def test_reason_code_round_trip():
                                           ExitReason.EXPLOSION_GUARD)
     with pytest.raises(KeyError):
         reason_from_code(99)
+
+
+# Frozen draws. Any change to the kernel's draw sizes, draw order or
+# arithmetic moves these digests; a speed-up that keeps them keeps every
+# estimate in the package bit for bit. Pinned on numpy 2.4.6 (Philox and
+# Generator.poisson streams may differ on other numpy versions).
+_FROZEN_WINDOWS = {
+    # truncated d = 1: floor (trunc_y_low), ceiling and x-box kills
+    "truncated_d1": (dict(), dict(truncation=3.0), 0.01, 2.99,
+                     "bd469e8cad191b78a19bae00dc556fa0baf85f35138d9060593628c8c0047de0",
+                     {"trunc_y_low", "trunc_y_top", "trunc_x"}),
+    # untruncated d = 2 against a close explosion guard
+    "guarded_d2": (dict(dim=2), dict(x_max=1.5), 0.05, 1.4,
+                   "1af8e5f773c175a430b742f208a4bb84d766416b9e99c4213b92c2530afd84a6",
+                   {"extinct", "x_guard"}),
+    # the rescaled fixation family, whose jumps shrink ||x||
+    "rescaled": (dict(fixation_family="rescaled_advantageous"),
+                 dict(truncation=4.0, truncation_y_low=1e-3), 0.02, 3.99,
+                 "ff8482540ddd8f4d972a2d967d83b50f8cac7dc5e7362aaadeffaccf78319906",
+                 {"extinct", "trunc_y_top", "trunc_x"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN_WINDOWS))
+def test_window_draws_are_frozen(name):
+    """SHA-256 of 200 windows' event logs and the end state at fixed keys.
+
+    300 particles start log-uniform in y; after each window the killed
+    particles with even index restart from their initial state, so every
+    window mixes fresh, long-lived and dead-at-t0 rows.
+    """
+    pkw, ckw, dt, x_half, digest, codes = _FROZEN_WINDOWS[name]
+    params = default_params(**pkw)
+    config = SimConfig(**ckw)
+    engine = Engine(params, config)
+    key = StreamKey(seed=606, lineage=("frozen", name))
+    n = 300
+    gen0 = stream(key.child("init"))
+    top = config.y_top or 5.0
+    x0 = gen0.uniform(-x_half, x_half, size=(n, params.dim))
+    y0 = np.exp(gen0.uniform(np.log(1.01 * config.y_floor), np.log(0.99 * top), size=n))
+    x, y, alive = x0.copy(), y0.copy(), np.ones(n, dtype=bool)
+    h = hashlib.sha256()
+    seen = set()
+    for k in range(200):
+        ev = _run_window(engine, x, y, alive, k * dt, dt, key.child("w", k))
+        for a in (ev.kill_ids, ev.kill_times, ev.kill_codes, ev.jump_ids, ev.jump_times,
+                  ev.jump_w, ev.jump_x_before, ev.jump_x_after,
+                  np.array([ev.n_proposals, ev.bound_exceeded])):
+            h.update(np.ascontiguousarray(a).tobytes())
+        seen.update(int(c) for c in ev.kill_codes)
+        back = ~alive & (np.arange(n) % 2 == 0)
+        x[back], y[back], alive[back] = x0[back], y0[back], True
+    for a in (x, y, alive):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert seen == {REASON_CODES[c] for c in codes}
+    assert h.hexdigest() == digest
+
+
+def test_fv_artifacts_are_frozen(tmp_path):
+    """SHA-256 of a small `adaptqsd fv` run's artifacts (numpy 2.4.6)."""
+    argv = ["fv", "--seed", "6", "--out", str(tmp_path), "--set", "particles=200",
+            "--set", "window=2.0", "--set", "burn_in=1.0", "--set", "nx=10", "--set", "ny=8"]
+    assert cli.main(argv) == 0
+    h = hashlib.sha256()
+    for name in ("alpha.csv", "lambda0.json"):
+        h.update((tmp_path / name).read_bytes())
+    assert h.hexdigest() == "3e852f591903321a8a6202306d46d1ca34e9d001d8b1f23b7ab68d29c2c79c21"

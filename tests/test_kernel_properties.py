@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,22 +87,57 @@ def test_window_invariants(case):
     np.testing.assert_allclose(ev.jump_x_after, ev.jump_x_before + ev.jump_w, rtol=0, atol=1e-12)
 
 
-@settings(max_examples=50, deadline=None)
-@given(nx=st.integers(2, 12), ny=st.integers(2, 12), L=st.floats(0.5, 6.0),
-       y_lo=st.floats(1e-4, 0.5), seed=st.integers(0, 2**31 - 1))
-def test_cell_index_agrees_with_histogramdd(nx, ny, L, y_lo, seed):
-    grid = HistGrid.for_box(L, y_lo=y_lo, y_hi=y_lo + L, nx=nx, ny=ny)
+def _searchsorted_cells(grid, x, y):
+    """Reference binning: searchsorted per axis, the top edge closed."""
+    idx = np.zeros(len(y), dtype=np.int64)
+    ok = np.ones(len(y), dtype=bool)
+    for v, edges in [(x[:, k], grid.x_edges) for k in range(grid.dim)] + [(y, grid.y_edges)]:
+        n = len(edges) - 1
+        i = np.searchsorted(edges, v, side="right") - 1
+        i[v == edges[-1]] = n - 1
+        ok &= (i >= 0) & (i < n)
+        idx = idx * n + np.clip(i, 0, n - 1)
+    return np.where(ok, idx, -1)
+
+
+def _around(edges):
+    """Every edge and its two neighbouring floats."""
+    return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), nx=st.integers(2, 12), ny=st.integers(2, 12),
+       L=st.floats(0.5, 6.0), y_lo=st.floats(1e-4, 0.5), seed=st.integers(0, 2**31 - 1))
+def test_cell_index_agrees_with_histogramdd(dim, nx, ny, L, y_lo, seed):
+    grid = HistGrid.for_box(L, y_lo=y_lo, y_hi=y_lo + L, nx=nx, ny=ny, dim=dim)
     gen = np.random.default_rng(seed)
-    n = 200
-    # points inside, outside, and exactly on cell edges
-    x = gen.uniform(-1.2 * L, 1.2 * L, size=(n, 1))
+    n = 400
+    # points inside, outside, on every edge and one float either side of it,
+    # plus y = 0, negative y and NaN in each coordinate
+    x = gen.uniform(-1.2 * L, 1.2 * L, size=(n, dim))
     y = gen.uniform(0.5 * y_lo, 1.2 * (y_lo + L), size=n)
-    x[:20, 0] = gen.choice(grid.x_edges, 20)
-    y[20:40] = gen.choice(grid.y_edges, 20)
+    for k in range(dim):
+        special = np.append(_around(grid.x_edges), np.nan)
+        x[gen.choice(n, len(special), replace=False), k] = special
+    special = np.append(_around(grid.y_edges), [0.0, -0.0, -y_lo, -1.0, np.nan])
+    y[gen.choice(n, len(special), replace=False)] = special
+
     idx = grid.cell_index(x, y)
+    np.testing.assert_array_equal(idx, _searchsorted_cells(grid, x, y))
+    finite = np.isfinite(y) & np.all(np.isfinite(x), axis=1)
+    assert np.all(idx[~finite] == -1)
     inside = idx >= 0
     counts = np.bincount(idx[inside], minlength=grid.n_cells).reshape(grid.shape)
-    reference, _ = np.histogramdd(np.column_stack([x[:, 0], y]),
-                                  bins=[grid.x_edges, grid.y_edges])
+    reference, _ = np.histogramdd(np.column_stack([x[finite], y[finite]]),
+                                  bins=[grid.x_edges] * dim + [grid.y_edges])
     np.testing.assert_array_equal(counts, reference)
     np.testing.assert_array_equal(grid.histogram(x, y), reference)
+
+
+def test_grid_edges_are_read_only():
+    grid = HistGrid.for_box(4.0, y_lo=1e-3, dim=2)
+    assert grid.x_edges is grid.x_edges and grid.y_edges is grid.y_edges
+    with pytest.raises(ValueError):
+        grid.x_edges[0] = 0.0
+    with pytest.raises(ValueError):
+        grid.y_edges[:] = 1.0
