@@ -396,6 +396,9 @@ def run_diagnose(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> l
     # the convergence reference is the fv alpha coarsened 4 x 4
     if cfg["nx"] % 4 or cfg["ny"] % 4:
         raise ConfigError("diagnose needs nx and ny divisible by 4")
+    # replicate spread needs two replicates, each ensemble a donor survivor
+    if cfg["conv_replicates"] < 2 or cfg["conv_particles"] < 2:
+        raise ConfigError("diagnose needs conv_replicates >= 2 and conv_particles >= 2")
     fv = _run_fv(cfg, params, sim)
     curve = convergence_curve(relaxed_start(params, sim), fv.alpha.coarsen(4, 4), params,
                               sim, _key(cfg, "convergence"),

@@ -25,10 +25,21 @@ rows finish their segment or die, so late rounds cost only the few rows near
 the extinction boundary.
 
 Every estimator (Fleming-Viot, survival cohorts, eta, the conditioned
-ensemble) and the single-path front ends in pathsim run on this kernel. All
-draws of a window come from one generator with a fixed draw order (per
-round: one normal and two bridge uniforms per stepping row, rows ascending),
-so runs are bit-reproducible and individual windows replayable.
+ensemble) and the single-path front ends in pathsim run on this kernel. The
+draws of a window come in a fixed order, so runs are bit-reproducible and
+individual windows replayable: at window start one Poisson count per live row
+and an (m, kmax) block of proposal times; per substep round one normal and
+then 2n bridge uniforms (floor half, ceiling half) for the n stepping rows;
+per segment round the mutation effects, then u_f, then u_g of the rows at a
+proposal; rows ascending throughout.
+
+One call may step G independent row groups, each with its own generator:
+group g owns rows [groups[g], groups[g + 1]). Its pending rows are a
+contiguous slice of the ascending pending rows, and at every draw site each
+group with rows there draws from its own generator exactly what a call on that
+group alone would, so grouping is bit-identical to G separate calls. A group
+with no rows at a draw site draws nothing; a single generator is the G = 1
+case.
 """
 from __future__ import annotations
 
@@ -178,6 +189,28 @@ class WindowEvents:
                    jump_x_after=np.empty((0, dim)), n_proposals=0, bound_exceeded=0)
 
 
+class _GroupDraws:
+    """Draws of one window's row groups: group g owns the compact rows
+    [cuts[g], cuts[g + 1]) and draws only from gens[g]; one group needs no
+    cuts."""
+
+    def __init__(self, gens, cuts):
+        self.gens = gens
+        self.cuts = cuts
+
+    def spans(self, rows) -> list:
+        """(gen, lo, hi) per group with rows in `rows` (ascending compact
+        rows): its rows are rows[lo:hi]."""
+        if self.cuts is None:  # one group: the searchsorted below gives (0, len(rows))
+            return [(self.gens[0], 0, len(rows))]
+        pos = np.searchsorted(rows, self.cuts).tolist()
+        return [(g, lo, hi) for g, lo, hi in zip(self.gens, pos, pos[1:]) if hi > lo]
+
+
+def _joined(parts: list, axis: int = 0) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
 class Engine:
     """Stateless stepping kernels over caller-owned particle arrays."""
 
@@ -199,16 +232,16 @@ class Engine:
 
     # -- substep kernel ----------------------------------------------------
 
-    def _advance(self, xa, ya, live, off, kill_code, rows, rem, gen, dt):
+    def _advance(self, xa, ya, live, off, kill_code, rows, rem, draws, dt):
         """Drive the pending rows `rows` (ascending) through their segment
         times `rem`.
 
         Steps a compacted copy of the rows that still have time left, which
         is written back to xa/ya/off and shrunk in each round where rows
-        finish or die. Each substep round draws one normal and two bridge
-        uniforms per stepping row; kills interpolate the time within the
-        crossing substep and leave the particle at its kill point (x and off
-        moved to the kill time, y on the level it crossed).
+        finish or die. Each substep round draws, per group, one normal and
+        then two bridge uniforms per stepping row; kills interpolate the time
+        within the crossing substep and leave the particle at its kill point
+        (x and off moved to the kill time, y on the level it crossed).
         """
         cfg = self.config
         floor = cfg.y_floor
@@ -226,10 +259,11 @@ class Engine:
             if guard > _MAX_ITER:
                 raise NumericError("substep iteration limit exceeded",
                                    diagnostics={"min_y": float(y.min())})
-            n = len(rows)
             h = np.minimum(rem, cfg.substep_alpha * y * y)
-            xi = gen.standard_normal(n)
-            u = gen.random(2 * n)  # bridge uniforms: floor half, ceiling half
+            spans = draws.spans(rows)
+            xi = _joined([g.standard_normal(hi - lo) for g, lo, hi in spans])
+            # bridge uniforms: per group a floor half, then a ceiling half
+            u = _joined([g.random(2 * (hi - lo)).reshape(2, -1) for g, lo, hi in spans], axis=1)
             psi = drift_y(x, y, self.params)
             y1 = y + psi * h + np.sqrt(h) * xi
             if not np.isfinite(y1).all():
@@ -238,14 +272,14 @@ class Engine:
             # a level is hit at the substep end, or crossed and back inside
             # with the Brownian-bridge probability
             p_bot = np.exp(-2.0 * (y - floor) * np.maximum(y1 - floor, 0.0) / h)
-            killed = (y1 <= floor) | ((y > floor) & (u[:n] < p_bot))
+            killed = (y1 <= floor) | ((y > floor) & (u[0] < p_bot))
             at_top = None
             if top is not None and max(y.max(), y1.max()) > top_reach:
                 p_top = np.exp(-2.0 * (top - y) * np.maximum(top - y1, 0.0) / h)
-                at_top = ~killed & ((y1 >= top) | ((y < top) & (u[n:] < p_top)))
+                at_top = ~killed & ((y1 >= top) | ((y < top) & (u[1] < p_top)))
                 killed |= at_top
 
-            dead = np.flatnonzero(killed)
+            dead = killed.nonzero()[0]
             if len(dead):
                 yd, y1d, di = y[dead], y1[dead], rows[dead]
                 frac = np.where(y1d <= floor,
@@ -292,21 +326,32 @@ class Engine:
 
     # -- one full window ---------------------------------------------------
 
-    def window(self, x, y, alive, t0: float, dt: float,
-               gen: np.random.Generator) -> WindowEvents:
+    def window(self, x, y, alive, t0: float, dt: float, gen,
+               groups=None) -> WindowEvents:
         """Advance every live particle by dt from absolute time t0.
 
         Mutates x (n, d), y (n,), alive (n,) in place; returns the event log.
         Particles dead at t0 are left untouched; particles killed in the
         window are left at their kill point.
+
+        gen is one Generator, or a sequence of G generators with `groups`,
+        G + 1 ascending row offsets from 0 to n: rows [groups[g],
+        groups[g + 1]) draw only from gen[g], exactly as a call on them alone
+        would. The event log covers all groups (kills in kill-time order).
         """
         cfg = self.config
         p = self.params
         v = p.v
+        gens = [gen] if groups is None else list(gen)
+        bounds = (0, len(y)) if groups is None else tuple(int(b) for b in groups)
+        if (len(bounds) != len(gens) + 1 or bounds[0] != 0 or bounds[-1] != len(y)
+                or any(a > b for a, b in zip(bounds, bounds[1:]))):
+            raise DomainError("groups must be G + 1 ascending row offsets from 0 to n")
         ev = WindowEvents.empty(self.dim)
-        idx_all = np.flatnonzero(alive)
+        idx_all = alive.nonzero()[0]
         if len(idx_all) == 0:
             return ev
+        draws = _GroupDraws(gens, np.searchsorted(idx_all, bounds) if len(gens) > 1 else None)
 
         xa = x[idx_all].astype(float, copy=False)
         ya = y[idx_all].astype(float, copy=False)
@@ -319,15 +364,23 @@ class Engine:
         f_ceil = cfg.slack * p.f(ya)
         lam_bar = f_ceil * g_sup * self.m_nu
 
-        n_prop = gen.poisson(lam_bar * dt)
+        spans = draws.spans(np.arange(m))
+        lam_dt = lam_bar * dt
+        n_prop = _joined([g.poisson(lam_dt[lo:hi]) for g, lo, hi in spans])
         kmax = int(n_prop.max())
         # sorted proposal times per row, inf-padded with one spare column so
-        # that prop_times[r, ptr[r]] is the next one (inf once exhausted)
+        # that prop_times[r, ptr[r]] is the next one (inf once exhausted);
+        # each group draws an (m_g, kmax_g) block
         prop_times = np.full((m, kmax + 1), np.inf)
         if kmax > 0:
-            raw = gen.random((m, kmax)) * dt
-            prop_times[:, :kmax] = np.where(np.arange(kmax) < n_prop[:, None], raw, np.inf)
-            multi = np.flatnonzero(n_prop > 1)  # other rows are sorted already
+            for g, lo, hi in spans:
+                n_g = n_prop[lo:hi]
+                k_g = int(n_g.max())
+                if k_g > 0:
+                    raw = g.random((hi - lo, k_g)) * dt
+                    prop_times[lo:hi, :k_g] = np.where(np.arange(k_g) < n_g[:, None],
+                                                       raw, np.inf)
+            multi = (n_prop > 1).nonzero()[0]  # other rows are sorted already
             prop_times[multi] = np.sort(prop_times[multi], axis=1)
         ptr = np.zeros(m, dtype=np.int64)
 
@@ -345,11 +398,11 @@ class Engine:
             cross, cross_code = self._crossings(xa[rows], o)
             nxt = np.minimum(np.minimum(nxt_prop, cross), dt)
             self._advance(xa, ya, live, off, kill_code, rows,
-                          np.maximum(nxt - o, 0.0), gen, dt)
+                          np.maximum(nxt - o, 0.0), draws, dt)
             arrived = live[rows]
 
             evt_cross = arrived & (cross <= np.minimum(nxt_prop, dt))
-            ei = np.flatnonzero(evt_cross)
+            ei = evt_cross.nonzero()[0]
             if len(ei):
                 gone = rows[ei]
                 live[gone] = False
@@ -359,21 +412,22 @@ class Engine:
             pi = rows[arrived & ~evt_cross & (nxt_prop <= dt)]
             if len(pi):
                 total_props += len(pi)
-                w = p.mutation.sample(gen, len(pi), self.dim)
-                u_f = gen.random(len(pi))
-                u_g = gen.random(len(pi))
+                spans = draws.spans(pi)  # per group: effects, then u_f, then u_g
+                w = _joined([p.mutation.sample(g, hi - lo, self.dim) for g, lo, hi in spans])
+                u_f = _joined([g.random(hi - lo) for g, lo, hi in spans])
+                u_g = _joined([g.random(hi - lo) for g, lo, hi in spans])
                 fy = p.f(ya[pi])
                 ratio_f = np.where(f_ceil[pi] > 0.0, fy / f_ceil[pi], 0.0)
                 exceeded += int(np.count_nonzero(ratio_f > 1.0))
                 stage1 = u_f < np.minimum(ratio_f, 1.0)
                 gv = np.zeros(len(pi))
-                si = np.flatnonzero(stage1)
+                si = stage1.nonzero()[0]
                 if len(si):
                     gv[si] = p.g(xa[pi[si]], w[si])
                 ratio_g = np.where(g_sup[pi] > 0.0, gv / g_sup[pi], 0.0)
                 exceeded += int(np.count_nonzero(ratio_g > 1.0))
                 acc = stage1 & (u_g < np.minimum(ratio_g, 1.0))
-                ai = pi[np.flatnonzero(acc)]
+                ai = pi[acc.nonzero()[0]]
                 if len(ai):
                     wa = w[acc]
                     x_before = xa[ai]
@@ -387,7 +441,7 @@ class Engine:
                     jacc["xa"].append(x_after)
                     lvl = cfg.truncation if cfg.truncation is not None else np.inf
                     outside = na >= np.minimum(lvl, cfg.x_guard)
-                    oi = np.flatnonzero(outside)
+                    oi = outside.nonzero()[0]
                     if len(oi):
                         gone = ai[oi]
                         live[gone] = False
@@ -398,7 +452,7 @@ class Engine:
         else:
             raise NumericError("window round limit exceeded")
 
-        dead = np.flatnonzero(~live)
+        dead = (~live).nonzero()[0]
         if len(dead):
             order = dead[np.argsort(off[dead], kind="stable")]
             ev.kill_ids = idx_all[order]

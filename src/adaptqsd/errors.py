@@ -39,8 +39,10 @@ class NumericError(AdaptQsdError):
 
 
 class MassExtinctionError(AdaptQsdError):
-    """Every particle of an interacting ensemble died in one step."""
+    """Every particle of an interacting ensemble (or of one of its groups)
+    died in one step; group names that group."""
 
-    def __init__(self, message: str, time: float | None = None):
+    def __init__(self, message: str, time: float | None = None, group: int | None = None):
         super().__init__(message)
         self.time = time
+        self.group = group

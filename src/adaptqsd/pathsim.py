@@ -191,7 +191,7 @@ def simulate_q_path(init, params: ModelParams, config: SimConfig, key: rng_mod.S
 
     def record(step, accepted):
         for ev, owner in accepted:
-            jumps.extend(_jump_events(ev, np.flatnonzero(owner >= 0)))
+            jumps.extend(_jump_events(ev, (owner >= 0).nonzero()[0]))
         times.append((step + 1) * delta)
         xs.append(x[0].copy())
         ys.append(float(y[0]))

@@ -96,21 +96,26 @@ _BURN_IN_CAP = 100.0
 
 
 class _FlemingViotStepper:
-    """A Fleming-Viot ensemble advanced one dt_max window at a time.
+    """Fleming-Viot ensembles advanced in lockstep, one dt_max window at a time.
 
-    Window k draws from key.child("w", k). Killed particles are replaced at
-    the window end by the end-of-window state of a uniformly chosen survivor;
-    the donors of window k come from key.child(resample, k) in kill-time
-    order, so the kill/donor log is replayable. Mutates x and y in place.
+    Group g owns rows [groups[g], groups[g + 1]) (one group of all rows by
+    default) and draws only from keys[g]: its window k from
+    keys[g].child("w", k), so grouping is bit-identical to stepping each
+    group alone (see Engine.window). Killed particles are replaced at the
+    window end by the end-of-window state of a uniformly chosen survivor of
+    their own group; group g's donors of window k come from
+    keys[g].child(resample, k) in kill-time order, so the kill/donor log is
+    replayable. Mutates x and y in place.
     """
 
     def __init__(self, params: ModelParams, config: SimConfig, x: np.ndarray,
-                 y: np.ndarray, key: StreamKey, resample: str):
+                 y: np.ndarray, keys: list[StreamKey], resample: str, groups=None):
         self.engine = Engine(params, config)
         self.dt = config.dt_max
         self.x, self.y = x, y
         self.alive = np.ones(len(y), dtype=bool)
-        self.key = key
+        self.keys = keys
+        self.groups = (0, len(y)) if groups is None else tuple(int(b) for b in groups)
         self.resample = resample
         self.t = 0.0
         self.k = 0
@@ -118,20 +123,27 @@ class _FlemingViotStepper:
 
     def step(self) -> tuple[WindowEvents, np.ndarray]:
         """One window; returns its events and the donor of each kill."""
-        x, y, alive = self.x, self.y, self.alive
+        x, y, alive, groups = self.x, self.y, self.alive, self.groups
         ev = self.engine.window(x, y, alive, self.t, self.dt,
-                                stream(self.key.child("w", self.k)))
+                                [stream(key.child("w", self.k)) for key in self.keys], groups)
         self.bound_exceeded += ev.bound_exceeded
-        donors = np.empty(0, dtype=np.int64)
-        if len(ev.kill_ids):
-            surv = np.flatnonzero(alive)
-            if len(surv) == 0:
-                raise MassExtinctionError("all particles died in one window", time=self.t)
-            g = stream(self.key.child(self.resample, self.k))
-            donors = surv[g.integers(0, len(surv), len(ev.kill_ids))]
-            x[ev.kill_ids] = x[donors]
-            y[ev.kill_ids] = y[donors]
-            alive[ev.kill_ids] = True
+        kill_ids = ev.kill_ids
+        donors = np.empty(len(kill_ids), dtype=np.int64)
+        if len(kill_ids):
+            for g, key in enumerate(self.keys):
+                lo, hi = groups[g], groups[g + 1]
+                mine = ((kill_ids >= lo) & (kill_ids < hi)).nonzero()[0]
+                if not len(mine):
+                    continue
+                surv = lo + alive[lo:hi].nonzero()[0]
+                if len(surv) == 0:
+                    raise MassExtinctionError(f"all particles of group {g} died in one window",
+                                              time=self.t, group=g)
+                gen = stream(key.child(self.resample, self.k))
+                donors[mine] = surv[gen.integers(0, len(surv), len(mine))]
+            x[kill_ids] = x[donors]
+            y[kill_ids] = y[donors]
+            alive[kill_ids] = True
         self.t += self.dt
         self.k += 1
         return ev, donors
@@ -173,7 +185,7 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
     dt = config.dt_max
     gen0 = stream(key.child("init"))
     x, y = _init_states(init, n_particles, params, config, gen0)
-    fv = _FlemingViotStepper(params, config, x, y, key, "resample")
+    fv = _FlemingViotStepper(params, config, x, y, [key], "resample")
 
     occ = np.zeros(grid.n_cells)
     chunk_occ = np.zeros(grid.n_cells)
@@ -315,7 +327,7 @@ def run_cohort(x0: np.ndarray, y0: np.ndarray, params: ModelParams, config: SimC
             jt.append(ev.jump_times)
         t += step
         while si < len(slices) and t + 1e-12 >= slices[si]:
-            live = np.flatnonzero(alive)
+            live = alive.nonzero()[0]
             out_slices[slices[si]] = (live, x[live].copy(), y[live].copy())
             si += 1
         if not alive.any():
@@ -607,7 +619,7 @@ class ConvergenceCurve:
         floor, not decay, so monotonicity checks stop here.
         """
         at_floor = self.tv_mean <= self.floor + self.tv_se
-        hits = np.flatnonzero(at_floor)
+        hits = at_floor.nonzero()[0]
         return int(hits[0]) if len(hits) else len(self.tv_mean) - 1
 
     def monotone_violation_rate(self) -> float:
@@ -629,31 +641,41 @@ def convergence_curve(init, reference: EmpiricalMeasure, params: ModelParams,
                       slice_dt: float = 1.0) -> ConvergenceCurve:
     """TV(conditioned law at t, reference alpha) via replicate FV ensembles.
 
-    Each replicate runs an independent Fleming-Viot population from `init`
-    and histograms its occupation chunk by chunk; the conditioned law at
-    slice midpoints is compared to the reference in TV. The decay rate
-    gamma_hat comes from a log-linear fit above the plateau floor.
+    Each replicate is an independent Fleming-Viot population from `init`
+    (replicate r draws from key.child("rep", r)); the replicates step in
+    lockstep as the groups of one ensemble. Each histograms its occupation
+    chunk by chunk; the conditioned law at slice midpoints is compared to the
+    reference in TV. The decay rate gamma_hat comes from a log-linear fit
+    above the plateau floor.
     """
+    if n_replicates < 2 or n_particles < 2:
+        raise DomainError("convergence_curve needs at least 2 replicates of 2 particles")
     grid = reference.grid
     ts = np.arange(slice_dt, t_max + 1e-9, slice_dt)
     curves = np.zeros((n_replicates, len(ts)))
     dt = config.dt_max
-    bound_exceeded = 0
-    for rep in range(n_replicates):
-        gen0 = stream(key.child("rep", rep, "init"))
-        x, y = _init_states(init, n_particles, params, config, gen0)
-        fv = _FlemingViotStepper(params, config, x, y, key.child("rep", rep), "rs")
-        occ = np.zeros(grid.n_cells)
-        si = 0
-        while si < len(ts):
-            fv.step()
-            idx = grid.cell_index(x, y)
-            np.add.at(occ, idx[idx >= 0], dt)
-            if fv.t + 1e-12 >= ts[si]:
-                curves[rep, si] = tv_distance(occ.reshape(grid.shape), reference.masses)
-                occ = np.zeros(grid.n_cells)
-                si += 1
-        bound_exceeded += fv.bound_exceeded
+    starts = [_init_states(init, n_particles, params, config,
+                           stream(key.child("rep", rep, "init"))) for rep in range(n_replicates)]
+    x = np.concatenate([s[0] for s in starts])
+    y = np.concatenate([s[1] for s in starts])
+    fv = _FlemingViotStepper(params, config, x, y,
+                             [key.child("rep", rep) for rep in range(n_replicates)], "rs",
+                             groups=np.arange(n_replicates + 1) * n_particles)
+    # flat (replicate, cell) occupation; np.add.at adds each cell's terms in
+    # row order, as a replicate alone would
+    cell0 = np.repeat(np.arange(n_replicates) * grid.n_cells, n_particles)
+    occ = np.zeros(n_replicates * grid.n_cells)
+    si = 0
+    while si < len(ts):
+        fv.step()
+        idx = grid.cell_index(x, y)
+        inside = idx >= 0
+        np.add.at(occ, cell0[inside] + idx[inside], dt)
+        if fv.t + 1e-12 >= ts[si]:
+            for rep, masses in enumerate(occ.reshape(n_replicates, *grid.shape)):
+                curves[rep, si] = tv_distance(masses, reference.masses)
+            occ = np.zeros(n_replicates * grid.n_cells)
+            si += 1
     tv_mean = curves.mean(axis=0)
     tv_se = curves.std(axis=0, ddof=1) / math.sqrt(n_replicates)
     floor = float(tv_mean[-2:].mean())
@@ -670,7 +692,7 @@ def convergence_curve(init, reference: EmpiricalMeasure, params: ModelParams,
         gamma, gamma_se, r2 = float("nan"), float("nan"), float("nan")
     return ConvergenceCurve(t=ts, tv_mean=tv_mean, tv_se=tv_se, gamma_hat=gamma,
                             gamma_se=gamma_se, r_squared=r2, floor=floor,
-                            bound_exceeded=bound_exceeded)
+                            bound_exceeded=fv.bound_exceeded)
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +734,7 @@ def balance_residual(params: ModelParams, config: SimConfig, key: StreamKey,
     # capped below any ceiling; the raw equilibrium may sit outside a
     # truncated box, where a point start is killed immediately
     x, y = _init_states(relaxed_start(params, config), n_particles, params, config, gen0)
-    fv = _FlemingViotStepper(params, config, x, y, key, "rs")
+    fv = _FlemingViotStepper(params, config, x, y, [key], "rs")
     horizon = burn + collect
     next_sample = burn
     samples: list[float] = []
@@ -883,7 +905,7 @@ def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, engine: Engi
                       for k in range(n_win)]
             bound_exceeded += sum(ev.bound_exceeded for ev in events)
             hv = np.zeros(K * m)
-            live = np.flatnonzero(calive)
+            live = calive.nonzero()[0]
             if len(live):
                 hv[live] = eta(cx[live], cy[live])
             ceil = np.tile(ceiling_all[pending], K)
@@ -893,7 +915,7 @@ def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, engine: Engi
             any_ok = ok.any(axis=0)
             if any_ok.any():
                 first_slot = np.argmax(ok, axis=0)
-                cols = np.flatnonzero(any_ok)
+                cols = any_ok.nonzero()[0]
                 sel = first_slot[cols] * m + cols
                 ids = pending[cols]
                 x[ids] = cx[sel]

@@ -273,6 +273,15 @@ def test_diagnose_rejects_a_grid_it_cannot_coarsen(tmp_path, capsys, monkeypatch
     assert "divisible by 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["conv_replicates=1", "conv_particles=1"])
+def test_diagnose_rejects_a_convergence_curve_without_spread(tmp_path, capsys, monkeypatch,
+                                                              setting):
+    _fail_if_fv_runs(monkeypatch)
+    assert cli.main(["diagnose", "--out", str(tmp_path), "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert "conv_replicates >= 2" in err and "Traceback" not in err
+
+
 _DIAG = ["--set", "particles=20", "--set", "window=1.5", "--set", "burn_in=1.0",
          "--set", "nx=8", "--set", "ny=8", "--set", "conv_replicates=2",
          "--set", "conv_particles=40", "--set", "t_max=1.5",

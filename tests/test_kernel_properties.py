@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptqsd.cohort import REASON_CODES, Engine, SimConfig
+from adaptqsd.errors import DomainError
 from adaptqsd.measure import HistGrid
 from adaptqsd.model import default_params
 from adaptqsd.rng import StreamKey, stream
@@ -85,6 +86,72 @@ def test_window_invariants(case):
     assert np.all((ev.jump_times >= t0 - tol) & (ev.jump_times <= t0 + dt + tol))
     assert ev.n_proposals >= len(ev.jump_ids)
     np.testing.assert_allclose(ev.jump_x_after, ev.jump_x_before + ev.jump_w, rtol=0, atol=1e-12)
+
+
+_GROUP_PARAMS = {**_PARAMS, "d2": default_params(dim=2)}
+
+
+@st.composite
+def grouped_ensembles(draw):
+    """G row groups (some empty, some started on the floor so they die out)."""
+    params = _GROUP_PARAMS[draw(st.sampled_from(sorted(_GROUP_PARAMS)))]
+    config = _CONFIGS[draw(st.sampled_from(sorted(_CONFIGS)))]
+    seed = draw(st.integers(0, 2**31 - 1))
+    sizes = draw(st.lists(st.integers(0, 24), min_size=1, max_size=5))
+    doomed = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    gen = stream(StreamKey(seed=seed, lineage=("group", "init")))
+    n, dim = sum(sizes), params.dim
+    x_lim = 0.95 * min(config.truncation or np.inf, config.x_guard) / np.sqrt(dim)
+    y_top = config.y_top if config.y_top is not None else 5.0
+    x = gen.uniform(-x_lim, x_lim, size=(n, dim))
+    y = np.exp(gen.uniform(np.log(config.y_floor * 1.01), np.log(0.99 * y_top), size=n))
+    y = np.where(gen.random(n) > 0.8, y_top * gen.uniform(0.9, 0.999, n), y)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    y = np.where(np.asarray(doomed)[owner], config.y_floor * 1.002, y)
+    alive = gen.random(n) < 0.9
+    dt = draw(st.floats(1e-3, 0.2))
+    return (params, config, x, y, alive, dt, np.concatenate([[0], np.cumsum(sizes)]),
+            StreamKey(seed=seed, lineage=("group", "w")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grouped_ensembles())
+def test_grouped_window_equals_solo_windows(case):
+    """Three grouped windows equal three windows of each group alone: states
+    and each group's kill and jump events, in order."""
+    params, config, x, y, alive, dt, groups, key = case
+    engine = Engine(params, config)
+    G = len(groups) - 1
+    solo = [(x[a:b].copy(), y[a:b].copy(), alive[a:b].copy()) for a, b in zip(groups, groups[1:])]
+    for k in range(3):
+        keys = [key.child("g", g, "w", k) for g in range(G)]
+        ev = engine.window(x, y, alive, k * dt, dt, [stream(kk) for kk in keys], groups)
+        props = exceeded = 0
+        for g, (a, b) in enumerate(zip(groups, groups[1:])):
+            xs, ys, als = solo[g]
+            one = engine.window(xs, ys, als, k * dt, dt, stream(keys[g]))
+            props, exceeded = props + one.n_proposals, exceeded + one.bound_exceeded
+            np.testing.assert_array_equal(x[a:b], xs)
+            np.testing.assert_array_equal(y[a:b], ys)
+            np.testing.assert_array_equal(alive[a:b], als)
+            mine = (ev.kill_ids >= a) & (ev.kill_ids < b)
+            np.testing.assert_array_equal(ev.kill_ids[mine] - a, one.kill_ids)
+            np.testing.assert_array_equal(ev.kill_times[mine], one.kill_times)
+            np.testing.assert_array_equal(ev.kill_codes[mine], one.kill_codes)
+            mine = (ev.jump_ids >= a) & (ev.jump_ids < b)
+            np.testing.assert_array_equal(ev.jump_ids[mine] - a, one.jump_ids)
+            for field in ("jump_times", "jump_w", "jump_x_before", "jump_x_after"):
+                np.testing.assert_array_equal(getattr(ev, field)[mine], getattr(one, field))
+        assert (ev.n_proposals, ev.bound_exceeded) == (props, exceeded)
+
+
+def test_grouped_window_rejects_bad_offsets():
+    engine = Engine(default_params(), _CONFIGS["boxed"])
+    x, y, alive = np.zeros((4, 1)), np.ones(4), np.ones(4, dtype=bool)
+    gens = [np.random.default_rng(0), np.random.default_rng(1)]
+    for groups in [(0, 4), (0, 2, 3), (0, 5, 4), (1, 2, 4)]:
+        with pytest.raises(DomainError):
+            engine.window(x, y, alive, 0.0, 0.01, gens, groups)
 
 
 def _searchsorted_cells(grid, x, y):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from adaptqsd.qsd import (
     balance_residual,
     beta_from,
     conditioned_marginal,
+    convergence_curve,
     estimate_eta,
     estimate_lambda0_survival,
     eta_node_grid,
@@ -288,6 +291,46 @@ def test_monotone_violation_rate_ignores_plateau_noise():
     late = _curve([0.8, 0.4, 0.1, 0.05, 0.2, 0.05], floor=0.05)
     assert late.decay_end() == 3
     assert late.monotone_violation_rate() == 0.0
+
+
+def test_convergence_curve_is_frozen(tiny_fv, params):
+    """SHA-256 of a small convergence curve at a fixed key (numpy 2.4.6).
+
+    Three 60-particle replicates from relaxed_start against the tiny FV
+    alpha; any change to the replicates' draws moves the digest.
+    """
+    curve = convergence_curve(relaxed_start(params, _boxed_config()), tiny_fv.alpha, params,
+                              _boxed_config(), StreamKey(seed=43, lineage=("conv",)),
+                              n_replicates=3, n_particles=60, t_max=8.0)
+    h = hashlib.sha256()
+    for a in (curve.tv_mean, curve.tv_se,
+              np.array([curve.gamma_hat, curve.r_squared, curve.floor]),
+              np.array([curve.bound_exceeded])):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert np.isfinite(curve.gamma_hat)
+    assert h.hexdigest() == "a57f1bda9e4dfbcdb45c79a9e60d23fa6bb5c410a7f6bd28b67daed963c54a80"
+
+
+@pytest.mark.parametrize("n_replicates,n_particles", [(1, 60), (3, 1)])
+def test_convergence_curve_needs_two_replicates_of_two(tiny_fv, params, n_replicates,
+                                                       n_particles):
+    with pytest.raises(DomainError):
+        convergence_curve(relaxed_start(params, _boxed_config()), tiny_fv.alpha, params,
+                          _boxed_config(), StreamKey(seed=44, lineage=("conv",)),
+                          n_replicates=n_replicates, n_particles=n_particles, t_max=2.0)
+
+
+def test_stepper_extinction_names_the_group(params):
+    # group 1 starts just above the floor, where the size drift is steeply
+    # negative, so it dies out inside window one while group 0 lives on
+    x = np.zeros((60, 1))
+    y = np.where(np.arange(60) < 40, 2.0, 1.002e-3)
+    key = StreamKey(seed=2, lineage=("die",))
+    fv = qsd._FlemingViotStepper(params, _boxed_config(), x, y,
+                                 [key.child("g", 0), key.child("g", 1)], "rs", groups=(0, 40, 60))
+    with pytest.raises(MassExtinctionError, match="group 1") as err:
+        fv.step()
+    assert err.value.group == 1 and err.value.time == 0.0
 
 
 def test_balance_report_contract(params, monkeypatch):
