@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -405,7 +405,9 @@ def run_diagnose(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> l
                               n_replicates=cfg["conv_replicates"],
                               n_particles=cfg["conv_particles"],
                               t_max=cfg["t_max"], slice_dt=cfg["slice_dt"])
-    bal = balance_residual(params, sim, _key(cfg, "balance"),
+    # the speed/flux identity holds for the untruncated process (criterion 07)
+    bal = balance_residual(params, replace(sim, truncation=None, truncation_y_low=None),
+                           _key(cfg, "balance"),
                            n_particles=cfg["balance_particles"],
                            burn=cfg["balance_burn"],
                            collect=cfg["balance_collect"])

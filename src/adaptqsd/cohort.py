@@ -337,7 +337,8 @@ class Engine:
         gen is one Generator, or a sequence of G generators with `groups`,
         G + 1 ascending row offsets from 0 to n: rows [groups[g],
         groups[g + 1]) draw only from gen[g], exactly as a call on them alone
-        would. The event log covers all groups (kills in kill-time order).
+        would. A group with no live row draws nothing, so its gen[g] may be
+        None. The event log covers all groups (kills in kill-time order).
         """
         cfg = self.config
         p = self.params

@@ -62,18 +62,15 @@ __all__ = [
 class GrowthSpec:
     """Per-capita growth rate as a function of the lag x.
 
-    QUADRATIC family: r(x) = r0 - a * ||x||^2. a >= 0; a > 0 is what drives
-    growth to -infinity for large lags (checked by the hypothesis validator,
-    not the constructor, so degenerate test models stay constructible).
+    r(x) = r0 - a * ||x||^2. a >= 0; a > 0 is what drives growth to -infinity
+    for large lags (checked by the hypothesis validator, not the constructor,
+    so degenerate test models stay constructible).
     """
 
-    family: str = "quadratic"
     r0: float = 2.0
     a: float = 0.5
 
     def __post_init__(self):
-        if self.family != "quadratic":
-            raise UnsupportedModelError(f"unknown growth family {self.family!r}")
         if not np.isfinite(self.r0):
             raise DomainError("r0 must be finite")
         if not (self.a >= 0.0):
@@ -94,16 +91,13 @@ class GrowthSpec:
 class ArrivalSpec:
     """Mutation proposal rate as a function of raw population size n.
 
-    LINEAR-IN-N family: f_n(n) = mu * n, so in y-coordinates
-    f(y) = mu * sigma^2 y^2 / 4 (assembled by ModelParams.f).
+    f_n(n) = mu * n, so in y-coordinates f(y) = mu * sigma^2 y^2 / 4
+    (assembled by ModelParams.f).
     """
 
-    family: str = "linear_in_n"
     mu: float = 1.0
 
     def __post_init__(self):
-        if self.family != "linear_in_n":
-            raise UnsupportedModelError(f"unknown arrival family {self.family!r}")
         if not (self.mu > 0.0) or not np.isfinite(self.mu):
             raise DomainError("mu must be positive and finite")
 

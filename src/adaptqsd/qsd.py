@@ -270,8 +270,9 @@ class CohortResult:
 
     slices maps a snapshot time to (live_idx, x_live, y_live): the particle
     indices still alive at that time and their states. end_x/end_y hold the
-    kill point of every particle that died. bound_exceeded counts the
-    thinning-bound violations over all windows.
+    kill point of every particle that died. jump_ids gives the particle of
+    each logged jump. bound_exceeded counts the thinning-bound violations
+    over all windows.
     """
 
     death_times: np.ndarray
@@ -279,6 +280,7 @@ class CohortResult:
     end_y: np.ndarray
     alive: np.ndarray
     slices: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=dict)
+    jump_ids: np.ndarray | None = None
     jump_w: np.ndarray | None = None
     jump_norm_before: np.ndarray | None = None
     jump_norm_after: np.ndarray | None = None
@@ -291,16 +293,29 @@ class CohortResult:
 
 
 def run_cohort(x0: np.ndarray, y0: np.ndarray, params: ModelParams, config: SimConfig,
-               horizon: float, key: StreamKey, record_slices=(),
-               collect_jumps: bool = False) -> CohortResult:
+               horizon: float, key, record_slices=(), collect_jumps: bool = False,
+               groups=None) -> CohortResult:
     """Advance a non-interacting cohort to the horizon, recording death times.
 
     record_slices: times at which the alive states are snapshotted (snapped
     to the next window end).
+
+    key is one StreamKey, or a sequence of G keys with `groups`, G + 1
+    ascending row offsets from 0 to n: group g owns rows [groups[g],
+    groups[g + 1]) and draws its window k from keys[g].child("w", k), as a
+    run_cohort on those rows alone would (see Engine.window). A group with
+    no live row at a window's start gets no stream for that window. Every
+    field of the result indexes all n rows, so each group's deaths, slices
+    and jumps are exactly those of its own run.
     """
     x = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
     y = np.asarray(y0, dtype=float).copy()
     n = len(y)
+    keys = [key] if groups is None else list(key)
+    bounds = (0, n) if groups is None else tuple(int(b) for b in groups)
+    if len(bounds) != len(keys) + 1:
+        raise DomainError("groups must be G + 1 row offsets for G keys")
+    spans = list(zip(keys, bounds, bounds[1:]))
     alive = np.ones(n, dtype=bool)
     death = np.full(n, np.inf)
     engine = Engine(params, config)
@@ -308,7 +323,7 @@ def run_cohort(x0: np.ndarray, y0: np.ndarray, params: ModelParams, config: SimC
     n_win = int(math.ceil(horizon / dt - 1e-9))
     slices = sorted(float(s) for s in record_slices)
     out_slices: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    jw, jnb, jna, jt = [], [], [], []
+    jumps: list[WindowEvents] = []
     si = 0
     t = 0.0
     alive_time = 0.0
@@ -316,15 +331,14 @@ def run_cohort(x0: np.ndarray, y0: np.ndarray, params: ModelParams, config: SimC
     for k in range(n_win):
         step = min(dt, horizon - t)
         alive_time += step * np.count_nonzero(alive)
-        ev = engine.window(x, y, alive, t, step, stream(key.child("w", k)))
+        gens = [stream(kg.child("w", k)) if alive[lo:hi].any() else None
+                for kg, lo, hi in spans]
+        ev = engine.window(x, y, alive, t, step, gens, bounds)
         bound_exceeded += ev.bound_exceeded
         if len(ev.kill_ids):
             death[ev.kill_ids] = ev.kill_times
         if collect_jumps and len(ev.jump_ids):
-            jw.append(ev.jump_w)
-            jnb.append(ev.jump_norm_before)
-            jna.append(ev.jump_norm_after)
-            jt.append(ev.jump_times)
+            jumps.append(ev)
         t += step
         while si < len(slices) and t + 1e-12 >= slices[si]:
             live = alive.nonzero()[0]
@@ -336,14 +350,14 @@ def run_cohort(x0: np.ndarray, y0: np.ndarray, params: ModelParams, config: SimC
                 out_slices[slices[si]] = empty
                 si += 1
             break
-    return CohortResult(
-        death_times=death, end_x=x, end_y=y, alive=alive, slices=out_slices,
-        jump_w=np.concatenate(jw) if jw else (np.empty((0, params.dim)) if collect_jumps else None),
-        jump_norm_before=np.concatenate(jnb) if jnb else (np.empty(0) if collect_jumps else None),
-        jump_norm_after=np.concatenate(jna) if jna else (np.empty(0) if collect_jumps else None),
-        jump_times=np.concatenate(jt) if jt else (np.empty(0) if collect_jumps else None),
-        total_time_alive=alive_time, bound_exceeded=bound_exceeded,
-    )
+    logs = {}
+    if collect_jumps:
+        evs = jumps or [WindowEvents.empty(params.dim)]
+        logs = {name: np.concatenate([getattr(ev, name) for ev in evs])
+                for name in ("jump_ids", "jump_w", "jump_norm_before", "jump_norm_after",
+                             "jump_times")}
+    return CohortResult(death_times=death, end_x=x, end_y=y, alive=alive, slices=out_slices,
+                        total_time_alive=alive_time, bound_exceeded=bound_exceeded, **logs)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +509,10 @@ def eta_node_grid(grid: HistGrid, nx: int = 30, ny: int = 20) -> tuple[np.ndarra
     return sub.x_centers, sub.y_centers
 
 
-# nodes per cohort run, and the cap and relative-change tolerance of the
-# eta fixed-point passes
+# nodes per batch, rows per grouped cohort call, and the cap and
+# relative-change tolerance of the eta fixed-point passes
 _ETA_BATCH_NODES = 60
+_ETA_CALL_ROWS = 60_000
 _ETA_MAX_PASSES = 40
 _ETA_TOL = 0.004
 
@@ -508,7 +523,11 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
     """Survival capacity eta(x, y) = lim e^{lambda0 t} P_{x,y}(alive at t).
 
     Per node, `replicates` paths run to 2 t_eval, recording survival and the
-    survivor endpoints at both horizons. The plain statistic
+    survivor endpoints at both horizons. Nodes run in batches of
+    _ETA_BATCH_NODES; batch b0 (its first node) draws window k from
+    key.child("batch", b0).child("w", k). As many whole batches as fit in
+    _ETA_CALL_ROWS rows (at least one) step as the groups of one run_cohort,
+    which draws exactly what separate runs would. The plain statistic
     e^{lambda0 t} * survivor fraction is transient-biased at affordable
     horizons; it only starts the eigen fixed point
     eta <- e^{lambda0 t_eval} * mean(alive * eta(endpoint at t_eval)),
@@ -527,16 +546,21 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
     t2 = 2.0 * t_eval
     e1 = math.exp(lambda0 * t_eval)
     e2 = math.exp(lambda0 * t2)
+    call_nodes = _ETA_BATCH_NODES * max(1, _ETA_CALL_ROWS // (_ETA_BATCH_NODES * R))
     ends = {t_eval: [], t2: []}  # per horizon: (owner node, x, y) of the survivors
-    for b0 in range(0, n_nodes, _ETA_BATCH_NODES):
-        i, j = np.divmod(np.repeat(np.arange(b0, min(b0 + _ETA_BATCH_NODES, n_nodes)), R), gy)
+    for c0 in range(0, n_nodes, call_nodes):
+        c1 = min(c0 + call_nodes, n_nodes)
+        batches = range(c0, c1, _ETA_BATCH_NODES)
+        i, j = np.divmod(np.repeat(np.arange(c0, c1), R), gy)
         x0 = np.zeros((len(i), params.dim))
         x0[:, 0] = xn[i]
-        res = run_cohort(x0, yn[j], params, config, t2, key.child("batch", b0),
-                         record_slices=(t_eval, t2))
+        res = run_cohort(x0, yn[j], params, config, t2,
+                         [key.child("batch", b0) for b0 in batches],
+                         record_slices=(t_eval, t2),
+                         groups=[(b0 - c0) * R for b0 in batches] + [len(i)])
         for snap_t, chunks in ends.items():
             live, lx, ly = res.slices[snap_t]
-            chunks.append((b0 + live // R, lx, ly))
+            chunks.append((c0 + live // R, lx, ly))
 
     def endpoints(chunks):
         owner, lx, ly = (np.concatenate(part) for part in zip(*chunks))

@@ -12,6 +12,7 @@ from adaptqsd import cli
 from adaptqsd.errors import MassExtinctionError, NumericError
 from adaptqsd.model import ModelParams
 from adaptqsd.pathsim import SimConfig
+from adaptqsd.qsd import BalanceReport
 
 
 def _tiny(*extra):
@@ -301,6 +302,22 @@ def test_diagnose_rerun_is_byte_identical(tmp_path):
     payload = json.loads(_read(d1 / "diagnose.json"))
     assert payload["lambda0"] > 0.0
     assert "balance_sigmas" in payload
+
+
+def test_diagnose_balance_runs_untruncated(tmp_path, monkeypatch):
+    # v = E_alpha[f(y) J1(x)] holds for the untruncated process only
+    seen = []
+
+    def fake_balance(params, config, key, **kw):
+        seen.append(config)
+        return BalanceReport(v=params.v, rhs=params.v, residual=0.0, mc_stderr=1.0,
+                             n_samples=1, n_blocks=1)
+
+    monkeypatch.setattr(cli, "balance_residual", fake_balance)
+    assert cli.main(["diagnose", "--out", str(tmp_path)] + _DIAG) == 0
+    assert len(seen) == 1
+    assert seen[0].truncation is None and seen[0].truncation_y_low is None
+    assert seen[0].y_floor == seen[0].y_ext
 
 
 _ETA = ["--set", "eta_replicates=60", "--set", "eta_nodes_x=4",

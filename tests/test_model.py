@@ -72,8 +72,6 @@ def test_growth_family_contract():
     x = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
     np.testing.assert_allclose(g.rate(x), [3.0, 2.0, 2.5])
     assert g.r_sup == 3.0
-    with pytest.raises(UnsupportedModelError):
-        GrowthSpec(family="linear")
     with pytest.raises(DomainError):
         GrowthSpec(a=-0.1)
 

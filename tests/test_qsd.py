@@ -109,6 +109,54 @@ def test_run_cohort_slices_and_jumps(params):
     assert res.survival(1.0) == pytest.approx(len(live1) / n)
 
 
+@pytest.mark.parametrize("sizes,doomed", [((30, 20, 25), 1), ((1, 40), 0), ((25, 15, 10, 30), 3)])
+def test_grouped_cohort_equals_separate_cohorts(params, monkeypatch, sizes, doomed):
+    """A grouped run_cohort gives each group exactly its own run's deaths,
+    slices, jumps and thinning-bound count. The doomed group starts just
+    above the floor and dies out in window one; after that it gets no stream,
+    so the grouped run makes exactly the stream calls of the separate runs."""
+    config = _boxed_config()
+    gen = np.random.default_rng(len(sizes))
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    x0 = gen.uniform(-2.0, 0.5, size=(bounds[-1], 1))
+    y0 = gen.uniform(0.5, 3.5, size=bounds[-1])
+    y0[bounds[doomed]:bounds[doomed + 1]] = 1.002e-3
+    keys = [StreamKey(seed=17, lineage=("grp", g)) for g in range(len(sizes))]
+    calls = []
+    real_stream = qsd.stream
+    monkeypatch.setattr(qsd, "stream", lambda key: calls.append(key) or real_stream(key))
+    kw = dict(record_slices=(0.05, 0.5, 1.25), collect_jumps=True)
+    grouped = run_cohort(x0, y0, params, config, 1.25, keys, groups=bounds, **kw)
+    grouped_calls = calls[:]
+    calls.clear()
+    solo = [run_cohort(x0[lo:hi], y0[lo:hi], params, config, 1.25, key, **kw)
+            for key, lo, hi in zip(keys, bounds, bounds[1:])]
+    assert grouped_calls == sorted(calls, key=lambda k: (k.lineage[3], k.lineage[1]))
+    assert [k for k in grouped_calls if k.lineage[1] == doomed] == [keys[doomed].child("w", 0)]
+    assert len(grouped.jump_ids) > 0
+    assert grouped.bound_exceeded == sum(r.bound_exceeded for r in solo)
+    for (lo, hi), res in zip(zip(bounds, bounds[1:]), solo):
+        for name in ("death_times", "end_x", "end_y", "alive"):
+            np.testing.assert_array_equal(getattr(grouped, name)[lo:hi], getattr(res, name))
+        for t, (live, lx, ly) in grouped.slices.items():
+            mine = (live >= lo) & (live < hi)
+            for a, b in zip((live[mine] - lo, lx[mine], ly[mine]), res.slices[t]):
+                np.testing.assert_array_equal(a, b)
+        mine = (grouped.jump_ids >= lo) & (grouped.jump_ids < hi)
+        np.testing.assert_array_equal(grouped.jump_ids[mine] - lo, res.jump_ids)
+        for name in ("jump_w", "jump_norm_before", "jump_norm_after", "jump_times"):
+            np.testing.assert_array_equal(getattr(grouped, name)[mine], getattr(res, name))
+    assert np.all(grouped.death_times[bounds[doomed]:bounds[doomed + 1]] <= config.dt_max)
+    assert len(solo[doomed].slices[0.05][0]) == 0
+
+
+def test_run_cohort_rejects_groups_without_a_key_each(params):
+    keys = [StreamKey(seed=18, lineage=("grp", g)) for g in range(2)]
+    with pytest.raises(DomainError):
+        run_cohort(np.zeros((4, 1)), np.full(4, 2.0), params, _boxed_config(), 0.05, keys,
+                   groups=(0, 1, 2, 4))
+
+
 def test_survival_estimate_small_n_flag(params, monkeypatch):
     monkeypatch.setattr(qsd, "_N_BOOTSTRAP", 40)
     config = _boxed_config()
@@ -220,16 +268,35 @@ def _per_node_eta(alpha, lambda0, params, config, key, t_eval, replicates, nodes
 
 
 def test_estimate_eta_sparse_fixed_point_matches_per_node_reference(tiny_fv, params):
+    # 64 nodes: a full batch and a partial one, which share one cohort call,
+    # against the reference's one run per batch
     config = _boxed_config()
     args = (tiny_fv.alpha, tiny_fv.lambda0, params, config,
             StreamKey(seed=11, lineage=("eta1",)))
-    kw = dict(t_eval=1.0, replicates=150, nodes=(5, 4))
+    kw = dict(t_eval=1.0, replicates=150, nodes=(8, 8))
+    assert qsd._ETA_BATCH_NODES < 64 <= qsd._ETA_CALL_ROWS // 150
     eta = estimate_eta(*args, **kw)
     ref = _per_node_eta(*args, **kw)
     assert eta.iterations_used == ref["iterations_used"] >= 2
     np.testing.assert_array_equal(eta.survivors_t1.ravel(), ref["survivors_t1"])
     for name in ("values", "stderr", "values_t2", "stderr_t2"):
         np.testing.assert_allclose(getattr(eta, name).ravel(), ref[name], rtol=1e-12, atol=0.0)
+
+
+def test_estimate_eta_multi_batch_is_frozen(tiny_fv, params):
+    """SHA-256 of a two-batch estimate_eta at a fixed key (numpy 2.4.6).
+
+    120 nodes of 30 replicates are two batches, which share one cohort call;
+    any change to their draws, owners or fixed point moves the digest.
+    """
+    eta = estimate_eta(tiny_fv.alpha, tiny_fv.lambda0, params, _boxed_config(),
+                       StreamKey(seed=47, lineage=("eta_frozen",)), t_eval=0.5,
+                       replicates=30, nodes=(12, 10))
+    h = hashlib.sha256()
+    for a in (eta.values, eta.stderr, eta.values_t2, eta.stderr_t2, eta.survivors_t1,
+              eta.survivors_t2, np.array([eta.iterations_used])):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == "a58aa77929b9ab40378f3b0a3d0018fb1f61a624f9f6c536f3a5b19a90c75813"
 
 
 def _flat_eta(level=1.0):
