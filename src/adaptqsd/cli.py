@@ -27,7 +27,7 @@ from .model import (ModelParams, default_params, flat_params, reference_set,
                     validate_hypotheses)
 from .oracle import build_generator, leading_triple
 from .pathsim import SimConfig, simulate_path, simulate_q_path
-from .qsd import (balance_residual, beta_from, conditioned_marginal,
+from .qsd import (_BALANCE_EVERY, balance_residual, beta_from, conditioned_marginal,
                   convergence_curve, default_hist_grid, estimate_eta,
                   estimate_lambda0_survival, fleming_viot, relaxed_start,
                   truncation_family)
@@ -202,12 +202,16 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def write_measure_csv(path: Path, m: EmpiricalMeasure) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{k+1}" for k in range(m.grid.dim)] + ["y", "mass"])
-        for row in m.to_rows():
-            writer.writerow([_fmt(c) for c in row])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_measure_csv(path: Path, m: EmpiricalMeasure) -> None:
+    _write_csv(path, [f"x{k+1}" for k in range(m.grid.dim)] + ["y", "mass"],
+               ([_fmt(c) for c in row] for row in m.to_rows()))
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -304,15 +308,15 @@ def run_lambda(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> lis
         "n_paths": int(est.n_paths),
         "flags": est.flags,
     })
-    with open(out / "survival_curve.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "survivors", "in_fit"])
-        for t, n, used in zip(est.t_grid, est.survivors, est.fit_mask):
-            writer.writerow([_fmt(t), int(n), int(used)])
+    _write_csv(out / "survival_curve.csv", ["t", "survivors", "in_fit"],
+               ([_fmt(t), int(n), int(used)]
+                for t, n, used in zip(est.t_grid, est.survivors, est.fit_mask)))
     return ["survival.json", "survival_curve.csv"]
 
 
 def _run_eta(cfg: dict, params: ModelParams, sim: SimConfig):
+    if not (cfg["eta_t_eval"] > 0.0 and cfg["eta_replicates"] >= 1):
+        raise ConfigError("eta needs eta_t_eval > 0 and eta_replicates >= 1")
     fv = _run_fv(cfg, params, sim)
     eta = estimate_eta(fv.alpha, fv.lambda0, params, sim, _key(cfg, "eta"),
                        t_eval=cfg["eta_t_eval"],
@@ -321,21 +325,14 @@ def _run_eta(cfg: dict, params: ModelParams, sim: SimConfig):
     return fv, eta
 
 
-def _write_eta_csv(path: Path, eta) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "eta", "stderr", "survivors"])
-        for i, xv in enumerate(eta.x_nodes):
-            for j, yv in enumerate(eta.y_nodes):
-                writer.writerow([_fmt(xv), _fmt(yv), _fmt(eta.values[i, j]),
-                                 _fmt(eta.stderr[i, j]), int(eta.survivors_t1[i, j])])
-
-
 def run_eta(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> list[str]:
     fv, eta = _run_eta(cfg, params, sim)
     write_measure_csv(out / "alpha.csv", fv.alpha)
     write_json(out / "lambda0.json", _lambda_payload(fv))
-    _write_eta_csv(out / "eta.csv", eta)
+    _write_csv(out / "eta.csv", ["x", "y", "eta", "stderr", "survivors"],
+               ([_fmt(xv), _fmt(yv), _fmt(eta.values[i, j]), _fmt(eta.stderr[i, j]),
+                 int(eta.survivors_t1[i, j])]
+                for i, xv in enumerate(eta.x_nodes) for j, yv in enumerate(eta.y_nodes)))
     write_measure_csv(out / "beta.csv", beta_from(fv.alpha, eta))
     return ["alpha.csv", "lambda0.json", "eta.csv", "beta.csv"]
 
@@ -382,13 +379,10 @@ def run_oracle(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> lis
     })
     write_measure_csv(out / "oracle_alpha.csv", tri.alpha)
     grid = tri.alpha.grid
-    with open(out / "oracle_eta.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "eta"])
-        eta = tri.eta.reshape(grid.shape)
-        for i, xv in enumerate(grid.x_centers):
-            for j, yv in enumerate(grid.y_centers):
-                writer.writerow([_fmt(xv), _fmt(yv), _fmt(eta[i, j])])
+    eta = tri.eta.reshape(grid.shape)
+    _write_csv(out / "oracle_eta.csv", ["x", "y", "eta"],
+               ([_fmt(xv), _fmt(yv), _fmt(eta[i, j])]
+                for i, xv in enumerate(grid.x_centers) for j, yv in enumerate(grid.y_centers)))
     return ["oracle.json", "oracle_alpha.csv", "oracle_eta.csv"]
 
 
@@ -399,6 +393,10 @@ def run_diagnose(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> l
     # replicate spread needs two replicates, each ensemble a donor survivor
     if cfg["conv_replicates"] < 2 or cfg["conv_particles"] < 2:
         raise ConfigError("diagnose needs conv_replicates >= 2 and conv_particles >= 2")
+    # a convergence slice, and two balance samples for the block error
+    if not (0.0 < cfg["slice_dt"] <= cfg["t_max"] and cfg["balance_collect"] > _BALANCE_EVERY):
+        raise ConfigError("diagnose needs 0 < slice_dt <= t_max and "
+                          f"balance_collect > {_BALANCE_EVERY}")
     fv = _run_fv(cfg, params, sim)
     curve = convergence_curve(relaxed_start(params, sim), fv.alpha.coarsen(4, 4), params,
                               sim, _key(cfg, "convergence"),
@@ -416,22 +414,17 @@ def run_diagnose(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> l
                             n_particles=cfg["particles"], window=cfg["window"],
                             nx=cfg["nx"], ny=cfg["ny"])
 
-    with open(out / "convergence.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "tv_mean", "tv_se"])
-        for t, m, se in zip(curve.t, curve.tv_mean, curve.tv_se):
-            writer.writerow([_fmt(t), _fmt(m), _fmt(se)])
+    _write_csv(out / "convergence.csv", ["t", "tv_mean", "tv_se"],
+               ([_fmt(t), _fmt(m), _fmt(se)]
+                for t, m, se in zip(curve.t, curve.tv_mean, curve.tv_se)))
     write_json(out / "balance.json", {
         "v": bal.v, "rhs": bal.rhs, "residual": bal.residual,
         "mc_stderr": bal.mc_stderr, "sigmas": bal.sigmas,
         "n_samples": int(bal.n_samples), "n_blocks": int(bal.n_blocks),
     })
-    with open(out / "truncation.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["L", "lambda_hat", "lambda_se", "tv_to_largest"])
-        for i in range(len(fam.L)):
-            writer.writerow([_fmt(fam.L[i]), _fmt(fam.lambda_hat[i]),
-                             _fmt(fam.lambda_se[i]), _fmt(fam.tv_to_largest[i])])
+    _write_csv(out / "truncation.csv", ["L", "lambda_hat", "lambda_se", "tv_to_largest"],
+               ([_fmt(c) for c in row]
+                for row in zip(fam.L, fam.lambda_hat, fam.lambda_se, fam.tv_to_largest)))
     write_json(out / "diagnose.json", {
         "lambda0": fv.lambda0,
         "lambda0_stderr": fv.lambda0_stderr,

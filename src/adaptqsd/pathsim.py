@@ -1,9 +1,10 @@
 """Single-path front ends over the cohort kernel.
 
-simulate_path runs one particle through cohort.Engine windows and keeps its
-sampled states, jump log and exit record; simulate_q_path runs one walker of
-the h-transform rejection loop behind qsd.conditioned_marginal. Both return a
-Trajectory, whose jump log is enough to rebuild x between samples.
+simulate_path is a one-row run of qsd._Stepper, the driver of every
+cohort.Engine.window call, and keeps its sampled states, jump log and exit
+record; simulate_q_path runs one walker of the h-transform rejection loop
+behind qsd.conditioned_marginal. Both return a Trajectory, whose jump log is
+enough to rebuild x between samples.
 """
 from __future__ import annotations
 
@@ -13,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng as rng_mod
-from .cohort import Engine, ExitReason, SimConfig, reason_from_code
+from .cohort import ExitReason, SimConfig, reason_from_code
 from .errors import DomainError
 # drift_y stays importable from here for existing callers
 from .model import ModelParams, drift_y  # noqa: F401
-from .qsd import _h_transform
+from .qsd import _h_transform, _Stepper
+from .rng import StreamKey
 
 __all__ = [
     "ExitReason",
@@ -112,41 +113,36 @@ def _jump_events(ev, rows) -> list[JumpEvent]:
             for i in rows]
 
 
-def simulate_path(init, params: ModelParams, config: SimConfig,
-                  key: rng_mod.StreamKey) -> Trajectory:
+def simulate_path(init, params: ModelParams, config: SimConfig, key: StreamKey) -> Trajectory:
     """Simulate one path to absorption, truncation exit, or the horizon.
 
-    A one-particle Engine run over fixed dt_max windows (the last one cut at
-    the horizon). Window k draws from key.child(k), so any window can be
-    replayed in isolation and trajectories are bit-reproducible from
-    (params, config, key). Rows are the engine state at every
-    record_every-th window end, plus the exit (or horizon) state.
+    A one-row _Stepper run over fixed dt_max windows (the last one cut at
+    the horizon). Window k draws from key.child("w", k), the rule of every
+    estimator, so any window can be replayed in isolation and trajectories
+    are bit-reproducible from (params, config, key). Rows are the engine
+    state at every record_every-th window end, plus the exit (or horizon)
+    state.
     """
     x0, y0 = _coerce_init(init)
     _check_in_bounds(x0, y0, config)
-    engine = Engine(params, config)
-    x, y, alive = x0[None, :].copy(), np.array([y0]), np.ones(1, dtype=bool)
-    dt = config.dt_max
-    n_win = int(math.ceil(config.horizon / dt - 1e-9))
+    st = _Stepper(params, config, x0[None, :].copy(), np.array([y0]), [key])
+    n_win = int(math.ceil(config.horizon / config.dt_max - 1e-9))
 
     times, xs, ys = [0.0], [x0], [y0]
     jumps: list[JumpEvent] = []
     exit_reason = ExitReason.SURVIVED_HORIZON
     exit_time = config.horizon
-    t = 0.0
-    for k in range(n_win):
-        step = min(dt, config.horizon - t)
-        ev = engine.window(x, y, alive, t, step, rng_mod.stream(key.child(k)))
+    while True:
+        ev, _ = st.step(min(config.dt_max, config.horizon - st.t))
         jumps += _jump_events(ev, range(len(ev.jump_ids)))
-        t += step
-        last = k + 1 == n_win or not alive[0]
-        if not alive[0]:
+        last = st.k == n_win or not st.alive[0]
+        if not st.alive[0]:
             exit_reason = reason_from_code(ev.kill_codes[0])
             exit_time = float(ev.kill_times[0])
-        if last or (k + 1) % config.record_every == 0:
-            times.append(exit_time if last else t)
-            xs.append(x[0].copy())
-            ys.append(float(y[0]))
+        if last or st.k % config.record_every == 0:
+            times.append(exit_time if last else st.t)
+            xs.append(st.x[0].copy())
+            ys.append(float(st.y[0]))
         if last:
             break
 
@@ -155,7 +151,7 @@ def simulate_path(init, params: ModelParams, config: SimConfig,
                       sigma=params.sigma, v=params.v)
 
 
-def simulate_q_path(init, params: ModelParams, config: SimConfig, key: rng_mod.StreamKey,
+def simulate_q_path(init, params: ModelParams, config: SimConfig, key: StreamKey,
                     eta, eta_max: float | None = None,
                     horizon: float | None = None) -> Trajectory:
     """Simulate the conditioned (never-absorbed) process by rejection.
@@ -196,7 +192,7 @@ def simulate_q_path(init, params: ModelParams, config: SimConfig, key: rng_mod.S
         xs.append(x[0].copy())
         ys.append(float(y[0]))
 
-    stats = _h_transform(x, y, eta, eta_max, Engine(params, config), key,
+    stats = _h_transform(x, y, eta, eta_max, params, config, key,
                          int(round(horizon / delta)), on_step=record)
     return Trajectory(times=np.asarray(times), x=np.asarray(xs), y=np.asarray(ys),
                       jumps=jumps, exit_reason=ExitReason.SURVIVED_HORIZON, exit_time=horizon,

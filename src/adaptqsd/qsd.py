@@ -95,41 +95,50 @@ _PLATEAU_TOL = 0.05
 _BURN_IN_CAP = 100.0
 
 
-class _FlemingViotStepper:
-    """Fleming-Viot ensembles advanced in lockstep, one dt_max window at a time.
+class _Stepper:
+    """The one driver of Engine.window: row groups stepped in lockstep.
 
     Group g owns rows [groups[g], groups[g + 1]) (one group of all rows by
-    default) and draws only from keys[g]: its window k from
-    keys[g].child("w", k), so grouping is bit-identical to stepping each
-    group alone (see Engine.window). Killed particles are replaced at the
+    default) and draws its window k from keys[g].child("w", k), so grouping
+    is bit-identical to stepping each group alone (see Engine.window); a
+    group with no live row at a window's start gets no stream. t and k count
+    the time and windows stepped; bound_exceeded sums the thinning-bound
+    violations. With a `resample` name, killed particles are replaced at the
     window end by the end-of-window state of a uniformly chosen survivor of
-    their own group; group g's donors of window k come from
+    their own group (Fleming-Viot); group g's donors of window k come from
     keys[g].child(resample, k) in kill-time order, so the kill/donor log is
     replayable. Mutates x and y in place.
     """
 
     def __init__(self, params: ModelParams, config: SimConfig, x: np.ndarray,
-                 y: np.ndarray, keys: list[StreamKey], resample: str, groups=None):
+                 y: np.ndarray, keys: list[StreamKey], groups=None, resample: str | None = None):
         self.engine = Engine(params, config)
-        self.dt = config.dt_max
         self.x, self.y = x, y
         self.alive = np.ones(len(y), dtype=bool)
-        self.keys = keys
+        self.keys = list(keys)
         self.groups = (0, len(y)) if groups is None else tuple(int(b) for b in groups)
+        if len(self.groups) != len(self.keys) + 1:
+            raise DomainError("groups must be G + 1 row offsets for G keys")
         self.resample = resample
         self.t = 0.0
         self.k = 0
         self.bound_exceeded = 0
 
-    def step(self) -> tuple[WindowEvents, np.ndarray]:
-        """One window; returns its events and the donor of each kill."""
+    def step(self, dt: float | None = None,
+             t0: float | None = None) -> tuple[WindowEvents, np.ndarray]:
+        """One window of length dt (default dt_max) from t0 (default: where
+        the last one ended); returns its events and the donor of each kill
+        (empty without resampling)."""
         x, y, alive, groups = self.x, self.y, self.alive, self.groups
-        ev = self.engine.window(x, y, alive, self.t, self.dt,
-                                [stream(key.child("w", self.k)) for key in self.keys], groups)
+        dt = self.engine.config.dt_max if dt is None else dt
+        t0 = self.t if t0 is None else t0
+        gens = [stream(key.child("w", self.k)) if alive[lo:hi].any() else None
+                for key, lo, hi in zip(self.keys, groups, groups[1:])]
+        ev = self.engine.window(x, y, alive, t0, dt, gens, groups)
         self.bound_exceeded += ev.bound_exceeded
         kill_ids = ev.kill_ids
-        donors = np.empty(len(kill_ids), dtype=np.int64)
-        if len(kill_ids):
+        donors = np.empty(len(kill_ids) if self.resample else 0, dtype=np.int64)
+        if len(donors):
             for g, key in enumerate(self.keys):
                 lo, hi = groups[g], groups[g + 1]
                 mine = ((kill_ids >= lo) & (kill_ids < hi)).nonzero()[0]
@@ -138,13 +147,13 @@ class _FlemingViotStepper:
                 surv = lo + alive[lo:hi].nonzero()[0]
                 if len(surv) == 0:
                     raise MassExtinctionError(f"all particles of group {g} died in one window",
-                                              time=self.t, group=g)
+                                              time=t0, group=g)
                 gen = stream(key.child(self.resample, self.k))
                 donors[mine] = surv[gen.integers(0, len(surv), len(mine))]
             x[kill_ids] = x[donors]
             y[kill_ids] = y[donors]
             alive[kill_ids] = True
-        self.t += self.dt
+        self.t = t0 + dt
         self.k += 1
         return ev, donors
 
@@ -171,8 +180,8 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
     """Fleming-Viot estimate of (alpha, lambda0) on the truncated domain.
 
     Killed particles are replaced at window ends by the end-of-window state
-    of a uniformly chosen survivor (see _FlemingViotStepper; donors come from
-    the "resample" streams).
+    of a uniformly chosen survivor (see _Stepper; donors come from the
+    "resample" streams).
     burn_in="auto" tracks the TV between consecutive _FV_CHUNK occupations
     and declares the transient over when that series stops improving (or at
     _BURN_IN_CAP): two chunks in a row with either TV below _PLATEAU_TOL or
@@ -185,7 +194,7 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
     dt = config.dt_max
     gen0 = stream(key.child("init"))
     x, y = _init_states(init, n_particles, params, config, gen0)
-    fv = _FlemingViotStepper(params, config, x, y, [key], "resample")
+    fv = _Stepper(params, config, x, y, [key], resample="resample")
 
     occ = np.zeros(grid.n_cells)
     chunk_occ = np.zeros(grid.n_cells)
@@ -303,44 +312,32 @@ def run_cohort(x0: np.ndarray, y0: np.ndarray, params: ModelParams, config: SimC
     key is one StreamKey, or a sequence of G keys with `groups`, G + 1
     ascending row offsets from 0 to n: group g owns rows [groups[g],
     groups[g + 1]) and draws its window k from keys[g].child("w", k), as a
-    run_cohort on those rows alone would (see Engine.window). A group with
-    no live row at a window's start gets no stream for that window. Every
-    field of the result indexes all n rows, so each group's deaths, slices
-    and jumps are exactly those of its own run.
+    run_cohort on those rows alone would (see _Stepper). Every field of the
+    result indexes all n rows, so each group's deaths, slices and jumps are
+    exactly those of its own run.
     """
+    if not horizon > 0.0:
+        raise DomainError(f"run_cohort needs a positive horizon, got {horizon}")
     x = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
     y = np.asarray(y0, dtype=float).copy()
-    n = len(y)
-    keys = [key] if groups is None else list(key)
-    bounds = (0, n) if groups is None else tuple(int(b) for b in groups)
-    if len(bounds) != len(keys) + 1:
-        raise DomainError("groups must be G + 1 row offsets for G keys")
-    spans = list(zip(keys, bounds, bounds[1:]))
-    alive = np.ones(n, dtype=bool)
-    death = np.full(n, np.inf)
-    engine = Engine(params, config)
+    st = _Stepper(params, config, x, y, [key] if groups is None else key, groups)
+    alive = st.alive
+    death = np.full(len(y), np.inf)
     dt = config.dt_max
-    n_win = int(math.ceil(horizon / dt - 1e-9))
     slices = sorted(float(s) for s in record_slices)
     out_slices: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     jumps: list[WindowEvents] = []
     si = 0
-    t = 0.0
     alive_time = 0.0
-    bound_exceeded = 0
-    for k in range(n_win):
-        step = min(dt, horizon - t)
+    for _ in range(int(math.ceil(horizon / dt - 1e-9))):
+        step = min(dt, horizon - st.t)
         alive_time += step * np.count_nonzero(alive)
-        gens = [stream(kg.child("w", k)) if alive[lo:hi].any() else None
-                for kg, lo, hi in spans]
-        ev = engine.window(x, y, alive, t, step, gens, bounds)
-        bound_exceeded += ev.bound_exceeded
+        ev, _ = st.step(step)
         if len(ev.kill_ids):
             death[ev.kill_ids] = ev.kill_times
         if collect_jumps and len(ev.jump_ids):
             jumps.append(ev)
-        t += step
-        while si < len(slices) and t + 1e-12 >= slices[si]:
+        while si < len(slices) and st.t + 1e-12 >= slices[si]:
             live = alive.nonzero()[0]
             out_slices[slices[si]] = (live, x[live].copy(), y[live].copy())
             si += 1
@@ -357,7 +354,7 @@ def run_cohort(x0: np.ndarray, y0: np.ndarray, params: ModelParams, config: SimC
                 for name in ("jump_ids", "jump_w", "jump_norm_before", "jump_norm_after",
                              "jump_times")}
     return CohortResult(death_times=death, end_x=x, end_y=y, alive=alive, slices=out_slices,
-                        total_time_alive=alive_time, bound_exceeded=bound_exceeded, **logs)
+                        total_time_alive=alive_time, bound_exceeded=st.bound_exceeded, **logs)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +385,8 @@ def estimate_lambda0_survival(init, params: ModelParams, config: SimConfig, key:
     survival probability is exponential from t = 0, which is what makes the
     whole curve usable for the fit.
     """
+    if not (n_paths >= 1 and horizon > 0.0):
+        raise DomainError("the survival curve needs n_paths >= 1 and a positive horizon")
     if n_paths < 1000:
         flags = ["n_paths below the recommended 1000"]
     else:
@@ -539,6 +538,8 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
     """
     if params.dim != 1:
         raise UnsupportedModelError("estimate_eta is implemented for d = 1 only")
+    if not (t_eval > 0.0 and replicates >= 1):
+        raise DomainError("estimate_eta needs t_eval > 0 and replicates >= 1")
     xn, yn = eta_node_grid(alpha.grid, *nodes)
     gx, gy = len(xn), len(yn)
     n_nodes = gx * gy
@@ -674,6 +675,8 @@ def convergence_curve(init, reference: EmpiricalMeasure, params: ModelParams,
     """
     if n_replicates < 2 or n_particles < 2:
         raise DomainError("convergence_curve needs at least 2 replicates of 2 particles")
+    if not (slice_dt > 0.0 and t_max >= slice_dt):
+        raise DomainError("convergence_curve needs slice_dt > 0 and t_max >= slice_dt")
     grid = reference.grid
     ts = np.arange(slice_dt, t_max + 1e-9, slice_dt)
     curves = np.zeros((n_replicates, len(ts)))
@@ -682,9 +685,8 @@ def convergence_curve(init, reference: EmpiricalMeasure, params: ModelParams,
                            stream(key.child("rep", rep, "init"))) for rep in range(n_replicates)]
     x = np.concatenate([s[0] for s in starts])
     y = np.concatenate([s[1] for s in starts])
-    fv = _FlemingViotStepper(params, config, x, y,
-                             [key.child("rep", rep) for rep in range(n_replicates)], "rs",
-                             groups=np.arange(n_replicates + 1) * n_particles)
+    fv = _Stepper(params, config, x, y, [key.child("rep", rep) for rep in range(n_replicates)],
+                  groups=np.arange(n_replicates + 1) * n_particles, resample="rs")
     # flat (replicate, cell) occupation; np.add.at adds each cell's terms in
     # row order, as a replicate alone would
     cell0 = np.repeat(np.arange(n_replicates) * grid.n_cells, n_particles)
@@ -738,8 +740,10 @@ class BalanceReport:
         return abs(self.residual) / max(self.mc_stderr, 1e-300)
 
 
-# time blocks whose means give the balance residual's MC error
+# time blocks whose means give the balance residual's MC error, and the
+# sampling interval of the time average
 _BALANCE_BLOCKS = 20
+_BALANCE_EVERY = 0.5
 
 
 def balance_residual(params: ModelParams, config: SimConfig, key: StreamKey,
@@ -748,17 +752,20 @@ def balance_residual(params: ModelParams, config: SimConfig, key: StreamKey,
     """Residual of the speed/flux identity v = E_alpha[f(y) J1(x)].
 
     J1(x) = integral of w1 g(x, w) nu(dw). The expectation is a time average,
-    sampled every 0.5 time units, over a stationary ensemble started from
-    relaxed_start; the MC error comes from block means over time, which
-    absorbs the autocorrelation. Implemented for d = 1 (J1 is cached by x1).
+    sampled every _BALANCE_EVERY time units, over a stationary ensemble
+    started from relaxed_start; the MC error comes from block means over
+    time, which absorbs the autocorrelation, so `collect` must span two
+    samples. Implemented for d = 1 (J1 is cached by x1).
     """
     if params.dim != 1:
         raise UnsupportedModelError("balance_residual is implemented for d = 1 only")
+    if not collect > _BALANCE_EVERY:
+        raise DomainError(f"balance_residual needs collect > {_BALANCE_EVERY} (two samples)")
     gen0 = stream(key.child("init"))
     # capped below any ceiling; the raw equilibrium may sit outside a
     # truncated box, where a point start is killed immediately
     x, y = _init_states(relaxed_start(params, config), n_particles, params, config, gen0)
-    fv = _FlemingViotStepper(params, config, x, y, [key], "rs")
+    fv = _Stepper(params, config, x, y, [key], resample="rs")
     horizon = burn + collect
     next_sample = burn
     samples: list[float] = []
@@ -769,7 +776,7 @@ def balance_residual(params: ModelParams, config: SimConfig, key: StreamKey,
             fy = np.asarray(params.f(y))
             j1 = np.array([_j1_cached(float(xi[0]), params, j1_cache) for xi in x])
             samples.append(float(np.mean(fy * j1)))
-            next_sample += 0.5
+            next_sample += _BALANCE_EVERY
     samples_arr = np.asarray(samples)
     blocks = np.array_split(samples_arr, _BALANCE_BLOCKS)
     block_means = np.array([b.mean() for b in blocks if len(b)])
@@ -871,13 +878,13 @@ def conditioned_marginal(start: EmpiricalMeasure, eta: EtaEstimate, params: Mode
     """
     gen0 = stream(key.child("init"))
     x, y = _init_states(start, n_walkers, params, config, gen0)
-    stats = _h_transform(x, y, eta, eta.max_value, Engine(params, config), key,
+    stats = _h_transform(x, y, eta, eta.max_value, params, config, key,
                          int(round(horizon / config.qprocess_delta)))
     return x, y, stats
 
 
-def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, engine: Engine,
-                 key: StreamKey, n_steps: int, on_step=None) -> dict:
+def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, params: ModelParams,
+                 config: SimConfig, key: StreamKey, n_steps: int, on_step=None) -> dict:
     """Advance walkers (x, y) in place by n_steps h-transform macro steps.
 
     Per macro step of length config.qprocess_delta each pending walker draws
@@ -894,15 +901,16 @@ def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, engine: Engi
     _BATCH_SLOTS candidates per pending walker are simulated per round; the
     accepted one is the first accepting slot in slot order, which reproduces
     sequential-attempt semantics while amortizing the per-call overhead.
-    Round r of step s draws its windows from key.child("s", s, "r", r, "w", k)
-    and its acceptance uniforms from key.child("s", s, "r", r, "acc").
+    Round r of step s steps its candidates as one _Stepper group keyed
+    key.child("s", s, "r", r), window k starting at the absolute time
+    s * delta + k * dt, and draws its acceptance uniforms from
+    key.child("s", s, "r", r, "acc").
 
     on_step(step, accepted), when given, runs after each macro step;
     accepted lists (events, owner) per candidate window, where owner maps
     each logged jump to the walker that accepted its candidate (-1 for
     rejected candidates).
     """
-    config = engine.config
     delta = config.qprocess_delta
     n_win = max(int(round(delta / config.dt_max)), 1)
     dt = delta / n_win
@@ -921,13 +929,11 @@ def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, engine: Engi
         accepted = []
         while len(pending) and rounds < max_rounds:
             m = len(pending)
-            cx = np.tile(x[pending], (K, 1))
-            cy = np.tile(y[pending], K)
-            calive = np.ones(K * m, dtype=bool)
-            events = [engine.window(cx, cy, calive, step * delta + k * dt, dt,
-                                    stream(key.child("s", step, "r", rounds, "w", k)))
-                      for k in range(n_win)]
-            bound_exceeded += sum(ev.bound_exceeded for ev in events)
+            st = _Stepper(params, config, np.tile(x[pending], (K, 1)), np.tile(y[pending], K),
+                          [key.child("s", step, "r", rounds)])
+            events = [st.step(dt, step * delta + k * dt)[0] for k in range(n_win)]
+            bound_exceeded += st.bound_exceeded
+            cx, cy, calive = st.x, st.y, st.alive
             hv = np.zeros(K * m)
             live = calive.nonzero()[0]
             if len(live):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from adaptqsd import cli
+from adaptqsd import cli, qsd
 from adaptqsd.errors import MassExtinctionError, NumericError
 from adaptqsd.model import ModelParams
 from adaptqsd.pathsim import SimConfig
@@ -265,6 +265,24 @@ def test_d1_commands_reject_two_dimensions_before_any_estimate(tmp_path, capsys,
     _fail_if_fv_runs(monkeypatch)
     assert cli.main([cmd, "--out", str(tmp_path), "--set", "dim=2"]) == 2
     assert "d = 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd,setting", [
+    ("eta", "eta_t_eval=0"), ("eta", "eta_t_eval=-1"), ("eta", "eta_replicates=0"),
+    ("qprocess", "eta_replicates=0"), ("lambda", "lambda_horizon=0"), ("lambda", "replicates=0"),
+    ("diagnose", "slice_dt=0"), ("diagnose", "balance_collect=0"), ("diagnose", "t_max=0"),
+])
+def test_sizes_that_leave_nothing_to_compute_exit_2_before_any_run(tmp_path, capsys,
+                                                                   monkeypatch, cmd, setting):
+    _fail_if_fv_runs(monkeypatch)
+
+    def run_cohort(*args, **kwargs):
+        raise AssertionError("a cohort ran before the config was rejected")
+
+    monkeypatch.setattr(qsd, "run_cohort", run_cohort)
+    assert cli.main([cmd, "--out", str(tmp_path), "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("grid", ["nx=10", "ny=6"])

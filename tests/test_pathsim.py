@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -201,3 +204,42 @@ def test_q_path_jump_log_reconstructs_rows():
     for k in range(len(traj.times)):
         err = np.abs(traj.reconstruct_x(traj.times[k]) - traj.x[k]).max()
         assert err < 1e-10
+
+
+def _digest(traj) -> str:
+    h = hashlib.sha256()
+    for a in (traj.times, traj.x, traj.y, [j.t for j in traj.jumps],
+              [j.w for j in traj.jumps], [j.x_after for j in traj.jumps]):
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    h.update(json.dumps(traj.meta, sort_keys=True).encode())
+    h.update(traj.exit_reason.value.encode())
+    return h.hexdigest()
+
+
+def test_q_path_is_frozen():
+    """SHA-256 of a conditioned path at a fixed key (numpy 2.4.6).
+
+    The weight falls off in |x| and toward the floor, so candidates are
+    rejected as well as accepted; the accepted jumps pin the candidates'
+    absolute window start times.
+    """
+    params = default_params()
+    config = SimConfig(truncation=4.0, truncation_y_low=1e-3, horizon=3.0, qprocess_delta=0.1)
+    sloped = lambda x, y: np.exp(-np.atleast_2d(x)[:, 0] ** 2) * y / (1.0 + y)
+    traj = simulate_q_path((np.zeros(1), 2.0), params, config,
+                           StreamKey(seed=19, lineage=("q_frozen",)), sloped, eta_max=1.0)
+    assert len(traj.jumps) > 0
+    assert _digest(traj) == "f79dedaf46df6248e44f2fb504bbf8e13782b9fbaa277f2b69b22718d92997dc"
+
+
+def test_path_is_frozen():
+    """SHA-256 of a boxed path at a fixed key (numpy 2.4.6).
+
+    Window k draws from key.child("w", k), as in every estimator; any change
+    to that lineage or to the window draws moves the digest.
+    """
+    config = SimConfig(truncation=4.0, truncation_y_low=1e-3, horizon=20.0, record_every=7)
+    traj = simulate_path((np.zeros(1), 2.5), default_params(), config,
+                         StreamKey(seed=20, lineage=("path_frozen",)))
+    assert len(traj.jumps) > 0
+    assert _digest(traj) == "1dff351ee22ac3e958207297e808e56bda37932fdc8429ad9592ad699f73932d"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -27,6 +28,13 @@ from adaptqsd.qsd import (
     run_cohort,
 )
 from adaptqsd.rng import StreamKey
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 def _boxed_config(**kw):
@@ -215,6 +223,35 @@ def test_estimate_eta_and_balance_reject_what_they_cannot_compute(tiny_fv, param
         balance_residual(planar, SimConfig(), key)
 
 
+_EMPTY_SIZES = {
+    "cohort_horizon": lambda a, p, c, k: run_cohort(np.zeros((2, 1)), np.full(2, 2.0), p, c,
+                                                     0.0, k),
+    "eta_t_eval": lambda a, p, c, k: estimate_eta(a.alpha, a.lambda0, p, c, k, t_eval=-1.0),
+    "eta_replicates": lambda a, p, c, k: estimate_eta(a.alpha, a.lambda0, p, c, k,
+                                                      replicates=0),
+    "survival_paths": lambda a, p, c, k: estimate_lambda0_survival("reference", p, c, k,
+                                                                   n_paths=0),
+    "survival_horizon": lambda a, p, c, k: estimate_lambda0_survival("reference", p, c, k,
+                                                                     horizon=0.0),
+    "slice_dt": lambda a, p, c, k: convergence_curve(relaxed_start(p, c), a.alpha, p, c, k,
+                                                     slice_dt=0.0),
+    "t_max": lambda a, p, c, k: convergence_curve(relaxed_start(p, c), a.alpha, p, c, k,
+                                                  t_max=0.0),
+    "collect": lambda a, p, c, k: balance_residual(p, SimConfig(), k, collect=0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EMPTY_SIZES))
+def test_estimators_reject_sizes_that_leave_nothing_to_compute(tiny_fv, params, monkeypatch,
+                                                               name):
+    def stepper(*args, **kwargs):
+        raise AssertionError("the estimator stepped before rejecting its size")
+
+    monkeypatch.setattr(qsd, "_Stepper", stepper)
+    with pytest.raises(DomainError):
+        _EMPTY_SIZES[name](tiny_fv, params, _boxed_config(), StreamKey(seed=21, lineage=(name,)))
+
+
 def _per_node_eta(alpha, lambda0, params, config, key, t_eval, replicates, nodes):
     """estimate_eta's fixed point written node by node (reference for the sparse one)."""
     xn, yn = eta_node_grid(alpha.grid, *nodes)
@@ -393,8 +430,8 @@ def test_stepper_extinction_names_the_group(params):
     x = np.zeros((60, 1))
     y = np.where(np.arange(60) < 40, 2.0, 1.002e-3)
     key = StreamKey(seed=2, lineage=("die",))
-    fv = qsd._FlemingViotStepper(params, _boxed_config(), x, y,
-                                 [key.child("g", 0), key.child("g", 1)], "rs", groups=(0, 40, 60))
+    fv = qsd._Stepper(params, _boxed_config(), x, y, [key.child("g", 0), key.child("g", 1)],
+                      groups=(0, 40, 60), resample="rs")
     with pytest.raises(MassExtinctionError, match="group 1") as err:
         fv.step()
     assert err.value.group == 1 and err.value.time == 0.0
@@ -410,6 +447,19 @@ def test_balance_report_contract(params, monkeypatch):
     assert np.isfinite(rep.sigmas)
     assert rep.n_samples == 12 * 40
     assert 1 <= rep.n_blocks <= 4
+
+
+def test_balance_residual_is_frozen(params):
+    """SHA-256 of a small untruncated balance run at a fixed key (numpy 2.4.6).
+
+    40 particles from relaxed_start, 12 samples; any change to the
+    ensemble's draws or resampling moves the digest.
+    """
+    rep = balance_residual(params, SimConfig(), StreamKey(seed=15, lineage=("bal_frozen",)),
+                           n_particles=40, burn=2.0, collect=6.0)
+    assert _digest(np.array([rep.rhs, rep.residual, rep.mc_stderr]),
+                   np.array([rep.n_samples, rep.n_blocks, rep.bound_exceeded])) == (
+        "5f3d8d9d56eab05f9d2d5740f3091d916365e0659b3ee92cc7e27b5971daeee9")
 
 
 def test_balance_zero_flux_control(params, monkeypatch):
@@ -444,6 +494,38 @@ def test_conditioned_marginal_flat_eta(params):
     assert x1.shape == (30, 1) and y1.shape == (30,)
     assert np.all((y1 > 1e-3) & (y1 < 4.0))
     assert np.all(np.abs(x1[:, 0]) < 4.0)
+
+
+def _sloped_eta():
+    """A 3 x 3 eta that falls toward the floor and the box edges, so some
+    surviving candidates are rejected."""
+    xn = np.array([-4.0, 0.0, 4.0])
+    yn = np.array([1e-3, 1.0, 4.0])
+    vals = np.array([[0.1, 0.4, 0.2], [0.3, 1.0, 0.5], [0.1, 0.4, 0.2]])
+    zeros = np.zeros((3, 3))
+    return EtaEstimate(x_nodes=xn, y_nodes=yn, values=vals, stderr=zeros,
+                       survivors_t1=np.ones((3, 3), dtype=np.int64),
+                       survivors_t2=np.ones((3, 3), dtype=np.int64),
+                       values_t2=vals, stderr_t2=zeros)
+
+
+def test_conditioned_marginal_is_frozen(params):
+    """SHA-256 of a small conditioned ensemble at a fixed key (numpy 2.4.6).
+
+    40 walkers, 20 macro steps against a sloped eta; any change to the
+    candidates' window draws or acceptance uniforms moves the digest.
+    """
+    grid = HistGrid.for_box(4.0, y_lo=1e-3, nx=6, ny=5, dim=1)
+    masses = np.zeros(grid.shape)
+    masses[1:5, 1:4] = 1.0
+    start = EmpiricalMeasure(grid=grid, masses=masses / masses.sum(), n_samples=1000)
+    x, y, stats = conditioned_marginal(start, _sloped_eta(), params, _boxed_config(),
+                                       StreamKey(seed=16, lineage=("cm_frozen",)),
+                                       n_walkers=40, horizon=1.0)
+    assert stats["max_attempt_rounds"] >= 32  # some walker needed a second round
+    assert _digest(x, y, np.frombuffer(json.dumps(stats, sort_keys=True).encode(),
+                                       dtype=np.uint8)) == (
+        "757ea21d995aa69a551a1fdc4812ff2fd486bc3fe8d5e8d96c6aafcf591af91d")
 
 
 def test_conditioned_marginal_sums_bound_exceeded(params, monkeypatch):
