@@ -26,8 +26,8 @@ from .measure import EmpiricalMeasure
 from .model import (ModelParams, default_params, flat_params, reference_set,
                     validate_hypotheses)
 from .oracle import build_generator, leading_triple
-from .pathsim import SimConfig, simulate_path, simulate_q_path
-from .qsd import (_BALANCE_EVERY, balance_residual, beta_from, conditioned_marginal,
+from .pathsim import ExitReason, SimConfig, Trajectory, simulate_path, simulate_q_path
+from .qsd import (_BALANCE_EVERY, _q_steps, balance_residual, beta_from, conditioned_marginal,
                   convergence_curve, default_hist_grid, estimate_eta,
                   estimate_lambda0_survival, fleming_viot, relaxed_start,
                   truncation_family)
@@ -214,6 +214,29 @@ def write_measure_csv(path: Path, m: EmpiricalMeasure) -> None:
                ([_fmt(c) for c in row] for row in m.to_rows()))
 
 
+def _write_trajectory(path: Path, traj: Trajectory) -> None:
+    """Sample rows, each preceded by the jumps up to its time; the last
+    sample's event is the exit reason unless the path survived the horizon."""
+    def rows():
+        jumps = iter(sorted(traj.jumps, key=lambda j: j.t))
+        pending = next(jumps, None)
+        for i, t in enumerate(traj.times):
+            while pending is not None and pending.t <= t:
+                yield ([_fmt(pending.t), *map(_fmt, pending.x_after), "", "", "jump",
+                        *map(_fmt, pending.w)])
+                pending = next(jumps, None)
+            exited = (i + 1 == len(traj.times)
+                      and traj.exit_reason is not ExitReason.SURVIVED_HORIZON)
+            # scalar y ** 2 is pow(), which can round apart from Trajectory.n (y * y)
+            n = traj.sigma**2 * traj.y[i] ** 2 / 4.0
+            yield ([_fmt(t), *map(_fmt, traj.x[i]), _fmt(traj.y[i]), _fmt(n),
+                    traj.exit_reason.value if exited else "sample"] + [""] * d)
+
+    d = traj.x.shape[1]
+    _write_csv(path, ["t", *(f"x_{k+1}" for k in range(d)), "y", "n", "event",
+                      *(f"w_{k+1}" for k in range(d))], rows())
+
+
 def write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -274,7 +297,7 @@ def run_simulate(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> l
     box = reference_set(params)
     x0, y0 = box.sample(stream(_key(cfg, "simulate", "init")), 1)
     traj = simulate_path((x0[0], float(y0[0])), params, sim, _key(cfg, "simulate"))
-    traj.write_csv(out / "trajectory.csv")
+    _write_trajectory(out / "trajectory.csv", traj)
     write_json(out / "exit.json", {
         "exit_reason": traj.exit_reason.value,
         "exit_time": traj.exit_time,
@@ -338,6 +361,7 @@ def run_eta(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> list[s
 
 
 def run_qprocess(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> list[str]:
+    _q_steps(cfg["q_horizon"], sim, cfg["walkers"])
     fv, eta = _run_eta(cfg, params, sim)
     beta = beta_from(fv.alpha, eta)
     qx, qy, stats = conditioned_marginal(beta, eta, params, sim, _key(cfg, "qmarginal"),
@@ -355,7 +379,7 @@ def run_qprocess(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> l
                                _key(cfg, "qpath", i), eta,
                                eta_max=eta.max_value, horizon=cfg["q_horizon"])
         name = f"qpath_{i}.csv"
-        traj.write_csv(out / name)
+        _write_trajectory(out / name, traj)
         artifacts.append(name)
     write_json(out / "qprocess.json", {"walkers": cfg["walkers"],
                                        "horizon": cfg["q_horizon"],

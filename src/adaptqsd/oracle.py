@@ -6,12 +6,14 @@ comparison is bin-for-bin): nonuniform central differences for the (1/2) d2/dy2
 term, first-order upwind for the y-drift and the -v x-transport, and a banded
 jump stencil with targets rounded to cell centers. Probability flux through
 any edge of the box, and jump mass landing outside it, feed an implicit kill
-state, making row sums nonpositive (sub-Markov).
+state, making row sums nonpositive (sub-Markov). Each term is assembled as one
+array expression over the (ny, nx) array of flat cell indices j * nx + i (an
+order that keeps the LU banded); only the jump offsets are looped over.
 
 The leading eigentriple (lambda0, alpha, eta) comes from ARPACK on the resolvent
 (I - Q/2)^{-1} (one sparse LU, forward solves for eta, transpose solves for
 alpha), polished by power steps on the same LU. The consistency checks propagate
-by Crank-Nicolson substeps sized for 1e-6 relative accuracy, one solve per step.
+by Crank-Nicolson substeps sized for 5e-7 relative accuracy, one solve per step.
 
 Everything here is deliberately disjoint from the simulation code path: no
 thinning, no random numbers, no shared stepping logic.
@@ -41,6 +43,7 @@ _ROUNDOFF = 1e-12  # largest negative eigenvector entry clipped, relative to max
 # resolvent polish steps
 _TOL = 1e-10
 _MAX_ITER = 20_000
+_CN_REL_TARGET = 5e-7  # Crank-Nicolson steps are sized for this relative error
 
 
 @dataclass
@@ -92,75 +95,33 @@ def build_generator(params: ModelParams, L: float, y_min: float = 1e-3,
     yc = grid.y_centers
     hx = xc[1] - xc[0]
     N = nx * ny
-    v = params.v
+    cell = np.arange(N).reshape(ny, nx)  # flat index j * nx + i of cell (i, j)
+    kill = np.zeros((ny, nx))
+    # each generator term is one (source cells, target cells, rates) triple;
+    # flux leaving the box adds to kill instead
+    terms = []
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    kill = np.zeros(N)
-
-    def flat(i, j):
-        return j * nx + i
-
-    ii = np.arange(nx)
-    jj = np.arange(ny)
-
-    # --- y diffusion (coefficient 1/2) and y drift (upwind), column by column
-    h_minus = np.empty(ny)
-    h_plus = np.empty(ny)
-    h_minus[1:] = yc[1:] - yc[:-1]
-    h_minus[0] = yc[1] - yc[0]
-    h_plus[:-1] = yc[1:] - yc[:-1]
-    h_plus[-1] = yc[-1] - yc[-2]
-
-    up_rate = 1.0 / (h_plus * (h_minus + h_plus))
-    dn_rate = 1.0 / (h_minus * (h_minus + h_plus))
-
-    xcol = xc[:, None]  # (nx, 1) -> broadcast over y
-    psi = drift_y(xcol[..., None], yc[None, :], params)  # (nx, ny)
-
-    for j in range(ny):
-        base = flat(ii, j)
-        # diffusion up
-        if j + 1 < ny:
-            rows.append(base); cols.append(flat(ii, j + 1))
-            vals.append(np.full(nx, up_rate[j]))
-        else:
-            kill[base] += up_rate[j]
-        # diffusion down
-        if j - 1 >= 0:
-            rows.append(base); cols.append(flat(ii, j - 1))
-            vals.append(np.full(nx, dn_rate[j]))
-        else:
-            kill[base] += dn_rate[j]
-        # drift, upwinded
-        pj = psi[:, j]
-        up_flux = np.maximum(pj, 0.0) / h_plus[j]
-        dn_flux = np.maximum(-pj, 0.0) / h_minus[j]
-        if j + 1 < ny:
-            rows.append(base); cols.append(flat(ii, j + 1)); vals.append(up_flux)
-        else:
-            kill[base] += up_flux
-        if j - 1 >= 0:
-            rows.append(base); cols.append(flat(ii, j - 1)); vals.append(dn_flux)
-        else:
-            kill[base] += dn_flux
+    # --- y diffusion (coefficient 1/2) plus upwinded y drift
+    dy = np.diff(yc)
+    h_minus = np.concatenate((dy[:1], dy))[:, None]
+    h_plus = np.concatenate((dy, dy[-1:]))[:, None]
+    psi = drift_y(xc[None, :, None], yc[:, None], params)  # (ny, nx)
+    up = 1.0 / (h_plus * (h_minus + h_plus)) + np.maximum(psi, 0.0) / h_plus
+    down = 1.0 / (h_minus * (h_minus + h_plus)) + np.maximum(-psi, 0.0) / h_minus
+    terms += [(cell[:-1], cell[1:], up[:-1]), (cell[1:], cell[:-1], down[1:])]
+    kill[-1] += up[-1]
+    kill[0] += down[0]
 
     # --- x transport at speed v toward -L
-    t_rate = v / hx
-    for j in range(ny):
-        base = flat(ii, j)
-        inner = ii >= 1
-        rows.append(base[inner]); cols.append(flat(ii[inner] - 1, j))
-        vals.append(np.full(inner.sum(), t_rate))
-        kill[flat(0, j)] += t_rate
+    terms.append((cell[:, 1:], cell[:, :-1], np.full((ny, nx - 1), params.v / hx)))
+    kill[:, 0] += params.v / hx
 
     # --- jumps: banded stencil in the x direction, separable in (i, j),
-    # reaching 8 mutation standard deviations
-    fy = np.asarray(params.f(yc))  # (ny,)
+    # reaching 8 mutation standard deviations; off-grid targets are killed
+    fy = np.asarray(params.f(yc))[:, None]  # (ny, 1)
     band = int(math.ceil(8.0 * params.mutation.tau / hx))
     total_int = np.array([fixation_integral(np.array([x0]), params) for x0 in xc])  # (nx,)
-    in_grid = np.zeros(nx)  # accumulated discrete integral per source column
+    in_grid = np.zeros(nx)  # discrete integral per source column, summed in offset order
     for di in range(-band, band + 1):
         if di == 0:
             gv0 = params.g(xc[:, None], np.zeros((nx, 1)))
@@ -169,45 +130,28 @@ def build_generator(params: ModelParams, L: float, y_min: float = 1e-3,
             continue
         w = np.full((nx, 1), di * hx)
         gnu = params.g(xc[:, None], w) * params.mutation.density(w) * hx  # (nx,)
-        tgt = ii + di
+        tgt = np.arange(nx) + di
         ok = (tgt >= 0) & (tgt < nx)
         in_grid += np.where(ok, gnu, 0.0)
-        if not ok.any():
-            continue
-        src = ii[ok]
-        dst = tgt[ok]
-        for j in range(ny):
-            rate = fy[j] * gnu[ok]
-            nz = rate > 0.0
-            if not nz.any():
-                continue
-            rows.append(flat(src[nz], j)); cols.append(flat(dst[nz], j))
-            vals.append(rate[nz])
-        # off-grid targets jump out of the box
-        out = ~ok
-        if out.any():
-            for j in range(ny):
-                kill[flat(ii[out], j)] += fy[j] * gnu[out]
+        rate = fy * gnu
+        keep = ok & (rate > 0.0)  # zero rates are not stored
+        terms.append((cell[keep], cell[keep] + di, rate[keep]))
+        kill[:, ~ok] += rate[:, ~ok]
 
     # jump mass unresolved by the band or the midpoint rule:
     # reconcile rows against the exact quadrature so the total outflow is
     # trapezoid-consistent (routed to kill; it is the beyond-box tail)
-    resid = np.maximum(total_int - in_grid, 0.0)
-    for j in range(ny):
-        kill[flat(ii, j)] += fy[j] * resid
+    kill += fy * np.maximum(total_int - in_grid, 0.0)
+    kill = kill.ravel()
 
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    dat = np.concatenate(vals)
-    Q = sp.coo_matrix((dat, (r, c)), shape=(N, N)).tocsr()
+    src, dst, rates = (np.concatenate([np.ravel(a) for a in part]) for part in zip(*terms))
+    Q = sp.coo_matrix((rates, (src, dst)), shape=(N, N)).tocsr()
     out_rate = np.asarray(Q.sum(axis=1)).ravel() + kill
-    Q = Q - sp.diags(out_rate)
-    Q = Q.tocsr()
+    Q = (Q - sp.diags(out_rate)).tocsr()
 
-    # reachability scan on the off-diagonal pattern: the largest strongly
-    # connected component must hold 90% of the cells
-    pattern = sp.coo_matrix((np.ones_like(dat), (r, c)), shape=(N, N)).tocsr()
-    n_comp, labels = connected_components(pattern, directed=True, connection="strong")
+    # reachability scan (Q stores no zeros): the largest strongly connected
+    # component must hold 90% of the cells
+    n_comp, labels = connected_components(Q, directed=True, connection="strong")
     frac = np.bincount(labels).max() / N
     if frac < 0.9:
         raise NumericError("generator not irreducible on its main component",
@@ -312,10 +256,10 @@ class _Propagator:
         return v
 
 
-def _step_count(t: float, lam: float, rel_target: float = 5e-7) -> int:
+def _step_count(t: float, lam: float) -> int:
     # CN relative error ~ t lam^3 h^2 / 12
     lam = max(abs(lam), 1e-6)
-    h = math.sqrt(12.0 * rel_target / (t * lam**3)) if t > 0 else 1.0
+    h = math.sqrt(12.0 * _CN_REL_TARGET / (t * lam**3)) if t > 0 else 1.0
     return max(int(math.ceil(t / min(h, t))), 1)
 
 

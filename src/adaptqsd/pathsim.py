@@ -8,7 +8,6 @@ enough to rebuild x between samples.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +17,7 @@ from .cohort import ExitReason, SimConfig, reason_from_code
 from .errors import DomainError
 # drift_y stays importable from here for existing callers
 from .model import ModelParams, drift_y  # noqa: F401
-from .qsd import _h_transform, _Stepper
+from .qsd import _h_transform, _q_steps, _Stepper
 from .rng import StreamKey
 
 __all__ = [
@@ -67,27 +66,6 @@ class Trajectory:
                 x = x + j.w
         x[0] -= self.v * t
         return x
-
-    def write_csv(self, path) -> None:
-        d = self.x.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["t"] + [f"x_{k+1}" for k in range(d)] + ["y", "n", "event"]
-            header += [f"w_{k+1}" for k in range(d)]
-            writer.writerow(header)
-            jump_iter = iter(sorted(self.jumps, key=lambda j: j.t))
-            pending = next(jump_iter, None)
-            for i, t in enumerate(self.times):
-                while pending is not None and pending.t <= t:
-                    row = ([f"{pending.t:.17g}"] + [f"{c:.17g}" for c in pending.x_after]
-                           + ["", "", "jump"] + [f"{c:.17g}" for c in pending.w])
-                    writer.writerow(row)
-                    pending = next(jump_iter, None)
-                ni = self.sigma**2 * self.y[i] ** 2 / 4.0
-                event = "sample" if (i + 1 < len(self.times) or
-                                     self.exit_reason is ExitReason.SURVIVED_HORIZON) else self.exit_reason.value
-                writer.writerow([f"{t:.17g}"] + [f"{c:.17g}" for c in self.x[i]]
-                                + [f"{self.y[i]:.17g}", f"{ni:.17g}", event] + [""] * d)
 
 
 def _coerce_init(init) -> tuple[np.ndarray, float]:
@@ -172,6 +150,8 @@ def simulate_q_path(init, params: ModelParams, config: SimConfig, key: StreamKey
     """
     x0, y0 = _coerce_init(init)
     _check_in_bounds(x0, y0, config)
+    horizon = config.horizon if horizon is None else horizon
+    n_steps = _q_steps(horizon, config)
     if eta_max is None:
         eta_max = float(getattr(eta, "max_value"))
     if not (eta_max > 0.0):
@@ -180,7 +160,6 @@ def simulate_q_path(init, params: ModelParams, config: SimConfig, key: StreamKey
     if float(np.asarray(eta(x, y)).ravel()[0]) <= 0.0:
         raise DomainError("initial state has nonpositive survival weight")
 
-    horizon = config.horizon if horizon is None else horizon
     delta = config.qprocess_delta
     times, xs, ys = [0.0], [x0], [y0]
     jumps: list[JumpEvent] = []
@@ -192,8 +171,7 @@ def simulate_q_path(init, params: ModelParams, config: SimConfig, key: StreamKey
         xs.append(x[0].copy())
         ys.append(float(y[0]))
 
-    stats = _h_transform(x, y, eta, eta_max, params, config, key,
-                         int(round(horizon / delta)), on_step=record)
+    stats = _h_transform(x, y, eta, eta_max, params, config, key, n_steps, on_step=record)
     return Trajectory(times=np.asarray(times), x=np.asarray(xs), y=np.asarray(ys),
                       jumps=jumps, exit_reason=ExitReason.SURVIVED_HORIZON, exit_time=horizon,
                       sigma=params.sigma, v=params.v,

@@ -362,6 +362,8 @@ def run_cohort(x0: np.ndarray, y0: np.ndarray, params: ModelParams, config: SimC
 
 # bootstrap resamples of the death times behind the slope's standard error
 _N_BOOTSTRAP = 200
+# first time of the geometric fit grid, which ends at the horizon
+_FIT_T0 = 0.25
 
 
 @dataclass
@@ -385,8 +387,8 @@ def estimate_lambda0_survival(init, params: ModelParams, config: SimConfig, key:
     survival probability is exponential from t = 0, which is what makes the
     whole curve usable for the fit.
     """
-    if not (n_paths >= 1 and horizon > 0.0):
-        raise DomainError("the survival curve needs n_paths >= 1 and a positive horizon")
+    if not (n_paths >= 1 and horizon > _FIT_T0):
+        raise DomainError(f"the survival curve needs n_paths >= 1 and a horizon above {_FIT_T0}")
     if n_paths < 1000:
         flags = ["n_paths below the recommended 1000"]
     else:
@@ -395,7 +397,7 @@ def estimate_lambda0_survival(init, params: ModelParams, config: SimConfig, key:
     x0, y0 = _init_states(init, n_paths, params, config, gen)
     res = run_cohort(x0, y0, params, config, horizon, key.child("cohort"))
     death = res.death_times
-    t_grid = np.geomspace(0.25, horizon, 24)
+    t_grid = np.geomspace(_FIT_T0, horizon, 24)
 
     def fit(death_times):
         surv = np.array([np.count_nonzero(death_times > tt) for tt in t_grid], dtype=float)
@@ -876,11 +878,20 @@ def conditioned_marginal(start: EmpiricalMeasure, eta: EtaEstimate, params: Mode
     Walkers start from `start` (drawn from key.child("init")) and run
     horizon / config.qprocess_delta macro steps of _h_transform.
     """
+    n_steps = _q_steps(horizon, config, n_walkers)
     gen0 = stream(key.child("init"))
     x, y = _init_states(start, n_walkers, params, config, gen0)
-    stats = _h_transform(x, y, eta, eta.max_value, params, config, key,
-                         int(round(horizon / config.qprocess_delta)))
+    stats = _h_transform(x, y, eta, eta.max_value, params, config, key, n_steps)
     return x, y, stats
+
+
+def _q_steps(horizon: float, config: SimConfig, n_walkers: int = 1) -> int:
+    """Macro steps in horizon; DomainError for a run that would step nothing."""
+    n_steps = int(round(horizon / config.qprocess_delta))
+    if n_steps < 1 or n_walkers < 1:
+        raise DomainError("a Q-process run needs n_walkers >= 1 and a horizon of at least one "
+                          f"macro step (qprocess_delta = {config.qprocess_delta})")
+    return n_steps
 
 
 def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, params: ModelParams,

@@ -271,6 +271,8 @@ def test_d1_commands_reject_two_dimensions_before_any_estimate(tmp_path, capsys,
     ("eta", "eta_t_eval=0"), ("eta", "eta_t_eval=-1"), ("eta", "eta_replicates=0"),
     ("qprocess", "eta_replicates=0"), ("lambda", "lambda_horizon=0"), ("lambda", "replicates=0"),
     ("diagnose", "slice_dt=0"), ("diagnose", "balance_collect=0"), ("diagnose", "t_max=0"),
+    ("lambda", "lambda_horizon=0.1"), ("lambda", "lambda_horizon=0.25"),
+    ("qprocess", "q_horizon=0"), ("qprocess", "q_horizon=0.02"), ("qprocess", "walkers=0"),
 ])
 def test_sizes_that_leave_nothing_to_compute_exit_2_before_any_run(tmp_path, capsys,
                                                                    monkeypatch, cmd, setting):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -160,6 +162,28 @@ def test_beta_combines_alpha_and_eta(small_oracle):
     assert beta.masses.sum() == pytest.approx(1.0)
     expected = triple.alpha.masses * triple.eta
     np.testing.assert_allclose(beta.masses, expected / expected.sum(), rtol=1e-12)
+
+
+@pytest.mark.parametrize("overrides, digest", [
+    ({}, "6582065a8da314861961596ae99776dd016413d465987273740558609326b6a5"),
+    ({"tau": 0.3, "s": 1.0}, "88a5dd9fdc37923d762d821afdd787756e4481583957f9849287a9dc3efc13d6"),
+])
+def test_generator_assembly_is_frozen(overrides, digest):
+    """SHA-256 of the 40 x 30 generator's CSR arrays, kill rates and diagnostics."""
+    genr = build_generator(default_params(**overrides), 4.0, nx=40, ny=30)
+    h = hashlib.sha256()
+    for a in (genr.Q.indptr, genr.Q.indices, genr.Q.data, genr.kill_rate):
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(json.dumps(genr.diagnostics, sort_keys=True).encode())
+    assert h.hexdigest() == digest
+
+
+def test_reducible_generator_raises_with_its_components():
+    # advantageous-only fixation never jumps toward lower fitness, so cells
+    # split into several strongly connected components
+    with pytest.raises(NumericError, match="irreducible") as info:
+        build_generator(default_params(fixation_family="advantageous_only"), 4.0, nx=40, ny=30)
+    assert info.value.diagnostics == {"n_components": 10, "largest_frac": 0.775}
 
 
 def test_rejects_unsupported_domains():

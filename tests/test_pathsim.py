@@ -193,6 +193,15 @@ def test_q_path_rejects_zero_weight_start():
                         StreamKey(seed=10), zero, eta_max=1.0)
 
 
+@pytest.mark.parametrize("horizon", [0.0, 0.02])
+def test_q_path_rejects_a_horizon_below_one_macro_step(horizon):
+    # 0.02 rounds to zero macro steps of the default qprocess_delta 0.05
+    flat = lambda x, y: np.ones(len(np.atleast_1d(y)))
+    with pytest.raises(DomainError, match="macro step"):
+        simulate_q_path((np.zeros(1), 2.0), default_params(), SimConfig(horizon=1.0),
+                        StreamKey(seed=10), flat, eta_max=1.0, horizon=horizon)
+
+
 def test_q_path_jump_log_reconstructs_rows():
     params = default_params()
     config = SimConfig(horizon=3.0, qprocess_delta=0.1)

@@ -233,6 +233,14 @@ _EMPTY_SIZES = {
                                                                    n_paths=0),
     "survival_horizon": lambda a, p, c, k: estimate_lambda0_survival("reference", p, c, k,
                                                                      horizon=0.0),
+    # the fit grid starts at t = 0.25; a shorter run would fit past its end
+    "survival_short_horizon": lambda a, p, c, k: estimate_lambda0_survival(
+        "reference", p, c, k, horizon=0.25),
+    "q_walkers": lambda a, p, c, k: conditioned_marginal(a.alpha, _flat_eta(), p, c, k,
+                                                         n_walkers=0),
+    # 0.02 rounds to zero macro steps of qprocess_delta 0.05
+    "q_horizon": lambda a, p, c, k: conditioned_marginal(a.alpha, _flat_eta(), p, c, k,
+                                                         horizon=0.02),
     "slice_dt": lambda a, p, c, k: convergence_curve(relaxed_start(p, c), a.alpha, p, c, k,
                                                      slice_dt=0.0),
     "t_max": lambda a, p, c, k: convergence_curve(relaxed_start(p, c), a.alpha, p, c, k,
