@@ -512,11 +512,21 @@ def main(argv=None) -> int:
         if args.cmd != "validate":
             _check_hypotheses(args.cmd, params)
         out = Path(cfg["out"])
+        created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output dir {out}: {exc}") from exc
-        artifacts = RUNNERS[args.cmd](run_cfg, params, sim, out)
+        try:
+            artifacts = RUNNERS[args.cmd](run_cfg, params, sim, out)
+        except BaseException:
+            # a rejected run leaves no empty directory of its own behind
+            for d in created:
+                try:
+                    d.rmdir()
+                except OSError:  # not empty
+                    break
+            raise
         write_manifest(out, cfg, artifacts)
     except AdaptQsdError as exc:
         print(f"error: {exc}", file=sys.stderr)

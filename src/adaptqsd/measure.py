@@ -147,22 +147,12 @@ class EmpiricalMeasure:
             raise DomainError(f"total mass {total:g} below normalizable threshold")
         self.masses = self.masses / total
 
-    @classmethod
-    def from_points(cls, grid: HistGrid, x: np.ndarray, y: np.ndarray,
-                    weights: np.ndarray | None = None) -> "EmpiricalMeasure":
-        h = grid.histogram(x, y, weights)
-        n = float(len(np.atleast_1d(y))) if weights is None else float(np.sum(weights))
-        return cls(grid=grid, masses=h, n_samples=n)
-
     def marginal_y(self) -> np.ndarray:
         return self.masses.reshape(-1, self.grid.ny).sum(axis=0)
 
     def marginal_x1(self) -> np.ndarray:
         m = self.masses.reshape(self.grid.nx, -1)
         return m.sum(axis=1)
-
-    def mean_y(self) -> float:
-        return float(np.dot(self.marginal_y(), self.grid.y_centers))
 
     def mean_x1(self) -> float:
         return float(np.dot(self.marginal_x1(), self.grid.x_centers))

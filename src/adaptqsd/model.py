@@ -504,11 +504,6 @@ class ReferenceBox:
         y = gen.uniform(self.y_lo, self.y_hi, size)
         return x, y
 
-    def contains(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        inside_ball = np.linalg.norm(x - self.center, axis=-1) <= self.radius
-        return inside_ball & (np.asarray(y) >= self.y_lo) & (np.asarray(y) <= self.y_hi)
-
 
 def reference_set(params: ModelParams) -> ReferenceBox:
     """Canonical small product set in the bulk: ball of radius tau/2 at

@@ -10,10 +10,12 @@ state, making row sums nonpositive (sub-Markov). Each term is assembled as one
 array expression over the (ny, nx) array of flat cell indices j * nx + i (an
 order that keeps the LU banded); only the jump offsets are looped over.
 
-The leading eigentriple (lambda0, alpha, eta) comes from ARPACK on the resolvent
-(I - Q/2)^{-1} (one sparse LU, forward solves for eta, transpose solves for
-alpha), polished by power steps on the same LU. The consistency checks propagate
-by Crank-Nicolson substeps sized for 5e-7 relative accuracy, one solve per step.
+Every solve goes through one sparse LU per generator, of I - Q/2, i.e. the
+resolvent (I - Q/2)^{-1}. The leading eigentriple (lambda0, alpha, eta) comes
+from ARPACK on it (forward solves for eta, transpose solves for alpha),
+polished by power steps. The consistency checks apply e^{tQ} and its adjoint by
+a shift-and-invert Krylov method on the same resolvent: no time steps, any
+stiffness, and exact to round-off on the eigenvectors.
 
 Everything here is deliberately disjoint from the simulation code path: no
 thinning, no random numbers, no shared stepping logic.
@@ -22,9 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, splu
 
@@ -43,7 +47,10 @@ _ROUNDOFF = 1e-12  # largest negative eigenvector entry clipped, relative to max
 # resolvent polish steps
 _TOL = 1e-10
 _MAX_ITER = 20_000
-_CN_REL_TARGET = 5e-7  # Crank-Nicolson steps are sized for this relative error
+_SHIFT = 0.5  # every solve is with the resolvent (I - _SHIFT Q)^{-1}
+# _expm_action: agreement tolerances (of the iterate, of ||v||), the number of
+# consecutive agreeing steps, and the cap on resolvent solves
+_KRYLOV_RTOL, _KRYLOV_ATOL, _KRYLOV_STREAK, _KRYLOV_MAX = 1e-10, 1e-15, 3, 200
 
 
 @dataclass
@@ -66,6 +73,12 @@ class GridGenerator:
 
     def grid_to_vec(self, m: np.ndarray) -> np.ndarray:
         return np.asarray(m).T.ravel()
+
+    @cached_property
+    def lu(self):
+        """Sparse LU of I - Q/2: the one factorization every oracle solve uses."""
+        return splu(sp.identity(self.n_cells, format="csc") - _SHIFT * self.Q.tocsc(),
+                    permc_spec=_PERMC_SPEC)
 
 
 @dataclass
@@ -162,12 +175,6 @@ def build_generator(params: ModelParams, L: float, y_min: float = 1e-3,
     return GridGenerator(grid=grid, params=params, Q=Q, kill_rate=kill, diagnostics=diag)
 
 
-def _factor(Q: sp.spmatrix, scale: float):
-    """Sparse LU of I - scale * Q."""
-    return splu(sp.identity(Q.shape[0], format="csc") - scale * Q.tocsc(),
-                permc_spec=_PERMC_SPEC)
-
-
 def _nonnegative(v: np.ndarray, name: str) -> np.ndarray:
     """v scaled to max |v| = 1 (fixing ARPACK's phase), round-off negatives clipped."""
     v = v / v[np.argmax(np.abs(v))]
@@ -190,13 +197,12 @@ def leading_triple(genr: GridGenerator) -> OracleTriple:
     """
     Q = genr.Q
     N = Q.shape[0]
-    lu = _factor(Q, 0.5)
     solves = 0
 
     def resolvent(v, trans="N"):
         nonlocal solves
         solves += 1
-        return lu.solve(v, trans=trans)
+        return genr.lu.solve(v, trans=trans)
 
     def top_vector(trans, name):
         op = LinearOperator((N, N), lambda v: resolvent(v, trans), dtype=float)
@@ -234,48 +240,55 @@ def leading_triple(genr: GridGenerator) -> OracleTriple:
                         res_eta=res_eta, iterations=solves)
 
 
-# ---------------------------------------------------------------------------
-# Crank-Nicolson propagation
+def _expm_action(genr: GridGenerator, v: np.ndarray, ts: tuple[float, ...],
+                 adjoint: bool = False) -> np.ndarray:
+    """Columns e^{tQ} v (e^{tQ^T} v if adjoint), one per t in ts, from one
+    shift-and-invert Krylov basis.
 
-
-class _Propagator:
-    """v -> v after n steps of CN for dv/dt = Qv (or the adjoint flow); v may
-    hold columns. With K = I - hQ/2 a step K^{-1}(2I - K) v is 2 K^{-1} v - v."""
-
-    def __init__(self, Q: sp.spmatrix, h: float):
-        self.lu = _factor(Q, 0.5 * h)
-
-    def forward(self, v: np.ndarray, n: int) -> np.ndarray:
-        for _ in range(n):
-            v = 2.0 * self.lu.solve(v) - v
-        return v
-
-    def adjoint(self, v: np.ndarray, n: int) -> np.ndarray:
-        for _ in range(n):
-            v = 2.0 * self.lu.solve(v, trans="T") - v
-        return v
-
-
-def _step_count(t: float, lam: float) -> int:
-    # CN relative error ~ t lam^3 h^2 / 12
-    lam = max(abs(lam), 1e-6)
-    h = math.sqrt(12.0 * _CN_REL_TARGET / (t * lam**3)) if t > 0 else 1.0
-    return max(int(math.ceil(t / min(h, t))), 1)
+    Arnoldi (classical Gram-Schmidt, twice) on the resolvent A = (I - Q/2)^{-1}
+    gives V_m^T A V_m = H_m, so Q ~ V_m S V_m^T with S = 2 (I - H_m^{-1}) and
+    e^{tQ} v ~ ||v|| V_m expm(t S) e_1, whatever the stiffness of Q. Stops on
+    happy breakdown (a subdiagonal below _KRYLOV_ATOL), or when successive
+    iterates agree on _KRYLOV_STREAK consecutive steps, as a point mass on a
+    killing edge has zero first iterates. Agreement is relative to the iterate,
+    whose round-off floor is ~1e-12 ||v|| for a spread-out v, plus an absolute
+    1e-15 ||v||, as a killed point mass maps to ~1e-9 ||v||.
+    """
+    norm = float(np.linalg.norm(v))
+    trans = "T" if adjoint else "N"
+    V = np.empty((_KRYLOV_MAX + 1, v.size))  # rows are the basis; pages are touched as they fill
+    H = np.zeros((_KRYLOV_MAX + 1, _KRYLOV_MAX))
+    V[0] = v / norm
+    prev, streak = np.zeros((0, len(ts))), 0
+    for m in range(1, _KRYLOV_MAX + 1):
+        w = genr.lu.solve(V[m - 1], trans=trans)
+        for _ in range(2):
+            c = V[:m] @ w
+            w -= c @ V[:m]
+            H[:m, m - 1] += c
+        H[m, m - 1] = np.linalg.norm(w)
+        S = (np.eye(m) - np.linalg.inv(H[:m, :m])) / _SHIFT
+        coef = np.stack([expm(t * S)[:, 0] for t in ts], axis=1)
+        change = np.linalg.norm(coef - np.pad(prev, ((0, 1), (0, 0))), axis=0)
+        agree = np.all(change <= _KRYLOV_RTOL * np.linalg.norm(coef, axis=0) + _KRYLOV_ATOL)
+        streak = streak + 1 if agree else 0
+        if H[m, m - 1] <= _KRYLOV_ATOL or streak >= _KRYLOV_STREAK:
+            return norm * (V[:m].T @ coef)
+        V[m] = w / H[m, m - 1]
+        prev = coef
+    raise NumericError("shift-and-invert Krylov exponential did not converge", diagnostics={
+        "solves": _KRYLOV_MAX, "last_change": float(change.max()), "subdiagonal": float(H[m, m - 1]),
+        "adjoint": adjoint, "t_max": float(max(ts))})
 
 
 def survival_consistency(genr: GridGenerator, triple: OracleTriple,
                          ts: tuple[float, ...] = (1.0, 2.0, 5.0)) -> dict[float, float]:
-    """Relative error of alpha-started survival against e^{-lambda0 t}."""
-    t_max = max(ts)
-    h = t_max / _step_count(t_max, triple.lambda0)
-    prop = _Propagator(genr.Q, h)
-    out, v, done = {}, genr.grid_to_vec(triple.alpha.masses), 0
-    for t in sorted(ts):
-        n_t = int(round(t / h))
-        v, done = prop.adjoint(v, n_t - done), n_t
-        expected = math.exp(-triple.lambda0 * (h * n_t))
-        out[t] = abs(float(v.sum()) - expected) / expected
-    return out
+    """Relative error of alpha-started survival against e^{-lambda0 t}, every t
+    read from one Krylov basis."""
+    alpha = genr.grid_to_vec(triple.alpha.masses)
+    mass = _expm_action(genr, alpha, ts, adjoint=True).sum(axis=0)
+    expected = np.exp(-triple.lambda0 * np.asarray(ts))
+    return {t: float(abs(m - e) / e) for t, m, e in zip(ts, mass, expected)}
 
 
 @dataclass
@@ -294,37 +307,24 @@ def oracle_q_kernel(genr: GridGenerator, triple: OracleTriple, t: float,
 
     Row sums are checked for every cell via one forward evolution of eta;
     beta-invariance via one adjoint evolution of alpha. Explicit kernel rows
-    (flat internal indexing) are computed on request via one multi-column
-    adjoint evolution and returned normalized. That evolution starts from
-    point masses, whose stiff modes CN keeps (amplification near -1) and the
-    division by eta at the start cell magnifies, so its first step is two
-    backward-Euler half-steps (Rannacher start-up) with the same factorization.
+    (flat internal indexing) are computed on request, one adjoint evolution of
+    a point mass each, and returned normalized.
     """
     if t <= 0.0:
         raise DomainError("t must be positive")
-    lam = triple.lambda0
     eta = genr.grid_to_vec(triple.eta)
     alpha = genr.grid_to_vec(triple.alpha.masses)
-    n = _step_count(t, lam)
-    prop = _Propagator(genr.Q, t / n)
-    growth = math.exp(lam * t)
+    growth = math.exp(triple.lambda0 * t)
 
-    pe = prop.forward(eta, n)
-    row_sums = growth * pe / np.maximum(eta, 1e-300)
+    row_sums = growth * _expm_action(genr, eta, (t,))[:, 0] / np.maximum(eta, 1e-300)
     # row sums are only meaningful where eta is resolvable above round-off
     mask = eta > 1e-9 * eta.max()
     row_err = float(np.abs(row_sums[mask] - 1.0).max())
-
-    ap = prop.adjoint(alpha, n)
-    beta = alpha * eta
-    beta_t = growth * eta * ap
-    inv_err = float(np.abs(beta_t - beta).sum())
-
+    beta_t = growth * eta * _expm_action(genr, alpha, (t,), adjoint=True)[:, 0]
+    inv_err = float(np.abs(beta_t - alpha * eta).sum())
     out_rows = {}
-    if rows:
-        p_rows = sp.identity(genr.n_cells, format="csr")[list(rows)].T.toarray()
-        p_rows = prop.adjoint(prop.lu.solve(prop.lu.solve(p_rows, trans="T"), trans="T"), n - 1)
-        for k, i in enumerate(rows):
-            q_row = growth * p_rows[:, k] * eta / max(eta[i], 1e-300)
-            out_rows[i] = q_row / max(q_row.sum(), 1e-300)
+    for i in rows:
+        p_row = _expm_action(genr, np.eye(1, genr.n_cells, i)[0], (t,), adjoint=True)[:, 0]
+        q_row = growth * p_row * eta / max(eta[i], 1e-300)
+        out_rows[i] = q_row / max(q_row.sum(), 1e-300)
     return QKernelCheck(t=t, row_sum_max_err=row_err, beta_invariance_l1=inv_err, rows=out_rows)

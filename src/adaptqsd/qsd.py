@@ -492,11 +492,6 @@ class EtaEstimate:
     def max_value(self) -> float:
         return float(self.values.max())
 
-    @property
-    def zero_nodes(self) -> np.ndarray:
-        """Mask of nodes with no survivors at t_eval (eta pinned to 0 there)."""
-        return self.survivors_t1 == 0
-
     def consistency_z(self) -> np.ndarray:
         """Two-horizon z-scores |eta_t1 - eta_t2| / combined SE per node."""
         se = np.sqrt(self.stderr**2 + self.stderr_t2**2)

@@ -287,6 +287,25 @@ def test_sizes_that_leave_nothing_to_compute_exit_2_before_any_run(tmp_path, cap
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("cmd,setting", [("qprocess", "walkers=0"),
+                                         ("lambda", "lambda_horizon=0.1")])
+def test_rejected_run_removes_only_the_directories_it_created(tmp_path, monkeypatch,
+                                                               cmd, setting):
+    _fail_if_fv_runs(monkeypatch)
+    new = tmp_path / "new" / "run"
+    assert cli.main([cmd, "--out", str(new), "--set", setting]) == 2
+    assert list(tmp_path.iterdir()) == []
+    # a directory that existed before the call stays, even when empty
+    old = tmp_path / "old"
+    old.mkdir()
+    assert cli.main([cmd, "--out", str(old), "--set", setting]) == 2
+    assert old.is_dir() and list(old.iterdir()) == []
+    # the first directory that is not empty stops the clean-up
+    (old / "keep.txt").write_text("x")
+    assert cli.main([cmd, "--out", str(old / "a" / "b"), "--set", setting]) == 2
+    assert sorted(p.name for p in old.iterdir()) == ["keep.txt"]
+
+
 @pytest.mark.parametrize("grid", ["nx=10", "ny=6"])
 def test_diagnose_rejects_a_grid_it_cannot_coarsen(tmp_path, capsys, monkeypatch, grid):
     _fail_if_fv_runs(monkeypatch)

@@ -192,7 +192,6 @@ def test_reference_set_samples_inside():
     x, y = box.sample(stream(StreamKey(seed=5)), 2000)
     assert np.all(np.linalg.norm(x - box.center, axis=1) <= box.radius + 1e-12)
     assert np.all((y >= box.y_lo) & (y <= box.y_hi))
-    assert np.all(box.contains(x, y))
 
 
 def test_default_params_are_the_dataclass_defaults():

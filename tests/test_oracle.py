@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import expm
+from scipy.sparse.linalg import splu
 
 from adaptqsd import oracle
 from adaptqsd.errors import DomainError, NumericError
@@ -14,8 +16,8 @@ from adaptqsd.measure import HistGrid
 from adaptqsd.model import default_params
 from adaptqsd.oracle import (
     GridGenerator,
+    _expm_action,
     _nonnegative,
-    _Propagator,
     build_generator,
     leading_triple,
     oracle_q_kernel,
@@ -216,20 +218,69 @@ def test_leading_triple_matches_dense_eig(tiny_built):
     assert triple.iterations > 2
 
 
+@pytest.mark.parametrize("adjoint", [False, True])
 @pytest.mark.parametrize("which", ["toy", "built"])
-def test_crank_nicolson_step_is_matvec_free(which, tiny_built):
+def test_expm_action_matches_dense_expm(which, adjoint, tiny_built):
     genr = _toy_generator() if which == "toy" else tiny_built
-    Q = genr.Q.toarray()
-    n = Q.shape[0]
-    h = 0.3
-    v = np.random.default_rng(1).random((n, 2))
-    prop = _Propagator(genr.Q, h)
-    K, A = np.eye(n) - 0.5 * h * Q, np.eye(n) + 0.5 * h * Q
-    np.testing.assert_allclose(prop.forward(v, 1), np.linalg.solve(K, A @ v), rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(prop.adjoint(v, 1), A.T @ np.linalg.solve(K.T, v),
-                               rtol=1e-12, atol=1e-14)
-    # columns advance independently
-    np.testing.assert_allclose(prop.adjoint(v, 3)[:, 1], prop.adjoint(v[:, 1], 3), rtol=1e-13)
+    triple = leading_triple(genr)
+    n, nx = genr.n_cells, genr.grid.nx
+    rng = np.random.default_rng(1)
+    # flat index j * nx + i; j = 0 is the killing bottom edge
+    starts = {"random": rng.random(n), "signed": rng.standard_normal(n),
+              "eta": genr.grid_to_vec(triple.eta),
+              "alpha": genr.grid_to_vec(triple.alpha.masses),
+              "centre": np.eye(1, n, genr.grid.ny // 2 * nx + nx // 2)[0],
+              "bottom_edge": np.eye(1, n, nx // 2)[0]}
+    ts = (0.4, 1.5)
+    dense = [expm(t * genr.Q.toarray()) for t in ts]
+    for name, v in starts.items():
+        got = _expm_action(genr, v, ts, adjoint=adjoint)  # both horizons from one basis
+        assert got.shape == (n, 2)
+        for k, (t, e) in enumerate(zip(ts, dense)):
+            want = (e.T if adjoint else e) @ v
+            err = np.linalg.norm(got[:, k] - want) / np.linalg.norm(want)
+            assert err <= 1e-9, (name, t, err)
+
+
+def test_eigenvector_starts_break_down_after_one_solve(small_oracle, monkeypatch):
+    genr, triple = small_oracle
+    lu, solves = genr.lu, []
+
+    class Counting:
+        def solve(self, v, trans="N"):
+            solves.append(trans)
+            return lu.solve(v, trans=trans)
+
+    monkeypatch.setitem(genr.__dict__, "lu", Counting())  # the cached factorization
+    _expm_action(genr, genr.grid_to_vec(triple.eta), (1.0,))
+    _expm_action(genr, genr.grid_to_vec(triple.alpha.masses), (1.0, 2.0, 5.0), adjoint=True)
+    assert solves == ["N", "T"]
+
+
+def test_one_lu_per_grid(monkeypatch):
+    factored = []
+
+    def counting_splu(a, **kwargs):
+        factored.append(a.shape[0])
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(oracle, "splu", counting_splu)
+    for nx, ny in ((12, 10), (16, 12)):
+        genr = build_generator(default_params(), 4.0, nx=nx, ny=ny)
+        triple = leading_triple(genr)
+        oracle_q_kernel(genr, triple, 0.5, rows=(nx // 2, genr.n_cells // 2))
+        survival_consistency(genr, triple, ts=(1.0, 2.0))
+    assert factored == [12 * 10, 16 * 12]
+
+
+def test_expm_action_cap_raises_numeric_error(tiny_built, monkeypatch):
+    monkeypatch.setattr(oracle, "_KRYLOV_MAX", 3)
+    v = np.random.default_rng(2).random(tiny_built.n_cells)
+    with pytest.raises(NumericError, match="Krylov") as info:
+        _expm_action(tiny_built, v, (1.0,), adjoint=True)
+    diag = info.value.diagnostics
+    assert diag["solves"] == 3 and diag["adjoint"] is True
+    assert diag["last_change"] > 0.0 and diag["subdiagonal"] > 0.0
 
 
 def test_eigen_solve_failures_raise_numeric_error(tiny_built, monkeypatch):

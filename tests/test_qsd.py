@@ -199,9 +199,10 @@ def test_estimate_eta_refined(tiny_fv, params, monkeypatch):
     inner = float(np.dot(tiny_fv.alpha.masses.ravel(), eta(xc, yc)))
     assert inner == pytest.approx(1.0, rel=1e-9)
     # nodes at the hostile far edge have no survivors and eta pinned to zero
-    assert eta.zero_nodes.shape == (5, 4)
-    assert eta.zero_nodes.any()
-    assert np.all(eta.values[eta.zero_nodes] == 0.0)
+    zero_nodes = eta.survivors_t1 == 0
+    assert zero_nodes.shape == (5, 4)
+    assert zero_nodes.any()
+    assert np.all(eta.values[zero_nodes] == 0.0)
     z = eta.consistency_z()
     assert z.shape == (5, 4)
     assert np.all(np.isfinite(z))
