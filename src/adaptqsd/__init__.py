@@ -7,6 +7,7 @@ Layers:
 - rng:     keyed counter-based random streams
 - cohort:  the path-stepping kernel (exact thinning over particle arrays)
 - qsd:     Fleming-Viot ensembles and the alpha / lambda0 / eta / beta stack
+- shard:   independently keyed units computed on one process per CPU
 - pathsim: single-path and conditioned-path front ends on the kernel
 - oracle:  independent grid-generator cross-check (d = 1)
 - cli:     command-line entry points and artifact writers

@@ -457,6 +457,8 @@ def run_diagnose(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> l
         "convergence_r_squared": curve.r_squared,
         "monotone_violation_rate": curve.monotone_violation_rate(),
         "balance_sigmas": bal.sigmas,
+        "convergence_bound_exceeded": int(curve.bound_exceeded),
+        "balance_bound_exceeded": int(bal.bound_exceeded),
     })
     return ["convergence.csv", "balance.json", "truncation.csv", "diagnose.json"]
 

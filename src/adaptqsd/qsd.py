@@ -20,6 +20,13 @@ estimate_eta and balance_residual compute in d = 1 only and raise
 UnsupportedModelError otherwise (beta_from and conditioned_marginal take
 their eta); fleming_viot, the survival regression, convergence_curve and
 truncation_family run in any dimension.
+
+estimate_eta (node batches), convergence_curve (replicates) and
+truncation_family (boxes) deal their independently keyed units round-robin
+to one process per usable CPU (shard.sharded). Each unit draws only from
+its own keys, so the results are bit-identical to a serial run on any CPU
+count. fleming_viot, balance_residual and the survival regression are each
+one coupled ensemble or one key and stay in the calling process.
 """
 from __future__ import annotations
 
@@ -34,6 +41,7 @@ from .errors import DomainError, MassExtinctionError, NumericError, UnsupportedM
 from .measure import EmpiricalMeasure, HistGrid, tv_distance, tv_noise_floor
 from .model import ModelParams, fixation_integral, reference_set
 from .rng import StreamKey, stream
+from .shard import sharded
 
 __all__ = [
     "QsdEstimate", "SurvivalEstimate", "EtaEstimate",
@@ -521,9 +529,12 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
     Per node, `replicates` paths run to 2 t_eval, recording survival and the
     survivor endpoints at both horizons. Nodes run in batches of
     _ETA_BATCH_NODES; batch b0 (its first node) draws window k from
-    key.child("batch", b0).child("w", k). As many whole batches as fit in
-    _ETA_CALL_ROWS rows (at least one) step as the groups of one run_cohort,
-    which draws exactly what separate runs would. The plain statistic
+    key.child("batch", b0).child("w", k). The batches are dealt round-robin
+    to one process per CPU (shard.sharded); within a process, as many whole
+    batches as fit in _ETA_CALL_ROWS rows (at least one) step as the groups
+    of one run_cohort, which draws exactly what separate runs would, and the
+    survivor endpoints are gathered in ascending batch order, so the result
+    does not depend on the CPU count. The plain statistic
     e^{lambda0 t} * survivor fraction is transient-biased at affordable
     horizons; it only starts the eigen fixed point
     eta <- e^{lambda0 t_eval} * mean(alive * eta(endpoint at t_eval)),
@@ -544,27 +555,37 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
     t2 = 2.0 * t_eval
     e1 = math.exp(lambda0 * t_eval)
     e2 = math.exp(lambda0 * t2)
-    call_nodes = _ETA_BATCH_NODES * max(1, _ETA_CALL_ROWS // (_ETA_BATCH_NODES * R))
-    ends = {t_eval: [], t2: []}  # per horizon: (owner node, x, y) of the survivors
-    for c0 in range(0, n_nodes, call_nodes):
-        c1 = min(c0 + call_nodes, n_nodes)
-        batches = range(c0, c1, _ETA_BATCH_NODES)
-        i, j = np.divmod(np.repeat(np.arange(c0, c1), R), gy)
-        x0 = np.zeros((len(i), params.dim))
-        x0[:, 0] = xn[i]
-        res = run_cohort(x0, yn[j], params, config, t2,
-                         [key.child("batch", b0) for b0 in batches],
-                         record_slices=(t_eval, t2),
-                         groups=[(b0 - c0) * R for b0 in batches] + [len(i)])
-        for snap_t, chunks in ends.items():
-            live, lx, ly = res.slices[snap_t]
-            chunks.append((c0 + live // R, lx, ly))
+    call_batches = max(1, _ETA_CALL_ROWS // (_ETA_BATCH_NODES * R))
+
+    def run_batches(batches):
+        # per batch: (owner node, x, y) of its survivors at t_eval and at t2
+        out = []
+        for c in range(0, len(batches), call_batches):
+            call = batches[c:c + call_batches]
+            nodes = np.concatenate([np.arange(b0, min(b0 + _ETA_BATCH_NODES, n_nodes))
+                                    for b0 in call])
+            bounds = R * np.searchsorted(nodes, call + [n_nodes])
+            i, j = np.divmod(np.repeat(nodes, R), gy)
+            x0 = np.zeros((len(i), params.dim))
+            x0[:, 0] = xn[i]
+            res = run_cohort(x0, yn[j], params, config, t2,
+                             [key.child("batch", b0) for b0 in call],
+                             record_slices=(t_eval, t2), groups=bounds)
+            per_t = []
+            for snap_t in (t_eval, t2):
+                live, lx, ly = res.slices[snap_t]
+                cut = np.searchsorted(live, bounds)
+                per_t.append([(nodes[live[a:b] // R], lx[a:b], ly[a:b])
+                              for a, b in zip(cut, cut[1:])])
+            out += zip(*per_t)
+        return out
 
     def endpoints(chunks):
         owner, lx, ly = (np.concatenate(part) for part in zip(*chunks))
         return (owner, *_bilinear_weights(xn, yn, lx, ly))
 
-    (own1, idx1, w1), (own2, idx2, w2) = endpoints(ends[t_eval]), endpoints(ends[t2])
+    per_batch = sharded(run_batches, list(range(0, n_nodes, _ETA_BATCH_NODES)))
+    (own1, idx1, w1), (own2, idx2, w2) = (endpoints(ends) for ends in zip(*per_batch))
     sv1, sv2 = np.bincount(own1, minlength=n_nodes), np.bincount(own2, minlength=n_nodes)
 
     alpha_w = alpha.masses.ravel()
@@ -664,8 +685,10 @@ def convergence_curve(init, reference: EmpiricalMeasure, params: ModelParams,
     """TV(conditioned law at t, reference alpha) via replicate FV ensembles.
 
     Each replicate is an independent Fleming-Viot population from `init`
-    (replicate r draws from key.child("rep", r)); the replicates step in
-    lockstep as the groups of one ensemble. Each histograms its occupation
+    (replicate r draws from key.child("rep", r)). The replicates are dealt
+    round-robin to one process per CPU (shard.sharded), and those of one
+    process step in lockstep as the groups of one ensemble, so the result
+    does not depend on the CPU count. Each histograms its occupation
     chunk by chunk; the conditioned law at slice midpoints is compared to the
     reference in TV. The decay rate gamma_hat comes from a log-linear fit
     above the plateau floor.
@@ -676,29 +699,43 @@ def convergence_curve(init, reference: EmpiricalMeasure, params: ModelParams,
         raise DomainError("convergence_curve needs slice_dt > 0 and t_max >= slice_dt")
     grid = reference.grid
     ts = np.arange(slice_dt, t_max + 1e-9, slice_dt)
-    curves = np.zeros((n_replicates, len(ts)))
     dt = config.dt_max
-    starts = [_init_states(init, n_particles, params, config,
-                           stream(key.child("rep", rep, "init"))) for rep in range(n_replicates)]
-    x = np.concatenate([s[0] for s in starts])
-    y = np.concatenate([s[1] for s in starts])
-    fv = _Stepper(params, config, x, y, [key.child("rep", rep) for rep in range(n_replicates)],
-                  groups=np.arange(n_replicates + 1) * n_particles, resample="rs")
-    # flat (replicate, cell) occupation; np.add.at adds each cell's terms in
-    # row order, as a replicate alone would
-    cell0 = np.repeat(np.arange(n_replicates) * grid.n_cells, n_particles)
-    occ = np.zeros(n_replicates * grid.n_cells)
-    si = 0
-    while si < len(ts):
-        fv.step()
-        idx = grid.cell_index(x, y)
-        inside = idx >= 0
-        np.add.at(occ, cell0[inside] + idx[inside], dt)
-        if fv.t + 1e-12 >= ts[si]:
-            for rep, masses in enumerate(occ.reshape(n_replicates, *grid.shape)):
-                curves[rep, si] = tv_distance(masses, reference.masses)
-            occ = np.zeros(n_replicates * grid.n_cells)
-            si += 1
+
+    def run_replicates(reps):
+        # per replicate: its TV curve, and the shard's bound_exceeded on the first
+        n_reps = len(reps)
+        curves = np.zeros((n_reps, len(ts)))
+        starts = [_init_states(init, n_particles, params, config,
+                               stream(key.child("rep", rep, "init"))) for rep in reps]
+        x = np.concatenate([s[0] for s in starts])
+        y = np.concatenate([s[1] for s in starts])
+        fv = _Stepper(params, config, x, y, [key.child("rep", rep) for rep in reps],
+                      groups=np.arange(n_reps + 1) * n_particles, resample="rs")
+        # flat (replicate, cell) occupation; np.add.at adds each cell's terms
+        # in row order, as a replicate alone would
+        cell0 = np.repeat(np.arange(n_reps) * grid.n_cells, n_particles)
+        occ = np.zeros(n_reps * grid.n_cells)
+        si = 0
+        try:
+            while si < len(ts):
+                fv.step()
+                idx = grid.cell_index(x, y)
+                inside = idx >= 0
+                np.add.at(occ, cell0[inside] + idx[inside], dt)
+                if fv.t + 1e-12 >= ts[si]:
+                    for r, masses in enumerate(occ.reshape(n_reps, *grid.shape)):
+                        curves[r, si] = tv_distance(masses, reference.masses)
+                    occ = np.zeros(n_reps * grid.n_cells)
+                    si += 1
+        except MassExtinctionError as err:  # name the replicate, not its place in the shard
+            rep = reps[err.group]
+            raise MassExtinctionError(f"all particles of group {rep} died in one window",
+                                      time=err.time, group=rep) from None
+        return [(curve, fv.bound_exceeded if r == 0 else 0) for r, curve in enumerate(curves)]
+
+    per_rep = sharded(run_replicates, list(range(n_replicates)))
+    curves = np.array([curve for curve, _ in per_rep])
+    bound_exceeded = sum(count for _, count in per_rep)
     tv_mean = curves.mean(axis=0)
     tv_se = curves.std(axis=0, ddof=1) / math.sqrt(n_replicates)
     floor = float(tv_mean[-2:].mean())
@@ -715,7 +752,7 @@ def convergence_curve(init, reference: EmpiricalMeasure, params: ModelParams,
         gamma, gamma_se, r2 = float("nan"), float("nan"), float("nan")
     return ConvergenceCurve(t=ts, tv_mean=tv_mean, tv_se=tv_se, gamma_hat=gamma,
                             gamma_se=gamma_se, r_squared=r2, floor=floor,
-                            bound_exceeded=fv.bound_exceeded)
+                            bound_exceeded=bound_exceeded)
 
 
 # ---------------------------------------------------------------------------
@@ -835,22 +872,24 @@ def truncation_family(params: ModelParams, base_config: SimConfig, key: StreamKe
 
     All runs are histogrammed on the largest box's grid, so the TV column is
     directly comparable. The y floor follows the base config's convention.
+    Box L draws from key.child("L", str(L)); the boxes are dealt round-robin
+    to one process per CPU (shard.sharded).
     """
     Ls = sorted(float(v) for v in Ls)
     grid = HistGrid.for_box(Ls[-1], y_lo=base_config.y_floor, nx=nx, ny=ny, dim=params.dim)
-    runs = []
-    for L in Ls:
-        cfg = replace(base_config, truncation=L)
-        est = fleming_viot(params, cfg, key.child("L", str(L)), n_particles=n_particles,
-                           window=window, hist_grid=grid)
-        runs.append(est)
-    ref = runs[-1].alpha
-    tvs = np.array([tv_distance(r.alpha, ref) for r in runs])
+
+    def run_boxes(boxes):
+        runs = [fleming_viot(params, replace(base_config, truncation=L), key.child("L", str(L)),
+                             n_particles=n_particles, window=window, hist_grid=grid)
+                for L in boxes]
+        return [(est.alpha, est.lambda0, est.lambda0_stderr) for est in runs]
+
+    alphas, lams, ses = zip(*sharded(run_boxes, Ls))
     return TruncationFamily(
         L=np.asarray(Ls),
-        lambda_hat=np.array([r.lambda0 for r in runs]),
-        lambda_se=np.array([r.lambda0_stderr for r in runs]),
-        tv_to_largest=tvs,
+        lambda_hat=np.array(lams),
+        lambda_se=np.array(ses),
+        tv_to_largest=np.array([tv_distance(a, alphas[-1]) for a in alphas]),
     )
 
 

@@ -341,6 +341,8 @@ def test_diagnose_rerun_is_byte_identical(tmp_path):
     payload = json.loads(_read(d1 / "diagnose.json"))
     assert payload["lambda0"] > 0.0
     assert "balance_sigmas" in payload
+    for name in ("convergence_bound_exceeded", "balance_bound_exceeded"):
+        assert isinstance(payload[name], int) and payload[name] >= 0, name
 
 
 def test_diagnose_balance_runs_untruncated(tmp_path, monkeypatch):
