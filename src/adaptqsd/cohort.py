@@ -224,13 +224,12 @@ class Engine:
         self._floor_code = (REASON_CODES["extinct"]
                            if config.floor_reason is ExitReason.EXTINCT
                            else REASON_CODES["trunc_y_low"])
-        # |x| exit levels in crossing order: the box edge, then the guard
-        # unless the box edge always comes first (ties go to the box)
-        self._x_levels = []
-        if config.truncation is not None:
-            self._x_levels.append((config.truncation, REASON_CODES["trunc_x"]))
-        if config.truncation is None or config.x_guard < config.truncation:
-            self._x_levels.append((config.x_guard, REASON_CODES["x_guard"]))
+        # the |x| exit level: the nearer of the box edge and the guard (ties
+        # go to the box); an affine path crosses the nearer level first
+        if config.truncation is not None and config.truncation <= config.x_guard:
+            self._x_level, self._x_code = config.truncation, REASON_CODES["trunc_x"]
+        else:
+            self._x_level, self._x_code = config.x_guard, REASON_CODES["x_guard"]
 
     # -- substep kernel ----------------------------------------------------
 
@@ -309,22 +308,12 @@ class Engine:
                 rows, x, y, o, rem = rows[keep], x[keep], y[keep], o[keep], rem[keep]
 
     def _crossings(self, x, o):
-        """First time each row's affine x path reaches an |x| exit level,
-        with its reason code; x is (k, d) at segment offsets o."""
-        v = self.params.v
-        rest = np.square(x[:, 1:]).sum(axis=1)
-        out = codes = None
-        for level, code in self._x_levels:
-            room = level * level - rest
-            t_hit = np.where(room > 0.0, (x[:, 0] + np.sqrt(np.maximum(room, 0.0))) / v, 0.0)
-            cand = o + np.maximum(t_hit, 0.0)
-            if out is None:
-                out, codes = cand, np.full(len(o), code, dtype=np.int8)
-            else:
-                better = cand < out
-                out = np.where(better, cand, out)
-                codes[better] = code
-        return out, codes
+        """First time each row's affine x path reaches the |x| exit level;
+        x is (k, d) at segment offsets o."""
+        level = self._x_level
+        room = level * level - np.square(x[:, 1:]).sum(axis=1)
+        t_hit = np.where(room > 0.0, (x[:, 0] + np.sqrt(np.maximum(room, 0.0))) / self.params.v, 0.0)
+        return o + np.maximum(t_hit, 0.0)
 
     # -- one full window ---------------------------------------------------
 
@@ -398,7 +387,7 @@ class Engine:
                 break
             o = off[rows]
             nxt_prop = prop_times[rows, ptr[rows]]
-            cross, cross_code = self._crossings(xa[rows], o)
+            cross = self._crossings(xa[rows], o)
             nxt = np.minimum(np.minimum(nxt_prop, cross), dt)
             self._advance(xa, ya, live, off, kill_code, rows,
                           np.maximum(nxt - o, 0.0), draws, dt)
@@ -410,7 +399,7 @@ class Engine:
                 gone = rows[ei]
                 live[gone] = False
                 off[gone] = cross[ei]
-                kill_code[gone] = cross_code[ei]
+                kill_code[gone] = self._x_code
 
             pi = rows[arrived & ~evt_cross & (nxt_prop <= dt)]
             if len(pi):
@@ -442,9 +431,7 @@ class Engine:
                     jacc["w"].append(wa)
                     jacc["xb"].append(x_before)
                     jacc["xa"].append(x_after)
-                    lvl = cfg.truncation if cfg.truncation is not None else np.inf
-                    outside = na >= np.minimum(lvl, cfg.x_guard)
-                    oi = outside.nonzero()[0]
+                    oi = (na >= self._x_level).nonzero()[0]
                     if len(oi):
                         gone = ai[oi]
                         live[gone] = False

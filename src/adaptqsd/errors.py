@@ -28,14 +28,12 @@ class UnsupportedModelError(AdaptQsdError):
 class NumericError(AdaptQsdError):
     """Numerical failure (NaN state, non-convergent quadrature or solver).
 
-    Carries an optional ``diagnostics`` dict and, for path simulation, the
-    partial trajectory computed before the failure.
+    Carries an optional ``diagnostics`` dict of the values that failed.
     """
 
-    def __init__(self, message: str, diagnostics: dict | None = None, trajectory=None):
+    def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
-        self.trajectory = trajectory
 
 
 class MassExtinctionError(AdaptQsdError):

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm as _norm
+from scipy.special import expit, ndtr
 
 from .errors import DomainError, NumericError, UnsupportedModelError
 from .rng import StreamKey, stream
@@ -217,7 +216,7 @@ class MutationSpec:
             t = self.tau
             pdf0 = 1.0 / (t * math.sqrt(2.0 * math.pi))
             pdf1 = pdf0 * math.exp(-1.0 / (2.0 * t * t))
-            expectation = 2.0 * t * t * (pdf0 - pdf1) + 2.0 * _norm.sf(1.0 / t)
+            expectation = 2.0 * t * t * (pdf0 - pdf1) + 2.0 * ndtr(-1.0 / t)
             return self.m_nu * expectation
         nodes, weights = _gh_grid(_QUAD_ORDER, dim)
         wn = np.sqrt(np.sum(np.square(nodes * self.tau * math.sqrt(2.0)), axis=-1))
@@ -523,10 +522,6 @@ class HypothesisCheck:
     status: str  # "satisfied" | "violated" | "not_applicable"
     detail: str
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "violated"
-
 
 @dataclass
 class HypothesisReport:
@@ -549,9 +544,6 @@ class HypothesisReport:
         "H10": "mutation measure has a bounded density",
         "H11": "normalized jump-density ratio uniformly bounded",
     }
-
-    def status(self, code: str) -> str:
-        return self.checks[code].status
 
     def required_codes(self) -> list[str]:
         req = ["H1", "H2", "H3", "H4", "H5", "H6", "H7"]
@@ -576,9 +568,6 @@ class HypothesisReport:
         ok, missing = self.routing_ok()
         out.append("overall: " + ("all required hypotheses satisfied" if ok else f"missing {', '.join(missing)}"))
         return out
-
-    def __str__(self) -> str:
-        return "\n".join(self.lines())
 
 
 def _characteristic_scale(params: ModelParams) -> float:

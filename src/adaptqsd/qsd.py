@@ -39,7 +39,7 @@ import scipy.sparse as sp
 from .cohort import Engine, SimConfig, WindowEvents
 from .errors import DomainError, MassExtinctionError, NumericError, UnsupportedModelError
 from .measure import EmpiricalMeasure, HistGrid, tv_distance, tv_noise_floor
-from .model import ModelParams, fixation_integral, reference_set
+from .model import ModelParams, fixation_integral, reference_set, y_equilibrium
 from .rng import StreamKey, stream
 from .shard import sharded
 
@@ -70,7 +70,7 @@ def _init_states(init, size: int, params: ModelParams, config: SimConfig,
     """Resolve an initial-condition spec into (x (n, d), y (n,)) arrays.
 
     Accepts an EmpiricalMeasure (sampled), "reference" (uniform on the
-    canonical reference box), or a (x, y) point or array pair.
+    canonical reference box), or an (x, y) point.
     """
     if isinstance(init, EmpiricalMeasure):
         x, y = init.sample(gen, size)
@@ -80,15 +80,8 @@ def _init_states(init, size: int, params: ModelParams, config: SimConfig,
         x, y = reference_set(params).sample(gen, size)
     else:
         x0, y0 = init
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        if x0.ndim == 1 and np.ndim(y0) == 0:
-            x = np.tile(x0, (size, 1))
-            y = np.full(size, float(y0))
-        else:
-            x = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
-            y = np.asarray(y0, dtype=float).copy()
-    if len(y) != size:
-        raise DomainError(f"initial condition produced {len(y)} states, expected {size}")
+        x = np.tile(np.atleast_1d(np.asarray(x0, dtype=float)), (size, 1))
+        y = np.full(size, float(y0))
     lo = config.y_floor
     y = np.clip(y, lo * (1.0 + 1e-9), (config.y_top or np.inf) * (1.0 - 1e-9))
     return x, y
@@ -211,17 +204,15 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
     kill_times: list[np.ndarray] = []
     kill_ids: list[np.ndarray] = []
     donor_ids: list[np.ndarray] = []
-    burn_done = burn_in != "auto"
     burn_time = float(burn_in) if burn_in != "auto" else None
     plateau_hits = 0
     kills_window = 0
     window_t0 = None
-    t = 0.0
 
     while True:
-        if burn_done and burn_time is not None and window_t0 is None and t >= burn_time - 1e-12:
-            window_t0 = t
-        if window_t0 is not None and t >= window_t0 + window - 1e-12:
+        if burn_time is not None and window_t0 is None and fv.t >= burn_time - 1e-12:
+            window_t0 = fv.t
+        if window_t0 is not None and fv.t >= window_t0 + window - 1e-12:
             break
         ev, donors = fv.step()
         if len(donors):
@@ -230,34 +221,32 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
             donor_ids.append(donors)
             if window_t0 is not None:
                 kills_window += len(donors)
-        t = fv.t
         idx = grid.cell_index(x, y)
         inside = idx >= 0
         np.add.at(chunk_occ, idx[inside], dt)
         if window_t0 is not None:
             np.add.at(occ, idx[inside], dt)
 
-        if t + 1e-12 >= (len(tv_series) + 1) * _FV_CHUNK:
+        if fv.t + 1e-12 >= (len(tv_series) + 1) * _FV_CHUNK:
             cur = chunk_occ / max(chunk_occ.sum(), 1e-300)
             if prev_chunk is not None:
                 prev_tv = tv_series[-1][1]
                 tv = 0.5 * float(np.abs(cur - prev_chunk).sum())
-                tv_series.append((t, tv))
-                if not burn_done:
+                tv_series.append((fv.t, tv))
+                if burn_time is None:
                     # stall test: no 10% improvement while already low
                     stalled = tv > 0.9 * prev_tv and tv < 0.35
                     plateau_hits = plateau_hits + 1 if (tv < _PLATEAU_TOL or stalled) else 0
-                    if plateau_hits >= 2 or t >= _BURN_IN_CAP:
-                        burn_done = True
-                        burn_time = t
+                    if plateau_hits >= 2 or fv.t >= _BURN_IN_CAP:
+                        burn_time = fv.t
             else:
-                tv_series.append((t, 1.0))
+                tv_series.append((fv.t, 1.0))
             prev_chunk = cur
             chunk_occ = np.zeros(grid.n_cells)
 
     alpha = EmpiricalMeasure(grid=grid, masses=occ.reshape(grid.shape),
                              n_samples=n_particles * window / max(dt, 1e-300))
-    duration = t - window_t0
+    duration = fv.t - window_t0
     lam = kills_window / (n_particles * duration)
     lam_se = math.sqrt(max(kills_window, 1)) / (n_particles * duration)
     log = {
@@ -273,7 +262,7 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
     }
     return QsdEstimate(alpha=alpha, lambda0=lam, lambda0_stderr=lam_se,
                        kills_in_window=kills_window, n_particles=n_particles,
-                       burn_in_time=float(burn_time), window=(float(window_t0), float(t)),
+                       burn_in_time=float(burn_time), window=(float(window_t0), float(fv.t)),
                        kill_log=log, diagnostics=diag)
 
 
@@ -774,10 +763,11 @@ class BalanceReport:
         return abs(self.residual) / max(self.mc_stderr, 1e-300)
 
 
-# time blocks whose means give the balance residual's MC error, and the
-# sampling interval of the time average
+# time blocks whose means give the balance residual's MC error, the
+# sampling interval of the time average, and the x1 rounding of the J1 cache
 _BALANCE_BLOCKS = 20
 _BALANCE_EVERY = 0.5
+_J1_DECIMALS = 3
 
 
 def balance_residual(params: ModelParams, config: SimConfig, key: StreamKey,
@@ -822,19 +812,11 @@ def balance_residual(params: ModelParams, config: SimConfig, key: StreamKey,
                          n_blocks=len(block_means), bound_exceeded=fv.bound_exceeded)
 
 
-def _j1_cached(x1: float, params: ModelParams, cache: dict, decimals: int = 3) -> float:
-    keyv = round(x1, decimals)
+def _j1_cached(x1: float, params: ModelParams, cache: dict) -> float:
+    keyv = round(x1, _J1_DECIMALS)
     if keyv not in cache:
         cache[keyv] = fixation_integral(np.array([keyv]), params, weight="w1")
     return cache[keyv]
-
-
-def _bulk_equilibrium_y(params: ModelParams) -> float:
-    from .model import y_equilibrium
-    ystar = y_equilibrium(params.growth.r_sup, params.gamma)
-    if ystar is None:
-        raise DomainError("no stable bulk equilibrium for these parameters")
-    return ystar
 
 
 def relaxed_start(params: ModelParams, config: SimConfig) -> tuple[np.ndarray, float]:
@@ -846,7 +828,9 @@ def relaxed_start(params: ModelParams, config: SimConfig) -> tuple[np.ndarray, f
     within the first step; in that case y0 is capped at 0.9 times the
     ceiling.
     """
-    ystar = _bulk_equilibrium_y(params)
+    ystar = y_equilibrium(params.growth.r_sup, params.gamma)
+    if ystar is None:
+        raise DomainError("no stable bulk equilibrium for these parameters")
     top = config.y_top
     if top is not None:
         ystar = min(ystar, 0.9 * top)

@@ -94,6 +94,34 @@ def test_ceiling_kills_are_truncation():
     assert np.all(y[alive] < 4.0)
 
 
+def _first_exit(params, config, x0, y0, key, dt=0.01):
+    """Step one particle in dt windows to its kill: (reason code, kill time)."""
+    engine = Engine(params, config)
+    x, y, alive = np.array([x0]), np.array([y0]), np.ones(1, dtype=bool)
+    for k in range(int(round(config.horizon / dt))):
+        ev = _run_window(engine, x, y, alive, k * dt, dt, key.child("w", k))
+        if len(ev.kill_ids):
+            return int(ev.kill_codes[0]), float(ev.kill_times[0])
+    return None
+
+
+def test_nearer_x_level_names_the_exit():
+    # no mutations, so x(t) = -1.5 - v t; strong growth and damping hold y
+    # near its equilibrium 2, so only the |x| levels can end the path
+    params = default_params(m_nu=0.0, r0=20.0, a=0.0, gamma_n=19.75)
+    key = StreamKey(seed=6, lineage=("xexit",))
+    # the guard x_max = 2 lies inside the box L = 4 and is crossed first
+    guarded = SimConfig(truncation=4.0, x_max=2.0, horizon=20.0)
+    code, t = _first_exit(params, guarded, [-1.5], 2.0, key)
+    assert code == REASON_CODES["x_guard"]
+    assert t == pytest.approx(0.5 / params.v, abs=1e-9)
+    # without x_max the guard sits at 10 L, so the box edge ends the path
+    boxed = SimConfig(truncation=4.0, horizon=20.0)
+    code, t = _first_exit(params, boxed, [-1.5], 2.0, key)
+    assert code == REASON_CODES["trunc_x"]
+    assert t == pytest.approx(2.5 / params.v, abs=1e-9)
+
+
 def test_jump_log_norms():
     # engine windows are meant to be dt_max-sized; the dominating rate is
     # frozen at window start, so short windows keep it valid
