@@ -70,8 +70,6 @@ DEFAULT_CONFIG: dict = {
     "walkers": 500,
     "q_horizon": 20.0,
     "q_paths": 3,
-    "oracle_nx": 80,
-    "oracle_ny": 60,
     "L_list": [2.5, 3.0, 4.0, 5.0],
     "conv_replicates": 8,
     "conv_particles": 500,
@@ -125,46 +123,26 @@ def _merge(cfg: dict, updates: dict) -> None:
         cfg[k] = v
 
 
-def _typed(value, default, nullable: bool):
-    """value cast to the type of its default (float for a None default)."""
-    if value is None and nullable:
-        return None
-    return (float if default is None else type(default))(value)
-
-
-def build_params(cfg: dict) -> ModelParams:
-    try:
-        return default_params(**{k: _typed(cfg[k], d, False)
-                                 for k, d in flat_params(ModelParams()).items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model field: {exc}") from exc
-
-
-def build_sim(cfg: dict) -> SimConfig:
-    try:
-        return SimConfig(**{f.name: _typed(cfg[key], DEFAULT_CONFIG[key], f.default is None)
-                            for key, f in _SIM_FIELDS.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad numerics field: {exc}") from exc
-
-
-def build_experiment(cfg: dict) -> dict:
-    """cfg with the experiment block cast to the types of its defaults;
+def cast_config(cfg: dict) -> dict:
+    """cfg with every value cast to the type of its default (float for a None
+    default); null stays null only where the SimConfig default is None,
     burn_in stays "auto" or becomes a float, L_list a tuple of floats."""
-    typed = dict(cfg)
+    typed = {}
     for key, default in DEFAULT_CONFIG.items():
-        if key in _MODEL_KEYS or key in _SIM_FIELDS:
-            continue
         value = cfg[key]
         try:
             if key == "burn_in":
                 typed[key] = value if value == "auto" else float(value)
             elif key == "L_list":
                 typed[key] = tuple(float(L) for L in value)
+            elif value is None and key in _SIM_FIELDS and _SIM_FIELDS[key].default is None:
+                typed[key] = None
             else:
-                typed[key] = type(default)(value)
+                typed[key] = (float if default is None else type(default))(value)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad experiment field {key}={value!r}: {exc}") from exc
+            block = ("model" if key in _MODEL_KEYS else
+                     "numerics" if key in _SIM_FIELDS else "experiment")
+            raise ConfigError(f"bad {block} field {key}={value!r}: {exc}") from exc
     return typed
 
 
@@ -391,15 +369,15 @@ def run_oracle(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> lis
     if sim.truncation is None:
         raise ConfigError("oracle needs a truncation half-width L")
     genr = build_generator(params, L=sim.truncation, y_min=sim.y_floor,
-                           nx=cfg["oracle_nx"], ny=cfg["oracle_ny"])
+                           nx=cfg["nx"], ny=cfg["ny"])
     tri = leading_triple(genr)
     write_json(out / "oracle.json", {
         "lambda0": tri.lambda0,
         "residual_alpha": tri.res_alpha,
         "residual_eta": tri.res_eta,
         "iterations": int(tri.iterations),
-        "nx": cfg["oracle_nx"],
-        "ny": cfg["oracle_ny"],
+        "nx": cfg["nx"],
+        "ny": cfg["ny"],
     })
     write_measure_csv(out / "oracle_alpha.csv", tri.alpha)
     grid = tri.alpha.grid
@@ -506,9 +484,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.set, args.seed, args.out)
-        params = build_params(cfg)
-        sim = build_sim(cfg)
-        run_cfg = build_experiment(cfg)
+        typed = cast_config(cfg)
+        params = default_params(**{k: typed[k] for k in _MODEL_KEYS})
+        sim = SimConfig(**{f.name: typed[key] for key, f in _SIM_FIELDS.items()})
         if params.dim != 1 and args.cmd in ONE_DIM_COMMANDS:
             raise UnsupportedModelError(f"{args.cmd} is implemented for d = 1 only")
         if args.cmd != "validate":
@@ -520,7 +498,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot create output dir {out}: {exc}") from exc
         try:
-            artifacts = RUNNERS[args.cmd](run_cfg, params, sim, out)
+            artifacts = RUNNERS[args.cmd](typed, params, sim, out)
         except BaseException:
             # a rejected run leaves no empty directory of its own behind
             for d in created:

@@ -5,12 +5,12 @@ the package's single discretization of the process:
 
 - x is affine between mutations (x(t) = x0 - v t e1), so exits from the
   truncation box and the explosion guard are located exactly;
-- y takes Euler-Maruyama substeps dt_sub <= substep_alpha * y^2, which
+- y takes Euler-Maruyama substeps dt_sub <= _SUBSTEP_ALPHA * y^2, which
   resolve the singular drift near the extinction boundary, plus a
   Brownian-bridge crossing correction at the kill levels, so absorbed
   functionals converge at first order in dt rather than half order;
 - mutation proposals arrive from a per-window Poisson clock at the rate
-  ceiling slack * f(y0) * sup_g * nu_mass; each is kept with probability
+  ceiling _SLACK * f(y0) * sup_g * nu_mass; each is kept with probability
   [f(y_t)/ceiling_f] * [g(x_t, w)/sup_g], which reproduces the target
   accepted intensity f(y_t) g(x_t, w) nu(dw) exactly whenever the ceiling
   holds (violations are counted in WindowEvents.bound_exceeded, never
@@ -81,10 +81,7 @@ class SimConfig:
     horizon: float = 50.0
     truncation: float | None = None
     truncation_y_low: float | None = None
-    substep_alpha: float = 0.5
-    slack: float = 1.5
     qprocess_delta: float = 0.05
-    record_every: int = 1
 
     def __post_init__(self):
         if not (self.dt_max > 0.0):
@@ -97,14 +94,8 @@ class SimConfig:
             raise DomainError("truncation must be positive when set")
         if self.truncation is not None and self.y_ext >= self.truncation:
             raise DomainError("y_ext must sit below the truncation ceiling")
-        if not (0.0 < self.substep_alpha <= 1.0):
-            raise DomainError("substep_alpha must be in (0, 1]")
-        if not (self.slack > 1.0):
-            raise DomainError("thinning slack must exceed 1")
         if not (self.qprocess_delta > 0.0):
             raise DomainError("qprocess_delta must be positive")
-        if self.record_every < 1:
-            raise DomainError("record_every must be >= 1")
 
     @property
     def y_floor(self) -> float:
@@ -149,6 +140,11 @@ _CODE_TO_REASON = {
 }
 
 _MAX_ITER = 10_000
+
+# substep cap dt_sub <= _SUBSTEP_ALPHA * y^2, and the factor by which the
+# per-window proposal ceiling exceeds f(y0) at window start
+_SUBSTEP_ALPHA = 0.5
+_SLACK = 1.5
 
 
 def reason_from_code(code: int) -> ExitReason:
@@ -244,9 +240,7 @@ class Engine:
         within the crossing substep and leave the particle at its kill point
         (x and off moved to the kill time, y on the level it crossed).
         """
-        cfg = self.config
-        floor = cfg.y_floor
-        top = cfg.y_top
+        floor, top = self.config.y_floor, self.config.y_top
         v = self.params.v
         # rows further than 20 sqrt(dt) below the ceiling cannot reach it:
         # with h <= dt the bridge exponent is below -800, where exp is 0
@@ -260,7 +254,7 @@ class Engine:
             if guard > _MAX_ITER:
                 raise NumericError("substep iteration limit exceeded",
                                    diagnostics={"min_y": float(y.min())})
-            h = np.minimum(rem, cfg.substep_alpha * y * y)
+            h = np.minimum(rem, _SUBSTEP_ALPHA * y * y)
             spans = draws.spans(rows)
             xi = _joined([g.standard_normal(hi - lo) for g, lo, hi in spans])
             # bridge uniforms: per group a floor half, then a ceiling half
@@ -331,7 +325,6 @@ class Engine:
         would. A group with no live row draws nothing, so its gen[g] may be
         None. The event log covers all groups (kills in kill-time order).
         """
-        cfg = self.config
         p = self.params
         v = p.v
         gens = [gen] if groups is None else list(gen)
@@ -353,7 +346,7 @@ class Engine:
         kill_code = np.full(m, -1, dtype=np.int8)
 
         g_sup = p.g_bound(np.linalg.norm(xa, axis=1) + v * dt)
-        f_ceil = cfg.slack * p.f(ya)
+        f_ceil = _SLACK * p.f(ya)
         lam_bar = f_ceil * g_sup * self.m_nu
 
         spans = draws.spans(np.arange(m))
@@ -435,7 +428,7 @@ class Engine:
                     if len(oi):
                         gone = ai[oi]
                         live[gone] = False
-                        kill_code[gone] = np.where(na[oi] >= cfg.x_guard,
+                        kill_code[gone] = np.where(na[oi] >= self.config.x_guard,
                                                    REASON_CODES["x_guard"],
                                                    REASON_CODES["trunc_x"]).astype(np.int8)
                 ptr[pi] += 1

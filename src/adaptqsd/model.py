@@ -387,22 +387,29 @@ def _integral_once(x: np.ndarray, params: ModelParams, order: int, weight: str) 
     tau = mut.tau
     d = params.dim
 
-    if params.fixation.advantageous and d == 1:
-        # g vanishes outside the open interval between 0 and -2x and at both
-        # endpoints, so Gauss-Legendre on that interval is accurate and the
-        # Gaussian indicator discontinuity never enters.
+    tilted = mut.family == "gaussian_size_tilted"
+    if d == 1 and (params.fixation.advantageous or tilted):
+        # Gauss-Legendre on the smooth pieces of the integrand. For the
+        # advantageous families g vanishes outside the open interval between
+        # 0 and -2x and at both endpoints, so the indicator discontinuity
+        # never enters; the size tilt min(|w|, 1) has kinks at w = -1, 0, 1.
         x0 = float(np.asarray(x).reshape(-1)[0])
-        lo, hi = sorted((0.0, -2.0 * x0))
+        lo, hi = (sorted((0.0, -2.0 * x0)) if params.fixation.advantageous
+                  else (-math.inf, math.inf))
         lo, hi = max(lo, -12.0 * tau), min(hi, 12.0 * tau)
         if hi <= lo:
             return 0.0
+        cuts = [lo, *(k for k in (-1.0, 0.0, 1.0) if tilted and lo < k < hi), hi]
         t, wt = _gl_nodes(order)
-        wv = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
-        wcol = wv[:, None]
-        vals = params.g(np.asarray(x, dtype=float), wcol) * mut.density(wcol)
-        if weight == "w1":
-            vals = vals * wv
-        return 0.5 * (hi - lo) * float(np.sum(wt * vals))
+        total = 0.0
+        for a, b in zip(cuts, cuts[1:]):
+            wv = 0.5 * (b - a) * t + 0.5 * (b + a)
+            wcol = wv[:, None]
+            vals = params.g(np.asarray(x, dtype=float), wcol) * mut.density(wcol)
+            if weight == "w1":
+                vals = vals * wv
+            total += 0.5 * (b - a) * float(np.sum(wt * vals))
+        return total
 
     nodes, wts = _gh_grid(order, d)
     wv = math.sqrt(2.0) * tau * nodes

@@ -1,10 +1,10 @@
 """Single-path front ends over the cohort kernel.
 
 simulate_path is a one-row run of qsd._Stepper, the driver of every
-cohort.Engine.window call, and keeps its sampled states, jump log and exit
-record; simulate_q_path runs one walker of the h-transform rejection loop
-behind qsd.conditioned_marginal. Both return a Trajectory, whose jump log is
-enough to rebuild x between samples.
+cohort.Engine.window call, and keeps its state at every window end, jump
+log and exit record; simulate_q_path runs one walker of the h-transform
+rejection loop behind qsd.conditioned_marginal. Both return a Trajectory,
+whose jump log is enough to rebuild x between samples.
 """
 from __future__ import annotations
 
@@ -97,9 +97,9 @@ def simulate_path(init, params: ModelParams, config: SimConfig, key: StreamKey) 
     A one-row _Stepper run over fixed dt_max windows (the last one cut at
     the horizon). Window k draws from key.child("w", k), the rule of every
     estimator, so any window can be replayed in isolation and trajectories
-    are bit-reproducible from (params, config, key). Rows are the engine
-    state at every record_every-th window end, plus the exit (or horizon)
-    state.
+    are bit-reproducible from (params, config, key). Rows are the initial
+    state and the engine state at every window end; the last row is the
+    exit (or horizon) state, at the exit time.
     """
     x0, y0 = _coerce_init(init)
     _check_in_bounds(x0, y0, config)
@@ -117,10 +117,9 @@ def simulate_path(init, params: ModelParams, config: SimConfig, key: StreamKey) 
         if not st.alive[0]:
             exit_reason = reason_from_code(ev.kill_codes[0])
             exit_time = float(ev.kill_times[0])
-        if last or st.k % config.record_every == 0:
-            times.append(exit_time if last else st.t)
-            xs.append(st.x[0].copy())
-            ys.append(float(st.y[0]))
+        times.append(exit_time if last else st.t)
+        xs.append(st.x[0].copy())
+        ys.append(float(st.y[0]))
         if last:
             break
 

@@ -669,7 +669,7 @@ class ConvergenceCurve:
 
 def convergence_curve(init, reference: EmpiricalMeasure, params: ModelParams,
                       config: SimConfig, key: StreamKey, n_replicates: int = 8,
-                      n_particles: int = 500, t_max: float = 10.0,
+                      n_particles: int = 500, t_max: float = 12.0,
                       slice_dt: float = 1.0) -> ConvergenceCurve:
     """TV(conditioned law at t, reference alpha) via replicate FV ensembles.
 

@@ -89,12 +89,12 @@ def test_bad_experiment_value_exits_2_before_any_run(tmp_path, capsys, monkeypat
 
 
 def test_experiment_block_is_cast_to_default_types():
-    cfg = cli.build_experiment(cli.load_config(None, ['particles="40"', "window=2",
-                                                      "burn_in=1", "L_list=[3, 4]"], 5, None))
+    cfg = cli.cast_config(cli.load_config(None, ['particles="40"', "window=2",
+                                                 "burn_in=1", "L_list=[3, 4]"], 5, None))
     assert (cfg["particles"], cfg["window"], cfg["burn_in"], cfg["L_list"]) == (40, 2.0, 1.0,
                                                                                (3.0, 4.0))
     assert type(cfg["window"]) is float and type(cfg["seed"]) is int
-    assert cli.build_experiment(cli.DEFAULT_CONFIG)["burn_in"] == "auto"
+    assert cli.cast_config(cli.DEFAULT_CONFIG)["burn_in"] == "auto"
 
 
 def test_null_only_where_the_library_default_is_none(tmp_path):
@@ -196,8 +196,7 @@ def test_lambda_subcommand(tmp_path):
 
 
 def test_oracle_subcommand(tmp_path):
-    rc = cli.main(["oracle", "--out", str(tmp_path),
-                   "--set", "oracle_nx=24", "--set", "oracle_ny=20"])
+    rc = cli.main(["oracle", "--out", str(tmp_path), "--set", "nx=24", "--set", "ny=20"])
     assert rc == 0
     payload = json.loads(_read(tmp_path / "oracle.json"))
     assert 0.5 < payload["lambda0"] < 1.1
@@ -206,6 +205,20 @@ def test_oracle_subcommand(tmp_path):
     assert (tmp_path / "oracle_alpha.csv").exists()
     lines = (tmp_path / "oracle_eta.csv").read_text().strip().splitlines()
     assert len(lines) == 24 * 20 + 1
+
+
+def test_oracle_builds_on_the_histogram_grid(tmp_path):
+    # nx/ny size both the Fleming-Viot histogram and the oracle grid
+    grid = ["--set", "nx=24", "--set", "ny=20"]
+    assert cli.main(["fv", "--out", str(tmp_path)] + _tiny(*grid)) == 0
+    assert cli.main(["oracle", "--out", str(tmp_path)] + grid) == 0
+
+    def centres(name):
+        rows = (tmp_path / name).read_text().strip().splitlines()
+        return [line.rsplit(",", 1)[0] for line in rows]
+
+    assert len(centres("alpha.csv")) == 24 * 20 + 1
+    assert centres("oracle_alpha.csv") == centres("alpha.csv")
 
 
 def test_eta_subcommand(tmp_path):
@@ -372,7 +385,7 @@ _TOY_ARGS = {
     "eta": _tiny(*_ETA),
     "qprocess": _tiny(*_ETA, "--set", "walkers=16", "--set", "q_horizon=0.5",
                       "--set", "q_paths=2"),
-    "oracle": ["--set", "oracle_nx=24", "--set", "oracle_ny=20"],
+    "oracle": ["--set", "nx=24", "--set", "ny=20"],
     "diagnose": _DIAG,
 }
 
@@ -386,6 +399,13 @@ def _readme_artifacts() -> dict[str, list[str]]:
         if m and m.group(1) in cli.RUNNERS:
             rows[m.group(1)] = re.findall(r"`([^`]+)`", m.group(2).split(" - ")[0])
     return rows
+
+
+def test_readme_lists_every_config_key():
+    text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    lists = text.split("Config keys")[1].split("Model constants")[1].split("Every value")[0]
+    keys = [k for span in re.findall(r"`([^`]+)`", lists) for k in span.split()]
+    assert sorted(keys) == sorted(cli.DEFAULT_CONFIG)
 
 
 def test_readme_table_covers_every_subcommand():

@@ -160,6 +160,20 @@ def test_rescaled_pair_preserves_jump_integrals():
             assert b == pytest.approx(a, rel=1e-6, abs=1e-12)
 
 
+@pytest.mark.parametrize("family", ["deleterious_ok", "advantageous_only"])
+def test_fixation_integral_on_the_size_tilted_family(family):
+    # the tilt min(|w|, 1) has kinks at w = -1, 0, 1; the quadrature must
+    # pass its own order-halving check and match a fine trapezoid sum
+    params = default_params(mutation_family="gaussian_size_tilted", fixation_family=family)
+    w = np.linspace(-8.0, 8.0, 400_001)
+    for xv in (0.0, -1.0, -2.0, 1.0):
+        x = np.array([xv])
+        vals = params.g(x, w[:, None]) * params.mutation.density(w[:, None])
+        assert fixation_integral(x, params) == pytest.approx(np.trapezoid(vals, w), rel=1e-8)
+        assert fixation_integral(x, params, weight="w1") == pytest.approx(
+            np.trapezoid(vals * w, w), rel=1e-8, abs=1e-12)
+
+
 def test_rescale_requires_advantageous_family():
     with pytest.raises(UnsupportedModelError):
         rescale_jump_measure(default_params())

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from adaptqsd import cohort
 from adaptqsd.errors import DomainError
 from adaptqsd.model import default_params
 from adaptqsd.pathsim import ExitReason, SimConfig, simulate_path, simulate_q_path
@@ -21,10 +23,6 @@ def test_simconfig_domain_checks():
         SimConfig(truncation=-1.0)
     with pytest.raises(DomainError):
         SimConfig(truncation=4.0, y_ext=5.0)
-    with pytest.raises(DomainError):
-        SimConfig(slack=1.0)
-    with pytest.raises(DomainError):
-        SimConfig(record_every=0)
 
 
 def test_simconfig_derived_fields():
@@ -141,19 +139,6 @@ def test_init_validation():
         simulate_path((np.array([45.0]), 2.0), params, SimConfig(), StreamKey(seed=0))
 
 
-def test_record_every_thins_samples():
-    params = default_params(m_nu=0.0)
-    dense = simulate_path((np.zeros(1), 2.5), params,
-                          SimConfig(horizon=2.0),
-                          StreamKey(seed=7, lineage=("thin",)))
-    sparse = simulate_path((np.zeros(1), 2.5), params,
-                           SimConfig(horizon=2.0, record_every=10),
-                           StreamKey(seed=7, lineage=("thin",)))
-    assert len(sparse.times) < len(dense.times) / 5
-    # thinned rows are a subset of the dense rows
-    assert set(np.round(sparse.times, 12)) <= set(np.round(dense.times, 12))
-
-
 def test_n_coordinate_transform():
     params = default_params(sigma=2.0)
     traj = simulate_path((np.zeros(1), 1.5), params, SimConfig(horizon=0.5),
@@ -174,12 +159,13 @@ def test_q_path_with_flat_weight_survives_horizon():
     assert traj.meta["q_bound_exceeded"] >= 0
 
 
-def test_q_path_reports_bound_exceeded():
+def test_q_path_reports_bound_exceeded(monkeypatch):
     # a thinning slack just above 1 lets the jump-rate bound be exceeded
+    monkeypatch.setattr(cohort, "_SLACK", 1.01)
     params = default_params()
     flat = lambda x, y: np.ones(len(np.atleast_1d(y)))
     key = StreamKey(seed=9, lineage=("q",))
-    loose = simulate_q_path((np.zeros(1), 2.0), params, SimConfig(horizon=1.0, slack=1.01),
+    loose = simulate_q_path((np.zeros(1), 2.0), params, SimConfig(horizon=1.0),
                             key, flat, eta_max=1.0)
     assert loose.meta["q_bound_exceeded"] > 0
 
@@ -245,10 +231,13 @@ def test_path_is_frozen():
     """SHA-256 of a boxed path at a fixed key (numpy 2.4.6).
 
     Window k draws from key.child("w", k), as in every estimator; any change
-    to that lineage or to the window draws moves the digest.
+    to that lineage or to the window draws moves the digest. The digest
+    covers the start row, every 7th window end and the exit row.
     """
-    config = SimConfig(truncation=4.0, truncation_y_low=1e-3, horizon=20.0, record_every=7)
+    config = SimConfig(truncation=4.0, truncation_y_low=1e-3, horizon=20.0)
     traj = simulate_path((np.zeros(1), 2.5), default_params(), config,
                          StreamKey(seed=20, lineage=("path_frozen",)))
+    rows = sorted({*range(0, len(traj.times), 7), len(traj.times) - 1})
+    traj = dataclasses.replace(traj, times=traj.times[rows], x=traj.x[rows], y=traj.y[rows])
     assert len(traj.jumps) > 0
     assert _digest(traj) == "1dff351ee22ac3e958207297e808e56bda37932fdc8429ad9592ad699f73932d"

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from adaptqsd import qsd
+from adaptqsd import cohort, qsd
 from adaptqsd.cohort import Engine
 from adaptqsd.errors import DomainError, MassExtinctionError, UnsupportedModelError
 from adaptqsd.measure import EmpiricalMeasure, HistGrid
@@ -539,7 +539,8 @@ def test_conditioned_marginal_is_frozen(params):
 
 def test_conditioned_marginal_sums_bound_exceeded(params, monkeypatch):
     # a thinning slack just above 1 lets the jump-rate bound be exceeded
-    config = _boxed_config(slack=1.01)
+    monkeypatch.setattr(cohort, "_SLACK", 1.01)
+    config = _boxed_config()
     grid = HistGrid.for_box(4.0, y_lo=1e-3, nx=6, ny=5, dim=1)
     masses = np.zeros(grid.shape)
     masses[2, 3] = 1.0

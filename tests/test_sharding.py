@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from adaptqsd import cli, qsd, shard
+from adaptqsd import cli, cohort, qsd, shard
 from adaptqsd.cohort import Engine
 from adaptqsd.errors import MassExtinctionError, NumericError
 from adaptqsd.measure import HistGrid
@@ -131,7 +131,8 @@ def test_convergence_curve_is_bit_identical_on_any_cpu_count(tiny_fv, params, mo
 
 def test_sharded_bound_exceeded_sum_equals_the_serial_one(tiny_fv, params, monkeypatch):
     # a thinning slack just above 1 lets the jump-rate bound be exceeded
-    config = _boxed_config(slack=1.01)
+    monkeypatch.setattr(cohort, "_SLACK", 1.01)
+    config = _boxed_config()
     _cpus(monkeypatch, 1)
     seen = []
     window = Engine.window
