@@ -12,10 +12,17 @@ order that keeps the LU banded); only the jump offsets are looped over.
 
 Every solve goes through one sparse LU per generator, of I - Q/2, i.e. the
 resolvent (I - Q/2)^{-1}. The leading eigentriple (lambda0, alpha, eta) comes
-from ARPACK on it (forward solves for eta, transpose solves for alpha),
-polished by power steps. The consistency checks apply e^{tQ} and its adjoint by
-a shift-and-invert Krylov method on the same resolvent: no time steps, any
-stiffness, and exact to round-off on the eigenvectors.
+from two independent ARPACK runs on it, forward solves for eta and transpose
+solves for alpha, which run in parallel on two CPUs over the one LU
+(shard.sharded), then from power steps that polish both together. The
+consistency checks apply e^{tQ} and its adjoint by a shift-and-invert Krylov
+method on the same resolvent: no time steps, any stiffness, and exact to
+round-off on the eigenvectors.
+
+Q need not be irreducible: every cell must reach its largest strongly
+connected component (the main one), on which alpha then lives. Cells outside
+it are transient, as where advantageous-only jumps cannot climb back to large
+x.
 
 Everything here is deliberately disjoint from the simulation code path: no
 thinning, no random numbers, no shared stepping logic.
@@ -29,12 +36,13 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, splu
 
 from .errors import DomainError, NumericError
 from .measure import EmpiricalMeasure, HistGrid
 from .model import ModelParams, drift_y, fixation_integral
+from .shard import sharded
 
 __all__ = ["GridGenerator", "OracleTriple", "build_generator", "leading_triple",
            "survival_consistency", "oracle_q_kernel", "QKernelCheck"]
@@ -79,6 +87,13 @@ class GridGenerator:
         """Sparse LU of I - Q/2: the one factorization every oracle solve uses."""
         return splu(sp.identity(self.n_cells, format="csc") - _SHIFT * self.Q.tocsc(),
                     permc_spec=_PERMC_SPEC)
+
+    @cached_property
+    def components(self) -> tuple[int, np.ndarray]:
+        """Strongly connected components of Q (it stores no zeros): their
+        number, and the mask of the largest, the main one."""
+        n_comp, labels = connected_components(self.Q, directed=True, connection="strong")
+        return n_comp, labels == np.bincount(labels).argmax()
 
 
 @dataclass
@@ -161,18 +176,23 @@ def build_generator(params: ModelParams, L: float, y_min: float = 1e-3,
     Q = sp.coo_matrix((rates, (src, dst)), shape=(N, N)).tocsr()
     out_rate = np.asarray(Q.sum(axis=1)).ravel() + kill
     Q = (Q - sp.diags(out_rate)).tocsr()
+    genr = GridGenerator(grid=grid, params=params, Q=Q, kill_rate=kill)
 
-    # reachability scan (Q stores no zeros): the largest strongly connected
-    # component must hold 90% of the cells
-    n_comp, labels = connected_components(Q, directed=True, connection="strong")
-    frac = np.bincount(labels).max() / N
-    if frac < 0.9:
-        raise NumericError("generator not irreducible on its main component",
-                           diagnostics={"n_components": int(n_comp), "largest_frac": float(frac)})
+    # every cell must reach the main component: a BFS on Q^T from one of its
+    # cells visits exactly the cells that reach it
+    n_comp, main = genr.components
+    frac = main.sum() / N
+    if n_comp > 1:
+        unreached = N - breadth_first_order(Q.T, int(np.argmax(main)),
+                                            return_predecessors=False).size
+        if unreached:
+            raise NumericError("generator has cells that cannot reach its main component",
+                               diagnostics={"n_components": int(n_comp),
+                                            "largest_frac": float(frac), "unreached": unreached})
 
-    diag = {"nnz": int(Q.nnz), "bandwidth_x": band, "scc_frac": float(frac),
-            "min_row_deficit": float(kill.min()), "max_rate": float(out_rate.max())}
-    return GridGenerator(grid=grid, params=params, Q=Q, kill_rate=kill, diagnostics=diag)
+    genr.diagnostics = {"nnz": int(Q.nnz), "bandwidth_x": band, "scc_frac": float(frac),
+                        "min_row_deficit": float(kill.min()), "max_rate": float(out_rate.max())}
+    return genr
 
 
 def _nonnegative(v: np.ndarray, name: str) -> np.ndarray:
@@ -189,30 +209,46 @@ def leading_triple(genr: GridGenerator) -> OracleTriple:
     """Leading eigentriple: ARPACK on the resolvent (I - Q/2)^{-1}, then
     power-step polish.
 
-    ARPACK (at most _MAX_ITER restarts) starts both vectors; 1 to _MAX_ITER
-    resolvent steps polish them until ||alpha Q + lambda alpha||_1 with
-    ||alpha||_1 = 1 and ||Q eta + lambda eta||_inf with ||eta||_inf = 1 are
-    both below _TOL. `iterations` counts resolvent solves: ARPACK operator
-    calls plus two per polish step.
+    Two ARPACK runs (at most _MAX_ITER restarts each) start eta and alpha;
+    they are independent, so they run in parallel over the one LU, factored
+    here, and the result is the same on any number of CPUs. Then 1 to
+    _MAX_ITER resolvent steps polish both until ||alpha Q + lambda alpha||_1
+    with ||alpha||_1 = 1 and ||Q eta + lambda eta||_inf with ||eta||_inf = 1
+    are both below _TOL. `iterations` counts resolvent solves: the operator
+    calls of both ARPACK runs plus two per polish step. alpha's mass outside
+    the main component must be round-off.
     """
     Q = genr.Q
     N = Q.shape[0]
-    solves = 0
+    lu = genr.lu  # factored before the fork, so the worker shares it
+
+    def top_vectors(units):
+        out = []
+        for trans in units:
+            name, count = ("eta" if trans == "N" else "alpha"), 0
+
+            def solve(v):
+                nonlocal count
+                count += 1
+                return lu.solve(v, trans=trans)
+
+            try:
+                v = eigs(LinearOperator((N, N), solve, dtype=float), k=1, v0=np.ones(N),
+                         maxiter=_MAX_ITER)[1][:, 0]
+            except ArpackError as exc:  # typed here: scipy's error does not cross a pipe
+                raise NumericError(f"ARPACK did not converge on the resolvent for {name}",
+                                   diagnostics={"solves": count, "arpack": str(exc)}) from exc
+            out.append((_nonnegative(v, name), count))
+        return out
+
+    (eta, eta_solves), (alpha, alpha_solves) = sharded(top_vectors, ["N", "T"])
+    solves = eta_solves + alpha_solves
 
     def resolvent(v, trans="N"):
         nonlocal solves
         solves += 1
-        return genr.lu.solve(v, trans=trans)
+        return lu.solve(v, trans=trans)
 
-    def top_vector(trans, name):
-        op = LinearOperator((N, N), lambda v: resolvent(v, trans), dtype=float)
-        return _nonnegative(eigs(op, k=1, v0=np.ones(N), maxiter=_MAX_ITER)[1][:, 0], name)
-
-    try:
-        eta, alpha = top_vector("N", "eta"), top_vector("T", "alpha")
-    except ArpackError as exc:
-        raise NumericError("ARPACK did not converge on the resolvent",
-                           diagnostics={"solves": solves, "arpack": str(exc)}) from exc
     for _ in range(_MAX_ITER):
         eta = _nonnegative(resolvent(eta), "eta")
         alpha = _nonnegative(resolvent(alpha, "T"), "alpha")
@@ -230,6 +266,10 @@ def leading_triple(genr: GridGenerator) -> OracleTriple:
                            diagnostics={"polish_steps": _MAX_ITER, "solves": solves,
                                         "res_eta": res_eta, "res_alpha": res_alpha})
 
+    outside = float(alpha[~genr.components[1]].sum())
+    if outside > _ROUNDOFF:
+        raise NumericError("alpha has mass outside the main component",
+                           diagnostics={"outside_mass": outside})
     inner = float(alpha @ eta)
     if inner <= 0.0:
         raise NumericError("degenerate alpha-eta pairing")

@@ -2,9 +2,10 @@
 
 sharded(compute, units) deals units round-robin to one process per usable
 CPU: the caller computes shard 0 and one forked worker each other shard.
-Every unit must draw only from its own StreamKeys, so how the units are
-dealt changes no output bit, and there is no setting for it. The qsd
-estimators shard their node batches, replicates and truncation boxes here.
+Every unit must draw only from its own StreamKeys, or be deterministic and
+draw nothing, so how the units are dealt changes no output bit, and there is
+no setting for it. The qsd estimators shard their node batches, replicates
+and truncation boxes here, and oracle.leading_triple its two ARPACK runs.
 
 Workers are forked, not spawned: compute is usually a closure over the
 caller's arrays, which the fork inherits and no pickle could carry. The
@@ -14,6 +15,7 @@ call that shards.
 from __future__ import annotations
 
 import os
+import pickle
 
 __all__ = ["sharded"]
 
@@ -88,7 +90,11 @@ def _worker(compute, shard: list, conn) -> None:
     try:
         msg = (True, list(compute(shard)))
     except Exception as err:
-        msg = (False, err)
+        try:  # an error that pickles but cannot be rebuilt would fail the caller's recv
+            pickle.loads(pickle.dumps(err))
+            msg = (False, err)
+        except Exception:
+            msg = (False, RuntimeError(f"shard worker raised {type(err).__name__}: {err}"))
     try:
         conn.send(msg)
     except Exception as err:  # a result or error that does not pickle

@@ -13,7 +13,7 @@ from scipy.sparse.linalg import splu
 from adaptqsd import oracle
 from adaptqsd.errors import DomainError, NumericError
 from adaptqsd.measure import HistGrid
-from adaptqsd.model import default_params
+from adaptqsd.model import ModelParams, default_params
 from adaptqsd.oracle import (
     GridGenerator,
     _expm_action,
@@ -180,12 +180,42 @@ def test_generator_assembly_is_frozen(overrides, digest):
     assert h.hexdigest() == digest
 
 
-def test_reducible_generator_raises_with_its_components():
-    # advantageous-only fixation never jumps toward lower fitness, so cells
-    # split into several strongly connected components
-    with pytest.raises(NumericError, match="irreducible") as info:
-        build_generator(default_params(fixation_family="advantageous_only"), 4.0, nx=40, ny=30)
-    assert info.value.diagnostics == {"n_components": 10, "largest_frac": 0.775}
+def test_advantageous_only_generator_solves_with_a_positive_eta():
+    # advantageous-only jumps only shrink |x| and the band stops at 8 tau, so
+    # the columns x > 2 are transient singletons that drift into the main component
+    genr = build_generator(default_params(fixation_family="advantageous_only"), 4.0,
+                           nx=40, ny=30)
+    n_comp, main = genr.components
+    assert n_comp == 10 and genr.diagnostics["scc_frac"] == 0.775
+    triple = leading_triple(genr)
+    assert triple.res_alpha < 1e-10 and triple.res_eta < 1e-10
+    assert triple.eta.min() > 0.0
+    assert genr.grid_to_vec(triple.alpha.masses)[~main].sum() < 1e-15
+
+
+def test_generator_with_cells_that_cannot_reach_its_main_component_raises(monkeypatch):
+    # no jumps from x < -1: those 15 columns only drift toward -L, so none of
+    # them reaches the component that holds the rest of the box
+    g = ModelParams.g
+    monkeypatch.setattr(ModelParams, "g", lambda self, x, w: np.where(
+        np.asarray(x)[..., 0] > -1.0, g(self, x, w), 0.0))
+    with pytest.raises(NumericError, match="cannot reach its main component") as info:
+        build_generator(default_params(), 4.0, nx=40, ny=30)
+    assert info.value.diagnostics == {"n_components": 16, "largest_frac": 0.625,
+                                      "unreached": 450}
+
+
+def test_alpha_outside_the_main_component_raises():
+    # cells 0-2 are the main component, killed at rate 5; cell 3 feeds it at
+    # rate 0.1 and is never killed, so the leading eigenpair lives on cell 3
+    grid = HistGrid(dim=1, x_lo=-1.0, x_hi=1.0, nx=2, y_lo=0.5, y_hi=2.0, ny=2)
+    Q = sp.csr_matrix(np.array([[-7.0, 1.0, 1.0, 0.0], [1.0, -7.0, 1.0, 0.0],
+                                [1.0, 1.0, -7.0, 0.0], [0.1, 0.0, 0.0, -0.1]]))
+    genr = GridGenerator(grid=grid, params=default_params(), Q=Q,
+                         kill_rate=np.array([5.0, 5.0, 5.0, 0.0]))
+    with pytest.raises(NumericError, match="outside the main component") as info:
+        leading_triple(genr)
+    assert info.value.diagnostics["outside_mass"] > 0.9
 
 
 def test_rejects_unsupported_domains():
@@ -285,7 +315,7 @@ def test_expm_action_cap_raises_numeric_error(tiny_built, monkeypatch):
 
 def test_eigen_solve_failures_raise_numeric_error(tiny_built, monkeypatch):
     monkeypatch.setattr(oracle, "_MAX_ITER", 1)
-    with pytest.raises(NumericError, match="ARPACK") as info:
+    with pytest.raises(NumericError, match="ARPACK .* for eta") as info:
         leading_triple(tiny_built)
     assert info.value.diagnostics["solves"] > 0
     monkeypatch.setattr(oracle, "_TOL", 0.0)

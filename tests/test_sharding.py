@@ -1,5 +1,6 @@
 """Process sharding (shard.sharded): the CPU count changes no output bit,
-errors cross the pipe intact, and no worker outlives a call."""
+errors cross the pipe intact or as a RuntimeError naming them, and no worker
+outlives a call."""
 from __future__ import annotations
 
 import hashlib
@@ -10,11 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from adaptqsd import cli, cohort, qsd, shard
+from adaptqsd import cli, cohort, oracle, qsd, shard
 from adaptqsd.cohort import Engine
 from adaptqsd.errors import MassExtinctionError, NumericError
 from adaptqsd.measure import HistGrid
 from adaptqsd.model import default_params
+from adaptqsd.oracle import build_generator, leading_triple
 from adaptqsd.pathsim import SimConfig
 from adaptqsd.rng import StreamKey
 
@@ -194,6 +196,55 @@ def test_worker_mass_extinction_reaches_the_caller_with_time_and_group(params, m
     with pytest.raises(MassExtinctionError, match="group 1") as err:
         shard.sharded(step_doomed, [0, 1])
     assert err.value.group == 1 and err.value.time == 1.5
+
+
+class _TwoArgError(Exception):
+    """Pickles with its message only, so unpickling it calls __init__ with one argument."""
+
+    def __init__(self, message, extra):
+        super().__init__(message)
+        self.extra = extra
+
+
+def _fail_unrebuildably(part):
+    if 1 in part:
+        raise _TwoArgError("no rebuild", 7)
+    return list(part)
+
+
+def test_worker_error_that_cannot_be_rebuilt_arrives_as_a_runtime_error(monkeypatch):
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="shard worker raised _TwoArgError: no rebuild"):
+        shard.sharded(_fail_unrebuildably, [0, 1])
+
+
+def test_leading_triple_is_bit_identical_on_any_cpu_count(params, monkeypatch):
+    genr = build_generator(params, 4.0, nx=40, ny=30)
+    triples = []
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        triples.append(leading_triple(genr))
+    for t in triples[1:]:
+        assert t.lambda0 == triples[0].lambda0 and t.iterations == triples[0].iterations
+        assert (t.res_alpha, t.res_eta) == (triples[0].res_alpha, triples[0].res_eta)
+        np.testing.assert_array_equal(t.alpha.masses, triples[0].alpha.masses)
+        np.testing.assert_array_equal(t.eta, triples[0].eta)
+
+
+def test_arpack_failure_in_the_worker_names_its_vector(params, monkeypatch):
+    # the caller runs eta; only the forked worker, which runs alpha, gets one restart
+    caller, eigs = os.getpid(), oracle.eigs
+
+    def eigs_failing_in_worker(*args, **kwargs):
+        if os.getpid() != caller:
+            kwargs["maxiter"] = 1
+        return eigs(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "eigs", eigs_failing_in_worker)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(NumericError, match="ARPACK .* for alpha") as err:
+        leading_triple(build_generator(params, 4.0, nx=40, ny=30))
+    assert err.value.diagnostics["solves"] > 0
 
 
 def test_caller_error_kills_and_joins_the_workers(monkeypatch):
