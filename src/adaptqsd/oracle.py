@@ -10,14 +10,17 @@ state, making row sums nonpositive (sub-Markov). Each term is assembled as one
 array expression over the (ny, nx) array of flat cell indices j * nx + i (an
 order that keeps the LU banded); only the jump offsets are looped over.
 
-Every solve goes through one sparse LU per generator, of I - Q/2, i.e. the
-resolvent (I - Q/2)^{-1}. The leading eigentriple (lambda0, alpha, eta) comes
-from two independent ARPACK runs on it, forward solves for eta and transpose
-solves for alpha, which run in parallel on two CPUs over the one LU
-(shard.sharded), then from power steps that polish both together. The
-consistency checks apply e^{tQ} and its adjoint by a shift-and-invert Krylov
-method on the same resolvent: no time steps, any stiffness, and exact to
-round-off on the eigenvectors.
+Every solve goes through one banded LU per generator (LAPACK gbtrf, partial
+pivoting), of I - 2Q, i.e. the resolvent (I - 2Q)^{-1}: the flat cell order
+bands Q by nx, so the band is written straight from Q's entries. A decay rate
+lambda of Q is an eigenvalue 1/(1 + 2 lambda) of the resolvent, which puts the
+leading two (0.79 and 1.21 at 80x60) a ratio 0.75 apart. The leading
+eigentriple (lambda0, alpha, eta) comes from two independent ARPACK runs on
+it, forward solves for eta and transpose solves for alpha, which run in
+parallel on two CPUs over the one LU (shard.sharded), then from power steps
+that polish both together. The consistency checks apply e^{tQ} and its
+adjoint by a shift-and-invert Krylov method on the same resolvent: no time
+steps, any stiffness, and exact to round-off on the eigenvectors.
 
 Q need not be irreducible: every cell must reach its largest strongly
 connected component (the main one), on which alpha then lives. Cells outside
@@ -36,8 +39,9 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.csgraph import breadth_first_order, connected_components
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from .errors import DomainError, NumericError
 from .measure import EmpiricalMeasure, HistGrid
@@ -47,18 +51,31 @@ from .shard import sharded
 __all__ = ["GridGenerator", "OracleTriple", "build_generator", "leading_triple",
            "survival_consistency", "oracle_q_kernel", "QKernelCheck"]
 
-# the flat cell order j * nx + i is already banded by nx; reordering only
-# costs factorization time
-_PERMC_SPEC = "NATURAL"
 _ROUNDOFF = 1e-12  # largest negative eigenvector entry clipped, relative to max |v|
 # leading_triple: eigen-residual target, and the cap on ARPACK restarts and on
 # resolvent polish steps
 _TOL = 1e-10
 _MAX_ITER = 20_000
-_SHIFT = 0.5  # every solve is with the resolvent (I - _SHIFT Q)^{-1}
+_SHIFT = 2.0  # every solve is with the resolvent (I - _SHIFT Q)^{-1}
 # _expm_action: agreement tolerances (of the iterate, of ||v||), the number of
 # consecutive agreeing steps, and the cap on resolvent solves
 _KRYLOV_RTOL, _KRYLOV_ATOL, _KRYLOV_STREAK, _KRYLOV_MAX = 1e-10, 1e-15, 3, 200
+
+
+@dataclass(frozen=True)
+class BandedLU:
+    """LAPACK gbtrf factors (partial pivoting) of a matrix with kl sub- and ku
+    superdiagonals."""
+
+    factors: np.ndarray
+    ipiv: np.ndarray
+    kl: int
+    ku: int
+
+    def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
+        """A^{-1} v, or A^{-T} v if trans == "T"."""
+        return dgbtrs(self.factors, self.kl, self.ku, v, self.ipiv,
+                      trans="NT".index(trans))[0]
 
 
 @dataclass
@@ -83,10 +100,26 @@ class GridGenerator:
         return np.asarray(m).T.ravel()
 
     @cached_property
-    def lu(self):
-        """Sparse LU of I - Q/2: the one factorization every oracle solve uses."""
-        return splu(sp.identity(self.n_cells, format="csc") - _SHIFT * self.Q.tocsc(),
-                    permc_spec=_PERMC_SPEC)
+    def lu(self) -> BandedLU:
+        """Banded LU of I - 2Q: the one factorization every oracle solve uses.
+
+        The band storage is written straight from Q's entries, and so are its
+        bandwidths: nx, the y-diffusion offset, on a built grid. A zero pivot
+        raises NumericError carrying LAPACK's info."""
+        Q = self.Q.tocoo()
+        Q.sum_duplicates()  # a no-op on assembled generators, which are canonical
+        offset = Q.row - Q.col
+        kl, ku = max(int(offset.max()), 0), max(int(-offset.min()), 0)
+        # A[i, j] sits at ab[kl + ku + i - j, j]; the top kl rows are room for
+        # the fill of row swaps. Column-major, so gbtrf factors it in place
+        ab = np.zeros((2 * kl + ku + 1, self.n_cells), order="F")
+        ab[kl + ku + offset, Q.col] = -_SHIFT * Q.data
+        ab[kl + ku] += 1.0
+        factors, ipiv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+        if info != 0:
+            raise NumericError("banded LU of I - 2Q has a zero pivot", diagnostics={
+                "info": int(info), "kl": kl, "ku": ku})
+        return BandedLU(factors, ipiv, kl, ku)
 
     @cached_property
     def components(self) -> tuple[int, np.ndarray]:
@@ -206,17 +239,18 @@ def _nonnegative(v: np.ndarray, name: str) -> np.ndarray:
 
 
 def leading_triple(genr: GridGenerator) -> OracleTriple:
-    """Leading eigentriple: ARPACK on the resolvent (I - Q/2)^{-1}, then
+    """Leading eigentriple: ARPACK on the resolvent (I - 2Q)^{-1}, then
     power-step polish.
 
     Two ARPACK runs (at most _MAX_ITER restarts each) start eta and alpha;
     they are independent, so they run in parallel over the one LU, factored
-    here, and the result is the same on any number of CPUs. Then 1 to
-    _MAX_ITER resolvent steps polish both until ||alpha Q + lambda alpha||_1
-    with ||alpha||_1 = 1 and ||Q eta + lambda eta||_inf with ||eta||_inf = 1
-    are both below _TOL. `iterations` counts resolvent solves: the operator
-    calls of both ARPACK runs plus two per polish step. alpha's mass outside
-    the main component must be round-off.
+    here, and the result is the same on any number of CPUs and of BLAS
+    threads. Then 1 to _MAX_ITER resolvent steps polish both until
+    ||alpha Q + lambda alpha||_1 with ||alpha||_1 = 1 and
+    ||Q eta + lambda eta||_inf with ||eta||_inf = 1 are both below _TOL.
+    `iterations` counts resolvent solves: the operator calls of both ARPACK
+    runs plus two per polish step. alpha's mass outside the main component
+    must be round-off.
     """
     Q = genr.Q
     N = Q.shape[0]
@@ -253,11 +287,13 @@ def leading_triple(genr: GridGenerator) -> OracleTriple:
         eta = _nonnegative(resolvent(eta), "eta")
         alpha = _nonnegative(resolvent(alpha, "T"), "alpha")
         alpha /= alpha.sum()
+        # products are summed by numpy, not by BLAS ddot (what `@` calls on
+        # vectors), whose threaded sum changes with the BLAS thread count
         qe = Q @ eta
-        lam = -float(eta @ qe) / float(eta @ eta)
+        lam = -float((eta * qe).sum()) / float((eta * eta).sum())
         res_eta = float(np.abs(qe + lam * eta).max())
         qa = Q.T @ alpha
-        lam_a = -float(alpha @ qa) / float(alpha @ alpha)
+        lam_a = -float((alpha * qa).sum()) / float((alpha * alpha).sum())
         res_alpha = float(np.abs(qa + lam_a * alpha).sum())
         if res_eta < _TOL and res_alpha < _TOL:
             break
@@ -270,7 +306,7 @@ def leading_triple(genr: GridGenerator) -> OracleTriple:
     if outside > _ROUNDOFF:
         raise NumericError("alpha has mass outside the main component",
                            diagnostics={"outside_mass": outside})
-    inner = float(alpha @ eta)
+    inner = float((alpha * eta).sum())
     if inner <= 0.0:
         raise NumericError("degenerate alpha-eta pairing")
     alpha_meas = EmpiricalMeasure(grid=genr.grid, masses=genr.vec_to_grid(alpha),
@@ -285,8 +321,8 @@ def _expm_action(genr: GridGenerator, v: np.ndarray, ts: tuple[float, ...],
     """Columns e^{tQ} v (e^{tQ^T} v if adjoint), one per t in ts, from one
     shift-and-invert Krylov basis.
 
-    Arnoldi (classical Gram-Schmidt, twice) on the resolvent A = (I - Q/2)^{-1}
-    gives V_m^T A V_m = H_m, so Q ~ V_m S V_m^T with S = 2 (I - H_m^{-1}) and
+    Arnoldi (classical Gram-Schmidt, twice) on the resolvent A = (I - 2Q)^{-1}
+    gives V_m^T A V_m = H_m, so Q ~ V_m S V_m^T with S = (I - H_m^{-1}) / 2 and
     e^{tQ} v ~ ||v|| V_m expm(t S) e_1, whatever the stiffness of Q. Stops on
     happy breakdown (a subdiagonal below _KRYLOV_ATOL), or when successive
     iterates agree on _KRYLOV_STREAK consecutive steps, as a point mass on a

@@ -7,6 +7,13 @@ draw nothing, so how the units are dealt changes no output bit, and there is
 no setting for it. The qsd estimators shard their node batches, replicates
 and truncation boxes here, and oracle.leading_triple its two ARPACK runs.
 
+Outputs are bit-identical across process counts, not across BLAS thread
+counts: a threaded BLAS ddot (NumPy's `@` on two long vectors) sums in an
+order that depends on its thread count, so code whose output must not depend
+on OMP_NUM_THREADS sums such products with NumPy, as oracle.leading_triple
+does. CI compares `adaptqsd oracle` at 120x90 under one BLAS thread and under
+the default count.
+
 Workers are forked, not spawned: compute is usually a closure over the
 caller's arrays, which the fork inherits and no pickle could carry. The
 package starts no threads of its own. multiprocessing is imported only by a
