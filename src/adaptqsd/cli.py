@@ -347,8 +347,7 @@ def run_qprocess(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> l
                                          horizon=cfg["q_horizon"])
     hist = fv.alpha.grid.histogram(qx, qy)
     write_measure_csv(out / "q_marginal.csv",
-                      EmpiricalMeasure(fv.alpha.grid, hist / hist.sum(),
-                                       n_samples=cfg["walkers"]))
+                      EmpiricalMeasure(fv.alpha.grid, hist / hist.sum()))
     artifacts = ["q_marginal.csv", "beta.csv", "qprocess.json"]
     write_measure_csv(out / "beta.csv", beta)
     for i in range(cfg["q_paths"]):
@@ -399,6 +398,8 @@ def run_diagnose(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> l
     if not (0.0 < cfg["slice_dt"] <= cfg["t_max"] and cfg["balance_collect"] > _BALANCE_EVERY):
         raise ConfigError("diagnose needs 0 < slice_dt <= t_max and "
                           f"balance_collect > {_BALANCE_EVERY}")
+    if not cfg["L_list"]:
+        raise ConfigError("diagnose needs at least one truncation box in L_list")
     fv = _run_fv(cfg, params, sim)
     curve = convergence_curve(relaxed_start(params, sim), fv.alpha.coarsen(4, 4), params,
                               sim, _key(cfg, "convergence"),

@@ -77,7 +77,6 @@ class SimConfig:
 
     dt_max: float = 0.01
     y_ext: float = 1e-3
-    x_max: float | None = None
     horizon: float = 50.0
     truncation: float | None = None
     truncation_y_low: float | None = None
@@ -118,8 +117,7 @@ class SimConfig:
 
     @property
     def x_guard(self) -> float:
-        if self.x_max is not None:
-            return self.x_max
+        """|x| of the explosion guard: 10 L in a box, 40 without one."""
         return 10.0 * self.truncation if self.truncation is not None else 40.0
 
 
@@ -220,9 +218,9 @@ class Engine:
         self._floor_code = (REASON_CODES["extinct"]
                            if config.floor_reason is ExitReason.EXTINCT
                            else REASON_CODES["trunc_y_low"])
-        # the |x| exit level: the nearer of the box edge and the guard (ties
-        # go to the box); an affine path crosses the nearer level first
-        if config.truncation is not None and config.truncation <= config.x_guard:
+        # the |x| exit level: the box edge, which lies inside the guard, or
+        # the guard of an untruncated run
+        if config.truncation is not None:
             self._x_level, self._x_code = config.truncation, REASON_CODES["trunc_x"]
         else:
             self._x_level, self._x_code = config.x_guard, REASON_CODES["x_guard"]

@@ -69,16 +69,14 @@ class HistGrid:
     def n_cells(self) -> int:
         return int(np.prod(self.shape))
 
-    def histogram(self, x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """Weighted counts over cells (binned by cell_index); points outside
+    def histogram(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Point counts over cells (binned by cell_index); points outside
         the box are dropped.
 
         x: (n, dim), y: (n,). Returns an array of self.shape.
         """
         idx = self.cell_index(x, y)
-        inside = idx >= 0
-        w = None if weights is None else np.asarray(weights, dtype=float)[inside]
-        return np.bincount(idx[inside], w, self.n_cells).astype(float).reshape(self.shape)
+        return np.bincount(idx[idx >= 0], minlength=self.n_cells).astype(float).reshape(self.shape)
 
     def cell_index(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Flat cell index per point, -1 if outside the box (or NaN).
@@ -132,7 +130,6 @@ class EmpiricalMeasure:
 
     grid: HistGrid
     masses: np.ndarray
-    n_samples: float = 0.0
 
     MIN_TOTAL = 1e-12
 
@@ -182,7 +179,7 @@ class EmpiricalMeasure:
         sub = HistGrid(dim=self.grid.dim, x_lo=self.grid.x_lo, x_hi=self.grid.x_hi,
                        nx=self.grid.nx // fx, y_lo=self.grid.y_lo, y_hi=self.grid.y_hi,
                        ny=self.grid.ny // fy)
-        return EmpiricalMeasure(grid=sub, masses=m, n_samples=self.n_samples)
+        return EmpiricalMeasure(grid=sub, masses=m)
 
     def to_rows(self):
         """Iterate (x_center..., y_center, mass) over cells, C order."""

@@ -309,9 +309,8 @@ def leading_triple(genr: GridGenerator) -> OracleTriple:
     inner = float((alpha * eta).sum())
     if inner <= 0.0:
         raise NumericError("degenerate alpha-eta pairing")
-    alpha_meas = EmpiricalMeasure(grid=genr.grid, masses=genr.vec_to_grid(alpha),
-                                  n_samples=float("inf"))
-    return OracleTriple(lambda0=0.5 * (lam + lam_a), alpha=alpha_meas,
+    return OracleTriple(lambda0=0.5 * (lam + lam_a),
+                        alpha=EmpiricalMeasure(grid=genr.grid, masses=genr.vec_to_grid(alpha)),
                         eta=genr.vec_to_grid(eta / inner), res_alpha=res_alpha,
                         res_eta=res_eta, iterations=solves)
 

@@ -2,9 +2,10 @@
 
 The stack, bottom to top:
 
-- fleming_viot: interacting ensemble whose time-averaged occupation after
-  burn-in estimates the quasi-stationary law alpha and whose kill flux
-  estimates the decay rate lambda0;
+- fleming_viot: interacting ensemble run through a burn-in (fixed, or
+  until chunk-to-chunk occupation TV plateaus), then a window whose
+  time-averaged occupation estimates the quasi-stationary law alpha and
+  whose kill flux estimates the decay rate lambda0;
 - estimate_lambda0_survival: independent lambda0 estimate from the survival
   curve of a plain (non-interacting) cohort started from alpha;
 - estimate_eta: survival capacity eta on a coarse node grid, the eigen fixed
@@ -182,88 +183,79 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
 
     Killed particles are replaced at window ends by the end-of-window state
     of a uniformly chosen survivor (see _Stepper; donors come from the
-    "resample" streams).
-    burn_in="auto" tracks the TV between consecutive _FV_CHUNK occupations
-    and declares the transient over when that series stops improving (or at
-    _BURN_IN_CAP): two chunks in a row with either TV below _PLATEAU_TOL or
-    less than a 10% drop while already in the low-TV regime. After that,
-    occupation is averaged over `window` more time units.
+    "resample" streams). A burn-in loop runs first, then a window loop whose
+    occupation over `window` time units estimates alpha and whose kills
+    estimate lambda0; the kill log covers both loops. A numeric burn_in
+    steps that long. burn_in="auto" tracks the TV between consecutive
+    _FV_CHUNK occupations (diagnostics["tv_series"], which ends at the
+    burn-in and is empty for a numeric one) and declares the transient over
+    when that series stops improving: two chunks in a row with either TV
+    below _PLATEAU_TOL or less than a 10% drop while already in the low-TV
+    regime, or at _BURN_IN_CAP (diagnostics["burn_in_capped"]).
     """
     if n_particles < 2:
         raise DomainError("need at least 2 particles")
+    if not window > 0.0:
+        raise DomainError(f"fleming_viot needs window > 0, got {window}")
     grid = hist_grid if hist_grid is not None else default_hist_grid(config, dim=params.dim)
     dt = config.dt_max
-    gen0 = stream(key.child("init"))
-    x, y = _init_states(init, n_particles, params, config, gen0)
+    x, y = _init_states(init, n_particles, params, config, stream(key.child("init")))
     fv = _Stepper(params, config, x, y, [key], resample="resample")
+    # (times, killed, donors) of each window with kills, after an empty entry
+    kills = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
 
-    occ = np.zeros(grid.n_cells)
-    chunk_occ = np.zeros(grid.n_cells)
-    prev_chunk = None
-    tv_series: list[tuple[float, float]] = []
-    kill_times: list[np.ndarray] = []
-    kill_ids: list[np.ndarray] = []
-    donor_ids: list[np.ndarray] = []
-    burn_time = float(burn_in) if burn_in != "auto" else None
-    plateau_hits = 0
-    kills_window = 0
-    window_t0 = None
-
-    while True:
-        if burn_time is not None and window_t0 is None and fv.t >= burn_time - 1e-12:
-            window_t0 = fv.t
-        if window_t0 is not None and fv.t >= window_t0 + window - 1e-12:
-            break
+    def step():
         ev, donors = fv.step()
         if len(donors):
-            kill_times.append(ev.kill_times)
-            kill_ids.append(ev.kill_ids)
-            donor_ids.append(donors)
-            if window_t0 is not None:
-                kills_window += len(donors)
+            kills.append((ev.kill_times, ev.kill_ids, donors))
+
+    def occupy(occupation):
         idx = grid.cell_index(x, y)
-        inside = idx >= 0
-        np.add.at(chunk_occ, idx[inside], dt)
-        if window_t0 is not None:
-            np.add.at(occ, idx[inside], dt)
+        np.add.at(occupation, idx[idx >= 0], dt)
 
-        if fv.t + 1e-12 >= (len(tv_series) + 1) * _FV_CHUNK:
-            cur = chunk_occ / max(chunk_occ.sum(), 1e-300)
-            if prev_chunk is not None:
-                prev_tv = tv_series[-1][1]
-                tv = 0.5 * float(np.abs(cur - prev_chunk).sum())
+    tv_series: list[tuple[float, float]] = []
+    if burn_in == "auto":
+        chunk, prev, plateau_hits = np.zeros(grid.n_cells), None, 0
+        # the rule decides at chunk ends only, from the second chunk on
+        while len(tv_series) < 2 or (plateau_hits < 2 and tv_series[-1][0] < _BURN_IN_CAP):
+            step()
+            occupy(chunk)
+            if fv.t + 1e-12 >= (len(tv_series) + 1) * _FV_CHUNK:
+                cur = chunk / max(chunk.sum(), 1e-300)
+                tv = 1.0 if prev is None else 0.5 * float(np.abs(cur - prev).sum())
+                # stall test: no 10% improvement while already low (the first TV, 1.0, never is)
+                stalled = tv < 0.35 and tv > 0.9 * tv_series[-1][1]
+                plateau_hits = plateau_hits + 1 if (tv < _PLATEAU_TOL or stalled) else 0
                 tv_series.append((fv.t, tv))
-                if burn_time is None:
-                    # stall test: no 10% improvement while already low
-                    stalled = tv > 0.9 * prev_tv and tv < 0.35
-                    plateau_hits = plateau_hits + 1 if (tv < _PLATEAU_TOL or stalled) else 0
-                    if plateau_hits >= 2 or fv.t >= _BURN_IN_CAP:
-                        burn_time = fv.t
-            else:
-                tv_series.append((fv.t, 1.0))
-            prev_chunk = cur
-            chunk_occ = np.zeros(grid.n_cells)
+                chunk, prev = np.zeros(grid.n_cells), cur
+        burn_time = fv.t
+    else:
+        while fv.t < float(burn_in) - 1e-12:
+            step()
+        burn_time = float(burn_in)
 
-    alpha = EmpiricalMeasure(grid=grid, masses=occ.reshape(grid.shape),
-                             n_samples=n_particles * window / max(dt, 1e-300))
+    window_t0, window_end, burn_kills = fv.t, fv.t + window, len(kills)
+    occ = np.zeros(grid.n_cells)
+    while fv.t < window_end - 1e-12:
+        step()
+        occupy(occ)
+    kills_window = sum(len(donors) for *_, donors in kills[burn_kills:])
+
     duration = fv.t - window_t0
-    lam = kills_window / (n_particles * duration)
-    lam_se = math.sqrt(max(kills_window, 1)) / (n_particles * duration)
-    log = {
-        "times": np.concatenate(kill_times) if kill_times else np.empty(0),
-        "killed": np.concatenate(kill_ids) if kill_ids else np.empty(0, dtype=np.int64),
-        "donors": np.concatenate(donor_ids) if donor_ids else np.empty(0, dtype=np.int64),
-    }
+    times, killed, donors = (np.concatenate(part) for part in zip(*kills))
     diag = {
         "tv_series": tv_series,
         "bound_exceeded": fv.bound_exceeded,
         "plateau_tol": _PLATEAU_TOL,
-        "burn_in_capped": bool(burn_time is not None and burn_time >= _BURN_IN_CAP),
+        "burn_in_capped": burn_in == "auto" and burn_time >= _BURN_IN_CAP,
     }
-    return QsdEstimate(alpha=alpha, lambda0=lam, lambda0_stderr=lam_se,
+    return QsdEstimate(alpha=EmpiricalMeasure(grid=grid, masses=occ.reshape(grid.shape)),
+                       lambda0=kills_window / (n_particles * duration),
+                       lambda0_stderr=math.sqrt(max(kills_window, 1)) / (n_particles * duration),
                        kills_in_window=kills_window, n_particles=n_particles,
                        burn_in_time=float(burn_time), window=(float(window_t0), float(fv.t)),
-                       kill_log=log, diagnostics=diag)
+                       kill_log={"times": times, "killed": killed, "donors": donors},
+                       diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +618,7 @@ def beta_from(alpha: EmpiricalMeasure, eta: EtaEstimate) -> EmpiricalMeasure:
     masses = alpha.masses * weights
     if masses.sum() <= EmpiricalMeasure.MIN_TOTAL:
         raise DomainError("beta degenerate: alpha and eta have disjoint support")
-    return EmpiricalMeasure(grid=g, masses=masses, n_samples=alpha.n_samples)
+    return EmpiricalMeasure(grid=g, masses=masses)
 
 
 # ---------------------------------------------------------------------------
@@ -860,6 +852,8 @@ def truncation_family(params: ModelParams, base_config: SimConfig, key: StreamKe
     to one process per CPU (shard.sharded).
     """
     Ls = sorted(float(v) for v in Ls)
+    if not Ls:
+        raise DomainError("truncation_family needs at least one box L")
     grid = HistGrid.for_box(Ls[-1], y_lo=base_config.y_floor, nx=nx, ny=ny, dim=params.dim)
 
     def run_boxes(boxes):

@@ -91,7 +91,7 @@ def test_criterion_06_q_process_stationarity(acc_beta, acc_q_marginal, criterion
     qx, qy, stats = acc_q_marginal
     grid = acc_beta.grid
     hist = grid.histogram(qx, qy)
-    marginal = EmpiricalMeasure(grid, hist / hist.sum(), n_samples=len(qy))
+    marginal = EmpiricalMeasure(grid, hist / hist.sum())
     tv = tv_distance(marginal.coarsen(8, 6), acc_beta.coarsen(8, 6))
     ok = tv <= 0.15
     criterion_report(6, ok, f"TV(conditioned marginal at t=20, beta) = {tv:.4f} "

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from adaptqsd import cli, qsd
+from adaptqsd import cli, cohort, qsd
 from adaptqsd.errors import MassExtinctionError, NumericError
 from adaptqsd.model import ModelParams
 from adaptqsd.pathsim import SimConfig
@@ -98,7 +98,7 @@ def test_experiment_block_is_cast_to_default_types():
 
 
 def test_null_only_where_the_library_default_is_none(tmp_path):
-    nullable = ["--set", "L=null", "--set", "truncation_y_low=null", "--set", "x_max=null"]
+    nullable = ["--set", "L=null", "--set", "truncation_y_low=null"]
     assert cli.main(["validate", "--out", str(tmp_path)] + nullable) == 0
     assert cli.main(["validate", "--out", str(tmp_path), "--set", "dt_max=null"]) == 2
 
@@ -286,6 +286,7 @@ def test_d1_commands_reject_two_dimensions_before_any_estimate(tmp_path, capsys,
     ("diagnose", "slice_dt=0"), ("diagnose", "balance_collect=0"), ("diagnose", "t_max=0"),
     ("lambda", "lambda_horizon=0.1"), ("lambda", "lambda_horizon=0.25"),
     ("qprocess", "q_horizon=0"), ("qprocess", "q_horizon=0.02"), ("qprocess", "walkers=0"),
+    ("diagnose", "L_list=[]"),
 ])
 def test_sizes_that_leave_nothing_to_compute_exit_2_before_any_run(tmp_path, capsys,
                                                                    monkeypatch, cmd, setting):
@@ -298,6 +299,21 @@ def test_sizes_that_leave_nothing_to_compute_exit_2_before_any_run(tmp_path, cap
     assert cli.main([cmd, "--out", str(tmp_path), "--set", setting]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd,setting", [("fv", "window=0"), ("fv", "window=-2.5"),
+                                         ("eta", "window=0"), ("qprocess", "window=0"),
+                                         ("diagnose", "window=0")])
+def test_an_empty_fv_window_exits_2_before_any_window_is_stepped(tmp_path, capsys,
+                                                                 monkeypatch, cmd, setting):
+    # fleming_viot rejects the window itself, so every command that runs it does
+    def window(*args, **kwargs):
+        raise AssertionError("a window was stepped before the fv window was rejected")
+
+    monkeypatch.setattr(cohort.Engine, "window", window)
+    assert cli.main([cmd, "--out", str(tmp_path), "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "window > 0" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("cmd,setting", [("qprocess", "walkers=0"),

@@ -110,12 +110,12 @@ def test_nearer_x_level_names_the_exit():
     # near its equilibrium 2, so only the |x| levels can end the path
     params = default_params(m_nu=0.0, r0=20.0, a=0.0, gamma_n=19.75)
     key = StreamKey(seed=6, lineage=("xexit",))
-    # the guard x_max = 2 lies inside the box L = 4 and is crossed first
-    guarded = SimConfig(truncation=4.0, x_max=2.0, horizon=20.0)
-    code, t = _first_exit(params, guarded, [-1.5], 2.0, key)
+    # untruncated, the explosion guard at |x| = 40 ends the path
+    free = SimConfig(horizon=20.0)
+    code, t = _first_exit(params, free, [-38.5], 2.0, key)
     assert code == REASON_CODES["x_guard"]
-    assert t == pytest.approx(0.5 / params.v, abs=1e-9)
-    # without x_max the guard sits at 10 L, so the box edge ends the path
+    assert t == pytest.approx(1.5 / params.v, abs=1e-9)
+    # in a box the guard sits at 10 L, so the box edge ends the path
     boxed = SimConfig(truncation=4.0, horizon=20.0)
     code, t = _first_exit(params, boxed, [-1.5], 2.0, key)
     assert code == REASON_CODES["trunc_x"]
@@ -185,16 +185,17 @@ def test_reason_code_round_trip():
 # Generator.poisson streams may differ on other numpy versions).
 _FROZEN_WINDOWS = {
     # truncated d = 1: floor (trunc_y_low), ceiling and x-box kills
-    "truncated_d1": (dict(), dict(truncation=3.0), 0.01, 2.99,
+    "truncated_d1": (dict(), dict(truncation=3.0), 0.01, (-2.99, 2.99),
                      "bd469e8cad191b78a19bae00dc556fa0baf85f35138d9060593628c8c0047de0",
                      {"trunc_y_low", "trunc_y_top", "trunc_x"}),
-    # untruncated d = 2 against a close explosion guard
-    "guarded_d2": (dict(dim=2), dict(x_max=1.5), 0.05, 1.4,
-                   "1af8e5f773c175a430b742f208a4bb84d766416b9e99c4213b92c2530afd84a6",
+    # untruncated d = 2 from |x| in [38.2, 39.9], drifting out to the guard at
+    # 40; a = 0 keeps the growth rate from collapsing that far from the optimum
+    "guarded_d2": (dict(dim=2, a=0.0), dict(), 0.05, (-28.2, -27.0),
+                   "212f77ea54b0697f52e81db960fbf78fff17f5b8d307c96101c5e3c9dba7dfdf",
                    {"extinct", "x_guard"}),
     # the rescaled fixation family, whose jumps shrink ||x||
     "rescaled": (dict(fixation_family="rescaled_advantageous"),
-                 dict(truncation=4.0, truncation_y_low=1e-3), 0.02, 3.99,
+                 dict(truncation=4.0, truncation_y_low=1e-3), 0.02, (-3.99, 3.99),
                  "ff8482540ddd8f4d972a2d967d83b50f8cac7dc5e7362aaadeffaccf78319906",
                  {"extinct", "trunc_y_top", "trunc_x"}),
 }
@@ -208,7 +209,7 @@ def test_window_draws_are_frozen(name):
     particles with even index restart from their initial state, so every
     window mixes fresh, long-lived and dead-at-t0 rows.
     """
-    pkw, ckw, dt, x_half, digest, codes = _FROZEN_WINDOWS[name]
+    pkw, ckw, dt, x_range, digest, codes = _FROZEN_WINDOWS[name]
     params = default_params(**pkw)
     config = SimConfig(**ckw)
     engine = Engine(params, config)
@@ -216,7 +217,7 @@ def test_window_draws_are_frozen(name):
     n = 300
     gen0 = stream(key.child("init"))
     top = config.y_top or 5.0
-    x0 = gen0.uniform(-x_half, x_half, size=(n, params.dim))
+    x0 = gen0.uniform(*x_range, size=(n, params.dim))
     y0 = np.exp(gen0.uniform(np.log(1.01 * config.y_floor), np.log(0.99 * top), size=n))
     x, y, alive = x0.copy(), y0.copy(), np.ones(n, dtype=bool)
     h = hashlib.sha256()

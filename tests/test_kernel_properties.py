@@ -22,20 +22,33 @@ _CONFIGS = {
     "boxed": SimConfig(truncation=4.0, truncation_y_low=1e-3),
     "boxed_floor": SimConfig(truncation=3.0),
     "free": SimConfig(),
-    "guarded": SimConfig(x_max=2.0),
+    # untruncated, started just inside the guard at |x| = 40 (see _x_starts)
+    "guarded": SimConfig(),
 }
+
+
+def _x_starts(name: str, gen, n: int, dim: int) -> np.ndarray:
+    """Uniform inside the nearer |x| wall, or for "guarded" on the first axis
+    within 0.04 of -40, the guard that the x drift moves toward."""
+    config = _CONFIGS[name]
+    if name == "guarded":
+        x = np.zeros((n, dim))
+        x[:, 0] = -config.x_guard * gen.uniform(0.999, 1.0 - 1e-6, n)
+        return x
+    x_lim = 0.95 * min(config.truncation or np.inf, config.x_guard) / np.sqrt(dim)
+    return gen.uniform(-x_lim, x_lim, size=(n, dim))
 
 
 @st.composite
 def ensembles(draw):
     params = _PARAMS[draw(st.sampled_from(sorted(_PARAMS)))]
-    config = _CONFIGS[draw(st.sampled_from(sorted(_CONFIGS)))]
+    name = draw(st.sampled_from(sorted(_CONFIGS)))
+    config = _CONFIGS[name]
     n = draw(st.integers(1, 64))
     seed = draw(st.integers(0, 2**31 - 1))
     gen = stream(StreamKey(seed=seed, lineage=("prop", "init")))
-    x_lim = 0.95 * min(config.truncation or np.inf, config.x_guard)
     y_top = config.y_top if config.y_top is not None else 5.0
-    x = gen.uniform(-x_lim, x_lim, size=(n, 1))
+    x = _x_starts(name, gen, n, 1)
     y = np.exp(gen.uniform(np.log(config.y_floor * 1.01), np.log(0.99 * y_top), size=n))
     # a share of the particles starts next to each kill level
     edge = gen.random(n)
@@ -95,15 +108,15 @@ _GROUP_PARAMS = {**_PARAMS, "d2": default_params(dim=2)}
 def grouped_ensembles(draw):
     """G row groups (some empty, some started on the floor so they die out)."""
     params = _GROUP_PARAMS[draw(st.sampled_from(sorted(_GROUP_PARAMS)))]
-    config = _CONFIGS[draw(st.sampled_from(sorted(_CONFIGS)))]
+    name = draw(st.sampled_from(sorted(_CONFIGS)))
+    config = _CONFIGS[name]
     seed = draw(st.integers(0, 2**31 - 1))
     sizes = draw(st.lists(st.integers(0, 24), min_size=1, max_size=5))
     doomed = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
     gen = stream(StreamKey(seed=seed, lineage=("group", "init")))
     n, dim = sum(sizes), params.dim
-    x_lim = 0.95 * min(config.truncation or np.inf, config.x_guard) / np.sqrt(dim)
     y_top = config.y_top if config.y_top is not None else 5.0
-    x = gen.uniform(-x_lim, x_lim, size=(n, dim))
+    x = _x_starts(name, gen, n, dim)
     y = np.exp(gen.uniform(np.log(config.y_floor * 1.01), np.log(0.99 * y_top), size=n))
     y = np.where(gen.random(n) > 0.8, y_top * gen.uniform(0.9, 0.999, n), y)
     owner = np.repeat(np.arange(len(sizes)), sizes)

@@ -14,7 +14,7 @@ def _grid(nx=8, ny=6):
 
 def _from_points(grid, x, y):
     """Empirical measure of equally weighted points, binned on grid."""
-    return EmpiricalMeasure(grid=grid, masses=grid.histogram(x, y), n_samples=float(len(y)))
+    return EmpiricalMeasure(grid=grid, masses=grid.histogram(x, y))
 
 
 def test_grid_edges_and_centers():
@@ -42,13 +42,10 @@ def test_histogram_and_cell_index_agree():
     gen = stream(StreamKey(seed=1, lineage=("hist",)))
     x = gen.uniform(-5.0, 5.0, size=(4000, 1))
     y = gen.uniform(1e-4, 5.0, size=4000)
-    w = gen.random(4000)
     edges = [g.x_edges, g.y_edges]
     sample = np.column_stack([x[:, 0], y])
     hist = g.histogram(x, y)
     np.testing.assert_array_equal(hist, np.histogramdd(sample, bins=edges)[0])
-    np.testing.assert_array_equal(g.histogram(x, y, w),
-                                  np.histogramdd(sample, bins=edges, weights=w)[0])
     idx = g.cell_index(x, y)
     counted = np.bincount(idx[idx >= 0], minlength=g.n_cells).reshape(g.shape)
     np.testing.assert_array_equal(hist, counted)

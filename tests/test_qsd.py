@@ -26,6 +26,7 @@ from adaptqsd.qsd import (
     fleming_viot,
     relaxed_start,
     run_cohort,
+    truncation_family,
 )
 from adaptqsd.rng import StreamKey
 
@@ -79,6 +80,46 @@ def test_fleming_viot_auto_burn(params, monkeypatch):
     t0, t1 = est.window
     assert t0 == pytest.approx(est.burn_in_time)
     assert t1 - t0 == pytest.approx(4.0, abs=0.02)
+
+
+def test_fleming_viot_burn_in_diagnostics(params, monkeypatch):
+    # the auto rule first decides at the second 1.0 chunk, where it has at
+    # most one plateau hit, so the cap at 2.5 stops it at the third; a
+    # numeric burn-in past the cap is not capped
+    monkeypatch.setattr(qsd, "_FV_CHUNK", 1.0)
+    monkeypatch.setattr(qsd, "_BURN_IN_CAP", 2.5)
+    grid = HistGrid.for_box(4.0, y_lo=1e-3, nx=12, ny=10, dim=1)
+    auto, fixed = (fleming_viot(params, _boxed_config(), StreamKey(seed=46, lineage=("cap",)),
+                                n_particles=40, window=0.5, burn_in=burn, hist_grid=grid)
+                   for burn in ("auto", 3.0))
+    assert auto.burn_in_time == pytest.approx(3.0) and auto.diagnostics["burn_in_capped"]
+    assert [t for t, _ in auto.diagnostics["tv_series"]] == pytest.approx([1.0, 2.0, 3.0])
+    assert fixed.burn_in_time == 3.0 and not fixed.diagnostics["burn_in_capped"]
+    assert fixed.diagnostics["tv_series"] == []
+
+
+def _fv_digest(est) -> str:
+    log = est.kill_log
+    return _digest(est.alpha.masses,
+                   np.array([est.lambda0, est.lambda0_stderr, est.burn_in_time, *est.window]),
+                   np.array([est.kills_in_window]), log["times"], log["killed"], log["donors"])
+
+
+@pytest.mark.parametrize("seed,burn_in,digest", [
+    (48, 2.0, "aab3a51ae520ce83bea2979b9cfbda354bae522c5150e3a31eb6e9364b2851f8"),
+    (49, "auto", "74348310c5253ceb8a2ca609f8be7ec54a9d9a28fd216f6bbc27e7787fe17f78"),
+])
+def test_fleming_viot_is_frozen(params, monkeypatch, seed, burn_in, digest):
+    """SHA-256 of a 200-particle Fleming-Viot run (numpy 2.4.6): alpha,
+    lambda0 and its SE, kills, burn-in, window and kill log. The auto rule
+    runs on 1.0 chunks under a cap of 12 (it stops at 10 by plateau)."""
+    monkeypatch.setattr(qsd, "_FV_CHUNK", 1.0)
+    monkeypatch.setattr(qsd, "_BURN_IN_CAP", 12.0)
+    grid = HistGrid.for_box(4.0, y_lo=1e-3, nx=16, ny=12, dim=1)
+    est = fleming_viot(params, _boxed_config(), StreamKey(seed=seed, lineage=("fv_frozen",)),
+                       n_particles=200, window=3.0, burn_in=burn_in, hist_grid=grid)
+    assert 0.0 < est.burn_in_time < 12.0 and est.kills_in_window > 0
+    assert _fv_digest(est) == digest
 
 
 def test_fleming_viot_needs_two_particles(params):
@@ -247,6 +288,8 @@ _EMPTY_SIZES = {
     "t_max": lambda a, p, c, k: convergence_curve(relaxed_start(p, c), a.alpha, p, c, k,
                                                   t_max=0.0),
     "collect": lambda a, p, c, k: balance_residual(p, SimConfig(), k, collect=0.5),
+    "fv_window": lambda a, p, c, k: fleming_viot(p, c, k, window=0.0),
+    "family_boxes": lambda a, p, c, k: truncation_family(p, c, k, Ls=()),
 }
 
 
@@ -487,7 +530,7 @@ def test_conditioned_marginal_flat_eta(params):
     grid = HistGrid.for_box(4.0, y_lo=1e-3, nx=6, ny=5, dim=1)
     masses = np.zeros(grid.shape)
     masses[2, 3] = 1.0
-    start = EmpiricalMeasure(grid=grid, masses=masses, n_samples=1000)
+    start = EmpiricalMeasure(grid=grid, masses=masses)
     eta = _flat_eta(1.0)
     key = StreamKey(seed=12, lineage=("cm",))
     x1, y1, stats1 = conditioned_marginal(start, eta, params, config, key,
@@ -527,7 +570,7 @@ def test_conditioned_marginal_is_frozen(params):
     grid = HistGrid.for_box(4.0, y_lo=1e-3, nx=6, ny=5, dim=1)
     masses = np.zeros(grid.shape)
     masses[1:5, 1:4] = 1.0
-    start = EmpiricalMeasure(grid=grid, masses=masses / masses.sum(), n_samples=1000)
+    start = EmpiricalMeasure(grid=grid, masses=masses / masses.sum())
     x, y, stats = conditioned_marginal(start, _sloped_eta(), params, _boxed_config(),
                                        StreamKey(seed=16, lineage=("cm_frozen",)),
                                        n_walkers=40, horizon=1.0)
@@ -544,7 +587,7 @@ def test_conditioned_marginal_sums_bound_exceeded(params, monkeypatch):
     grid = HistGrid.for_box(4.0, y_lo=1e-3, nx=6, ny=5, dim=1)
     masses = np.zeros(grid.shape)
     masses[2, 3] = 1.0
-    start = EmpiricalMeasure(grid=grid, masses=masses, n_samples=1000)
+    start = EmpiricalMeasure(grid=grid, masses=masses)
     key = StreamKey(seed=12, lineage=("cm",))
     x0, y0, stats0 = conditioned_marginal(start, _flat_eta(1.0), params, config, key,
                                           n_walkers=30, horizon=1.0)
