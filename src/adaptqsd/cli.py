@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -126,13 +127,16 @@ def _merge(cfg: dict, updates: dict) -> None:
 def cast_config(cfg: dict) -> dict:
     """cfg with every value cast to the type of its default (float for a None
     default); null stays null only where the SimConfig default is None,
-    burn_in stays "auto" or becomes a float, L_list a tuple of floats."""
+    burn_in stays "auto" or becomes a finite float >= 0, L_list a tuple of
+    floats."""
     typed = {}
     for key, default in DEFAULT_CONFIG.items():
         value = cfg[key]
         try:
             if key == "burn_in":
                 typed[key] = value if value == "auto" else float(value)
+                if value != "auto" and not 0.0 <= typed[key] < math.inf:
+                    raise ValueError("need a finite burn-in >= 0 or \"auto\"")
             elif key == "L_list":
                 typed[key] = tuple(float(L) for L in value)
             elif value is None and key in _SIM_FIELDS and _SIM_FIELDS[key].default is None:

@@ -10,9 +10,13 @@ state, making row sums nonpositive (sub-Markov). Each term is assembled as one
 array expression over the (ny, nx) array of flat cell indices j * nx + i (an
 order that keeps the LU banded); only the jump offsets are looped over.
 
-Every solve goes through one banded LU per generator (LAPACK gbtrf, partial
-pivoting), of I - 2Q, i.e. the resolvent (I - 2Q)^{-1}: the flat cell order
-bands Q by nx, so the band is written straight from Q's entries. A decay rate
+Every solve goes through one banded LU per generator, of (I - 2Q)^T, i.e. the
+resolvent (I - 2Q)^{-1}: the flat cell order bands Q by nx, so the band is
+written straight from Q's entries. I - 2Q is strictly row diagonally dominant
+(Q's off-diagonals are >= 0, its row sums <= 0), so its transpose is strictly
+column diagonally dominant and LAPACK gbtrf's partial pivoting swaps no row
+of it; a solve in either direction is then two BLAS tbsv sweeps over the
+factors' bands, with no zero fill. A decay rate
 lambda of Q is an eigenvalue 1/(1 + 2 lambda) of the resolvent, which puts the
 leading two (0.79 and 1.21 at 80x60) a ratio 0.75 apart. The leading
 eigentriple (lambda0, alpha, eta) comes from two independent ARPACK runs on
@@ -39,7 +43,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dgbtrf
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
@@ -64,18 +69,27 @@ _KRYLOV_RTOL, _KRYLOV_ATOL, _KRYLOV_STREAK, _KRYLOV_MAX = 1e-10, 1e-15, 3, 200
 
 @dataclass(frozen=True)
 class BandedLU:
-    """LAPACK gbtrf factors (partial pivoting) of a matrix with kl sub- and ku
-    superdiagonals."""
+    """Pivot-free LU factors L U = A^T of a matrix A with kl sub- and ku
+    superdiagonals, as LAPACK gbtrf leaves them in its band storage.
 
-    factors: np.ndarray
-    ipiv: np.ndarray
+    `upper` and `lower` are two F-contiguous views of that one buffer, offset
+    so that each reads as the band a BLAS tbsv sweep expects: U's kl
+    superdiagonals, and L's ku subdiagonals under its unit diagonal. Since no
+    row was swapped, A = U^T L^T, and a solve in either direction is two
+    sweeps."""
+
+    upper: np.ndarray
+    lower: np.ndarray
     kl: int
     ku: int
 
     def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
         """A^{-1} v, or A^{-T} v if trans == "T"."""
-        return dgbtrs(self.factors, self.kl, self.ku, v, self.ipiv,
-                      trans="NT".index(trans))[0]
+        if trans == "N":  # U^T y = v, then L^T x = y
+            y = dtbsv(self.kl, self.upper, v, lower=0, trans=1)
+            return dtbsv(self.ku, self.lower, y, lower=1, trans=1, diag=1, overwrite_x=1)
+        y = dtbsv(self.ku, self.lower, v, lower=1, diag=1)  # L y = v, then U x = y
+        return dtbsv(self.kl, self.upper, y, lower=0, overwrite_x=1)
 
 
 @dataclass
@@ -101,25 +115,43 @@ class GridGenerator:
 
     @cached_property
     def lu(self) -> BandedLU:
-        """Banded LU of I - 2Q: the one factorization every oracle solve uses.
+        """Banded LU of (I - 2Q)^T: the one factorization every oracle solve
+        uses.
 
         The band storage is written straight from Q's entries, and so are its
-        bandwidths: nx, the y-diffusion offset, on a built grid. A zero pivot
-        raises NumericError carrying LAPACK's info."""
+        bandwidths: nx, the y-diffusion offset, on a built grid. Q's
+        off-diagonals are >= 0 and its row sums <= 0, so I - 2Q is strictly row
+        diagonally dominant and its transpose strictly column diagonally
+        dominant, where partial pivoting swaps no row. A zero pivot, or a swap
+        all the same (Q is then no sub-Markov generator), raises NumericError
+        with LAPACK's info or the first swapped row."""
         Q = self.Q.tocoo()
         Q.sum_duplicates()  # a no-op on assembled generators, which are canonical
         offset = Q.row - Q.col
         kl, ku = max(int(offset.max()), 0), max(int(-offset.min()), 0)
-        # A[i, j] sits at ab[kl + ku + i - j, j]; the top kl rows are room for
-        # the fill of row swaps. Column-major, so gbtrf factors it in place
-        ab = np.zeros((2 * kl + ku + 1, self.n_cells), order="F")
-        ab[kl + ku + offset, Q.col] = -_SHIFT * Q.data
+        # A^T has ku sub- and kl superdiagonals, and A[i, j] = A^T[j, i] sits
+        # at ab[kl + ku + j - i, i]; the top ku rows are room for the fill of
+        # row swaps. Column-major, so gbtrf factors it in place; the kl + ku
+        # slack keeps the shifted views of BandedLU inside the buffer
+        rows, n = 2 * ku + kl + 1, self.n_cells
+        buf = np.zeros(rows * n + kl + ku)
+        ab = buf[:rows * n].reshape((rows, n), order="F")
+        ab[kl + ku - offset, Q.row] = -_SHIFT * Q.data
         ab[kl + ku] += 1.0
-        factors, ipiv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+        _, ipiv, info = dgbtrf(ab, ku, kl, overwrite_ab=True)
         if info != 0:
-            raise NumericError("banded LU of I - 2Q has a zero pivot", diagnostics={
+            raise NumericError("banded LU of (I - 2Q)^T has a zero pivot", diagnostics={
                 "info": int(info), "kl": kl, "ku": ku})
-        return BandedLU(factors, ipiv, kl, ku)
+        swapped = np.flatnonzero(ipiv != np.arange(n))
+        if swapped.size:
+            raise NumericError("banded LU of (I - 2Q)^T swapped a row: I - 2Q is not "
+                               "diagonally dominant", diagnostics={
+                                   "kl": kl, "ku": ku, "first_swapped_row": int(swapped[0])})
+
+        def view(start):  # the band from storage row `start` on, leading dimension `rows`
+            return buf[start:start + rows * n].reshape((rows, n), order="F")
+
+        return BandedLU(upper=view(ku), lower=view(kl + ku), kl=kl, ku=ku)
 
     @cached_property
     def components(self) -> tuple[int, np.ndarray]:

@@ -185,18 +185,20 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
     of a uniformly chosen survivor (see _Stepper; donors come from the
     "resample" streams). A burn-in loop runs first, then a window loop whose
     occupation over `window` time units estimates alpha and whose kills
-    estimate lambda0; the kill log covers both loops. A numeric burn_in
-    steps that long. burn_in="auto" tracks the TV between consecutive
-    _FV_CHUNK occupations (diagnostics["tv_series"], which ends at the
-    burn-in and is empty for a numeric one) and declares the transient over
-    when that series stops improving: two chunks in a row with either TV
-    below _PLATEAU_TOL or less than a 10% drop while already in the low-TV
-    regime, or at _BURN_IN_CAP (diagnostics["burn_in_capped"]).
+    estimate lambda0; the kill log covers both loops. A numeric burn_in,
+    finite and >= 0, steps that long. burn_in="auto" tracks the TV between
+    consecutive _FV_CHUNK occupations (diagnostics["tv_series"], which ends
+    at the burn-in and is empty for a numeric one) and declares the
+    transient over when that series stops improving: two chunks in a row
+    with either TV below _PLATEAU_TOL or less than a 10% drop while already
+    in the low-TV regime, or at _BURN_IN_CAP (diagnostics["burn_in_capped"]).
     """
     if n_particles < 2:
         raise DomainError("need at least 2 particles")
     if not window > 0.0:
         raise DomainError(f"fleming_viot needs window > 0, got {window}")
+    if burn_in != "auto" and not 0.0 <= float(burn_in) < math.inf:
+        raise DomainError(f"fleming_viot needs a finite burn_in >= 0 or 'auto', got {burn_in}")
     grid = hist_grid if hist_grid is not None else default_hist_grid(config, dim=params.dim)
     dt = config.dt_max
     x, y = _init_states(init, n_particles, params, config, stream(key.child("init")))

@@ -80,6 +80,8 @@ def test_bad_model_or_numerics_value_exits_2(tmp_path, key):
 @pytest.mark.parametrize("cmd,setting", [
     ("fv", "particles=abc"), ("diagnose", "nx=abc"), ("fv", "window=[1]"),
     ("fv", "burn_in=soon"), ("diagnose", "L_list=3"), ("qprocess", "walkers=null"),
+    # a burn-in that would never end, or write a non-JSON or negative time
+    ("fv", "burn_in=inf"), ("fv", "burn_in=NaN"), ("eta", "burn_in=-3"),
 ])
 def test_bad_experiment_value_exits_2_before_any_run(tmp_path, capsys, monkeypatch, cmd, setting):
     monkeypatch.setattr(cli, "fleming_viot", None)  # any estimator call would raise

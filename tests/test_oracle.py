@@ -333,6 +333,28 @@ def test_singular_resolvent_raises_numeric_error_with_info():
     assert info.value.diagnostics["info"] == 1
 
 
+@pytest.mark.parametrize("family", ["deleterious_ok", "advantageous_only"])
+def test_banded_lu_views_share_one_buffer(family):
+    # f2py copies an `a` that is not F-contiguous on every tbsv call
+    genr = build_generator(default_params(fixation_family=family), 4.0, nx=80, ny=60)
+    lu = genr.lu
+    assert lu.upper.flags.f_contiguous and lu.lower.flags.f_contiguous
+    assert np.shares_memory(lu.upper, lu.lower)
+
+
+def test_resolvent_that_needs_a_row_swap_raises_numeric_error():
+    # a positive row sum in each y row: I - 2Q = [[1.2, -10], [0, 1.2]] per
+    # row is not diagonally dominant, and partial pivoting on its transpose
+    # swaps cells 0 and 1 first
+    grid = HistGrid(dim=1, x_lo=-1.0, x_hi=1.0, nx=2, y_lo=0.5, y_hi=2.0, ny=2)
+    Q = np.kron(np.eye(2), np.array([[-0.1, 5.0], [0.0, -0.1]]))
+    genr = GridGenerator(grid=grid, params=default_params(), Q=sp.csr_matrix(Q),
+                         kill_rate=np.zeros(4))
+    with pytest.raises(NumericError, match="swapped a row") as info:
+        genr.lu
+    assert info.value.diagnostics == {"kl": 0, "ku": 1, "first_swapped_row": 0}
+
+
 def test_expm_action_cap_raises_numeric_error(tiny_built, monkeypatch):
     monkeypatch.setattr(oracle, "_KRYLOV_MAX", 3)
     v = np.random.default_rng(2).random(tiny_built.n_cells)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -126,6 +127,14 @@ def test_fleming_viot_needs_two_particles(params):
     with pytest.raises(DomainError):
         fleming_viot(params, _boxed_config(), StreamKey(seed=1, lineage=("bad",)),
                      n_particles=1)
+
+
+@pytest.mark.parametrize("burn_in", [math.inf, math.nan, -3.0])
+def test_fleming_viot_rejects_a_burn_in_that_is_not_finite_and_nonnegative(params, burn_in):
+    # inf would step forever; NaN and -3 would end at once and report that time
+    with pytest.raises(DomainError, match="burn_in"):
+        fleming_viot(params, _boxed_config(), StreamKey(seed=1, lineage=("bad",)),
+                     n_particles=40, window=1.0, burn_in=burn_in)
 
 
 def test_fleming_viot_mass_extinction(params):
