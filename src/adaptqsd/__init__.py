@@ -3,7 +3,7 @@ population-size jump diffusion.
 
 Layers:
 
-- model:   parameter families, drift/intensity evaluation, hypothesis checks
+- model:   parameter families, pointwise drift and fixation, hypotheses H1-H11
 - rng:     keyed counter-based random streams
 - cohort:  the path-stepping kernel (exact thinning over particle arrays)
 - qsd:     Fleming-Viot ensembles and the alpha / lambda0 / eta / beta stack

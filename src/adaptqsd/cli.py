@@ -23,7 +23,7 @@ import scipy
 from . import __version__
 from .errors import (AdaptQsdError, ConfigError, DomainError, HypothesisError,
                      MassExtinctionError, NumericError, UnsupportedModelError)
-from .measure import EmpiricalMeasure
+from .measure import EmpiricalMeasure, HistGrid
 from .model import (ModelParams, default_params, flat_params, reference_set,
                     validate_hypotheses)
 from .oracle import build_generator, leading_triple
@@ -124,25 +124,39 @@ def _merge(cfg: dict, updates: dict) -> None:
         cfg[k] = v
 
 
+def _number(value, kind: type):
+    """value as an int or a float, refusing a cast that would change it: a
+    boolean, or a non-integral number for an int (1e3 is the int 1000)."""
+    if isinstance(value, bool):
+        raise ValueError("need a number, not a boolean")
+    if kind is int and not isinstance(value, int):
+        value = float(value)
+        if not value.is_integer():
+            raise ValueError("need an integer")
+    return kind(value)
+
+
 def cast_config(cfg: dict) -> dict:
     """cfg with every value cast to the type of its default (float for a None
-    default); null stays null only where the SimConfig default is None,
-    burn_in stays "auto" or becomes a finite float >= 0, L_list a tuple of
-    floats."""
+    default) without changing it; null stays null only where the SimConfig
+    default is None, burn_in stays "auto" or becomes a finite float >= 0,
+    L_list a tuple of floats."""
     typed = {}
     for key, default in DEFAULT_CONFIG.items():
         value = cfg[key]
         try:
             if key == "burn_in":
-                typed[key] = value if value == "auto" else float(value)
+                typed[key] = value if value == "auto" else _number(value, float)
                 if value != "auto" and not 0.0 <= typed[key] < math.inf:
                     raise ValueError("need a finite burn-in >= 0 or \"auto\"")
             elif key == "L_list":
-                typed[key] = tuple(float(L) for L in value)
+                typed[key] = tuple(_number(L, float) for L in value)
             elif value is None and key in _SIM_FIELDS and _SIM_FIELDS[key].default is None:
                 typed[key] = None
+            elif isinstance(default, str):
+                typed[key] = str(value)
             else:
-                typed[key] = (float if default is None else type(default))(value)
+                typed[key] = _number(value, float if default is None else type(default))
         except (TypeError, ValueError) as exc:
             block = ("model" if key in _MODEL_KEYS else
                      "numerics" if key in _SIM_FIELDS else "experiment")
@@ -393,8 +407,8 @@ def run_oracle(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> lis
 
 def run_diagnose(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> list[str]:
     # the convergence reference is the fv alpha coarsened 4 x 4
-    if cfg["nx"] % 4 or cfg["ny"] % 4:
-        raise ConfigError("diagnose needs nx and ny divisible by 4")
+    if min(cfg["nx"], cfg["ny"]) < 4 or cfg["nx"] % 4 or cfg["ny"] % 4:
+        raise ConfigError("diagnose needs nx and ny divisible by 4, and at least 4")
     # replicate spread needs two replicates, each ensemble a donor survivor
     if cfg["conv_replicates"] < 2 or cfg["conv_particles"] < 2:
         raise ConfigError("diagnose needs conv_replicates >= 2 and conv_particles >= 2")
@@ -404,6 +418,15 @@ def run_diagnose(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> l
                           f"balance_collect > {_BALANCE_EVERY}")
     if not cfg["L_list"]:
         raise ConfigError("diagnose needs at least one truncation box in L_list")
+    # each box's SimConfig and the shared grid, as truncation_family builds them
+    try:
+        for L in cfg["L_list"]:
+            replace(sim, truncation=L)
+        L = max(cfg["L_list"])
+        HistGrid.for_box(L, y_lo=sim.y_floor, nx=cfg["nx"], ny=cfg["ny"], dim=params.dim)
+    except DomainError as exc:
+        raise ConfigError(f"bad experiment field L_list={list(cfg['L_list'])}: "
+                          f"box L={L:g}: {exc}") from exc
     fv = _run_fv(cfg, params, sim)
     curve = convergence_curve(relaxed_start(params, sim), fv.alpha.coarsen(4, 4), params,
                               sim, _key(cfg, "convergence"),
@@ -512,7 +535,7 @@ def main(argv=None) -> int:
                 except OSError:  # not empty
                     break
             raise
-        write_manifest(out, cfg, artifacts)
+        write_manifest(out, typed, artifacts)
     except AdaptQsdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for klass in type(exc).__mro__:

@@ -89,8 +89,8 @@ class SimConfig:
             raise DomainError("y_ext must be >= 0")
         if not (self.horizon > 0.0):
             raise DomainError("horizon must be positive")
-        if self.truncation is not None and not (self.truncation > 0.0):
-            raise DomainError("truncation must be positive when set")
+        if self.truncation is not None and not (0.0 < self.truncation < math.inf):
+            raise DomainError("truncation must be positive and finite when set")
         if self.truncation is not None and self.y_ext >= self.truncation:
             raise DomainError("y_ext must sit below the truncation ceiling")
         if not (self.qprocess_delta > 0.0):

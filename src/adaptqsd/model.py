@@ -13,9 +13,11 @@ Mutations of effect w arrive from a Poisson proposal stream with intensity
 measure f(y) nu(dw) and fix with probability g(x, w); an accepted mutation
 translates x by w instantly. Extinction is absorption of y at 0.
 
-Everything here is pure parameterization and pointwise evaluation; path
-dynamics live in cohort, estimators in qsd, and the grid cross-check in
-oracle.
+Everything here is pure parameterization and pointwise evaluation. The
+structural hypotheses H1-H11 are decided in closed form from the families
+and the signs of a few parameters, and the samplers take their generator
+from the caller, so nothing here opens a random stream. Path dynamics live
+in cohort, estimators in qsd, and the grid cross-check in oracle.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ import numpy as np
 from scipy.special import expit, ndtr
 
 from .errors import DomainError, NumericError, UnsupportedModelError
-from .rng import StreamKey, stream
 
 __all__ = [
     "GrowthSpec",
@@ -41,8 +42,6 @@ __all__ = [
     "n_to_y",
     "y_to_n",
     "drift_y",
-    "drift_y_envelope",
-    "jump_intensity",
     "fixation_integral",
     "rescale_jump_measure",
     "validate_hypotheses",
@@ -222,11 +221,6 @@ class MutationSpec:
         wn = np.sqrt(np.sum(np.square(nodes * self.tau * math.sqrt(2.0)), axis=-1))
         return self.m_nu * float(np.sum(weights * np.minimum(wn, 1.0)))
 
-    def density_sup(self, dim: int) -> float:
-        """Analytic sup of the Lebesgue density of nu."""
-        # the size tilt factor is <= 1, so the Gaussian peak bounds both families
-        return self.m_nu * (2.0 * math.pi * self.tau**2) ** (-dim / 2.0)
-
     def sample(self, gen: np.random.Generator, size: int, dim: int) -> np.ndarray:
         """Draw `size` effects from the normalized law nu / nu(R^d)."""
         if self.family == "gaussian":
@@ -325,14 +319,6 @@ def drift_y(x, y, params: ModelParams):
         raise DomainError("drift_y requires y > 0")
     r = params.r(x)
     return -0.5 / y + 0.5 * r * y - params.gamma * y**3
-
-
-def drift_y_envelope(y, params: ModelParams):
-    """Comparison drift with r frozen at its supremum; dominates drift_y."""
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0):
-        raise DomainError("drift_y_envelope requires y > 0")
-    return -0.5 / y + 0.5 * params.growth.r_sup * y - params.gamma * y**3
 
 
 def y_equilibrium(r_value: float, gamma: float) -> float | None:
@@ -445,23 +431,6 @@ def fixation_integral(x, params: ModelParams, weight: str = "one") -> float:
     return full
 
 
-def jump_intensity(x, y, params: ModelParams) -> tuple[float, float]:
-    """Total accepted-jump rate at (x, y) and the thinning proposal bound.
-
-    Returns (total, bound) with
-        total = f(y) * integral g(x, w) nu(dw),
-        bound = f(y) * sup_g * nu(R^d) >= total.
-    """
-    y = float(np.asarray(y, dtype=float))
-    if y < 0.0:
-        raise DomainError("jump_intensity requires y >= 0")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    fy = float(params.f(y))
-    total = fy * fixation_integral(x, params, weight="one")
-    bound = fy * params.g_bound(float(np.linalg.norm(x))) * params.mutation_mass()
-    return total, bound
-
-
 # ---------------------------------------------------------------------------
 # small-jump rescaling
 
@@ -536,7 +505,7 @@ class HypothesisReport:
 
     checks: dict[str, HypothesisCheck]
     dim: int
-    fixation_family: str
+    fixation: FixationSpec
 
     _DESCRIPTIONS = {
         "H1": "arrival rate continuous in the size variable",
@@ -555,7 +524,7 @@ class HypothesisReport:
     def required_codes(self) -> list[str]:
         req = ["H1", "H2", "H3", "H4", "H5", "H6", "H7"]
         # positivity (H8) or sign structure (H9): whichever the family targets
-        req.append("H9" if self.fixation_family in ("advantageous_only", "rescaled_advantageous") else "H8")
+        req.append("H9" if self.fixation.advantageous else "H8")
         if self.dim >= 2:
             req.append("H11")
         return req
@@ -577,142 +546,44 @@ class HypothesisReport:
         return out
 
 
-def _characteristic_scale(params: ModelParams) -> float:
-    scale = max(params.mutation.tau, 1.0)
-    if params.growth.a > 0.0:
-        scale = max(scale, math.sqrt(max(params.growth.r0, 1.0) / params.growth.a))
-    return scale
-
-
-# probe pairs (x, w) drawn for the grid-sampled hypothesis checks
-_PROBE_POINTS = 10_000
-
-
 def validate_hypotheses(params: ModelParams) -> HypothesisReport:
-    """Check the structural hypotheses; analytic per family where possible,
-    grid-sampled in a box of half-width 4x the characteristic scale otherwise.
+    """Decide the structural hypotheses H1-H11 in closed form.
 
-    Never raises: numeric trouble inside a check is reported as a violation
-    with the error message as detail.
+    The families are closed, so each hypothesis holds or fails by the
+    fixation family, the signs of m_nu and a, and the dimension; each
+    check's detail states the reason.
     """
-    gen = stream(StreamKey(0, ("hypotheses",)))
-    half = 4.0 * _characteristic_scale(params)
-    d = params.dim
-    xs = gen.uniform(-half, half, size=(_PROBE_POINTS, d))
-    ws = gen.uniform(-half, half, size=(_PROBE_POINTS, d))
-    checks: dict[str, HypothesisCheck] = {}
+    fixation, mutation, growth = params.fixation, params.mutation, params.growth
+    adv = fixation.advantageous
+    has_nu = mutation.m_nu > 0.0
+    no_nu = "m_nu = 0: the mutation measure is zero"
 
-    def record(code, status, detail):
-        checks[code] = HypothesisCheck(code=code, status=status, detail=detail)
+    def decide(holds: bool, why: str, why_not: str) -> tuple[str, str]:
+        return ("satisfied", why) if holds else ("violated", why_not)
 
-    def guarded(code, fn):
-        try:
-            fn()
-        except Exception as exc:  # noqa: BLE001 - validator must not throw
-            record(code, "violated", f"check failed numerically: {exc}")
-
-    def h1():
-        ys = np.linspace(1e-6, 4.0 * half, 256)
-        vals = params.f(ys)
-        if np.all(np.isfinite(vals)):
-            record("H1", "satisfied", "linear-in-n family is continuous; finite on test grid")
-        else:
-            record("H1", "violated", "non-finite arrival rate on test grid")
-
-    def h2():
-        record("H2", "satisfied", "quadratic growth is smooth, hence locally Lipschitz")
-
-    def h3():
-        bound = params.g_bound(float(np.max(np.linalg.norm(xs, axis=1))))
-        vals = params.g(xs, ws)
-        mx = float(np.max(vals))
-        if np.all(np.isfinite(vals)) and mx <= bound * (1.0 + 1e-9):
-            record("H3", "satisfied", f"grid sup {mx:.4g} <= analytic bound {bound:.4g}")
-        else:
-            record("H3", "violated", f"grid sup {mx:.4g} exceeds bound {bound:.4g}")
-
-    def h4():
-        mass = params.mutation_mass()
-        nodes, wts = _gh_grid(_QUAD_ORDER, d)
-        total = float(np.sum(wts))  # normalized Gaussian integrates to 1
-        if mass > 0.0 and np.isfinite(mass) and abs(total - 1.0) < 1e-8:
-            record("H4", "satisfied", f"total mass {mass:.6g}; base density integrates to 1 within 1e-8")
-        else:
-            record("H4", "violated", f"mass {mass} or normalization {total} off")
-
-    def h5():
-        ys = np.geomspace(1e-6, 4.0 * half, 256)
-        if np.all(params.f(ys) > 0.0):
-            record("H5", "satisfied", f"f > 0 for y > 0 (mu = {params.arrival.mu:g})")
-        else:
-            record("H5", "violated", "arrival rate vanishes at positive size")
-
-    def h6():
-        s_rad = params.mutation.tau
-        delta = s_rad / 2.0
-        probe = np.zeros((2, d))
-        probe[0, 0] = s_rad - delta
-        probe[1, 0] = s_rad + delta
-        nu_min = float(np.min(params.mutation.density(probe)))
-        if nu_min > 0.0:
-            record("H6", "satisfied", f"density >= {nu_min:.4g} on annulus radius {s_rad:g} +/- {delta:g}")
-        else:
-            record("H6", "violated", "mutation density vanishes on the reference annulus")
-
-    def h7():
-        if params.growth.a > 0.0:
-            record("H7", "satisfied", f"r(R e1) = {params.growth.r0:g} - {params.growth.a:g} R^2 -> -inf")
-        else:
-            record("H7", "violated", "a = 0: growth does not decay along any ray")
-
-    def h8():
-        if params.fixation.family == "deleterious_ok":
-            mn = float(np.min(params.g(xs, ws)))
-            if mn > 0.0:
-                record("H8", "satisfied", f"logistic fixation strictly positive (grid min {mn:.3g})")
-            else:
-                record("H8", "violated", "fixation probability hit zero on grid")
-        else:
-            record("H8", "violated", "advantageous-only family vanishes on outward mutations")
-
-    def h9():
-        if params.fixation.advantageous:
-            outward = np.sum(np.square(xs + ws), axis=-1) >= np.sum(np.square(xs), axis=-1)
-            bad = int(np.count_nonzero(params.g(xs, ws)[outward] != 0.0))
-            if bad == 0:
-                record("H9", "satisfied", f"g == 0 on all {int(outward.sum())} outward grid pairs")
-            else:
-                record("H9", "violated", f"{bad} outward pairs with positive fixation probability")
-        else:
-            record("H9", "violated", "deleterious-ok family accepts outward mutations")
-
-    def h10():
-        sup = params.mutation.density_sup(d)
-        record("H10", "satisfied", f"Lebesgue density bounded by {sup:.4g} (alternative route to H9 only)")
-
-    def h11():
-        if d == 1:
-            record("H11", "not_applicable", "only constrains d >= 2")
-            return
-        # the controlling quantity is the local density ratio near the
-        # reference annulus; sample there instead of the full box
-        s_rad = params.mutation.tau
-        shell = ws[np.abs(np.linalg.norm(ws, axis=1) - s_rad) < s_rad]
-        if len(shell) == 0:
-            record("H11", "satisfied", "no shell samples; Gaussian ratio bounded analytically")
-            return
-        local = params.mutation.density(shell)
-        sup_ratio = float(np.max(local) / np.min(local))
-        if np.isfinite(sup_ratio):
-            record("H11", "satisfied", f"shell density ratio sup {sup_ratio:.4g} (finite)")
-        else:
-            record("H11", "violated", "unbounded density ratio near reference shell")
-
-    for code, fn in [("H1", h1), ("H2", h2), ("H3", h3), ("H4", h4), ("H5", h5), ("H6", h6),
-                     ("H7", h7), ("H8", h8), ("H9", h9), ("H10", h10), ("H11", h11)]:
-        guarded(code, fn)
-
-    return HypothesisReport(checks=checks, dim=d, fixation_family=params.fixation.family)
+    decided = {
+        "H1": ("satisfied", "f(y) = mu sigma^2 y^2 / 4 is continuous"),
+        "H2": ("satisfied", "r(x) = r0 - a ||x||^2 is smooth, hence locally Lipschitz"),
+        "H3": ("satisfied", f"{fixation.family} g is at most g_bound(R) on ||x|| <= R"),
+        "H4": decide(has_nu, f"{mutation.family} measure with m_nu = {mutation.m_nu:g} is finite",
+                     no_nu),
+        "H5": ("satisfied", f"f(y) > 0 for y > 0 (mu = {params.arrival.mu:g})"),
+        "H6": decide(has_nu, "a Gaussian density is positive on every annulus", no_nu),
+        "H7": decide(growth.a > 0.0, f"r(R e1) = {growth.r0:g} - {growth.a:g} R^2 -> -inf",
+                     "a = 0: growth does not decay along any ray"),
+        "H8": decide(not adv, "g_max expit(s dr) > 0 for every finite dr",
+                     f"{fixation.family} family vanishes on outward mutations"),
+        "H9": decide(adv, f"{fixation.family} g = 0 whenever ||x + w|| >= ||x||",
+                     "deleterious-ok family accepts outward mutations"),
+        "H10": ("satisfied", "density at most m_nu (2 pi tau^2)^(-d/2) "
+                             "(alternative route to H9 only)"),
+        "H11": (("not_applicable", "only constrains d >= 2") if params.dim == 1 else
+                decide(has_nu, "Gaussian density ratio bounded on the reference shell", no_nu)),
+    }
+    return HypothesisReport(
+        checks={code: HypothesisCheck(code, status, detail)
+                for code, (status, detail) in decided.items()},
+        dim=params.dim, fixation=fixation)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,33 @@ def test_experiment_block_is_cast_to_default_types():
     assert cli.cast_config(cli.DEFAULT_CONFIG)["burn_in"] == "auto"
 
 
+@pytest.mark.parametrize("setting", [
+    # a non-integral number for an integer key
+    "dim=1.9", "particles=100.5", "seed=2.7", "nx=80.9", "particles=Infinity", "q_paths=NaN",
+    # a boolean for a numeric key
+    "q_paths=true", "a=false", "window=true", "L=true", "burn_in=true", "L_list=[4.0, true]",
+])
+def test_a_cast_that_would_change_the_value_exits_2(tmp_path, capsys, setting):
+    assert cli.main(["validate", "--out", str(tmp_path), "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ") and f" field {setting.split('=')[0]}=" in err
+    assert "Traceback" not in err and not (tmp_path / "manifest.json").exists()
+
+
+def test_an_integral_float_casts_and_hashes_like_the_integer(tmp_path):
+    for name, setting in (("float", "particles=1e3"), ("int", "particles=1000")):
+        assert cli.main(["validate", "--out", str(tmp_path / name), "--set", setting]) == 0
+    manifest = _read(tmp_path / "float" / "manifest.json")
+    assert manifest == _read(tmp_path / "int" / "manifest.json")
+    assert json.loads(manifest)["config"]["particles"] == 1000
+
+
+def test_the_cast_default_config_serializes_as_the_default():
+    # so manifest.json records the cast config with the default bytes
+    cast = cli.cast_config(cli.DEFAULT_CONFIG)
+    assert json.dumps(cast, sort_keys=True) == json.dumps(cli.DEFAULT_CONFIG, sort_keys=True)
+
+
 def test_null_only_where_the_library_default_is_none(tmp_path):
     nullable = ["--set", "L=null", "--set", "truncation_y_low=null"]
     assert cli.main(["validate", "--out", str(tmp_path)] + nullable) == 0
@@ -122,6 +149,14 @@ def test_validate_violation_exits_3(tmp_path):
     assert rc == 3
     payload = json.loads(_read(tmp_path / "hypotheses.json"))
     assert payload["ok"] is False
+
+
+@pytest.mark.parametrize("settings", [["s=8"], ["r0=8", "particles=200"]])
+def test_a_steep_logistic_fixation_passes_the_gate(tmp_path, settings):
+    # at r0 = 8 the L = 4 box kills at rate lambda0 ~ 6.7, and 40 particles
+    # at seed 0 all die in one window (exit 5)
+    extra = [arg for setting in settings for arg in ("--set", setting)]
+    assert cli.main(["fv", "--out", str(tmp_path)] + _tiny(*extra)) == 0
 
 
 def test_gated_command_exits_3_on_degenerate_model(tmp_path):
@@ -337,7 +372,7 @@ def test_rejected_run_removes_only_the_directories_it_created(tmp_path, monkeypa
     assert sorted(p.name for p in old.iterdir()) == ["keep.txt"]
 
 
-@pytest.mark.parametrize("grid", ["nx=10", "ny=6"])
+@pytest.mark.parametrize("grid", ["nx=10", "ny=6", "nx=0"])
 def test_diagnose_rejects_a_grid_it_cannot_coarsen(tmp_path, capsys, monkeypatch, grid):
     _fail_if_fv_runs(monkeypatch)
     assert cli.main(["diagnose", "--out", str(tmp_path), "--set", grid]) == 2
@@ -351,6 +386,24 @@ def test_diagnose_rejects_a_convergence_curve_without_spread(tmp_path, capsys, m
     assert cli.main(["diagnose", "--out", str(tmp_path), "--set", setting]) == 2
     err = capsys.readouterr().err
     assert "conv_replicates >= 2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("boxes,bad", [("[0.0005]", "0.0005"), ("[4.0, -1.0]", "-1"),
+                                       ("[0.0005, 4.0]", "0.0005"), ("[4.0, Infinity]", "inf")])
+def test_diagnose_rejects_a_bad_truncation_box_before_any_stage(tmp_path, capsys, monkeypatch,
+                                                                boxes, bad):
+    _fail_if_fv_runs(monkeypatch)
+    assert cli.main(["diagnose", "--out", str(tmp_path), "--set", f"L_list={boxes}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad experiment field L_list") and f"L={bad}" in err
+    assert "Traceback" not in err
+
+
+def test_an_infinite_truncation_box_exits_2_before_any_run(tmp_path, capsys, monkeypatch):
+    # its grid edges would be NaN, and fv would write an alpha.csv of NaN cells
+    _fail_if_fv_runs(monkeypatch)
+    assert cli.main(["fv", "--out", str(tmp_path), "--set", "L=Infinity"]) == 2
+    assert "positive and finite" in capsys.readouterr().err
 
 
 _DIAG = ["--set", "particles=20", "--set", "window=1.5", "--set", "burn_in=1.0",

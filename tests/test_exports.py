@@ -38,3 +38,17 @@ def test_import_loads_no_scipy_stats_or_multiprocessing():
     loaded = json.loads(out.splitlines()[-1])
     assert [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")] == []
     assert [m for m in loaded if m == "multiprocessing" or m.startswith("multiprocessing.")] == []
+
+
+def test_model_loads_no_random_streams():
+    # the hypotheses are decided in closed form, so model draws nothing
+    code = (
+        "import json, sys\n"
+        f"sys.path[:] = {sys.path!r}\n"
+        "import adaptqsd.model\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    loaded = json.loads(out.splitlines()[-1])
+    assert "adaptqsd.model" in loaded and "adaptqsd.rng" not in loaded

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from adaptqsd.errors import DomainError, UnsupportedModelError
 from adaptqsd.model import (FixationSpec, GrowthSpec, ModelParams,
-                            default_params, drift_y, drift_y_envelope,
-                            fixation_integral, jump_intensity, n_to_y,
+                            default_params, drift_y, fixation_integral, n_to_y,
                             rescale_jump_measure, reference_set,
                             validate_hypotheses, y_equilibrium, y_to_n)
 from adaptqsd.rng import StreamKey, stream
@@ -42,14 +43,6 @@ def test_drift_y_formula():
     assert drift_y(x, y, params) == pytest.approx(expected, rel=1e-14)
     with pytest.raises(DomainError):
         drift_y(x, 0.0, params)
-
-
-def test_envelope_dominates_drift():
-    params = default_params()
-    gen = stream(StreamKey(seed=1, lineage=("env",)))
-    x = gen.uniform(-4.0, 4.0, size=(200, 1))
-    y = gen.uniform(0.05, 6.0, size=200)
-    assert np.all(drift_y_envelope(y, params) >= drift_y(x, y, params) - 1e-12)
 
 
 def test_y_equilibrium_closed_form():
@@ -123,16 +116,6 @@ def test_fixation_integral_matches_monte_carlo():
         fixation_integral(x, params, weight="w2")
 
 
-def test_jump_intensity_and_bound():
-    params = default_params()
-    total, bound = jump_intensity(np.array([-1.0]), 2.0, params)
-    assert 0.0 < total <= bound
-    assert bound == pytest.approx(params.f(2.0) * params.fixation.g_max
-                                  * params.mutation_mass())
-    total0, bound0 = jump_intensity(np.array([-1.0]), 0.0, params)
-    assert total0 == 0.0 and bound0 == 0.0
-
-
 @pytest.mark.parametrize("family", ["deleterious_ok", "advantageous_only",
                                     "rescaled_advantageous"])
 def test_fixation_bound_elementwise_matches_scalar(family):
@@ -198,6 +181,41 @@ def test_hypothesis_routing_dim2_advantageous_requires_h11():
     report = validate_hypotheses(params)
     assert "H9" in report.required_codes()
     assert "H11" in report.required_codes()
+
+
+_ADVANTAGEOUS = ("advantageous_only", "rescaled_advantageous")
+
+
+@pytest.mark.parametrize("fixation_family,mutation_family,dim,a,m_nu", list(itertools.product(
+    ("deleterious_ok",) + _ADVANTAGEOUS, ("gaussian", "gaussian_size_tilted"), (1, 2, 3),
+    (0.0, 0.5), (0.0, 1.0))))
+def test_hypothesis_statuses_follow_the_family_and_parameter_signs(fixation_family,
+                                                                    mutation_family, dim, a, m_nu):
+    report = validate_hypotheses(default_params(
+        fixation_family=fixation_family, mutation_family=mutation_family, dim=dim, a=a,
+        m_nu=m_nu))
+    adv = fixation_family in _ADVANTAGEOUS
+
+    def status(holds):
+        return "satisfied" if holds else "violated"
+
+    expected = {"H1": "satisfied", "H2": "satisfied", "H3": "satisfied",
+                "H4": status(m_nu > 0.0), "H5": "satisfied", "H6": status(m_nu > 0.0),
+                "H7": status(a > 0.0), "H8": status(not adv), "H9": status(adv),
+                "H10": "satisfied",
+                "H11": "not_applicable" if dim == 1 else status(m_nu > 0.0)}
+    assert {code: chk.status for code, chk in report.checks.items()} == expected
+    assert report.routing_ok()[0] == (m_nu > 0.0 and a > 0.0)
+    assert all(chk.detail for chk in report.checks.values())
+
+
+@pytest.mark.parametrize("overrides", [{"s": 8.0}, {"r0": 8.0}, {"r0": 4.0, "s": 4.0},
+                                       {"r0": 6.0, "s": 3.0}])
+def test_a_steep_logistic_fixation_is_strictly_positive(overrides):
+    # expit(s dr) rounds to 0 for a far enough w, but g itself never vanishes
+    report = validate_hypotheses(default_params(**overrides))
+    assert report.checks["H8"].status == "satisfied"
+    assert report.routing_ok() == (True, [])
 
 
 def test_reference_set_samples_inside():
