@@ -442,7 +442,7 @@ def run_diagnose(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> l
     fam = truncation_family(params, sim, _key(cfg, "truncation"),
                             Ls=cfg["L_list"],
                             n_particles=cfg["particles"], window=cfg["window"],
-                            nx=cfg["nx"], ny=cfg["ny"])
+                            burn_in=cfg["burn_in"], nx=cfg["nx"], ny=cfg["ny"])
 
     _write_csv(out / "convergence.csv", ["t", "tv_mean", "tv_se"],
                ([_fmt(t), _fmt(m), _fmt(se)]

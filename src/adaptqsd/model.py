@@ -145,7 +145,8 @@ class FixationSpec:
         if self.family == "deleterious_ok":
             return self.g_max * expit(self.s * dr)
         inward = np.sum(np.square(x + w), axis=-1) < np.sum(np.square(x), axis=-1)
-        base = self.g_max * np.maximum(-np.expm1(-self.s * dr), 0.0)
+        # dr clipped first: -s dr overflows expm1 on outward pairs, masked below
+        base = self.g_max * -np.expm1(-self.s * np.maximum(dr, 0.0))
         g = np.where(inward, base, 0.0)
         if self.family == "advantageous_only":
             return g

@@ -20,9 +20,10 @@ factors' bands, with no zero fill. A decay rate
 lambda of Q is an eigenvalue 1/(1 + 2 lambda) of the resolvent, which puts the
 leading two (0.79 and 1.21 at 80x60) a ratio 0.75 apart. The leading
 eigentriple (lambda0, alpha, eta) comes from two independent ARPACK runs on
-it, forward solves for eta and transpose solves for alpha, which run in
-parallel on two CPUs over the one LU (shard.sharded), then from power steps
-that polish both together. The consistency checks apply e^{tQ} and its
+it (leading_vector, the package's one ARPACK routine, which qsd.estimate_eta
+also calls), forward solves for eta and transpose solves for alpha, which run
+in parallel on two CPUs over the one LU (shard.sharded), then from power
+steps that polish both together. The consistency checks apply e^{tQ} and its
 adjoint by a shift-and-invert Krylov method on the same resolvent: no time
 steps, any stiffness, and exact to round-off on the eigenvectors.
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,12 +54,12 @@ from .measure import EmpiricalMeasure, HistGrid
 from .model import ModelParams, drift_y, fixation_integral
 from .shard import sharded
 
-__all__ = ["GridGenerator", "OracleTriple", "build_generator", "leading_triple",
-           "survival_consistency", "oracle_q_kernel", "QKernelCheck"]
+__all__ = ["GridGenerator", "OracleTriple", "build_generator", "leading_vector",
+           "leading_triple", "survival_consistency", "oracle_q_kernel", "QKernelCheck"]
 
 _ROUNDOFF = 1e-12  # largest negative eigenvector entry clipped, relative to max |v|
-# leading_triple: eigen-residual target, and the cap on ARPACK restarts and on
-# resolvent polish steps
+# leading_triple's eigen-residual target; the cap on leading_vector's ARPACK
+# restarts and on leading_triple's resolvent polish steps
 _TOL = 1e-10
 _MAX_ITER = 20_000
 _SHIFT = 2.0  # every solve is with the resolvent (I - _SHIFT Q)^{-1}
@@ -270,42 +271,46 @@ def _nonnegative(v: np.ndarray, name: str) -> np.ndarray:
     return np.maximum(v.real, 0.0)
 
 
+def leading_vector(apply, n: int, name: str) -> tuple[np.ndarray, int]:
+    """Nonnegative leading eigenvector of the map `apply` on R^n (n >= 3), and
+    the number of `apply` calls: ARPACK (eigs, k = 1, at most _MAX_ITER
+    restarts) from the ones vector, then _nonnegative. ARPACK's failure raises
+    NumericError naming `name`."""
+    count = 0
+
+    def counted(v):
+        nonlocal count
+        count += 1
+        return apply(v)
+
+    try:
+        v = eigs(LinearOperator((n, n), counted, dtype=float), k=1, v0=np.ones(n),
+                 maxiter=_MAX_ITER)[1][:, 0]
+    except ArpackError as exc:  # typed here: scipy's error does not cross a pipe
+        raise NumericError(f"ARPACK did not converge for {name}",
+                           diagnostics={"solves": count, "arpack": str(exc)}) from exc
+    return _nonnegative(v, name), count
+
+
 def leading_triple(genr: GridGenerator) -> OracleTriple:
     """Leading eigentriple: ARPACK on the resolvent (I - 2Q)^{-1}, then
     power-step polish.
 
-    Two ARPACK runs (at most _MAX_ITER restarts each) start eta and alpha;
-    they are independent, so they run in parallel over the one LU, factored
-    here, and the result is the same on any number of CPUs and of BLAS
-    threads. Then 1 to _MAX_ITER resolvent steps polish both until
-    ||alpha Q + lambda alpha||_1 with ||alpha||_1 = 1 and
-    ||Q eta + lambda eta||_inf with ||eta||_inf = 1 are both below _TOL.
-    `iterations` counts resolvent solves: the operator calls of both ARPACK
-    runs plus two per polish step. alpha's mass outside the main component
-    must be round-off.
+    Two leading_vector runs start eta and alpha; they are independent, so
+    they run in parallel over the one LU, factored here, and the result is
+    the same on any number of CPUs and of BLAS threads. Then 1 to _MAX_ITER
+    resolvent steps polish both until ||alpha Q + lambda alpha||_1 with
+    ||alpha||_1 = 1 and ||Q eta + lambda eta||_inf with ||eta||_inf = 1 are
+    both below _TOL. `iterations` counts resolvent solves: the operator calls
+    of both ARPACK runs plus two per polish step. alpha's mass outside the
+    main component must be round-off.
     """
     Q = genr.Q
-    N = Q.shape[0]
     lu = genr.lu  # factored before the fork, so the worker shares it
 
     def top_vectors(units):
-        out = []
-        for trans in units:
-            name, count = ("eta" if trans == "N" else "alpha"), 0
-
-            def solve(v):
-                nonlocal count
-                count += 1
-                return lu.solve(v, trans=trans)
-
-            try:
-                v = eigs(LinearOperator((N, N), solve, dtype=float), k=1, v0=np.ones(N),
-                         maxiter=_MAX_ITER)[1][:, 0]
-            except ArpackError as exc:  # typed here: scipy's error does not cross a pipe
-                raise NumericError(f"ARPACK did not converge on the resolvent for {name}",
-                                   diagnostics={"solves": count, "arpack": str(exc)}) from exc
-            out.append((_nonnegative(v, name), count))
-        return out
+        return [leading_vector(partial(lu.solve, trans=trans), genr.n_cells,
+                               "eta" if trans == "N" else "alpha") for trans in units]
 
     (eta, eta_solves), (alpha, alpha_solves) = sharded(top_vectors, ["N", "T"])
     solves = eta_solves + alpha_solves

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cohort import ExitReason, SimConfig, reason_from_code
 from .errors import DomainError
-# drift_y stays importable from here for existing callers
+# drift_y stays: perfbench/workload.py's traced runs wrap pathsim.drift_y
 from .model import ModelParams, drift_y  # noqa: F401
 from .qsd import _h_transform, _q_steps, _Stepper
 from .rng import StreamKey

@@ -8,8 +8,8 @@ The stack, bottom to top:
   whose kill flux estimates the decay rate lambda0;
 - estimate_lambda0_survival: independent lambda0 estimate from the survival
   curve of a plain (non-interacting) cohort started from alpha;
-- estimate_eta: survival capacity eta on a coarse node grid, the eigen fixed
-  point through per-node cohort endpoints, normalized to <alpha, eta> = 1;
+- estimate_eta: survival capacity eta on a coarse node grid, the Perron
+  vector of per-node cohort endpoints, normalized to <alpha, eta> = 1;
 - beta_from: the conditioned-process law beta = eta * alpha;
 - conditioned_marginal: ensemble of never-absorbed walkers evolved by
   rejection against eta (the h-transform of the time-discretized kernel);
@@ -41,6 +41,7 @@ from .cohort import Engine, SimConfig, WindowEvents
 from .errors import DomainError, MassExtinctionError, NumericError, UnsupportedModelError
 from .measure import EmpiricalMeasure, HistGrid, tv_distance, tv_noise_floor
 from .model import ModelParams, fixation_integral, reference_set, y_equilibrium
+from .oracle import leading_vector
 from .rng import StreamKey, stream
 from .shard import sharded
 
@@ -462,7 +463,7 @@ class EtaEstimate:
     """Survival capacity on a coarse node grid, callable via bilinear
     interpolation in (x, log y).
 
-    values / values_t2 hold the fixed-point estimate and its independent-leg
+    values / values_t2 hold the Perron-vector estimate and its independent-leg
     second-horizon counterpart.
     """
 
@@ -496,12 +497,9 @@ def eta_node_grid(grid: HistGrid, nx: int = 30, ny: int = 20) -> tuple[np.ndarra
     return sub.x_centers, sub.y_centers
 
 
-# nodes per batch, rows per grouped cohort call, and the cap and
-# relative-change tolerance of the eta fixed-point passes
+# nodes per batch, and rows per grouped cohort call
 _ETA_BATCH_NODES = 60
 _ETA_CALL_ROWS = 60_000
-_ETA_MAX_PASSES = 40
-_ETA_TOL = 0.004
 
 
 def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
@@ -517,14 +515,14 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
     batches as fit in _ETA_CALL_ROWS rows (at least one) step as the groups
     of one run_cohort, which draws exactly what separate runs would, and the
     survivor endpoints are gathered in ascending batch order, so the result
-    does not depend on the CPU count. The plain statistic
-    e^{lambda0 t} * survivor fraction is transient-biased at affordable
-    horizons; it only starts the eigen fixed point
-    eta <- e^{lambda0 t_eval} * mean(alive * eta(endpoint at t_eval)),
-    renormalized to <alpha, eta> = 1 each pass (this also absorbs the scale
-    drift from an imperfect lambda0), which runs until the node values settle
-    or _ETA_MAX_PASSES passes are done. The t2 fields apply the final
-    interpolant through the 2 t_eval endpoints as a second-horizon
+    does not depend on the CPU count. eta is the fixed point of
+    eta(node) ~ mean(alive * eta(endpoint at t_eval)), eta read between nodes
+    by the bilinear interpolant: the Perron vector of the node-to-node matrix
+    W1, solved by oracle.leading_vector (ARPACK) and applied once more, so a
+    node without survivors stays exactly 0; iterations_used counts the W1
+    applications. <alpha, eta> = 1 fixes its scale whatever lambda0 is, which
+    only scales the t_eval SEs by e^{lambda0 t_eval}. The t2 fields apply the
+    final interpolant through the 2 t_eval endpoints as a second-horizon
     consistency leg. Implemented for d = 1.
     """
     if params.dim != 1:
@@ -536,8 +534,6 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
     n_nodes = gx * gy
     R = replicates
     t2 = 2.0 * t_eval
-    e1 = math.exp(lambda0 * t_eval)
-    e2 = math.exp(lambda0 * t2)
     call_batches = max(1, _ETA_CALL_ROWS // (_ETA_BATCH_NODES * R))
 
     def run_batches(batches):
@@ -575,42 +571,33 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
     cell_x, cell_y = _cell_centers(alpha.grid)
 
     def normalized(v_flat):
-        inner = float(np.dot(alpha_w, _bilinear(xn, yn, v_flat.reshape(gx, gy), cell_x, cell_y)))
+        # numpy's sum, not BLAS ddot's, which changes with the BLAS thread count
+        inner = float((alpha_w * _bilinear(xn, yn, v_flat.reshape(gx, gy), cell_x, cell_y)).sum())
         if inner <= 0.0:
             raise NumericError("alpha-eta inner product not positive")
         return v_flat / inner, inner
 
-    vals, _ = normalized(e2 * sv2 / R)
-    # slow-transient regions (advection-dominated) settle late, so the
-    # stopping rule must watch every node with usable endpoint data
-    active = sv1 >= max(20, int(0.005 * R))
     # node-to-node weights: row n sums the interpolation weights of node n's endpoints
     W1 = sp.csr_matrix((w1.ravel(), (np.repeat(own1, 4), idx1.ravel())),
                        shape=(n_nodes, n_nodes))
-    for iters_done in range(1, _ETA_MAX_PASSES + 1):
-        new, _ = normalized(e1 * (W1 @ vals) / R)
-        watch = active & (vals > 0)
-        delta = float(np.max(np.abs(new[watch] - vals[watch]) / vals[watch])) if watch.any() else 0.0
-        vals = new
-        if delta < _ETA_TOL:
-            break
+    perron, applied = leading_vector(lambda v: W1 @ v, n_nodes, "eta")
+    vals, _ = normalized(W1 @ perron)
 
-    def mean_se(owner, idx, w, scale):
-        # per-node mean and SE of the last application (interpolant held fixed)
+    def mean_sd(owner, idx, w):
+        # per-node mean of eta at the endpoints, and its SE (interpolant held fixed)
         ev = _interpolate(idx, w, vals)
         m, m2 = (np.bincount(owner, v, n_nodes) / R for v in (ev, ev**2))
-        return scale * m, scale * np.sqrt(np.maximum(m2 - m * m, (0.5 / R) ** 2) / R)
+        return m, np.sqrt(np.maximum(m2 - m * m, (0.5 / R) ** 2) / R)
 
-    se = mean_se(own1, idx1, w1, e1)[1]
-    vals_t2, se_t2 = mean_se(own2, idx2, w2, e2)
-    vals_t2, norm2 = normalized(vals_t2)
-    se_t2 = se_t2 / norm2
+    se = math.exp(lambda0 * t_eval) * mean_sd(own1, idx1, w1)[1]
+    mean_t2, sd_t2 = mean_sd(own2, idx2, w2)
+    vals_t2, norm2 = normalized(mean_t2)
 
     return EtaEstimate(x_nodes=xn, y_nodes=yn,
                        values=vals.reshape(gx, gy), stderr=se.reshape(gx, gy),
                        survivors_t1=sv1.reshape(gx, gy), survivors_t2=sv2.reshape(gx, gy),
-                       values_t2=vals_t2.reshape(gx, gy), stderr_t2=se_t2.reshape(gx, gy),
-                       iterations_used=iters_done)
+                       values_t2=vals_t2.reshape(gx, gy), stderr_t2=(sd_t2 / norm2).reshape(gx, gy),
+                       iterations_used=applied + 1)
 
 
 def beta_from(alpha: EmpiricalMeasure, eta: EtaEstimate) -> EmpiricalMeasure:
@@ -845,11 +832,13 @@ class TruncationFamily:
 
 def truncation_family(params: ModelParams, base_config: SimConfig, key: StreamKey,
                       Ls=(2.5, 3.0, 4.0, 5.0), n_particles: int = 2000,
-                      window: float = 50.0, nx: int = 80, ny: int = 60) -> TruncationFamily:
+                      window: float = 50.0, burn_in: float | str = "auto",
+                      nx: int = 80, ny: int = 60) -> TruncationFamily:
     """Fleming-Viot across a family of truncation boxes on one shared grid.
 
     All runs are histogrammed on the largest box's grid, so the TV column is
-    directly comparable. The y floor follows the base config's convention.
+    directly comparable. Every box burns in by `burn_in`, as fleming_viot
+    reads it. The y floor follows the base config's convention.
     Box L draws from key.child("L", str(L)); the boxes are dealt round-robin
     to one process per CPU (shard.sharded).
     """
@@ -860,7 +849,8 @@ def truncation_family(params: ModelParams, base_config: SimConfig, key: StreamKe
 
     def run_boxes(boxes):
         runs = [fleming_viot(params, replace(base_config, truncation=L), key.child("L", str(L)),
-                             n_particles=n_particles, window=window, hist_grid=grid)
+                             n_particles=n_particles, window=window, burn_in=burn_in,
+                             hist_grid=grid)
                 for L in boxes]
         return [(est.alpha, est.lambda0, est.lambda0_stderr) for est in runs]
 

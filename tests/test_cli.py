@@ -429,6 +429,16 @@ def test_diagnose_rerun_is_byte_identical(tmp_path):
         assert isinstance(payload[name], int) and payload[name] >= 0, name
 
 
+def test_diagnose_truncation_boxes_burn_in_by_the_configured_burn_in(tmp_path):
+    truncation = {}
+    for burn_in in ("auto", "0.5"):
+        out = tmp_path / burn_in
+        assert cli.main(["diagnose", "--out", str(out)] + _DIAG
+                        + ["--set", f"burn_in={burn_in}"]) == 0
+        truncation[burn_in] = _read(out / "truncation.csv")
+    assert truncation["auto"] != truncation["0.5"]
+
+
 def test_diagnose_balance_runs_untruncated(tmp_path, monkeypatch):
     # v = E_alpha[f(y) J1(x)] holds for the untruncated process only
     seen = []

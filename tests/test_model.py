@@ -88,6 +88,14 @@ def test_fixation_advantageous_only_sign_structure():
     assert params.g(x, away) == 0.0
 
 
+@pytest.mark.parametrize("family", ["advantageous_only", "rescaled_advantageous"])
+def test_a_steep_advantageous_fixation_does_not_overflow_on_outward_jumps(family):
+    # outward, s |dr| = 40 * 36 would overflow expm1; a warning fails the test
+    params = default_params(fixation_family=family, s=40.0)
+    assert params.g(np.array([[0.5]]), np.array([[8.0]])) == 0.0
+    assert params.g(np.array([[0.5]]), np.array([[-0.25]])) > 0.0
+
+
 def test_mutation_mass_and_moments():
     params = default_params(m_nu=2.5)
     assert params.mutation_mass() == pytest.approx(2.5)

@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from adaptqsd import cohort, qsd
+from adaptqsd import cohort, oracle, qsd
 from adaptqsd.cohort import Engine
-from adaptqsd.errors import DomainError, MassExtinctionError, UnsupportedModelError
+from adaptqsd.errors import DomainError, MassExtinctionError, NumericError, UnsupportedModelError
 from adaptqsd.measure import EmpiricalMeasure, HistGrid
 from adaptqsd.model import default_params
 from adaptqsd.pathsim import SimConfig
@@ -229,14 +230,12 @@ def test_survival_estimate_small_n_flag(params, monkeypatch):
     assert est.n_paths == 400
 
 
-def test_estimate_eta_refined(tiny_fv, params, monkeypatch):
-    monkeypatch.setattr(qsd, "_ETA_MAX_PASSES", 10)
-    monkeypatch.setattr(qsd, "_ETA_TOL", 0.02)
+def test_estimate_eta_refined(tiny_fv, params):
     config = _boxed_config()
     eta = estimate_eta(tiny_fv.alpha, tiny_fv.lambda0, params, config,
                        StreamKey(seed=11, lineage=("eta1",)), t_eval=1.0,
                        replicates=150, nodes=(5, 4))
-    assert 1 <= eta.iterations_used <= 10
+    assert eta.iterations_used >= 2
     assert eta.values.shape == (5, 4)
     assert np.all(np.isfinite(eta.values))
     assert np.all(eta.values >= 0.0)
@@ -314,14 +313,15 @@ def test_estimators_reject_sizes_that_leave_nothing_to_compute(tiny_fv, params, 
 
 
 def _per_node_eta(alpha, lambda0, params, config, key, t_eval, replicates, nodes):
-    """estimate_eta's fixed point written node by node (reference for the sparse one)."""
+    """estimate_eta written node by node, with a dense eigensolve: the
+    node-to-node matrix column by column, its Perron vector from
+    np.linalg.eig (reference for the sparse matrix and ARPACK)."""
     xn, yn = eta_node_grid(alpha.grid, *nodes)
     gx, gy = len(xn), len(yn)
-    R, t2 = replicates, 2.0 * t_eval
-    e1, e2 = np.exp(lambda0 * t_eval), np.exp(lambda0 * t2)
-    ends = {t_eval: [None] * gx * gy, t2: [None] * gx * gy}
-    for b0 in range(0, gx * gy, qsd._ETA_BATCH_NODES):
-        batch = range(b0, min(b0 + qsd._ETA_BATCH_NODES, gx * gy))
+    n, R, t2 = gx * gy, replicates, 2.0 * t_eval
+    ends = {t_eval: [None] * n, t2: [None] * n}
+    for b0 in range(0, n, qsd._ETA_BATCH_NODES):
+        batch = range(b0, min(b0 + qsd._ETA_BATCH_NODES, n))
         x0 = np.zeros((len(batch) * R, params.dim))
         y0 = np.empty(len(batch) * R)
         for bi, node in enumerate(batch):
@@ -338,54 +338,67 @@ def _per_node_eta(alpha, lambda0, params, config, key, t_eval, replicates, nodes
     cx, cy = np.repeat(g.x_centers, g.ny)[:, None], np.tile(g.y_centers, g.nx)
 
     def normalized(v):
-        inner = float(np.dot(alpha.masses.ravel(), _bilinear(xn, yn, v.reshape(gx, gy), cx, cy)))
+        inner = float(np.sum(alpha.masses.ravel() * _bilinear(xn, yn, v.reshape(gx, gy), cx, cy)))
         return v / inner, inner
 
     def node_sums(v, store, power=1):
         vals = v.reshape(gx, gy)
         return np.array([np.sum(_bilinear(xn, yn, vals, lx, ly) ** power) for lx, ly in store])
 
-    sv1 = np.array([len(ly) for _, ly in ends[t_eval]])
-    vals = normalized(e2 * np.array([len(ly) for _, ly in ends[t2]]) / R)[0]
-    active = sv1 >= max(20, int(0.005 * R))
-    used = 0
-    for used in range(1, qsd._ETA_MAX_PASSES + 1):
-        new = normalized(e1 * node_sums(vals, ends[t_eval]) / R)[0]
-        watch = active & (vals > 0)
-        delta = float(np.max(np.abs(new[watch] - vals[watch]) / vals[watch])) if watch.any() else 0.0
-        vals = new
-        if delta < qsd._ETA_TOL:
-            break
-    out = {"values": vals, "iterations_used": used, "survivors_t1": sv1}
-    for name, t, e in (("stderr", t_eval, e1), ("stderr_t2", t2, e2)):
+    # column m: every node's endpoint sum of the interpolant of node m's indicator
+    W = np.column_stack([node_sums(np.eye(1, n, m)[0], ends[t_eval]) for m in range(n)])
+    w, right = np.linalg.eig(W)
+    perron = right[:, np.argmax(w.real)].real
+    vals = normalized(W @ (perron / perron[np.argmax(np.abs(perron))]))[0]
+    out = {"values": vals, "survivors_t1": np.array([len(ly) for _, ly in ends[t_eval]])}
+    for name, t in (("stderr", t_eval), ("stderr_t2", t2)):
         m, m2 = node_sums(vals, ends[t]) / R, node_sums(vals, ends[t], 2) / R
-        out[name] = e * np.sqrt(np.maximum(m2 - m * m, (0.5 / R) ** 2) / R)
-    out["values_t2"], inner2 = normalized(e2 * m)  # m of the last horizon, t2
+        out[name] = np.sqrt(np.maximum(m2 - m * m, (0.5 / R) ** 2) / R)
+    out["stderr"] *= np.exp(lambda0 * t_eval)
+    out["values_t2"], inner2 = normalized(m)  # m of the last horizon, t2
     out["stderr_t2"] = out["stderr_t2"] / inner2
     return out
 
 
-def test_estimate_eta_sparse_fixed_point_matches_per_node_reference(tiny_fv, params):
-    # 64 nodes: a full batch and a partial one, which share one cohort call,
-    # against the reference's one run per batch
+# 64 nodes: a full batch and a partial one, which share one cohort call,
+# against the reference's one run per batch; 2 x 2, the smallest node grid,
+# is an eigenproblem of size 4 for ARPACK
+@pytest.mark.parametrize("nodes", [(8, 8), (2, 2)])
+def test_estimate_eta_perron_vector_matches_dense_per_node_reference(tiny_fv, params, nodes):
     config = _boxed_config()
     args = (tiny_fv.alpha, tiny_fv.lambda0, params, config,
             StreamKey(seed=11, lineage=("eta1",)))
-    kw = dict(t_eval=1.0, replicates=150, nodes=(8, 8))
+    kw = dict(t_eval=1.0, replicates=150, nodes=nodes)
     assert qsd._ETA_BATCH_NODES < 64 <= qsd._ETA_CALL_ROWS // 150
     eta = estimate_eta(*args, **kw)
     ref = _per_node_eta(*args, **kw)
-    assert eta.iterations_used == ref["iterations_used"] >= 2
+    assert eta.iterations_used >= 2  # ARPACK's applications of W1, and the last one
     np.testing.assert_array_equal(eta.survivors_t1.ravel(), ref["survivors_t1"])
     for name in ("values", "stderr", "values_t2", "stderr_t2"):
-        np.testing.assert_allclose(getattr(eta, name).ravel(), ref[name], rtol=1e-12, atol=0.0)
+        want = ref[name]
+        np.testing.assert_allclose(getattr(eta, name).ravel(), want, rtol=1e-9,
+                                   atol=1e-9 * want.max(), err_msg=name)
+
+
+def test_estimate_eta_arpack_failure_raises_numeric_error(tiny_fv, params, monkeypatch):
+    # the node matrices here are too small to exhaust ARPACK's restarts
+    def stalled(A, k, v0, maxiter):
+        A.matvec(v0)
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((A.shape[0], 0)))
+
+    monkeypatch.setattr(oracle, "eigs", stalled)
+    with pytest.raises(NumericError, match="ARPACK .* for eta") as info:
+        estimate_eta(tiny_fv.alpha, tiny_fv.lambda0, params, _boxed_config(),
+                     StreamKey(seed=11, lineage=("eta1",)), t_eval=1.0, replicates=150,
+                     nodes=(5, 4))
+    assert info.value.diagnostics["solves"] == 1
 
 
 def test_estimate_eta_multi_batch_is_frozen(tiny_fv, params):
     """SHA-256 of a two-batch estimate_eta at a fixed key (numpy 2.4.6).
 
     120 nodes of 30 replicates are two batches, which share one cohort call;
-    any change to their draws, owners or fixed point moves the digest.
+    any change to their draws, owners or Perron solve moves the digest.
     """
     eta = estimate_eta(tiny_fv.alpha, tiny_fv.lambda0, params, _boxed_config(),
                        StreamKey(seed=47, lineage=("eta_frozen",)), t_eval=0.5,
@@ -394,7 +407,7 @@ def test_estimate_eta_multi_batch_is_frozen(tiny_fv, params):
     for a in (eta.values, eta.stderr, eta.values_t2, eta.stderr_t2, eta.survivors_t1,
               eta.survivors_t2, np.array([eta.iterations_used])):
         h.update(np.ascontiguousarray(a).tobytes())
-    assert h.hexdigest() == "a58aa77929b9ab40378f3b0a3d0018fb1f61a624f9f6c536f3a5b19a90c75813"
+    assert h.hexdigest() == "ee89b9e8d618788b51d63753edcc799ed8c10369bfb5e35edcd148ede779ffae"
 
 
 def _flat_eta(level=1.0):
