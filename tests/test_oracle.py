@@ -168,6 +168,9 @@ def test_beta_combines_alpha_and_eta(small_oracle):
 @pytest.mark.parametrize("overrides, digest", [
     ({}, "6582065a8da314861961596ae99776dd016413d465987273740558609326b6a5"),
     ({"tau": 0.3, "s": 1.0}, "88a5dd9fdc37923d762d821afdd787756e4481583957f9849287a9dc3efc13d6"),
+    # the jump loop's `keep` filter drops the zero rates of inward-only jumps
+    ({"fixation_family": "advantageous_only"},
+     "d85e120338a0ec5538c87c9e5f8dfbf9b92669a63023588a843b2ac44ebcac28"),
 ])
 def test_generator_assembly_is_frozen(overrides, digest):
     """SHA-256 of the 40 x 30 generator's CSR arrays, kill rates and diagnostics."""
@@ -176,6 +179,22 @@ def test_generator_assembly_is_frozen(overrides, digest):
     for a in (genr.Q.indptr, genr.Q.indices, genr.Q.data, genr.kill_rate):
         h.update(np.ascontiguousarray(a).tobytes())
     h.update(json.dumps(genr.diagnostics, sort_keys=True).encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("overrides, digest", [
+    ({}, "b8fd7e31622f9276ead180ad27fa773248961f00231d99923bc620113e4a42e5"),
+    ({"tau": 0.3, "s": 1.0}, "df5609ef452f8164d57f67e7f0f35cc733206a52d843f88c9aeb1e27ea95f8ed"),
+    ({"fixation_family": "advantageous_only"},
+     "dfa562762dc770ba2df7334f0b9ed30807eeb9bf090908e51c856dbd402a551c"),
+])
+def test_banded_lu_is_frozen(overrides, digest):
+    """SHA-256 of the 40 x 30 generators' factored band buffer, then kl and ku."""
+    lu = build_generator(default_params(**overrides), 4.0, nx=40, ny=30).lu
+    buf = lu.upper.base
+    assert buf is lu.lower.base  # both views read the one buffer
+    h = hashlib.sha256(buf.tobytes())
+    h.update(np.array([lu.kl, lu.ku], dtype=np.int64).tobytes())
     assert h.hexdigest() == digest
 
 
