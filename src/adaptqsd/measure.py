@@ -144,9 +144,6 @@ class EmpiricalMeasure:
             raise DomainError(f"total mass {total:g} below normalizable threshold")
         self.masses = self.masses / total
 
-    def marginal_y(self) -> np.ndarray:
-        return self.masses.reshape(-1, self.grid.ny).sum(axis=0)
-
     def marginal_x1(self) -> np.ndarray:
         m = self.masses.reshape(self.grid.nx, -1)
         return m.sum(axis=1)

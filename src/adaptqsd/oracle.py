@@ -7,16 +7,21 @@ term, first-order upwind for the y-drift and the -v x-transport, and a banded
 jump stencil with targets rounded to cell centers. Probability flux through
 any edge of the box, and jump mass landing outside it, feed an implicit kill
 state, making row sums nonpositive (sub-Markov). Each term is assembled as one
-array expression over the (ny, nx) array of flat cell indices j * nx + i (an
-order that keeps the LU banded); only the jump offsets are looped over.
+array expression over the (ny, nx) array of int32 flat cell indices
+j * nx + i (an order that keeps the LU banded); only the jump offsets are
+looped over. The terms are copied in order into one preallocated set of
+(source, target, rate) entries and released as they go, and that set is
+released before the diagonal is added, so the build's traced peak is ~2.4x
+the bytes of the Q it returns.
 
 Every solve goes through one banded LU per generator, of (I - 2Q)^T, i.e. the
 resolvent (I - 2Q)^{-1}: the flat cell order bands Q by nx, so the band is
-written straight from Q's entries. I - 2Q is strictly row diagonally dominant
-(Q's off-diagonals are >= 0, its row sums <= 0), so its transpose is strictly
-column diagonally dominant and LAPACK gbtrf's partial pivoting swaps no row
-of it; a solve in either direction is then two BLAS tbsv sweeps over the
-factors' bands, with no zero fill. A decay rate
+written straight from Q's CSR arrays, a grid row at a time, and the
+factorization allocates little beyond the band. I - 2Q is strictly row
+diagonally dominant (Q's off-diagonals are >= 0, its row sums <= 0), so its
+transpose is strictly column diagonally dominant and LAPACK gbtrf's partial
+pivoting swaps no row of it; a solve in either direction is then two BLAS
+tbsv sweeps over the factors' bands, with no zero fill. A decay rate
 lambda of Q is an eigenvalue 1/(1 + 2 lambda) of the resolvent, which puts the
 leading two (0.79 and 1.21 at 80x60) a ratio 0.75 apart. The leading
 eigentriple (lambda0, alpha, eta) comes from two independent ARPACK runs on
@@ -119,25 +124,36 @@ class GridGenerator:
         """Banded LU of (I - 2Q)^T: the one factorization every oracle solve
         uses.
 
-        The band storage is written straight from Q's entries, and so are its
-        bandwidths: nx, the y-diffusion offset, on a built grid. Q's
+        The band storage is written straight from Q's CSR arrays, one grid row
+        of nx matrix rows at a time, so nothing beyond the band and a block's
+        indices is allocated; the bandwidths come from each row's first and
+        last stored column (nx, the y-diffusion offset, on a built grid). Q's
         off-diagonals are >= 0 and its row sums <= 0, so I - 2Q is strictly row
         diagonally dominant and its transpose strictly column diagonally
         dominant, where partial pivoting swaps no row. A zero pivot, or a swap
         all the same (Q is then no sub-Markov generator), raises NumericError
         with LAPACK's info or the first swapped row."""
-        Q = self.Q.tocoo()
-        Q.sum_duplicates()  # a no-op on assembled generators, which are canonical
-        offset = Q.row - Q.col
-        kl, ku = max(int(offset.max()), 0), max(int(-offset.min()), 0)
+        Q = self.Q
+        if not Q.has_canonical_format:  # assembled generators are: sorted, no duplicates
+            Q = Q.copy()
+            Q.sum_duplicates()
+        indptr, indices, n = Q.indptr, Q.indices, self.n_cells
+        filled = np.flatnonzero(np.diff(indptr))
+        kl = int((filled - indices[indptr[filled]]).max(initial=0))
+        ku = int((indices[indptr[filled + 1] - 1] - filled).max(initial=0))
         # A^T has ku sub- and kl superdiagonals, and A[i, j] = A^T[j, i] sits
-        # at ab[kl + ku + j - i, i]; the top ku rows are room for the fill of
-        # row swaps. Column-major, so gbtrf factors it in place; the kl + ku
-        # slack keeps the shifted views of BandedLU inside the buffer
-        rows, n = 2 * ku + kl + 1, self.n_cells
+        # at ab[kl + ku + j - i, i], flat buf[kl + ku + j + i (rows - 1)]; the
+        # top ku rows are room for the fill of row swaps. Column-major, so
+        # gbtrf factors it in place; the kl + ku slack keeps the shifted views
+        # of BandedLU inside the buffer
+        rows = 2 * ku + kl + 1
         buf = np.zeros(rows * n + kl + ku)
+        for start in range(0, n, self.grid.nx):
+            stop = min(start + self.grid.nx, n)
+            lo, hi = indptr[start], indptr[stop]
+            i = np.repeat(np.arange(start, stop), np.diff(indptr[start:stop + 1]))
+            buf[kl + ku + indices[lo:hi] + i * (rows - 1)] = -_SHIFT * Q.data[lo:hi]
         ab = buf[:rows * n].reshape((rows, n), order="F")
-        ab[kl + ku - offset, Q.row] = -_SHIFT * Q.data
         ab[kl + ku] += 1.0
         _, ipiv, info = dgbtrf(ab, ku, kl, overwrite_ab=True)
         if info != 0:
@@ -189,10 +205,12 @@ def build_generator(params: ModelParams, L: float, y_min: float = 1e-3,
     yc = grid.y_centers
     hx = xc[1] - xc[0]
     N = nx * ny
-    cell = np.arange(N).reshape(ny, nx)  # flat index j * nx + i of cell (i, j)
+    # flat index j * nx + i of cell (i, j), int32 as in Q's CSR indices
+    cell = np.arange(N, dtype=np.int32).reshape(ny, nx)
     kill = np.zeros((ny, nx))
-    # each generator term is one (source cells, target cells, rates) triple;
-    # flux leaving the box adds to kill instead
+    # each generator term is one (source cells, target offset, rates) triple,
+    # the offset of every target from its source in the flat order; flux
+    # leaving the box adds to kill instead
     terms = []
 
     # --- y diffusion (coefficient 1/2) plus upwinded y drift
@@ -202,12 +220,12 @@ def build_generator(params: ModelParams, L: float, y_min: float = 1e-3,
     psi = drift_y(xc[None, :, None], yc[:, None], params)  # (ny, nx)
     up = 1.0 / (h_plus * (h_minus + h_plus)) + np.maximum(psi, 0.0) / h_plus
     down = 1.0 / (h_minus * (h_minus + h_plus)) + np.maximum(-psi, 0.0) / h_minus
-    terms += [(cell[:-1], cell[1:], up[:-1]), (cell[1:], cell[:-1], down[1:])]
+    terms += [(cell[:-1], nx, up[:-1]), (cell[1:], -nx, down[1:])]
     kill[-1] += up[-1]
     kill[0] += down[0]
 
     # --- x transport at speed v toward -L
-    terms.append((cell[:, 1:], cell[:, :-1], np.full((ny, nx - 1), params.v / hx)))
+    terms.append((cell[:, 1:], -1, np.full((ny, nx - 1), params.v / hx)))
     kill[:, 0] += params.v / hx
 
     # --- jumps: banded stencil in the x direction, separable in (i, j),
@@ -229,7 +247,7 @@ def build_generator(params: ModelParams, L: float, y_min: float = 1e-3,
         in_grid += np.where(ok, gnu, 0.0)
         rate = fy * gnu
         keep = ok & (rate > 0.0)  # zero rates are not stored
-        terms.append((cell[keep], cell[keep] + di, rate[keep]))
+        terms.append((cell[keep], di, rate[keep]))
         kill[:, ~ok] += rate[:, ~ok]
 
     # jump mass unresolved by the band or the midpoint rule:
@@ -238,8 +256,18 @@ def build_generator(params: ModelParams, L: float, y_min: float = 1e-3,
     kill += fy * np.maximum(total_int - in_grid, 0.0)
     kill = kill.ravel()
 
-    src, dst, rates = (np.concatenate([np.ravel(a) for a in part]) for part in zip(*terms))
+    # copy the terms, in order, into one triple set, releasing each once it
+    # is copied; the triple set goes before the diagonal step adds a second CSR
+    size = sum(r.size for _, _, r in terms)
+    src, dst, rates = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size)
+    end = 0
+    while terms:
+        cells, offset, rate = terms.pop(0)
+        at, end = end, end + rate.size
+        src[at:end], rates[at:end] = cells.ravel(), rate.ravel()
+        np.add(src[at:end], offset, out=dst[at:end])
     Q = sp.coo_matrix((rates, (src, dst)), shape=(N, N)).tocsr()
+    del src, dst, rates
     out_rate = np.asarray(Q.sum(axis=1)).ravel() + kill
     Q = (Q - sp.diags(out_rate)).tocsr()
     genr = GridGenerator(grid=grid, params=params, Q=Q, kill_rate=kill)
@@ -364,9 +392,15 @@ def _expm_action(genr: GridGenerator, v: np.ndarray, ts: tuple[float, ...],
     iterates agree on _KRYLOV_STREAK consecutive steps, as a point mass on a
     killing edge has zero first iterates. Agreement is relative to the iterate,
     whose round-off floor is ~1e-12 ||v|| for a spread-out v, plus an absolute
-    1e-15 ||v||, as a killed point mass maps to ~1e-9 ||v||.
+    1e-15 ||v||, as a killed point mass maps to ~1e-9 ||v||. Raises
+    DomainError unless ts is a nonempty set of finite, positive horizons and v
+    a finite, nonzero vector.
     """
+    if not (len(ts) and all(math.isfinite(t) and t > 0.0 for t in ts)):
+        raise DomainError(f"horizons must be finite and positive, and at least one: {ts}")
     norm = float(np.linalg.norm(v))
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise DomainError("Krylov start vector must be finite and nonzero")
     trans = "T" if adjoint else "N"
     V = np.empty((_KRYLOV_MAX + 1, v.size))  # rows are the basis; pages are touched as they fill
     H = np.zeros((_KRYLOV_MAX + 1, _KRYLOV_MAX))
@@ -396,7 +430,7 @@ def _expm_action(genr: GridGenerator, v: np.ndarray, ts: tuple[float, ...],
 def survival_consistency(genr: GridGenerator, triple: OracleTriple,
                          ts: tuple[float, ...] = (1.0, 2.0, 5.0)) -> dict[float, float]:
     """Relative error of alpha-started survival against e^{-lambda0 t}, every t
-    read from one Krylov basis."""
+    read from one Krylov basis; ts are finite and positive, at least one."""
     alpha = genr.grid_to_vec(triple.alpha.masses)
     mass = _expm_action(genr, alpha, ts, adjoint=True).sum(axis=0)
     expected = np.exp(-triple.lambda0 * np.asarray(ts))
@@ -419,11 +453,15 @@ def oracle_q_kernel(genr: GridGenerator, triple: OracleTriple, t: float,
 
     Row sums are checked for every cell via one forward evolution of eta;
     beta-invariance via one adjoint evolution of alpha. Explicit kernel rows
-    (flat internal indexing) are computed on request, one adjoint evolution of
-    a point mass each, and returned normalized.
+    (flat internal indexing, each in [0, n_cells)) are computed on request,
+    one adjoint evolution of a point mass each, and returned normalized. t is
+    finite and positive.
     """
-    if t <= 0.0:
-        raise DomainError("t must be positive")
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError(f"t must be finite and positive, not {t}")
+    bad = [i for i in rows if not 0 <= i < genr.n_cells]
+    if bad:
+        raise DomainError(f"kernel rows must be cell indices in [0, {genr.n_cells}): {bad}")
     eta = genr.grid_to_vec(triple.eta)
     alpha = genr.grid_to_vec(triple.alpha.masses)
     growth = math.exp(triple.lambda0 * t)

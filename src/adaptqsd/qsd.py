@@ -484,6 +484,17 @@ class EtaEstimate:
     def max_value(self) -> float:
         return float(self.values.max())
 
+    @property
+    def resolved_share(self) -> float:
+        """Share of the sampled nodes (at least one t_eval survivor) whose
+        value exceeds 1e-9 of the max. Near 1 when W1 is well sampled; low
+        when too few replicates leave W1 reducible and its Perron vector sits
+        on a few nodes, with the other sampled nodes at round-off."""
+        sampled = self.survivors_t1 > 0
+        if not sampled.any():
+            return 0.0
+        return float((self.values[sampled] > 1e-9 * self.max_value).mean())
+
     def consistency_z(self) -> np.ndarray:
         """Two-horizon z-scores |eta_t1 - eta_t2| / combined SE per node."""
         se = np.sqrt(self.stderr**2 + self.stderr_t2**2)

@@ -92,11 +92,9 @@ def test_marginals_and_means():
     x = gen.uniform(-3.0, 3.0, size=(20000, 1))
     y = gen.uniform(0.5, 3.5, size=20000)
     m = _from_points(g, x, y)
-    assert m.marginal_y().sum() == pytest.approx(1.0)
     assert m.marginal_x1().sum() == pytest.approx(1.0)
     # binned means sit near the sample means (center-of-cell bias only)
     assert m.mean_x1() == pytest.approx(x.mean(), abs=0.05)
-    assert np.dot(m.marginal_y(), g.y_centers) == pytest.approx(y.mean(), abs=0.1)
 
 
 def test_sample_round_trip():

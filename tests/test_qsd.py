@@ -241,6 +241,7 @@ def test_estimate_eta_refined(tiny_fv, params):
     assert np.all(eta.values >= 0.0)
     assert eta.max_value > 0.0
     assert np.all(eta.stderr >= 0.0)
+    assert eta.resolved_share == 1.0  # every sampled node is above round-off
     # normalization: <alpha, eta> == 1 under the same interpolant
     g = tiny_fv.alpha.grid
     xc = np.repeat(g.x_centers, g.ny)[:, None]
@@ -259,6 +260,17 @@ def test_estimate_eta_refined(tiny_fv, params):
     far = eta(np.array([[99.0]]), np.array([2.0]))
     edge = eta(np.array([[eta.x_nodes[-1]]]), np.array([2.0]))
     assert far == pytest.approx(edge)
+
+
+def test_estimate_eta_resolved_share_flags_a_sparse_node_matrix(tiny_fv, params):
+    # 8 replicates per node to t_eval = 2 leave 13 of 120 nodes with a survivor;
+    # W1 is then reducible, and its Perron vector sits on 5 of them
+    eta = estimate_eta(tiny_fv.alpha, tiny_fv.lambda0, params, _boxed_config(),
+                       StreamKey(seed=12, lineage=("eta1",)), t_eval=2.0,
+                       replicates=8, nodes=(12, 10))
+    assert (eta.survivors_t1 > 0).sum() == 13
+    assert eta.resolved_share == pytest.approx(5 / 13)
+    assert eta.resolved_share < 0.5
 
 
 def test_estimate_eta_and_balance_reject_what_they_cannot_compute(tiny_fv, params):
