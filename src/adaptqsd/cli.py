@@ -337,10 +337,15 @@ def _run_eta(cfg: dict, params: ModelParams, sim: SimConfig):
     if not (cfg["eta_t_eval"] > 0.0 and cfg["eta_replicates"] >= 1):
         raise ConfigError("eta needs eta_t_eval > 0 and eta_replicates >= 1")
     fv = _run_fv(cfg, params, sim)
-    eta = estimate_eta(fv.alpha, fv.lambda0, params, sim, _key(cfg, "eta"),
-                       t_eval=cfg["eta_t_eval"],
-                       replicates=cfg["eta_replicates"],
-                       nodes=(cfg["eta_nodes_x"], cfg["eta_nodes_y"]))
+    try:
+        eta = estimate_eta(fv.alpha, fv.lambda0, params, sim, _key(cfg, "eta"),
+                           t_eval=cfg["eta_t_eval"],
+                           replicates=cfg["eta_replicates"],
+                           nodes=(cfg["eta_nodes_x"], cfg["eta_nodes_y"]))
+    except NumericError as exc:
+        if "sampled_nodes" not in exc.diagnostics:
+            raise
+        raise NumericError(f"{exc}; raise eta_replicates", exc.diagnostics) from exc
     return fv, eta
 
 
@@ -412,9 +417,10 @@ def run_diagnose(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> l
     # replicate spread needs two replicates, each ensemble a donor survivor
     if cfg["conv_replicates"] < 2 or cfg["conv_particles"] < 2:
         raise ConfigError("diagnose needs conv_replicates >= 2 and conv_particles >= 2")
-    # a convergence slice, and two balance samples for the block error
-    if not (0.0 < cfg["slice_dt"] <= cfg["t_max"] and cfg["balance_collect"] > _BALANCE_EVERY):
-        raise ConfigError("diagnose needs 0 < slice_dt <= t_max and "
+    # slices of at least one window, and two balance samples for the block error
+    if not (sim.dt_max <= cfg["slice_dt"] <= cfg["t_max"]
+            and cfg["balance_collect"] > _BALANCE_EVERY):
+        raise ConfigError(f"diagnose needs dt_max ({sim.dt_max:g}) <= slice_dt <= t_max and "
                           f"balance_collect > {_BALANCE_EVERY}")
     if not cfg["L_list"]:
         raise ConfigError("diagnose needs at least one truncation box in L_list")

@@ -27,10 +27,14 @@ the extinction boundary.
 Every estimator (Fleming-Viot, survival cohorts, eta, the conditioned
 ensemble) and the single-path front ends in pathsim run on this kernel
 through one driver, qsd._Stepper, the only caller of Engine.window; it draws
-window k of a run keyed K from K.child("w", k). The draws of a window come in
-a fixed order, so runs are bit-reproducible and individual windows
-replayable: at window start one Poisson count per live row
-and an (m, kmax) block of proposal times; per substep round one normal and
+window k of a run keyed K from K.child("w", k). It owns the window schedules
+but the h-transform's macro steps: advance steps dt_max windows up to a time,
+binning each row group's occupation if asked; to_horizon steps from t = 0 to
+a horizon, the last window cut short, until no row is alive. A Fleming-Viot
+stepper logs each window's kill times, killed rows and donors. The draws of
+a window come in a fixed order, so runs are bit-reproducible and individual
+windows replayable: at window start one Poisson count per live row and an
+(m, kmax) block of proposal times; per substep round one normal and
 then 2n bridge uniforms (floor half, ceiling half) for the n stepping rows;
 per segment round the mutation effects, then u_f, then u_g of the rows at a
 proposal; rows ascending throughout.

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["HistGrid", "EmpiricalMeasure", "tv_distance", "tv_noise_floor"]
+__all__ = ["HistGrid", "EmpiricalMeasure", "tv_distance"]
 
 
 @dataclass(frozen=True)
@@ -208,15 +208,3 @@ def tv_distance(a, b) -> float:
         pb = pb / pb.sum()
     return 0.5 * float(np.abs(pa - pb).sum())
 
-
-def tv_noise_floor(reference, n_samples: float) -> float:
-    """Expected TV between the reference and an n-sample multinomial draw.
-
-    First-order half-normal approximation per cell:
-    E TV ~ (1/2) sum_b sqrt(2 p_b (1 - p_b) / (pi n)).
-    """
-    p = reference.masses.ravel() if isinstance(reference, EmpiricalMeasure) else np.asarray(reference, float).ravel()
-    p = p / p.sum()
-    if n_samples <= 0:
-        raise DomainError("n_samples must be positive")
-    return 0.5 * float(np.sum(np.sqrt(2.0 * p * (1.0 - p) / (np.pi * n_samples))))

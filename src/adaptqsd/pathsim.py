@@ -1,14 +1,16 @@
 """Single-path front ends over the cohort kernel.
 
 simulate_path is a one-row run of qsd._Stepper, the driver of every
-cohort.Engine.window call, and keeps its state at every window end, jump
-log and exit record; simulate_q_path runs one walker of the h-transform
-rejection loop behind qsd.conditioned_marginal. Both return a Trajectory,
-whose jump log is enough to rebuild x between samples.
+cohort.Engine.window call, on its to_horizon schedule (dt_max windows from
+t = 0, the last one cut at the horizon, ending with the window that kills
+the path), and keeps its state at every window end, jump log and exit
+record; it resamples nothing, so it keeps no kill log. simulate_q_path runs
+one walker of the h-transform rejection loop behind
+qsd.conditioned_marginal. Both return a Trajectory, whose jump log is
+enough to rebuild x between samples.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,35 +96,29 @@ def _jump_events(ev, rows) -> list[JumpEvent]:
 def simulate_path(init, params: ModelParams, config: SimConfig, key: StreamKey) -> Trajectory:
     """Simulate one path to absorption, truncation exit, or the horizon.
 
-    A one-row _Stepper run over fixed dt_max windows (the last one cut at
-    the horizon). Window k draws from key.child("w", k), the rule of every
-    estimator, so any window can be replayed in isolation and trajectories
-    are bit-reproducible from (params, config, key). Rows are the initial
-    state and the engine state at every window end; the last row is the
-    exit (or horizon) state, at the exit time.
+    A one-row _Stepper run on its to_horizon schedule (dt_max windows, the
+    last one cut at the horizon). Window k draws from key.child("w", k), the
+    rule of every estimator, so any window can be replayed in isolation and
+    trajectories are bit-reproducible from (params, config, key). Rows are
+    the initial state and the engine state at every window end; the last row
+    is the exit (or horizon) state, at the exit time.
     """
     x0, y0 = _coerce_init(init)
     _check_in_bounds(x0, y0, config)
     st = _Stepper(params, config, x0[None, :].copy(), np.array([y0]), [key])
-    n_win = int(math.ceil(config.horizon / config.dt_max - 1e-9))
-
     times, xs, ys = [0.0], [x0], [y0]
     jumps: list[JumpEvent] = []
     exit_reason = ExitReason.SURVIVED_HORIZON
     exit_time = config.horizon
-    while True:
-        ev, _ = st.step(min(config.dt_max, config.horizon - st.t))
+    for _, ev in st.to_horizon(config.horizon):
         jumps += _jump_events(ev, range(len(ev.jump_ids)))
-        last = st.k == n_win or not st.alive[0]
         if not st.alive[0]:
             exit_reason = reason_from_code(ev.kill_codes[0])
             exit_time = float(ev.kill_times[0])
-        times.append(exit_time if last else st.t)
+        times.append(st.t)
         xs.append(st.x[0].copy())
         ys.append(float(st.y[0]))
-        if last:
-            break
-
+    times[-1] = exit_time
     return Trajectory(times=np.asarray(times), x=np.asarray(xs), y=np.asarray(ys),
                       jumps=jumps, exit_reason=exit_reason, exit_time=exit_time,
                       sigma=params.sigma, v=params.v)

@@ -39,7 +39,7 @@ import scipy.sparse as sp
 
 from .cohort import Engine, SimConfig, WindowEvents
 from .errors import DomainError, MassExtinctionError, NumericError, UnsupportedModelError
-from .measure import EmpiricalMeasure, HistGrid, tv_distance, tv_noise_floor
+from .measure import EmpiricalMeasure, HistGrid, tv_distance
 from .model import ModelParams, fixation_integral, reference_set, y_equilibrium
 from .oracle import leading_vector
 from .rng import StreamKey, stream
@@ -49,7 +49,7 @@ __all__ = [
     "QsdEstimate", "SurvivalEstimate", "EtaEstimate",
     "CohortResult", "fleming_viot", "run_cohort", "estimate_lambda0_survival",
     "estimate_eta", "beta_from", "convergence_curve", "balance_residual",
-    "truncation_family", "conditioned_marginal", "tv_distance", "tv_noise_floor",
+    "truncation_family", "conditioned_marginal", "tv_distance",
     "default_hist_grid", "relaxed_start",
 ]
 
@@ -109,8 +109,10 @@ class _Stepper:
     violations. With a `resample` name, killed particles are replaced at the
     window end by the end-of-window state of a uniformly chosen survivor of
     their own group (Fleming-Viot); group g's donors of window k come from
-    keys[g].child(resample, k) in kill-time order, so the kill/donor log is
-    replayable. Mutates x and y in place.
+    keys[g].child(resample, k) in kill-time order, and kills logs the
+    (kill times, killed, donors) of each window with kills, after an empty
+    entry. Mutates x and y in place. Its callers step on one of two window
+    schedules, advance or to_horizon.
     """
 
     def __init__(self, params: ModelParams, config: SimConfig, x: np.ndarray,
@@ -126,12 +128,11 @@ class _Stepper:
         self.t = 0.0
         self.k = 0
         self.bound_exceeded = 0
+        self.kills = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
 
-    def step(self, dt: float | None = None,
-             t0: float | None = None) -> tuple[WindowEvents, np.ndarray]:
+    def step(self, dt: float | None = None, t0: float | None = None) -> WindowEvents:
         """One window of length dt (default dt_max) from t0 (default: where
-        the last one ended); returns its events and the donor of each kill
-        (empty without resampling)."""
+        the last one ended); returns its events."""
         x, y, alive, groups = self.x, self.y, self.alive, self.groups
         dt = self.engine.config.dt_max if dt is None else dt
         t0 = self.t if t0 is None else t0
@@ -140,8 +141,8 @@ class _Stepper:
         ev = self.engine.window(x, y, alive, t0, dt, gens, groups)
         self.bound_exceeded += ev.bound_exceeded
         kill_ids = ev.kill_ids
-        donors = np.empty(len(kill_ids) if self.resample else 0, dtype=np.int64)
-        if len(donors):
+        if self.resample and len(kill_ids):
+            donors = np.empty(len(kill_ids), dtype=np.int64)
             for g, key in enumerate(self.keys):
                 lo, hi = groups[g], groups[g + 1]
                 mine = ((kill_ids >= lo) & (kill_ids < hi)).nonzero()[0]
@@ -156,9 +157,38 @@ class _Stepper:
             x[kill_ids] = x[donors]
             y[kill_ids] = y[donors]
             alive[kill_ids] = True
+            self.kills.append((ev.kill_times, kill_ids, donors))
         self.t = t0 + dt
         self.k += 1
-        return ev, donors
+        return ev
+
+    def advance(self, t_end: float, grid: HistGrid | None = None) -> np.ndarray | None:
+        """Step dt_max windows until t >= t_end - 1e-12 (none if it already
+        is); with a grid, return each group's occupation over them (G, n_cells),
+        added in row order, so a group sums exactly as it would alone."""
+        dt = self.engine.config.dt_max
+        if grid is not None:
+            n_groups, n_cells = len(self.keys), grid.n_cells
+            occ = np.zeros(n_groups * n_cells)
+            cell0 = np.repeat(np.arange(n_groups) * n_cells, np.diff(self.groups))
+        while self.t < t_end - 1e-12:
+            self.step()
+            if grid is not None:
+                idx = grid.cell_index(self.x, self.y)
+                inside = idx >= 0
+                np.add.at(occ, cell0[inside] + idx[inside], dt)
+        return None if grid is None else occ.reshape(n_groups, n_cells)
+
+    def to_horizon(self, horizon: float):
+        """Yield (length, events) of ceil(horizon / dt_max - 1e-9) windows
+        from t = 0, each dt_max long but the last, which ends at horizon;
+        stop early after a window that leaves no row alive."""
+        dt = self.engine.config.dt_max
+        for _ in range(int(math.ceil(horizon / dt - 1e-9))):
+            length = min(dt, horizon - self.t)
+            yield length, self.step(length)
+            if not self.alive.any():
+                return
 
 
 @dataclass
@@ -178,16 +208,17 @@ class QsdEstimate:
 
 def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
                  n_particles: int = 2000, window: float = 50.0,
-                 burn_in: float | str = "auto", init="reference",
+                 burn_in: float | str = "auto",
                  hist_grid: HistGrid | None = None) -> QsdEstimate:
     """Fleming-Viot estimate of (alpha, lambda0) on the truncated domain.
 
+    The particles start uniform on the reference set (model.reference_set).
     Killed particles are replaced at window ends by the end-of-window state
     of a uniformly chosen survivor (see _Stepper; donors come from the
-    "resample" streams). A burn-in loop runs first, then a window loop whose
+    "resample" streams). A burn-in runs first, then a window whose
     occupation over `window` time units estimates alpha and whose kills
-    estimate lambda0; the kill log covers both loops. A numeric burn_in,
-    finite and >= 0, steps that long. burn_in="auto" tracks the TV between
+    estimate lambda0; the kill log covers both. A numeric burn_in, finite
+    and >= 0, steps that long. burn_in="auto" tracks the TV between
     consecutive _FV_CHUNK occupations (diagnostics["tv_series"], which ends
     at the burn-in and is empty for a numeric one) and declares the
     transient over when that series stops improving: two chunks in a row
@@ -201,51 +232,33 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
     if burn_in != "auto" and not 0.0 <= float(burn_in) < math.inf:
         raise DomainError(f"fleming_viot needs a finite burn_in >= 0 or 'auto', got {burn_in}")
     grid = hist_grid if hist_grid is not None else default_hist_grid(config, dim=params.dim)
-    dt = config.dt_max
-    x, y = _init_states(init, n_particles, params, config, stream(key.child("init")))
+    x, y = _init_states("reference", n_particles, params, config, stream(key.child("init")))
     fv = _Stepper(params, config, x, y, [key], resample="resample")
-    # (times, killed, donors) of each window with kills, after an empty entry
-    kills = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
-
-    def step():
-        ev, donors = fv.step()
-        if len(donors):
-            kills.append((ev.kill_times, ev.kill_ids, donors))
-
-    def occupy(occupation):
-        idx = grid.cell_index(x, y)
-        np.add.at(occupation, idx[idx >= 0], dt)
 
     tv_series: list[tuple[float, float]] = []
     if burn_in == "auto":
-        chunk, prev, plateau_hits = np.zeros(grid.n_cells), None, 0
+        prev, plateau_hits = None, 0
         # the rule decides at chunk ends only, from the second chunk on
         while len(tv_series) < 2 or (plateau_hits < 2 and tv_series[-1][0] < _BURN_IN_CAP):
-            step()
-            occupy(chunk)
-            if fv.t + 1e-12 >= (len(tv_series) + 1) * _FV_CHUNK:
-                cur = chunk / max(chunk.sum(), 1e-300)
-                tv = 1.0 if prev is None else 0.5 * float(np.abs(cur - prev).sum())
-                # stall test: no 10% improvement while already low (the first TV, 1.0, never is)
-                stalled = tv < 0.35 and tv > 0.9 * tv_series[-1][1]
-                plateau_hits = plateau_hits + 1 if (tv < _PLATEAU_TOL or stalled) else 0
-                tv_series.append((fv.t, tv))
-                chunk, prev = np.zeros(grid.n_cells), cur
+            chunk = fv.advance((len(tv_series) + 1) * _FV_CHUNK, grid)[0]
+            cur = chunk / max(chunk.sum(), 1e-300)
+            tv = 1.0 if prev is None else 0.5 * float(np.abs(cur - prev).sum())
+            # stall test: no 10% improvement while already low (the first TV, 1.0, never is)
+            stalled = tv < 0.35 and tv > 0.9 * tv_series[-1][1]
+            plateau_hits = plateau_hits + 1 if (tv < _PLATEAU_TOL or stalled) else 0
+            tv_series.append((fv.t, tv))
+            prev = cur
         burn_time = fv.t
     else:
-        while fv.t < float(burn_in) - 1e-12:
-            step()
+        fv.advance(float(burn_in))
         burn_time = float(burn_in)
 
-    window_t0, window_end, burn_kills = fv.t, fv.t + window, len(kills)
-    occ = np.zeros(grid.n_cells)
-    while fv.t < window_end - 1e-12:
-        step()
-        occupy(occ)
-    kills_window = sum(len(donors) for *_, donors in kills[burn_kills:])
+    window_t0, burn_kills = fv.t, len(fv.kills)
+    occ = fv.advance(window_t0 + window, grid)[0]
+    kills_window = sum(len(donors) for *_, donors in fv.kills[burn_kills:])
 
     duration = fv.t - window_t0
-    times, killed, donors = (np.concatenate(part) for part in zip(*kills))
+    times, killed, donors = (np.concatenate(part) for part in zip(*fv.kills))
     diag = {
         "tv_series": tv_series,
         "bound_exceeded": fv.bound_exceeded,
@@ -315,30 +328,24 @@ def run_cohort(x0: np.ndarray, y0: np.ndarray, params: ModelParams, config: SimC
     st = _Stepper(params, config, x, y, [key] if groups is None else key, groups)
     alive = st.alive
     death = np.full(len(y), np.inf)
-    dt = config.dt_max
     slices = sorted(float(s) for s in record_slices)
     out_slices: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     jumps: list[WindowEvents] = []
     si = 0
     alive_time = 0.0
-    for _ in range(int(math.ceil(horizon / dt - 1e-9))):
-        step = min(dt, horizon - st.t)
-        alive_time += step * np.count_nonzero(alive)
-        ev, _ = st.step(step)
+    for dt, ev in st.to_horizon(horizon):
+        # the rows alive at the window start: no row is resampled
+        alive_time += dt * (np.count_nonzero(alive) + len(ev.kill_ids))
         if len(ev.kill_ids):
             death[ev.kill_ids] = ev.kill_times
         if collect_jumps and len(ev.jump_ids):
             jumps.append(ev)
-        while si < len(slices) and st.t + 1e-12 >= slices[si]:
+        # once every row is dead, the later slices are empty too
+        reached = st.t + 1e-12 if alive.any() else math.inf
+        while si < len(slices) and reached >= slices[si]:
             live = alive.nonzero()[0]
             out_slices[slices[si]] = (live, x[live].copy(), y[live].copy())
             si += 1
-        if not alive.any():
-            empty = (np.empty(0, dtype=np.int64), np.empty((0, params.dim)), np.empty(0))
-            while si < len(slices):
-                out_slices[slices[si]] = empty
-                si += 1
-            break
     logs = {}
     if collect_jumps:
         evs = jumps or [WindowEvents.empty(params.dim)]
@@ -458,6 +465,11 @@ def _bilinear(x_nodes: np.ndarray, y_nodes: np.ndarray, values: np.ndarray,
     return _interpolate(*_bilinear_weights(x_nodes, y_nodes, x, y), values)
 
 
+def _resolved(values: np.ndarray, survivors: np.ndarray) -> np.ndarray:
+    """For each node with a survivor, whether its value exceeds 1e-9 of the max."""
+    return values[survivors > 0] > 1e-9 * values.max()
+
+
 @dataclass
 class EtaEstimate:
     """Survival capacity on a coarse node grid, callable via bilinear
@@ -490,10 +502,8 @@ class EtaEstimate:
         value exceeds 1e-9 of the max. Near 1 when W1 is well sampled; low
         when too few replicates leave W1 reducible and its Perron vector sits
         on a few nodes, with the other sampled nodes at round-off."""
-        sampled = self.survivors_t1 > 0
-        if not sampled.any():
-            return 0.0
-        return float((self.values[sampled] > 1e-9 * self.max_value).mean())
+        resolved = _resolved(self.values, self.survivors_t1)
+        return float(resolved.mean()) if len(resolved) else 0.0
 
     def consistency_z(self) -> np.ndarray:
         """Two-horizon z-scores |eta_t1 - eta_t2| / combined SE per node."""
@@ -581,18 +591,24 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
     alpha_w = alpha.masses.ravel()
     cell_x, cell_y = _cell_centers(alpha.grid)
 
-    def normalized(v_flat):
-        # numpy's sum, not BLAS ddot's, which changes with the BLAS thread count
-        inner = float((alpha_w * _bilinear(xn, yn, v_flat.reshape(gx, gy), cell_x, cell_y)).sum())
-        if inner <= 0.0:
-            raise NumericError("alpha-eta inner product not positive")
-        return v_flat / inner, inner
-
     # node-to-node weights: row n sums the interpolation weights of node n's endpoints
     W1 = sp.csr_matrix((w1.ravel(), (np.repeat(own1, 4), idx1.ravel())),
                        shape=(n_nodes, n_nodes))
     perron, applied = leading_vector(lambda v: W1 @ v, n_nodes, "eta")
-    vals, _ = normalized(W1 @ perron)
+    w1_perron = W1 @ perron
+
+    def normalized(v_flat):
+        # numpy's sum, not BLAS ddot's, which changes with the BLAS thread count
+        inner = float((alpha_w * _bilinear(xn, yn, v_flat.reshape(gx, gy), cell_x, cell_y)).sum())
+        if inner <= 0.0:
+            # a reducible W1 puts its Perron vector on a few nodes, which alpha can miss
+            raise NumericError("alpha-eta inner product not positive: the node matrix is too "
+                               f"sparsely sampled ({R} replicates per node)", diagnostics={
+                                   "sampled_nodes": int(np.count_nonzero(sv1)), "replicates": R,
+                                   "resolved_nodes": int(_resolved(w1_perron, sv1).sum())})
+        return v_flat / inner, inner
+
+    vals, _ = normalized(w1_perron)
 
     def mean_sd(owner, idx, w):
         # per-node mean of eta at the endpoints, and its SE (interpolant held fixed)
@@ -670,44 +686,31 @@ def convergence_curve(init, reference: EmpiricalMeasure, params: ModelParams,
     round-robin to one process per CPU (shard.sharded), and those of one
     process step in lockstep as the groups of one ensemble, so the result
     does not depend on the CPU count. Each histograms its occupation
-    chunk by chunk; the conditioned law at slice midpoints is compared to the
-    reference in TV. The decay rate gamma_hat comes from a log-linear fit
-    above the plateau floor.
+    slice by slice (_Stepper.advance, whole dt_max windows, so slice_dt must
+    be at least dt_max); the conditioned law at slice midpoints is compared
+    to the reference in TV. The decay rate gamma_hat comes from a log-linear
+    fit above the plateau floor.
     """
     if n_replicates < 2 or n_particles < 2:
         raise DomainError("convergence_curve needs at least 2 replicates of 2 particles")
-    if not (slice_dt > 0.0 and t_max >= slice_dt):
-        raise DomainError("convergence_curve needs slice_dt > 0 and t_max >= slice_dt")
+    if not config.dt_max <= slice_dt <= t_max:
+        raise DomainError(f"convergence_curve needs dt_max ({config.dt_max}) <= slice_dt <= t_max")
     grid = reference.grid
     ts = np.arange(slice_dt, t_max + 1e-9, slice_dt)
-    dt = config.dt_max
 
     def run_replicates(reps):
         # per replicate: its TV curve, and the shard's bound_exceeded on the first
-        n_reps = len(reps)
-        curves = np.zeros((n_reps, len(ts)))
+        curves = np.zeros((len(reps), len(ts)))
         starts = [_init_states(init, n_particles, params, config,
                                stream(key.child("rep", rep, "init"))) for rep in reps]
         x = np.concatenate([s[0] for s in starts])
         y = np.concatenate([s[1] for s in starts])
         fv = _Stepper(params, config, x, y, [key.child("rep", rep) for rep in reps],
-                      groups=np.arange(n_reps + 1) * n_particles, resample="rs")
-        # flat (replicate, cell) occupation; np.add.at adds each cell's terms
-        # in row order, as a replicate alone would
-        cell0 = np.repeat(np.arange(n_reps) * grid.n_cells, n_particles)
-        occ = np.zeros(n_reps * grid.n_cells)
-        si = 0
+                      groups=np.arange(len(reps) + 1) * n_particles, resample="rs")
         try:
-            while si < len(ts):
-                fv.step()
-                idx = grid.cell_index(x, y)
-                inside = idx >= 0
-                np.add.at(occ, cell0[inside] + idx[inside], dt)
-                if fv.t + 1e-12 >= ts[si]:
-                    for r, masses in enumerate(occ.reshape(n_reps, *grid.shape)):
-                        curves[r, si] = tv_distance(masses, reference.masses)
-                    occ = np.zeros(n_reps * grid.n_cells)
-                    si += 1
+            for si, t_slice in enumerate(ts):
+                for r, masses in enumerate(fv.advance(t_slice, grid)):
+                    curves[r, si] = tv_distance(masses, reference.masses)
         except MassExtinctionError as err:  # name the replicate, not its place in the shard
             rep = reps[err.group]
             raise MassExtinctionError(f"all particles of group {rep} died in one window",
@@ -768,10 +771,10 @@ def balance_residual(params: ModelParams, config: SimConfig, key: StreamKey,
     """Residual of the speed/flux identity v = E_alpha[f(y) J1(x)].
 
     J1(x) = integral of w1 g(x, w) nu(dw). The expectation is a time average,
-    sampled every _BALANCE_EVERY time units, over a stationary ensemble
-    started from relaxed_start; the MC error comes from block means over
-    time, which absorbs the autocorrelation, so `collect` must span two
-    samples. Implemented for d = 1 (J1 is cached by x1).
+    sampled every _BALANCE_EVERY time units from burn (at window ends), over
+    a stationary ensemble started from relaxed_start; the MC error comes from
+    block means over time, which absorbs the autocorrelation, so `collect`
+    must span two samples. Implemented for d = 1 (J1 is cached by x1).
     """
     if params.dim != 1:
         raise UnsupportedModelError("balance_residual is implemented for d = 1 only")
@@ -786,13 +789,13 @@ def balance_residual(params: ModelParams, config: SimConfig, key: StreamKey,
     next_sample = burn
     samples: list[float] = []
     j1_cache: dict[float, float] = {}
-    while fv.t < horizon - 1e-12:
-        fv.step()
-        if fv.t + 1e-12 >= next_sample and next_sample < horizon:
-            fy = np.asarray(params.f(y))
-            j1 = np.array([_j1_cached(float(xi[0]), params, j1_cache) for xi in x])
-            samples.append(float(np.mean(fy * j1)))
-            next_sample += _BALANCE_EVERY
+    while next_sample < horizon:
+        fv.advance(next_sample)
+        fy = np.asarray(params.f(y))
+        j1 = np.array([_j1_cached(float(xi[0]), params, j1_cache) for xi in x])
+        samples.append(float(np.mean(fy * j1)))
+        next_sample += _BALANCE_EVERY
+    fv.advance(horizon)
     samples_arr = np.asarray(samples)
     blocks = np.array_split(samples_arr, _BALANCE_BLOCKS)
     block_means = np.array([b.mean() for b in blocks if len(b)])
@@ -957,7 +960,7 @@ def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, params: Mode
             m = len(pending)
             st = _Stepper(params, config, np.tile(x[pending], (K, 1)), np.tile(y[pending], K),
                           [key.child("s", step, "r", rounds)])
-            events = [st.step(dt, step * delta + k * dt)[0] for k in range(n_win)]
+            events = [st.step(dt, step * delta + k * dt) for k in range(n_win)]
             bound_exceeded += st.bound_exceeded
             cx, cy, calive = st.x, st.y, st.alive
             hv = np.zeros(K * m)

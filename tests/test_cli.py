@@ -292,6 +292,16 @@ def test_fv_runs_in_two_dimensions(tmp_path):
     assert len(lines) == 10 * 10 * 8 + 1
 
 
+def test_eta_on_a_node_matrix_too_sparse_to_normalize_exits_4_naming_eta_replicates(
+        tmp_path, capsys):
+    rc = cli.main(["eta", "--out", str(tmp_path), "--seed", "1"] + _tiny(
+        "--set", "eta_replicates=4", "--set", "eta_nodes_x=12", "--set", "eta_nodes_y=10"))
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "too sparsely sampled (4 replicates per node); raise eta_replicates" in err
+    assert "Traceback" not in err
+
+
 def _fail_if_fv_runs(monkeypatch):
     def fleming_viot(*args, **kwargs):
         raise AssertionError("fleming_viot ran before the config was rejected")
@@ -377,6 +387,18 @@ def test_diagnose_rejects_a_grid_it_cannot_coarsen(tmp_path, capsys, monkeypatch
     _fail_if_fv_runs(monkeypatch)
     assert cli.main(["diagnose", "--out", str(tmp_path), "--set", grid]) == 2
     assert "divisible by 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("slice_dt,dt_max", [("0.005", "0.01"), ("0.5", "0.6")])
+def test_diagnose_rejects_a_slice_shorter_than_a_window_before_any_stage(tmp_path, capsys,
+                                                                         monkeypatch, slice_dt,
+                                                                         dt_max):
+    # convergence_curve steps whole windows, which would run past its slice ends
+    _fail_if_fv_runs(monkeypatch)
+    assert cli.main(["diagnose", "--out", str(tmp_path), "--set", f"slice_dt={slice_dt}",
+                     "--set", f"dt_max={dt_max}"]) == 2
+    err = capsys.readouterr().err
+    assert "dt_max" in err and "slice_dt" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("setting", ["conv_replicates=1", "conv_particles=1"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adaptqsd.errors import DomainError
-from adaptqsd.measure import EmpiricalMeasure, HistGrid, tv_distance, tv_noise_floor
+from adaptqsd.measure import EmpiricalMeasure, HistGrid, tv_distance
 from adaptqsd.rng import StreamKey, stream
 
 
@@ -155,16 +155,3 @@ def test_tv_distance_rejects_mismatched_grids():
         tv_distance(a, b)
 
 
-def test_tv_noise_floor_tracks_resampling_noise():
-    g = _grid(nx=10, ny=10)
-    gen = stream(StreamKey(seed=5, lineage=("floor",)))
-    p = gen.random(g.n_cells).reshape(g.shape)
-    truth = EmpiricalMeasure(g, p)
-    n = 2000
-    floors = tv_noise_floor(truth, n)
-    tvs = []
-    for k in range(30):
-        x, y = truth.sample(stream(StreamKey(seed=5, lineage=("floor", k))), n)
-        tvs.append(tv_distance(truth, _from_points(g, x, y)))
-    # the predicted floor sits within ~20% of the realized mean TV
-    assert np.mean(tvs) == pytest.approx(floors, rel=0.2)

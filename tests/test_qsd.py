@@ -139,12 +139,14 @@ def test_fleming_viot_rejects_a_burn_in_that_is_not_finite_and_nonnegative(param
 
 
 def test_fleming_viot_mass_extinction(params):
-    # every particle starts just above the floor where the size drift is
-    # steeply negative, so the whole population dies inside window one
+    # the reference set (x1 in [-0.75, -0.25], y in [0.5, 2]) lies outside a
+    # 0.4 box: every particle starts with y clipped just under the ceiling,
+    # most with x outside the box, so the whole population is killed inside
+    # window one
     with pytest.raises(MassExtinctionError):
-        fleming_viot(params, _boxed_config(), StreamKey(seed=2, lineage=("die",)),
-                     n_particles=40, window=2.0, burn_in=0.0,
-                     init=(np.zeros(1), 1.002e-3))
+        fleming_viot(params, SimConfig(truncation=0.4, truncation_y_low=1e-3),
+                     StreamKey(seed=2, lineage=("die",)),
+                     n_particles=40, window=2.0, burn_in=0.0)
 
 
 def test_run_cohort_slices_and_jumps(params):
@@ -271,6 +273,16 @@ def test_estimate_eta_resolved_share_flags_a_sparse_node_matrix(tiny_fv, params)
     assert (eta.survivors_t1 > 0).sum() == 13
     assert eta.resolved_share == pytest.approx(5 / 13)
     assert eta.resolved_share < 0.5
+
+
+def test_estimate_eta_names_a_node_matrix_too_sparse_to_normalize(tiny_fv, params):
+    # 4 replicates per node leave W1 reducible, and its Perron vector sits on
+    # 3 of the 12 nodes with a survivor, whose interpolant misses alpha
+    with pytest.raises(NumericError, match="too sparsely sampled") as err:
+        estimate_eta(tiny_fv.alpha, tiny_fv.lambda0, params, _boxed_config(),
+                     StreamKey(seed=11, lineage=("eta1",)), t_eval=2.0,
+                     replicates=4, nodes=(12, 10))
+    assert err.value.diagnostics == {"sampled_nodes": 12, "resolved_nodes": 3, "replicates": 4}
 
 
 def test_estimate_eta_and_balance_reject_what_they_cannot_compute(tiny_fv, params):
@@ -508,6 +520,48 @@ def test_convergence_curve_needs_two_replicates_of_two(tiny_fv, params, n_replic
         convergence_curve(relaxed_start(params, _boxed_config()), tiny_fv.alpha, params,
                           _boxed_config(), StreamKey(seed=44, lineage=("conv",)),
                           n_replicates=n_replicates, n_particles=n_particles, t_max=2.0)
+
+
+def test_convergence_curve_rejects_a_slice_shorter_than_a_window(tiny_fv, params, monkeypatch):
+    # at dt_max 0.01, slices of 0.005 up to 0.02 would step four windows, to
+    # t = 0.04, and label the last one t = 0.02
+    def stepper(*args, **kwargs):
+        raise AssertionError("convergence_curve stepped before rejecting its slice")
+
+    monkeypatch.setattr(qsd, "_Stepper", stepper)
+    with pytest.raises(DomainError, match=r"dt_max \(0.01\) <= slice_dt"):
+        convergence_curve(relaxed_start(params, _boxed_config()), tiny_fv.alpha, params,
+                          _boxed_config(), StreamKey(seed=44, lineage=("conv",)),
+                          n_replicates=2, n_particles=10, t_max=0.02, slice_dt=0.005)
+
+
+def test_advance_bins_each_group_as_its_own_stepper_would(params):
+    """A grouped advance returns each group's occupation bit-identical to a
+    one-group stepper with the same key, and so are its states and kills; an
+    advance to a time already reached steps no window and bins nothing."""
+    grid = HistGrid.for_box(4.0, y_lo=1e-3, nx=16, ny=12, dim=1)
+    bounds = np.array([0, 30, 50, 75])
+    keys = [StreamKey(seed=47, lineage=("adv", g)) for g in range(3)]
+    gen = np.random.default_rng(9)
+    x0 = gen.uniform(-2.0, 0.0, size=(75, 1))
+    y0 = gen.uniform(1.0, 3.0, size=75)
+    grouped = qsd._Stepper(params, _boxed_config(), x0.copy(), y0.copy(), keys,
+                           groups=bounds, resample="rs")
+    occ = grouped.advance(0.5, grid)
+    assert occ.shape == (3, grid.n_cells) and grouped.k == 50
+    killed = np.concatenate([ids for _, ids, _ in grouped.kills])
+    for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        alone = qsd._Stepper(params, _boxed_config(), x0[lo:hi].copy(), y0[lo:hi].copy(),
+                             [keys[g]], resample="rs")
+        assert np.array_equal(alone.advance(0.5, grid)[0], occ[g])
+        assert np.array_equal(alone.x, grouped.x[lo:hi])
+        assert np.array_equal(alone.y, grouped.y[lo:hi])
+        mine = killed[(killed >= lo) & (killed < hi)] - lo
+        assert np.array_equal(np.concatenate([ids for _, ids, _ in alone.kills]), mine)
+    assert len(killed) > 0
+    assert not grouped.advance(0.5, grid).any()
+    assert grouped.advance(0.5) is None
+    assert grouped.k == 50
 
 
 def test_stepper_extinction_names_the_group(params):
