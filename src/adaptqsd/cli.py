@@ -85,6 +85,12 @@ DEFAULT_CONFIG: dict = {
 # keys that do not influence results; excluded from the manifest hash
 NON_SEMANTIC_KEYS = ("out",)
 
+# experiment keys and the least value each may take, checked for every command:
+# the eta node grid needs two nodes per axis, a negative path count would write
+# nothing, and the balance ensemble needs a donor and samples from t = 0 on
+_FLOORS = {"eta_nodes_x": 2, "eta_nodes_y": 2, "q_paths": 0, "balance_particles": 2,
+           "balance_burn": 0.0}
+
 
 def load_config(path: str | None, overrides: list[str], seed: int | None,
                 out: str | None) -> dict:
@@ -140,7 +146,8 @@ def cast_config(cfg: dict) -> dict:
     """cfg with every value cast to the type of its default (float for a None
     default) without changing it; null stays null only where the SimConfig
     default is None, burn_in stays "auto" or becomes a finite float >= 0,
-    L_list a tuple of floats."""
+    L_list a tuple of floats, and each key of _FLOORS is finite and at least
+    its floor."""
     typed = {}
     for key, default in DEFAULT_CONFIG.items():
         value = cfg[key]
@@ -157,6 +164,8 @@ def cast_config(cfg: dict) -> dict:
                 typed[key] = str(value)
             else:
                 typed[key] = _number(value, float if default is None else type(default))
+            if key in _FLOORS and not _FLOORS[key] <= typed[key] < math.inf:
+                raise ValueError(f"need a finite value >= {_FLOORS[key]}")
         except (TypeError, ValueError) as exc:
             block = ("model" if key in _MODEL_KEYS else
                      "numerics" if key in _SIM_FIELDS else "experiment")

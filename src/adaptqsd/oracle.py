@@ -8,28 +8,21 @@ jump stencil with targets rounded to cell centers. Probability flux through
 any edge of the box, and jump mass landing outside it, feed an implicit kill
 state, making row sums nonpositive (sub-Markov). Each term is assembled as one
 array expression over the (ny, nx) array of int32 flat cell indices
-j * nx + i (an order that keeps the LU banded); only the jump offsets are
-looped over. The terms are copied in order into one preallocated set of
-(source, target, rate) entries and released as they go, and that set is
-released before the diagonal is added, so the build's traced peak is ~2.4x
-the bytes of the Q it returns.
+j * nx + i (x fastest); only the jump offsets are looped over. The terms are
+copied in order into one preallocated set of (source, target, rate) entries
+and released as they go, and that set is released before the diagonal is
+added, so the build's traced peak is ~2.4x the bytes of the Q it returns.
 
-Every solve goes through one banded LU per generator, of (I - 2Q)^T, i.e. the
-resolvent (I - 2Q)^{-1}: the flat cell order bands Q by nx, so the band is
-written straight from Q's CSR arrays, a grid row at a time, and the
-factorization allocates little beyond the band. I - 2Q is strictly row
-diagonally dominant (Q's off-diagonals are >= 0, its row sums <= 0), so its
-transpose is strictly column diagonally dominant and LAPACK gbtrf's partial
-pivoting swaps no row of it; a solve in either direction is then two BLAS
-tbsv sweeps over the factors' bands, with no zero fill. A decay rate
+Every solve goes through one factorization of I - 2Q per generator: a block
+LDU over the grid's y rows (GridGenerator.lu), nx + 2 floats per cell, that
+applies the resolvent (I - 2Q)^{-1} in two sweeps of ny dense matvecs. A decay rate
 lambda of Q is an eigenvalue 1/(1 + 2 lambda) of the resolvent, which puts the
-leading two (0.79 and 1.21 at 80x60) a ratio 0.75 apart. The leading
-eigentriple (lambda0, alpha, eta) comes from two independent ARPACK runs on
-it (leading_vector, the package's one ARPACK routine, which qsd.estimate_eta
-also calls), forward solves for eta and transpose solves for alpha, which run
-in parallel on two CPUs over the one LU (shard.sharded), then from power
-steps that polish both together. The consistency checks apply e^{tQ} and its
-adjoint by a shift-and-invert Krylov method on the same resolvent: no time
+leading two (0.79 and 1.21 at 80x60) a ratio 0.75 apart. Two ARPACK runs on it
+(leading_vector, the package's one ARPACK routine, which qsd.estimate_eta also
+calls) start the leading eigentriple (lambda0, alpha, eta), forward solves for
+eta and transpose solves for alpha in parallel on two CPUs (shard.sharded),
+and power steps polish both together. The consistency checks apply e^{tQ} and
+its adjoint by a shift-and-invert Krylov method on the same resolvent: no time
 steps, any stiffness, and exact to round-off on the eigenvectors.
 
 Q need not be irreducible: every cell must reach its largest strongly
@@ -49,8 +42,7 @@ from functools import cached_property, partial
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dgbtrf
+from scipy.linalg.lapack import dgetrf, dgetri
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
@@ -68,34 +60,55 @@ _ROUNDOFF = 1e-12  # largest negative eigenvector entry clipped, relative to max
 _TOL = 1e-10
 _MAX_ITER = 20_000
 _SHIFT = 2.0  # every solve is with the resolvent (I - _SHIFT Q)^{-1}
+_BLOCK = 64  # _inverse hands blocks at most this wide to LAPACK
 # _expm_action: agreement tolerances (of the iterate, of ||v||), the number of
 # consecutive agreeing steps, and the cap on resolvent solves
 _KRYLOV_RTOL, _KRYLOV_ATOL, _KRYLOV_STREAK, _KRYLOV_MAX = 1e-10, 1e-15, 3, 200
 
 
+def _inverse(S: np.ndarray) -> np.ndarray:
+    """S^{-1} of an M-matrix S = [[A, B], [C, D]] from A^{-1} and the inverse of
+    its Schur complement D - C A^{-1} B (M-matrices too), found the same way down
+    to blocks at most _BLOCK wide, which LAPACK getrf/getri invert: numpy `@`
+    gives the same bytes on any number of BLAS threads, getri on wider blocks does not."""
+    if S.shape[0] <= _BLOCK:
+        return dgetri(*dgetrf(S)[:2])[0]
+    h = S.shape[0] // 2
+    a_inv = _inverse(S[:h, :h])
+    a_inv_b = a_inv @ S[:h, h:]
+    out = np.empty_like(S)
+    out[h:, h:] = _inverse(S[h:, h:] - S[h:, :h] @ a_inv_b)
+    out[h:, :h] = -out[h:, h:] @ (S[h:, :h] @ a_inv)
+    out[:h, h:] = -a_inv_b @ out[h:, h:]
+    out[:h, :h] = a_inv - a_inv_b @ out[h:, :h]
+    return out
+
+
 @dataclass(frozen=True)
-class BandedLU:
-    """Pivot-free LU factors L U = A^T of a matrix A with kl sub- and ku
-    superdiagonals, as LAPACK gbtrf leaves them in its band storage.
+class RowBlockLDU:
+    """Block LDU factors of a matrix A, block tridiagonal over ny grid rows of
+    nx cells with diagonal blocks A_{j,j-1} = diag(down[j]) and A_{j,j+1} =
+    diag(up[j]) (down[0] and up[ny-1] are 0): `inv[j]` is S_j^{-1}, for the Schur
+    complements S_0 = A_00 and S_j = A_jj - diag(down[j]) S_{j-1}^{-1} diag(up[j-1]).
+    The fill of L and U is applied through the S_j^{-1}, never stored."""
 
-    `upper` and `lower` are two F-contiguous views of that one buffer, offset
-    so that each reads as the band a BLAS tbsv sweep expects: U's kl
-    superdiagonals, and L's ku subdiagonals under its unit diagonal. Since no
-    row was swapped, A = U^T L^T, and a solve in either direction is two
-    sweeps."""
-
-    upper: np.ndarray
-    lower: np.ndarray
-    kl: int
-    ku: int
+    inv: np.ndarray  # (ny, nx, nx)
+    down: np.ndarray  # (ny, nx)
+    up: np.ndarray  # (ny, nx)
 
     def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
         """A^{-1} v, or A^{-T} v if trans == "T"."""
-        if trans == "N":  # U^T y = v, then L^T x = y
-            y = dtbsv(self.kl, self.upper, v, lower=0, trans=1)
-            return dtbsv(self.ku, self.lower, y, lower=1, trans=1, diag=1, overwrite_x=1)
-        y = dtbsv(self.ku, self.lower, v, lower=1, diag=1)  # L y = v, then U x = y
-        return dtbsv(self.kl, self.upper, y, lower=0, overwrite_x=1)
+        inv, into, back = self.inv, self.down[1:], self.up[:-1]  # coupling across each row pair
+        if trans == "T":  # A^T's Schur complements are the S_j^T, its couplings swap
+            inv, into, back = inv.transpose(0, 2, 1), back, into
+        x = np.array(v, dtype=float).reshape(inv.shape[:2])
+        rows, inv, into, back = list(x), list(inv), list(into), list(back)  # row views
+        rows[0][:] = np.dot(inv[0], rows[0])  # BLAS gemv, with less overhead than `@`
+        for j in range(1, len(rows)):
+            np.dot(inv[j], rows[j] - into[j - 1] * rows[j - 1], out=rows[j])
+        for j in range(len(rows) - 2, -1, -1):
+            rows[j] -= np.dot(inv[j], back[j] * rows[j + 1])
+        return x.ravel()
 
 
 @dataclass
@@ -120,55 +133,42 @@ class GridGenerator:
         return np.asarray(m).T.ravel()
 
     @cached_property
-    def lu(self) -> BandedLU:
-        """Banded LU of (I - 2Q)^T: the one factorization every oracle solve
-        uses.
-
-        The band storage is written straight from Q's CSR arrays, one grid row
-        of nx matrix rows at a time, so nothing beyond the band and a block's
-        indices is allocated; the bandwidths come from each row's first and
-        last stored column (nx, the y-diffusion offset, on a built grid). Q's
-        off-diagonals are >= 0 and its row sums <= 0, so I - 2Q is strictly row
-        diagonally dominant and its transpose strictly column diagonally
-        dominant, where partial pivoting swaps no row. A zero pivot, or a swap
-        all the same (Q is then no sub-Markov generator), raises NumericError
-        with LAPACK's info or the first swapped row."""
-        Q = self.Q
-        if not Q.has_canonical_format:  # assembled generators are: sorted, no duplicates
-            Q = Q.copy()
-            Q.sum_duplicates()
-        indptr, indices, n = Q.indptr, Q.indices, self.n_cells
-        filled = np.flatnonzero(np.diff(indptr))
-        kl = int((filled - indices[indptr[filled]]).max(initial=0))
-        ku = int((indices[indptr[filled + 1] - 1] - filled).max(initial=0))
-        # A^T has ku sub- and kl superdiagonals, and A[i, j] = A^T[j, i] sits
-        # at ab[kl + ku + j - i, i], flat buf[kl + ku + j + i (rows - 1)]; the
-        # top ku rows are room for the fill of row swaps. Column-major, so
-        # gbtrf factors it in place; the kl + ku slack keeps the shifted views
-        # of BandedLU inside the buffer
-        rows = 2 * ku + kl + 1
-        buf = np.zeros(rows * n + kl + ku)
-        for start in range(0, n, self.grid.nx):
-            stop = min(start + self.grid.nx, n)
-            lo, hi = indptr[start], indptr[stop]
-            i = np.repeat(np.arange(start, stop), np.diff(indptr[start:stop + 1]))
-            buf[kl + ku + indices[lo:hi] + i * (rows - 1)] = -_SHIFT * Q.data[lo:hi]
-        ab = buf[:rows * n].reshape((rows, n), order="F")
-        ab[kl + ku] += 1.0
-        _, ipiv, info = dgbtrf(ab, ku, kl, overwrite_ab=True)
-        if info != 0:
-            raise NumericError("banded LU of (I - 2Q)^T has a zero pivot", diagnostics={
-                "info": int(info), "kl": kl, "ku": ku})
-        swapped = np.flatnonzero(ipiv != np.arange(n))
-        if swapped.size:
-            raise NumericError("banded LU of (I - 2Q)^T swapped a row: I - 2Q is not "
-                               "diagonally dominant", diagnostics={
-                                   "kl": kl, "ku": ku, "first_swapped_row": int(swapped[0])})
-
-        def view(start):  # the band from storage row `start` on, leading dimension `rows`
-            return buf[start:start + rows * n].reshape((rows, n), order="F")
-
-        return BandedLU(upper=view(ku), lower=view(kl + ku), kl=kl, ku=ku)
+    def lu(self) -> RowBlockLDU:
+        """Block LDU of A = I - 2Q over the grid's y rows, which every oracle
+        solve uses: jumps and x transport stay in a row, y diffusion couples one
+        x cell of adjacent rows, so row blocks are read from Q's CSR arrays in
+        turn and their Schur complements inverted. No pivoting: Q's off-diagonals
+        are >= 0, its row sums <= 0, so A and every Schur complement are strictly
+        row diagonally dominant. A row of A that is not, or a Q entry coupling
+        grid rows otherwise, raises NumericError naming the first such row."""
+        Q = self.Q if self.Q.has_canonical_format else self.Q.tocoo().tocsr()  # sorted, summed
+        nx, ny = self.grid.nx, self.grid.ny
+        inv, down, up = np.empty((ny, nx, nx)), np.zeros((ny, nx)), np.zeros((ny, nx))
+        cells = np.arange(nx, dtype=np.int32)  # as Q's indices, so no cast per entry
+        for j, start in enumerate(range(0, nx * ny, nx)):
+            lo, hi = Q.indptr[start], Q.indptr[start + nx]
+            row = np.repeat(cells, np.diff(Q.indptr[start:start + nx + 1]))
+            col, a = Q.indices[lo:hi] - start, -_SHIFT * Q.data[lo:hi]
+            inside, below, above = (col >= 0) & (col < nx), col == row - nx, col == row + nx
+            stray = np.flatnonzero(~(inside | below | above))
+            if stray.size:
+                raise NumericError("Q couples two grid rows other than at one x cell of adjacent "
+                                   "rows", diagnostics={"first_row": start + int(row[stray[0]])})
+            block = np.zeros((nx, nx))  # written through flat views: ndarray.flat is ~4x slower
+            block.reshape(-1)[(row * nx + col)[inside]] = a[inside]
+            block.reshape(-1)[::nx + 1] += 1.0
+            down[j, row[below]], up[j, row[above]] = a[below], a[above]
+            diagonal = np.abs(block.diagonal())
+            off_sum = np.abs(block).sum(axis=1) - diagonal + np.abs(down[j]) + np.abs(up[j])
+            weak = np.flatnonzero(~(diagonal > off_sum))[:1]
+            if weak.size:
+                raise NumericError("I - 2Q is not strictly row diagonally dominant", diagnostics={
+                    "first_row": start + int(weak[0]), "diagonal": float(diagonal[weak[0]]),
+                    "off_diagonal": float(off_sum[weak[0]])})
+            if j:
+                block -= down[j, :, None] * inv[j - 1] * up[j - 1]
+            inv[j] = _inverse(block)
+        return RowBlockLDU(inv=inv, down=down, up=up)
 
     @cached_property
     def components(self) -> tuple[int, np.ndarray]:

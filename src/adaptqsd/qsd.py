@@ -774,12 +774,16 @@ def balance_residual(params: ModelParams, config: SimConfig, key: StreamKey,
     sampled every _BALANCE_EVERY time units from burn (at window ends), over
     a stationary ensemble started from relaxed_start; the MC error comes from
     block means over time, which absorbs the autocorrelation, so `collect`
-    must span two samples. Implemented for d = 1 (J1 is cached by x1).
+    must span two samples. Needs n_particles >= 2 and a finite burn >= 0.
+    Implemented for d = 1 (J1 is cached by x1).
     """
     if params.dim != 1:
         raise UnsupportedModelError("balance_residual is implemented for d = 1 only")
     if not collect > _BALANCE_EVERY:
         raise DomainError(f"balance_residual needs collect > {_BALANCE_EVERY} (two samples)")
+    if n_particles < 2 or not 0.0 <= burn < math.inf:
+        raise DomainError(f"balance_residual needs n_particles >= 2 and a finite burn >= 0, "
+                          f"got {n_particles} and {burn}")
     gen0 = stream(key.child("init"))
     # capped below any ceiling; the raw equilibrium may sit outside a
     # truncated box, where a point start is killed immediately

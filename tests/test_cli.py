@@ -82,6 +82,13 @@ def test_bad_model_or_numerics_value_exits_2(tmp_path, key):
     ("fv", "burn_in=soon"), ("diagnose", "L_list=3"), ("qprocess", "walkers=null"),
     # a burn-in that would never end, or write a non-JSON or negative time
     ("fv", "burn_in=inf"), ("fv", "burn_in=NaN"), ("eta", "burn_in=-3"),
+    # an eta node grid of one node per axis, which fails only after the fv stage
+    ("eta", "eta_nodes_x=1"), ("eta", "eta_nodes_y=1"), ("qprocess", "eta_nodes_y=0"),
+    # a path count that would write no path and exit 0
+    ("qprocess", "q_paths=-1"),
+    # a balance ensemble without a donor, or sampled before t = 0 or never
+    ("diagnose", "balance_particles=1"), ("diagnose", "balance_burn=-1"),
+    ("diagnose", "balance_burn=NaN"), ("diagnose", "balance_burn=Infinity"),
 ])
 def test_bad_experiment_value_exits_2_before_any_run(tmp_path, capsys, monkeypatch, cmd, setting):
     monkeypatch.setattr(cli, "fleming_viot", None)  # any estimator call would raise

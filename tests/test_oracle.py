@@ -64,10 +64,21 @@ def small_oracle():
     return genr, leading_triple(genr)
 
 
+def _factor_bytes(lu):
+    """Bytes of every array the factor holds, a view counted as its base."""
+    held = {}
+    for a in vars(lu).values():
+        if isinstance(a, np.ndarray):
+            base = a if a.base is None else a.base
+            held[id(base)] = base.nbytes
+    return sum(held.values())
+
+
 def test_assembly_allocates_little_beyond_what_it_returns():
     """tracemalloc peaks at 120 x 90 against what stays resident: Q's CSR
-    arrays plus the kill rates (11.6 MiB), and the band (29.7 MiB). They read
-    2.35x and 1.02x; transient copies of the entries made them 5.96x and 1.47x."""
+    arrays plus the kill rates (11.6 MiB), and the factor (10.1 MiB). They read
+    2.35x and 1.03x; transient copies of the entries made them 5.96x and 1.47x
+    (the second against the band LU of (I - 2Q)^T, 29.7 MiB)."""
     tracemalloc.start()
     try:
         genr = build_generator(default_params(), 4.0, nx=120, ny=90)
@@ -79,7 +90,7 @@ def test_assembly_allocates_little_beyond_what_it_returns():
         tracemalloc.stop()
     q = sum(a.nbytes for a in (genr.Q.indptr, genr.Q.indices, genr.Q.data, genr.kill_rate))
     assert build_peak <= 2.7 * q
-    assert lu_peak <= 1.2 * (lu.upper.base.nbytes + q)
+    assert lu_peak <= 1.2 * (_factor_bytes(lu) + q)
 
 
 def test_toy_eigenvalue_closed_form(toy_triple):
@@ -207,18 +218,18 @@ def test_generator_assembly_is_frozen(overrides, digest):
 
 
 @pytest.mark.parametrize("overrides, digest", [
-    ({}, "b8fd7e31622f9276ead180ad27fa773248961f00231d99923bc620113e4a42e5"),
-    ({"tau": 0.3, "s": 1.0}, "df5609ef452f8164d57f67e7f0f35cc733206a52d843f88c9aeb1e27ea95f8ed"),
+    ({}, "77c3fa63b9ff7d74b3bfe3e940c3c0560dc1b5fd1c59289bfed2ef8085577fdd"),
+    ({"tau": 0.3, "s": 1.0}, "96fdfa4b311d5bd747ec6b1c63938a93f108b7caf04b2676015069cc329e6b48"),
     ({"fixation_family": "advantageous_only"},
-     "dfa562762dc770ba2df7334f0b9ed30807eeb9bf090908e51c856dbd402a551c"),
+     "3dd99864a514c5a81c36627d9e7b640921b6792ddcb0ed630068aca9e1fe15ee"),
 ])
-def test_banded_lu_is_frozen(overrides, digest):
-    """SHA-256 of the 40 x 30 generators' factored band buffer, then kl and ku."""
+def test_row_block_ldu_is_frozen(overrides, digest):
+    """SHA-256 of the 40 x 30 generators' inverse Schur blocks, then their
+    down and up couplings."""
     lu = build_generator(default_params(**overrides), 4.0, nx=40, ny=30).lu
-    buf = lu.upper.base
-    assert buf is lu.lower.base  # both views read the one buffer
-    h = hashlib.sha256(buf.tobytes())
-    h.update(np.array([lu.kl, lu.ku], dtype=np.int64).tobytes())
+    h = hashlib.sha256()
+    for a in (lu.inv, lu.down, lu.up):
+        h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == digest
 
 
@@ -247,13 +258,18 @@ def test_generator_with_cells_that_cannot_reach_its_main_component_raises(monkey
                                       "unreached": 450}
 
 
+def _toy_grid(ny=2):
+    return HistGrid(dim=1, x_lo=-1.0, x_hi=1.0, nx=2, y_lo=0.5, y_hi=2.0, ny=ny)
+
+
 def test_alpha_outside_the_main_component_raises():
-    # cells 0-2 are the main component, killed at rate 5; cell 3 feeds it at
-    # rate 0.1 and is never killed, so the leading eigenpair lives on cell 3
-    grid = HistGrid(dim=1, x_lo=-1.0, x_hi=1.0, nx=2, y_lo=0.5, y_hi=2.0, ny=2)
-    Q = sp.csr_matrix(np.array([[-7.0, 1.0, 1.0, 0.0], [1.0, -7.0, 1.0, 0.0],
-                                [1.0, 1.0, -7.0, 0.0], [0.1, 0.0, 0.0, -0.1]]))
-    genr = GridGenerator(grid=grid, params=default_params(), Q=Q,
+    # cells 0-2 are the main component, killed at rate 5: cell 0 swaps with
+    # cell 1 in its grid row and with cell 2 above it. Cell 3 feeds cell 1,
+    # below it, at rate 0.1 and is never killed, so the leading eigenpair
+    # lives on cell 3
+    Q = sp.csr_matrix(np.array([[-7.0, 1.0, 1.0, 0.0], [1.0, -6.0, 0.0, 0.0],
+                                [1.0, 0.0, -6.0, 0.0], [0.0, 0.1, 0.0, -0.1]]))
+    genr = GridGenerator(grid=_toy_grid(), params=default_params(), Q=Q,
                          kill_rate=np.array([5.0, 5.0, 5.0, 0.0]))
     with pytest.raises(NumericError, match="outside the main component") as info:
         leading_triple(genr)
@@ -358,23 +374,23 @@ def test_eigenvector_starts_break_down_after_one_solve(small_oracle, monkeypatch
 
 
 def test_one_lu_per_grid(monkeypatch):
-    factored, dgbtrf = [], oracle.dgbtrf
+    factored, factor = [], oracle.RowBlockLDU
 
-    def counting_dgbtrf(ab, kl, ku, **kwargs):
-        factored.append(ab.shape[1])
-        return dgbtrf(ab, kl, ku, **kwargs)
+    def counting_factor(inv, down, up):
+        factored.append(inv.shape)
+        return factor(inv, down, up)
 
-    monkeypatch.setattr(oracle, "dgbtrf", counting_dgbtrf)
+    monkeypatch.setattr(oracle, "RowBlockLDU", counting_factor)
     for nx, ny in ((12, 10), (16, 12)):
         genr = build_generator(default_params(), 4.0, nx=nx, ny=ny)
         triple = leading_triple(genr)
         oracle_q_kernel(genr, triple, 0.5, rows=(nx // 2, genr.n_cells // 2))
         survival_consistency(genr, triple, ts=(1.0, 2.0))
-    assert factored == [12 * 10, 16 * 12]
+    assert factored == [(10, 12, 12), (12, 16, 16)]
 
 
 @pytest.mark.parametrize("which", ["toy", "built", "advantageous_only"])
-def test_banded_lu_solves_match_dense(which, tiny_built):
+def test_row_block_ldu_solves_match_dense(which, tiny_built):
     if which == "toy":
         genr = _toy_generator()
     elif which == "built":
@@ -388,38 +404,58 @@ def test_banded_lu_solves_match_dense(which, tiny_built):
         want = np.linalg.solve(dense, b)
         got = genr.lu.solve(b, trans)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), trans
-    # the band is read from Q's entries: the y-diffusion offset nx
-    assert genr.lu.kl == genr.lu.ku == genr.grid.nx
+    # one inverse Schur block and two couplings per grid row
+    nx, ny = genr.grid.nx, genr.grid.ny
+    assert genr.lu.inv.shape == (ny, nx, nx)
+    assert genr.lu.down.shape == genr.lu.up.shape == (ny, nx)
 
 
-def test_singular_resolvent_raises_numeric_error_with_info():
+def test_singular_resolvent_raises_numeric_error_naming_its_first_row():
     genr = _toy_generator()
     genr.Q = sp.identity(genr.n_cells, format="csr") / oracle._SHIFT  # I - _SHIFT Q = 0
-    with pytest.raises(NumericError, match="zero pivot") as info:
+    with pytest.raises(NumericError, match="not strictly row diagonally dominant") as info:
         genr.lu
-    assert info.value.diagnostics["info"] == 1
+    assert info.value.diagnostics == {"first_row": 0, "diagonal": 0.0, "off_diagonal": 0.0}
 
 
 @pytest.mark.parametrize("family", ["deleterious_ok", "advantageous_only"])
-def test_banded_lu_views_share_one_buffer(family):
-    # f2py copies an `a` that is not F-contiguous on every tbsv call
-    genr = build_generator(default_params(fixation_family=family), 4.0, nx=80, ny=60)
-    lu = genr.lu
-    assert lu.upper.flags.f_contiguous and lu.lower.flags.f_contiguous
-    assert np.shares_memory(lu.upper, lu.lower)
+def test_factor_holds_nx_plus_two_floats_per_cell(family):
+    # the inverse Schur blocks and the couplings: 10.1 MiB at 120 x 90, where
+    # a band LU of (I - 2Q)^T holds (3 nx + 1) floats per cell, 29.7 MiB
+    genr = build_generator(default_params(fixation_family=family), 4.0, nx=120, ny=90)
+    n = genr.n_cells
+    assert _factor_bytes(genr.lu) <= 8 * (genr.grid.nx * n + 2 * n)
 
 
-def test_resolvent_that_needs_a_row_swap_raises_numeric_error():
+def test_resolvent_that_is_not_diagonally_dominant_raises_numeric_error():
     # a positive row sum in each y row: I - 2Q = [[1.2, -10], [0, 1.2]] per
-    # row is not diagonally dominant, and partial pivoting on its transpose
-    # swaps cells 0 and 1 first
-    grid = HistGrid(dim=1, x_lo=-1.0, x_hi=1.0, nx=2, y_lo=0.5, y_hi=2.0, ny=2)
+    # row is not diagonally dominant, first in cell 0, and the elimination
+    # does not pivot
     Q = np.kron(np.eye(2), np.array([[-0.1, 5.0], [0.0, -0.1]]))
-    genr = GridGenerator(grid=grid, params=default_params(), Q=sp.csr_matrix(Q),
+    genr = GridGenerator(grid=_toy_grid(), params=default_params(), Q=sp.csr_matrix(Q),
                          kill_rate=np.zeros(4))
-    with pytest.raises(NumericError, match="swapped a row") as info:
+    with pytest.raises(NumericError, match="not strictly row diagonally dominant") as info:
         genr.lu
-    assert info.value.diagnostics == {"kl": 0, "ku": 1, "first_swapped_row": 0}
+    assert info.value.diagnostics == {"first_row": 0, "diagonal": pytest.approx(1.2),
+                                      "off_diagonal": 10.0}
+
+
+@pytest.mark.parametrize("ny, source, target, first_row", [
+    (2, 1, 2, 1),  # cell 1 to cell 2: the next grid row, at the other x cell
+    (3, 4, 0, 4),  # cell 4 to cell 0: the same x cell, two grid rows down
+])
+def test_resolvent_that_couples_other_cells_across_rows_raises_numeric_error(
+        ny, source, target, first_row):
+    # the row-by-row elimination has no room for that fill, so it must not
+    # factor such a Q at all
+    Q = np.zeros((2 * ny, 2 * ny))
+    Q[source, target] = 1.0
+    Q[np.arange(2 * ny), np.arange(2 * ny)] -= 1.0 + Q.sum(axis=1)
+    genr = GridGenerator(grid=_toy_grid(ny), params=default_params(), Q=sp.csr_matrix(Q),
+                         kill_rate=np.ones(2 * ny))
+    with pytest.raises(NumericError, match="couples two grid rows") as info:
+        genr.lu
+    assert info.value.diagnostics == {"first_row": first_row}
 
 
 def test_expm_action_cap_raises_numeric_error(tiny_built, monkeypatch):

@@ -320,6 +320,11 @@ _EMPTY_SIZES = {
     "t_max": lambda a, p, c, k: convergence_curve(relaxed_start(p, c), a.alpha, p, c, k,
                                                   t_max=0.0),
     "collect": lambda a, p, c, k: balance_residual(p, SimConfig(), k, collect=0.5),
+    # numpy's mean of an empty ensemble, and samples taken before t = 0 or never
+    "balance_particles": lambda a, p, c, k: balance_residual(p, SimConfig(), k, n_particles=1),
+    "balance_burn": lambda a, p, c, k: balance_residual(p, SimConfig(), k, burn=-1.0),
+    "balance_burn_nan": lambda a, p, c, k: balance_residual(p, SimConfig(), k, burn=math.nan),
+    "balance_burn_inf": lambda a, p, c, k: balance_residual(p, SimConfig(), k, burn=math.inf),
     "fv_window": lambda a, p, c, k: fleming_viot(p, c, k, window=0.0),
     "family_boxes": lambda a, p, c, k: truncation_family(p, c, k, Ls=()),
 }
