@@ -145,17 +145,17 @@ def _number(value, kind: type):
 def cast_config(cfg: dict) -> dict:
     """cfg with every value cast to the type of its default (float for a None
     default) without changing it; null stays null only where the SimConfig
-    default is None, burn_in stays "auto" or becomes a finite float >= 0,
-    L_list a tuple of floats, and each key of _FLOORS is finite and at least
-    its floor."""
+    default is None, burn_in stays "auto" or becomes a float >= 0, L_list a
+    tuple of floats, every number is finite, and each key of _FLOORS is at
+    least its floor."""
     typed = {}
     for key, default in DEFAULT_CONFIG.items():
         value = cfg[key]
         try:
             if key == "burn_in":
                 typed[key] = value if value == "auto" else _number(value, float)
-                if value != "auto" and not 0.0 <= typed[key] < math.inf:
-                    raise ValueError("need a finite burn-in >= 0 or \"auto\"")
+                if value != "auto" and not typed[key] >= 0.0:
+                    raise ValueError("need a burn-in >= 0 or \"auto\"")
             elif key == "L_list":
                 typed[key] = tuple(_number(L, float) for L in value)
             elif value is None and key in _SIM_FIELDS and _SIM_FIELDS[key].default is None:
@@ -164,8 +164,13 @@ def cast_config(cfg: dict) -> dict:
                 typed[key] = str(value)
             else:
                 typed[key] = _number(value, float if default is None else type(default))
-            if key in _FLOORS and not _FLOORS[key] <= typed[key] < math.inf:
-                raise ValueError(f"need a finite value >= {_FLOORS[key]}")
+            # a non-finite time never ends a run, and is not strict JSON in manifest.json
+            for x in typed[key] if key == "L_list" else (typed[key],):
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise ValueError(f"box L={x:g} must be positive and finite"
+                                     if key in ("L", "L_list") else "need a finite number")
+            if key in _FLOORS and not typed[key] >= _FLOORS[key]:
+                raise ValueError(f"need a value >= {_FLOORS[key]}")
         except (TypeError, ValueError) as exc:
             block = ("model" if key in _MODEL_KEYS else
                      "numerics" if key in _SIM_FIELDS else "experiment")

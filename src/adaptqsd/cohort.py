@@ -87,18 +87,18 @@ class SimConfig:
     qprocess_delta: float = 0.05
 
     def __post_init__(self):
-        if not (self.dt_max > 0.0):
-            raise DomainError("dt_max must be positive")
+        if not (0.0 < self.dt_max < math.inf):
+            raise DomainError("dt_max must be positive and finite")
         if self.y_ext < 0.0:
             raise DomainError("y_ext must be >= 0")
-        if not (self.horizon > 0.0):
-            raise DomainError("horizon must be positive")
+        if not (0.0 < self.horizon < math.inf):
+            raise DomainError("horizon must be positive and finite")
         if self.truncation is not None and not (0.0 < self.truncation < math.inf):
             raise DomainError("truncation must be positive and finite when set")
         if self.truncation is not None and self.y_ext >= self.truncation:
             raise DomainError("y_ext must sit below the truncation ceiling")
-        if not (self.qprocess_delta > 0.0):
-            raise DomainError("qprocess_delta must be positive")
+        if not (0.0 < self.qprocess_delta < math.inf):
+            raise DomainError("qprocess_delta must be positive and finite")
 
     @property
     def y_floor(self) -> float:

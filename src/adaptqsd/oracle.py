@@ -20,8 +20,8 @@ lambda of Q is an eigenvalue 1/(1 + 2 lambda) of the resolvent, which puts the
 leading two (0.79 and 1.21 at 80x60) a ratio 0.75 apart. Two ARPACK runs on it
 (leading_vector, the package's one ARPACK routine, which qsd.estimate_eta also
 calls) start the leading eigentriple (lambda0, alpha, eta), forward solves for
-eta and transpose solves for alpha in parallel on two CPUs (shard.sharded),
-and power steps polish both together. The consistency checks apply e^{tQ} and
+eta and then transpose solves for alpha, in the calling process, and power
+steps polish both together. The consistency checks apply e^{tQ} and
 its adjoint by a shift-and-invert Krylov method on the same resolvent: no time
 steps, any stiffness, and exact to round-off on the eigenvectors.
 
@@ -49,7 +49,6 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 from .errors import DomainError, NumericError
 from .measure import EmpiricalMeasure, HistGrid
 from .model import ModelParams, drift_y, fixation_integral
-from .shard import sharded
 
 __all__ = ["GridGenerator", "OracleTriple", "build_generator", "leading_vector",
            "leading_triple", "survival_consistency", "oracle_q_kernel", "QKernelCheck"]
@@ -314,7 +313,7 @@ def leading_vector(apply, n: int, name: str) -> tuple[np.ndarray, int]:
     try:
         v = eigs(LinearOperator((n, n), counted, dtype=float), k=1, v0=np.ones(n),
                  maxiter=_MAX_ITER)[1][:, 0]
-    except ArpackError as exc:  # typed here: scipy's error does not cross a pipe
+    except ArpackError as exc:  # typed, so the CLI exits 4 naming the vector
         raise NumericError(f"ARPACK did not converge for {name}",
                            diagnostics={"solves": count, "arpack": str(exc)}) from exc
     return _nonnegative(v, name), count
@@ -324,8 +323,8 @@ def leading_triple(genr: GridGenerator) -> OracleTriple:
     """Leading eigentriple: ARPACK on the resolvent (I - 2Q)^{-1}, then
     power-step polish.
 
-    Two leading_vector runs start eta and alpha; they are independent, so
-    they run in parallel over the one LU, factored here, and the result is
+    Two leading_vector runs over the one LU start eta (forward solves) and
+    then alpha (transpose solves), in the calling process, and the result is
     the same on any number of CPUs and of BLAS threads. Then 1 to _MAX_ITER
     resolvent steps polish both until ||alpha Q + lambda alpha||_1 with
     ||alpha||_1 = 1 and ||Q eta + lambda eta||_inf with ||eta||_inf = 1 are
@@ -333,14 +332,9 @@ def leading_triple(genr: GridGenerator) -> OracleTriple:
     of both ARPACK runs plus two per polish step. alpha's mass outside the
     main component must be round-off.
     """
-    Q = genr.Q
-    lu = genr.lu  # factored before the fork, so the worker shares it
-
-    def top_vectors(units):
-        return [leading_vector(partial(lu.solve, trans=trans), genr.n_cells,
-                               "eta" if trans == "N" else "alpha") for trans in units]
-
-    (eta, eta_solves), (alpha, alpha_solves) = sharded(top_vectors, ["N", "T"])
+    Q, lu, n = genr.Q, genr.lu, genr.n_cells
+    eta, eta_solves = leading_vector(partial(lu.solve, trans="N"), n, "eta")
+    alpha, alpha_solves = leading_vector(partial(lu.solve, trans="T"), n, "alpha")
     solves = eta_solves + alpha_solves
 
     def resolvent(v, trans="N"):

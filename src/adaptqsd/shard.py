@@ -2,17 +2,17 @@
 
 sharded(compute, units) deals units round-robin to one process per usable
 CPU: the caller computes shard 0 and one forked worker each other shard.
-Every unit must draw only from its own StreamKeys, or be deterministic and
-draw nothing, so how the units are dealt changes no output bit, and there is
-no setting for it. The qsd estimators shard their node batches, replicates
-and truncation boxes here, and oracle.leading_triple its two ARPACK runs.
+Every unit must draw only from its own StreamKeys, so how the units are
+dealt changes no output bit, and there is no setting for it. The qsd
+estimators shard their node batches, replicates and truncation boxes here.
 
 Outputs are bit-identical across process counts, not across BLAS thread
 counts: a threaded BLAS ddot (NumPy's `@` on two long vectors) sums in an
 order that depends on its thread count, so code whose output must not depend
 on OMP_NUM_THREADS sums such products with NumPy, as oracle.leading_triple
-does. CI compares `adaptqsd oracle` at 120x90 under one BLAS thread and under
-the default count.
+does. CI compares the outputs of `adaptqsd oracle` (at 120x90 for both
+fixation families, and at 160x120) under one and the default number of BLAS
+threads, and of `adaptqsd eta` (on 160x120 cells) under one and two.
 
 Workers are forked, not spawned: compute is usually a closure over the
 caller's arrays, which the fork inherits and no pickle could carry. The

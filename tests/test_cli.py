@@ -89,6 +89,11 @@ def test_bad_model_or_numerics_value_exits_2(tmp_path, key):
     # a balance ensemble without a donor, or sampled before t = 0 or never
     ("diagnose", "balance_particles=1"), ("diagnose", "balance_burn=-1"),
     ("diagnose", "balance_burn=NaN"), ("diagnose", "balance_burn=Infinity"),
+    # a time that would never end its stage, or overflow in it
+    ("fv", "window=Infinity"), ("diagnose", "balance_collect=Infinity"),
+    ("eta", "eta_t_eval=Infinity"), ("lambda", "lambda_horizon=Infinity"),
+    ("qprocess", "q_horizon=Infinity"), ("qprocess", "q_horizon=NaN"),
+    ("diagnose", "t_max=Infinity"),
 ])
 def test_bad_experiment_value_exits_2_before_any_run(tmp_path, capsys, monkeypatch, cmd, setting):
     monkeypatch.setattr(cli, "fleming_viot", None)  # any estimator call would raise
@@ -111,6 +116,9 @@ def test_experiment_block_is_cast_to_default_types():
     "dim=1.9", "particles=100.5", "seed=2.7", "nx=80.9", "particles=Infinity", "q_paths=NaN",
     # a boolean for a numeric key
     "q_paths=true", "a=false", "window=true", "L=true", "burn_in=true", "L_list=[4.0, true]",
+    # a non-finite number, which no run ends on and manifest.json cannot hold
+    "window=Infinity", "q_horizon=NaN", "dt_max=Infinity", "horizon=Infinity",
+    "qprocess_delta=Infinity", "a=Infinity", "truncation_y_low=NaN", "L_list=[4.0, NaN]",
 ])
 def test_a_cast_that_would_change_the_value_exits_2(tmp_path, capsys, setting):
     assert cli.main(["validate", "--out", str(tmp_path), "--set", setting]) == 2
@@ -341,6 +349,9 @@ def test_d1_commands_reject_two_dimensions_before_any_estimate(tmp_path, capsys,
     ("lambda", "lambda_horizon=0.1"), ("lambda", "lambda_horizon=0.25"),
     ("qprocess", "q_horizon=0"), ("qprocess", "q_horizon=0.02"), ("qprocess", "walkers=0"),
     ("diagnose", "L_list=[]"),
+    # an infinite window or horizon, on which a path stage would overflow or never end
+    ("fv", "dt_max=Infinity"), ("simulate", "horizon=Infinity"),
+    ("simulate", "qprocess_delta=Infinity"),
 ])
 def test_sizes_that_leave_nothing_to_compute_exit_2_before_any_run(tmp_path, capsys,
                                                                    monkeypatch, cmd, setting):

@@ -469,6 +469,20 @@ def test_expm_action_cap_raises_numeric_error(tiny_built, monkeypatch):
 
 
 def test_eigen_solve_failures_raise_numeric_error(tiny_built, monkeypatch):
+    # eta's ARPACK run comes first; only the second, alpha's, gets one restart
+    calls, eigs = [], oracle.eigs
+
+    def eigs_failing_on_its_second_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            kwargs["maxiter"] = 1
+        return eigs(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "eigs", eigs_failing_on_its_second_call)
+    with pytest.raises(NumericError, match="ARPACK .* for alpha") as info:
+        leading_triple(tiny_built)
+    assert info.value.diagnostics["solves"] > 0
+    monkeypatch.setattr(oracle, "eigs", eigs)
     monkeypatch.setattr(oracle, "_MAX_ITER", 1)
     with pytest.raises(NumericError, match="ARPACK .* for eta") as info:
         leading_triple(tiny_built)

@@ -25,6 +25,13 @@ def test_simconfig_domain_checks():
         SimConfig(truncation=4.0, y_ext=5.0)
 
 
+@pytest.mark.parametrize("field", ["dt_max", "horizon", "qprocess_delta"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_simconfig_refuses_a_non_finite_step_or_horizon(field, value):
+    with pytest.raises(DomainError, match=f"{field} must be positive and finite"):
+        SimConfig(**{field: value})
+
+
 def test_simconfig_derived_fields():
     free = SimConfig()
     assert free.y_top is None
