@@ -426,8 +426,8 @@ def run_oracle(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> lis
 
 def run_diagnose(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> list[str]:
     # the convergence reference is the fv alpha coarsened 4 x 4
-    if min(cfg["nx"], cfg["ny"]) < 4 or cfg["nx"] % 4 or cfg["ny"] % 4:
-        raise ConfigError("diagnose needs nx and ny divisible by 4, and at least 4")
+    if min(cfg["nx"], cfg["ny"]) < 8 or cfg["nx"] % 4 or cfg["ny"] % 4:
+        raise ConfigError("diagnose needs nx and ny divisible by 4, and at least 8")
     # replicate spread needs two replicates, each ensemble a donor survivor
     if cfg["conv_replicates"] < 2 or cfg["conv_particles"] < 2:
         raise ConfigError("diagnose needs conv_replicates >= 2 and conv_particles >= 2")

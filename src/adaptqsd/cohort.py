@@ -89,8 +89,8 @@ class SimConfig:
     def __post_init__(self):
         if not (0.0 < self.dt_max < math.inf):
             raise DomainError("dt_max must be positive and finite")
-        if self.y_ext < 0.0:
-            raise DomainError("y_ext must be >= 0")
+        if not (0.0 <= self.y_ext < math.inf):
+            raise DomainError("y_ext must be >= 0 and finite")
         if not (0.0 < self.horizon < math.inf):
             raise DomainError("horizon must be positive and finite")
         if self.truncation is not None and not (0.0 < self.truncation < math.inf):
@@ -99,6 +99,9 @@ class SimConfig:
             raise DomainError("y_ext must sit below the truncation ceiling")
         if not (0.0 < self.qprocess_delta < math.inf):
             raise DomainError("qprocess_delta must be positive and finite")
+        low, top = self.truncation_y_low, self.truncation or math.inf
+        if low is not None and not (0.0 <= low < top):
+            raise DomainError("truncation_y_low must be >= 0, finite and below the truncation")
 
     @property
     def y_floor(self) -> float:

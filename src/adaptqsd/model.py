@@ -71,8 +71,8 @@ class GrowthSpec:
     def __post_init__(self):
         if not np.isfinite(self.r0):
             raise DomainError("r0 must be finite")
-        if not (self.a >= 0.0):
-            raise DomainError("a must be >= 0")
+        if not (0.0 <= self.a < np.inf):
+            raise DomainError("a must be >= 0 and finite")
 
     def rate(self, x: np.ndarray) -> np.ndarray:
         """r(x) for x of shape (..., d); returns shape (...)."""

@@ -17,13 +17,12 @@ Every solve goes through one factorization of I - 2Q per generator: a block
 LDU over the grid's y rows (GridGenerator.lu), nx + 2 floats per cell, that
 applies the resolvent (I - 2Q)^{-1} in two sweeps of ny dense matvecs. A decay rate
 lambda of Q is an eigenvalue 1/(1 + 2 lambda) of the resolvent, which puts the
-leading two (0.79 and 1.21 at 80x60) a ratio 0.75 apart. Two ARPACK runs on it
-(leading_vector, the package's one ARPACK routine, which qsd.estimate_eta also
-calls) start the leading eigentriple (lambda0, alpha, eta), forward solves for
-eta and then transpose solves for alpha, in the calling process, and power
-steps polish both together. The consistency checks apply e^{tQ} and
-its adjoint by a shift-and-invert Krylov method on the same resolvent: no time
-steps, any stiffness, and exact to round-off on the eigenvectors.
+leading two (0.79 and 1.21 at 80x60) a ratio 0.75 apart. One Arnoldi basis
+(_arnoldi) serves every Krylov solve. leading_vector (qsd.estimate_eta calls
+it too) stops it once the top Ritz pair converges: on forward solves for eta,
+then transpose solves for alpha, it starts the eigentriple (lambda0, alpha,
+eta), and power steps polish both. The consistency checks apply e^{tQ} and its
+adjoint from the same basis: no time steps, any stiffness, exact to round-off.
 
 Q need not be irreducible: every cell must reach its largest strongly
 connected component (the main one), on which alpha then lives. Cells outside
@@ -44,7 +43,6 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.linalg.lapack import dgetrf, dgetri
 from scipy.sparse.csgraph import breadth_first_order, connected_components
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from .errors import DomainError, NumericError
 from .measure import EmpiricalMeasure, HistGrid
@@ -54,15 +52,14 @@ __all__ = ["GridGenerator", "OracleTriple", "build_generator", "leading_vector",
            "leading_triple", "survival_consistency", "oracle_q_kernel", "QKernelCheck"]
 
 _ROUNDOFF = 1e-12  # largest negative eigenvector entry clipped, relative to max |v|
-# leading_triple's eigen-residual target; the cap on leading_vector's ARPACK
-# restarts and on leading_triple's resolvent polish steps
-_TOL = 1e-10
-_MAX_ITER = 20_000
+_TOL, _MAX_ITER = 1e-10, 20_000  # leading_triple's residual target; cap on its polish steps
 _SHIFT = 2.0  # every solve is with the resolvent (I - _SHIFT Q)^{-1}
 _BLOCK = 64  # _inverse hands blocks at most this wide to LAPACK
-# _expm_action: agreement tolerances (of the iterate, of ||v||), the number of
-# consecutive agreeing steps, and the cap on resolvent solves
-_KRYLOV_RTOL, _KRYLOV_ATOL, _KRYLOV_STREAK, _KRYLOV_MAX = 1e-10, 1e-15, 3, 200
+# _arnoldi's cap on steps (operator calls) and its breakdown level; leading_vector's
+# Ritz residual target, relative to the Ritz value, and how many steps apart it is checked
+_KRYLOV_MAX, _BREAKDOWN, _RITZ_RTOL, _RITZ_EVERY = 200, 1e-14, 1e-14, 4
+# _expm_action: agreement tolerances (of the iterate, of ||v||), run of agreeing steps
+_KRYLOV_RTOL, _KRYLOV_ATOL, _KRYLOV_STREAK = 1e-10, 1e-15, 3
 
 
 def _inverse(S: np.ndarray) -> np.ndarray:
@@ -289,7 +286,7 @@ def build_generator(params: ModelParams, L: float, y_min: float = 1e-3,
 
 
 def _nonnegative(v: np.ndarray, name: str) -> np.ndarray:
-    """v scaled to max |v| = 1 (fixing ARPACK's phase), round-off negatives clipped."""
+    """v scaled to max |v| = 1 (fixing its sign or phase), round-off negatives clipped."""
     v = v / v[np.argmax(np.abs(v))]
     bad = ~np.isfinite(v) | (v.real < -_ROUNDOFF) | (np.abs(v.imag) > _ROUNDOFF)
     if bad.any():
@@ -298,53 +295,70 @@ def _nonnegative(v: np.ndarray, name: str) -> np.ndarray:
     return np.maximum(v.real, 0.0)
 
 
+def _arnoldi(apply, v: np.ndarray, steps: int):
+    """Arnoldi on the map `apply` (which returns a new array) from v, a finite
+    nonzero vector (else DomainError): after each step m <= min(steps, v.size),
+    the views V[:m], an orthonormal Krylov basis in rows, and H[:m + 1, :m],
+    with apply(V[:m].T) = V[:m + 1].T H. Classical Gram-Schmidt, twice; numpy
+    forms the n-long sums, which BLAS splits by thread. A remainder of round-off
+    (at most _BREAKDOWN of the image's part in the basis), as at step v.size,
+    is a breakdown: H[m, m - 1] = 0, the end."""
+    if not (math.isfinite(norm := _norm(v)) and norm > 0.0):
+        raise DomainError("Krylov start vector must be finite and nonzero")
+    V, H = np.empty((steps + 1, v.size)), np.zeros((steps + 1, steps))  # pages fill as rows do
+    V[0] = v / norm
+    for m in range(1, min(steps, v.size) + 1):
+        w = apply(V[m - 1])
+        for _ in range(2):
+            c = np.einsum("ij,j->i", V[:m], w)
+            w -= c @ V[:m]
+            H[:m, m - 1] += c
+        h = _norm(w)
+        H[m, m - 1] = h if h > _BREAKDOWN * _norm(H[:m, m - 1]) and m < v.size else 0.0
+        yield V[:m], H[:m + 1, :m]
+        if not H[m, m - 1]:
+            return
+        V[m] = w / h
+
+
+def _norm(w: np.ndarray) -> float:
+    return math.sqrt(float((w * w).sum()))
+
+
 def leading_vector(apply, n: int, name: str) -> tuple[np.ndarray, int]:
-    """Nonnegative leading eigenvector of the map `apply` on R^n (n >= 3), and
-    the number of `apply` calls: ARPACK (eigs, k = 1, at most _MAX_ITER
-    restarts) from the ones vector, then _nonnegative. ARPACK's failure raises
-    NumericError naming `name`."""
-    count = 0
-
-    def counted(v):
-        nonlocal count
-        count += 1
-        return apply(v)
-
-    try:
-        v = eigs(LinearOperator((n, n), counted, dtype=float), k=1, v0=np.ones(n),
-                 maxiter=_MAX_ITER)[1][:, 0]
-    except ArpackError as exc:  # typed, so the CLI exits 4 naming the vector
-        raise NumericError(f"ARPACK did not converge for {name}",
-                           diagnostics={"solves": count, "arpack": str(exc)}) from exc
-    return _nonnegative(v, name), count
+    """Nonnegative leading eigenvector of the map `apply` on R^n, and the
+    number of `apply` calls: _arnoldi from the ones vector until the top Ritz
+    pair (theta, y) of H_m has |h_{m+1,m} y_m| <= _RITZ_RTOL |theta| (checked
+    every _RITZ_EVERY steps, at a breakdown and at the cap), then _nonnegative.
+    No convergence in _KRYLOV_MAX steps raises NumericError naming `name`."""
+    for V, H in _arnoldi(apply, np.ones(n), _KRYLOV_MAX):
+        if len(V) % _RITZ_EVERY and H[-1, -1] and len(V) < _KRYLOV_MAX:
+            continue
+        theta, Y = np.linalg.eig(H[:-1])
+        k = np.argmax(np.abs(theta))
+        residual, top = abs(H[-1, -1] * Y[-1, k]), abs(theta[k])
+        if residual <= _RITZ_RTOL * top:
+            return _nonnegative((Y[:, k] if theta[k].imag else Y[:, k].real) @ V, name), len(V)
+    raise NumericError(f"Arnoldi did not converge for {name}", diagnostics={
+        "solves": len(V), "ritz_residual": float(residual), "ritz_value": float(top)})
 
 
 def leading_triple(genr: GridGenerator) -> OracleTriple:
-    """Leading eigentriple: ARPACK on the resolvent (I - 2Q)^{-1}, then
-    power-step polish.
-
-    Two leading_vector runs over the one LU start eta (forward solves) and
-    then alpha (transpose solves), in the calling process, and the result is
-    the same on any number of CPUs and of BLAS threads. Then 1 to _MAX_ITER
-    resolvent steps polish both until ||alpha Q + lambda alpha||_1 with
-    ||alpha||_1 = 1 and ||Q eta + lambda eta||_inf with ||eta||_inf = 1 are
-    both below _TOL. `iterations` counts resolvent solves: the operator calls
-    of both ARPACK runs plus two per polish step. alpha's mass outside the
-    main component must be round-off.
-    """
+    """Leading eigentriple from the resolvent (I - 2Q)^{-1}, in the calling
+    process: leading_vector on forward solves (eta), then on transpose solves
+    (alpha), then 1 to _MAX_ITER resolvent steps polish both until ||alpha Q +
+    lambda alpha||_1 with ||alpha||_1 = 1 and ||Q eta + lambda eta||_inf with
+    ||eta||_inf = 1 are both below _TOL, the same on any number of CPUs and of
+    BLAS threads. `iterations` counts resolvent solves: both Arnoldi runs' plus
+    two per polish step. alpha's mass outside the main component must be
+    round-off."""
     Q, lu, n = genr.Q, genr.lu, genr.n_cells
     eta, eta_solves = leading_vector(partial(lu.solve, trans="N"), n, "eta")
     alpha, alpha_solves = leading_vector(partial(lu.solve, trans="T"), n, "alpha")
-    solves = eta_solves + alpha_solves
-
-    def resolvent(v, trans="N"):
-        nonlocal solves
-        solves += 1
-        return lu.solve(v, trans=trans)
-
-    for _ in range(_MAX_ITER):
-        eta = _nonnegative(resolvent(eta), "eta")
-        alpha = _nonnegative(resolvent(alpha, "T"), "alpha")
+    for step in range(1, _MAX_ITER + 1):
+        eta = _nonnegative(lu.solve(eta), "eta")
+        alpha = _nonnegative(lu.solve(alpha, "T"), "alpha")
+        solves = eta_solves + alpha_solves + 2 * step
         alpha /= alpha.sum()
         # products are summed by numpy, not by BLAS ddot (what `@` calls on
         # vectors), whose threaded sum changes with the BLAS thread count
@@ -376,48 +390,31 @@ def leading_triple(genr: GridGenerator) -> OracleTriple:
 
 def _expm_action(genr: GridGenerator, v: np.ndarray, ts: tuple[float, ...],
                  adjoint: bool = False) -> np.ndarray:
-    """Columns e^{tQ} v (e^{tQ^T} v if adjoint), one per t in ts, from one
-    shift-and-invert Krylov basis.
-
-    Arnoldi (classical Gram-Schmidt, twice) on the resolvent A = (I - 2Q)^{-1}
-    gives V_m^T A V_m = H_m, so Q ~ V_m S V_m^T with S = (I - H_m^{-1}) / 2 and
-    e^{tQ} v ~ ||v|| V_m expm(t S) e_1, whatever the stiffness of Q. Stops on
-    happy breakdown (a subdiagonal below _KRYLOV_ATOL), or when successive
-    iterates agree on _KRYLOV_STREAK consecutive steps, as a point mass on a
-    killing edge has zero first iterates. Agreement is relative to the iterate,
-    whose round-off floor is ~1e-12 ||v|| for a spread-out v, plus an absolute
-    1e-15 ||v||, as a killed point mass maps to ~1e-9 ||v||. Raises
-    DomainError unless ts is a nonempty set of finite, positive horizons and v
-    a finite, nonzero vector.
+    """Columns e^{tQ} v (e^{tQ^T} v if adjoint), one per t in ts: _arnoldi on
+    the resolvent A = (I - 2Q)^{-1} gives V_m^T A V_m = H_m, so Q ~ V_m S V_m^T
+    with S = (I - H_m^{-1}) / 2 and e^{tQ} v ~ ||v|| V_m expm(t S) e_1, whatever
+    the stiffness of Q. Stops on happy breakdown (a subdiagonal below
+    _KRYLOV_ATOL), or when successive iterates agree on _KRYLOV_STREAK
+    consecutive steps, as a point mass on a killing edge has zero first
+    iterates. Agreement is relative to the iterate, whose round-off floor is
+    ~1e-12 ||v|| for a spread-out v, plus an absolute 1e-15 ||v||, as a killed
+    point mass maps to ~1e-9 ||v||. Raises DomainError unless ts is a nonempty
+    set of finite, positive horizons and v a finite, nonzero vector.
     """
     if not (len(ts) and all(math.isfinite(t) and t > 0.0 for t in ts)):
         raise DomainError(f"horizons must be finite and positive, and at least one: {ts}")
-    norm = float(np.linalg.norm(v))
-    if not (math.isfinite(norm) and norm > 0.0):
-        raise DomainError("Krylov start vector must be finite and nonzero")
-    trans = "T" if adjoint else "N"
-    V = np.empty((_KRYLOV_MAX + 1, v.size))  # rows are the basis; pages are touched as they fill
-    H = np.zeros((_KRYLOV_MAX + 1, _KRYLOV_MAX))
-    V[0] = v / norm
     prev, streak = np.zeros((0, len(ts))), 0
-    for m in range(1, _KRYLOV_MAX + 1):
-        w = genr.lu.solve(V[m - 1], trans=trans)
-        for _ in range(2):
-            c = V[:m] @ w
-            w -= c @ V[:m]
-            H[:m, m - 1] += c
-        H[m, m - 1] = np.linalg.norm(w)
-        S = (np.eye(m) - np.linalg.inv(H[:m, :m])) / _SHIFT
+    for V, H in _arnoldi(partial(genr.lu.solve, trans="T" if adjoint else "N"), v, _KRYLOV_MAX):
+        S = (np.eye(len(V)) - np.linalg.inv(H[:-1])) / _SHIFT
         coef = np.stack([expm(t * S)[:, 0] for t in ts], axis=1)
         change = np.linalg.norm(coef - np.pad(prev, ((0, 1), (0, 0))), axis=0)
         agree = np.all(change <= _KRYLOV_RTOL * np.linalg.norm(coef, axis=0) + _KRYLOV_ATOL)
         streak = streak + 1 if agree else 0
-        if H[m, m - 1] <= _KRYLOV_ATOL or streak >= _KRYLOV_STREAK:
-            return norm * (V[:m].T @ coef)
-        V[m] = w / H[m, m - 1]
+        if H[-1, -1] <= _KRYLOV_ATOL or streak >= _KRYLOV_STREAK:
+            return _norm(v) * (V.T @ coef)
         prev = coef
     raise NumericError("shift-and-invert Krylov exponential did not converge", diagnostics={
-        "solves": _KRYLOV_MAX, "last_change": float(change.max()), "subdiagonal": float(H[m, m - 1]),
+        "solves": len(V), "last_change": float(change.max()), "subdiagonal": float(H[-1, -1]),
         "adjoint": adjoint, "t_max": float(max(ts))})
 
 

@@ -539,7 +539,7 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
     does not depend on the CPU count. eta is the fixed point of
     eta(node) ~ mean(alive * eta(endpoint at t_eval)), eta read between nodes
     by the bilinear interpolant: the Perron vector of the node-to-node matrix
-    W1, solved by oracle.leading_vector (ARPACK) and applied once more, so a
+    W1, solved by oracle.leading_vector (Arnoldi) and applied once more, so a
     node without survivors stays exactly 0; iterations_used counts the W1
     applications. <alpha, eta> = 1 fixes its scale whatever lambda0 is, which
     only scales the t_eval SEs by e^{lambda0 t_eval}. The t2 fields apply the

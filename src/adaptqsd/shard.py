@@ -9,10 +9,10 @@ estimators shard their node batches, replicates and truncation boxes here.
 Outputs are bit-identical across process counts, not across BLAS thread
 counts: a threaded BLAS ddot (NumPy's `@` on two long vectors) sums in an
 order that depends on its thread count, so code whose output must not depend
-on OMP_NUM_THREADS sums such products with NumPy, as oracle.leading_triple
-does. CI compares the outputs of `adaptqsd oracle` (at 120x90 for both
-fixation families, and at 160x120) under one and the default number of BLAS
-threads, and of `adaptqsd eta` (on 160x120 cells) under one and two.
+on OMP_NUM_THREADS sums such products with NumPy, as the oracle's Arnoldi
+basis does. CI compares the outputs of `adaptqsd oracle` (at 120x90 for both
+fixation families, 160x120 and 240x180) under one and the default number of
+BLAS threads, and of `adaptqsd eta` (on 160x120 cells) under one and two.
 
 Workers are forked, not spawned: compute is usually a closure over the
 caller's arrays, which the fork inherits and no pickle could carry. The

@@ -400,7 +400,7 @@ def test_rejected_run_removes_only_the_directories_it_created(tmp_path, monkeypa
     assert sorted(p.name for p in old.iterdir()) == ["keep.txt"]
 
 
-@pytest.mark.parametrize("grid", ["nx=10", "ny=6", "nx=0"])
+@pytest.mark.parametrize("grid", ["nx=10", "ny=6", "nx=0", "nx=4", "ny=4"])
 def test_diagnose_rejects_a_grid_it_cannot_coarsen(tmp_path, capsys, monkeypatch, grid):
     _fail_if_fv_runs(monkeypatch)
     assert cli.main(["diagnose", "--out", str(tmp_path), "--set", grid]) == 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -65,8 +66,11 @@ def test_growth_family_contract():
     x = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
     np.testing.assert_allclose(g.rate(x), [3.0, 2.0, 2.5])
     assert g.r_sup == 3.0
-    with pytest.raises(DomainError):
-        GrowthSpec(a=-0.1)
+    for a in (-0.1, math.inf, math.nan):
+        with pytest.raises(DomainError, match="a must be >= 0"):
+            GrowthSpec(a=a)
+    with pytest.raises(DomainError, match="a must be >= 0 and finite"):
+        default_params(a=math.inf)
 
 
 def test_fixation_positive_and_bounded():

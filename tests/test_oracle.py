@@ -20,6 +20,7 @@ from adaptqsd.oracle import (
     _nonnegative,
     build_generator,
     leading_triple,
+    leading_vector,
     oracle_q_kernel,
     survival_consistency,
 )
@@ -326,7 +327,7 @@ def test_leading_triple_matches_dense_eig(tiny_built):
     np.testing.assert_allclose(genr.grid_to_vec(triple.alpha.masses), alpha, rtol=0, atol=1e-8)
     got_eta = genr.grid_to_vec(triple.eta)
     np.testing.assert_allclose(got_eta / got_eta.max(), eta, rtol=0, atol=1e-8)
-    # iterations counts resolvent solves: ARPACK's operator calls plus the polish
+    # iterations counts resolvent solves: both Arnoldi runs' operator calls plus the polish
     assert triple.iterations > 2
 
 
@@ -469,24 +470,25 @@ def test_expm_action_cap_raises_numeric_error(tiny_built, monkeypatch):
 
 
 def test_eigen_solve_failures_raise_numeric_error(tiny_built, monkeypatch):
-    # eta's ARPACK run comes first; only the second, alpha's, gets one restart
-    calls, eigs = [], oracle.eigs
+    # eta's Arnoldi run comes first; only the second, alpha's, is capped at 4 steps
+    calls, leading, cap = [], oracle.leading_vector, oracle._KRYLOV_MAX
 
-    def eigs_failing_on_its_second_call(*args, **kwargs):
+    def capped_on_its_second_call(*args):
         calls.append(None)
         if len(calls) == 2:
-            kwargs["maxiter"] = 1
-        return eigs(*args, **kwargs)
+            monkeypatch.setattr(oracle, "_KRYLOV_MAX", 4)
+        return leading(*args)
 
-    monkeypatch.setattr(oracle, "eigs", eigs_failing_on_its_second_call)
-    with pytest.raises(NumericError, match="ARPACK .* for alpha") as info:
+    monkeypatch.setattr(oracle, "leading_vector", capped_on_its_second_call)
+    with pytest.raises(NumericError, match="Arnoldi did not converge for alpha") as info:
         leading_triple(tiny_built)
-    assert info.value.diagnostics["solves"] > 0
-    monkeypatch.setattr(oracle, "eigs", eigs)
-    monkeypatch.setattr(oracle, "_MAX_ITER", 1)
-    with pytest.raises(NumericError, match="ARPACK .* for eta") as info:
+    diag = info.value.diagnostics
+    assert diag["solves"] == 4 and diag["ritz_residual"] > 1e-14 * diag["ritz_value"] > 0.0
+    monkeypatch.setattr(oracle, "leading_vector", leading)
+    with pytest.raises(NumericError, match="Arnoldi did not converge for eta") as info:
         leading_triple(tiny_built)
-    assert info.value.diagnostics["solves"] > 0
+    assert info.value.diagnostics["solves"] == 4
+    monkeypatch.setattr(oracle, "_KRYLOV_MAX", cap)
     monkeypatch.setattr(oracle, "_TOL", 0.0)
     monkeypatch.setattr(oracle, "_MAX_ITER", 4)
     with pytest.raises(NumericError, match="polish") as info:
@@ -494,6 +496,28 @@ def test_eigen_solve_failures_raise_numeric_error(tiny_built, monkeypatch):
     diag = info.value.diagnostics
     assert diag["polish_steps"] == 4
     assert diag["res_eta"] > 0.0 and diag["res_alpha"] > 0.0
+
+
+@pytest.mark.parametrize("A, solves", [
+    ([[5.0]], 1),  # R^1: the start vector is the answer
+    ([[3.0, 1.0], [1.0, 2.0]], 2),  # step n = 2 ends the run
+    ([[2.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 3.0]], 3),  # Perron vector e_3
+    ([[1.0, 2.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]], 1),  # rows sum to 3: breaks down at 1
+])
+def test_leading_vector_on_maps_of_dimension_three_or_less(A, solves):
+    A = np.array(A)
+    vec, calls = leading_vector(lambda v: A @ v, len(A), "v")
+    w, right = np.linalg.eig(A)
+    want = np.abs(right[:, np.argmax(w.real)])
+    np.testing.assert_allclose(vec, want / want.max(), rtol=0, atol=1e-14)
+    assert calls == solves
+
+
+def test_leading_vector_of_the_zero_map_breaks_down_after_one_call():
+    calls = []
+    vec, solves = leading_vector(lambda v: calls.append(v) or np.zeros_like(v), 3, "v")
+    np.testing.assert_array_equal(vec, np.ones(3))
+    assert solves == len(calls) == 1
 
 
 def test_only_round_off_negatives_are_clipped():

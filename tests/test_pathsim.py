@@ -25,11 +25,19 @@ def test_simconfig_domain_checks():
         SimConfig(truncation=4.0, y_ext=5.0)
 
 
-@pytest.mark.parametrize("field", ["dt_max", "horizon", "qprocess_delta"])
+@pytest.mark.parametrize("field", ["dt_max", "horizon", "qprocess_delta", "y_ext",
+                                   "truncation_y_low"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_simconfig_refuses_a_non_finite_step_or_horizon(field, value):
-    with pytest.raises(DomainError, match=f"{field} must be positive and finite"):
+    with pytest.raises(DomainError, match=f"{field} must be .*finite"):
         SimConfig(**{field: value})
+
+
+@pytest.mark.parametrize("low", [float("inf"), float("nan"), -1.0, 4.0])
+def test_simconfig_refuses_a_lower_edge_outside_the_box(low):
+    # max(y_ext, low) would make inf the floor, and drop nan and -1.0 silently
+    with pytest.raises(DomainError, match="truncation_y_low must be >= 0, finite and below"):
+        SimConfig(truncation=4.0, truncation_y_low=low)
 
 
 def test_simconfig_derived_fields():

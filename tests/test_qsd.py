@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from adaptqsd import cohort, oracle, qsd
 from adaptqsd.cohort import Engine
@@ -344,7 +343,7 @@ def test_estimators_reject_sizes_that_leave_nothing_to_compute(tiny_fv, params, 
 def _per_node_eta(alpha, lambda0, params, config, key, t_eval, replicates, nodes):
     """estimate_eta written node by node, with a dense eigensolve: the
     node-to-node matrix column by column, its Perron vector from
-    np.linalg.eig (reference for the sparse matrix and ARPACK)."""
+    np.linalg.eig (reference for the sparse matrix and the Arnoldi solve)."""
     xn, yn = eta_node_grid(alpha.grid, *nodes)
     gx, gy = len(xn), len(yn)
     n, R, t2 = gx * gy, replicates, 2.0 * t_eval
@@ -391,7 +390,7 @@ def _per_node_eta(alpha, lambda0, params, config, key, t_eval, replicates, nodes
 
 # 64 nodes: a full batch and a partial one, which share one cohort call,
 # against the reference's one run per batch; 2 x 2, the smallest node grid,
-# is an eigenproblem of size 4 for ARPACK
+# is an eigenproblem of size 4, where Arnoldi ends at step 4 or before
 @pytest.mark.parametrize("nodes", [(8, 8), (2, 2)])
 def test_estimate_eta_perron_vector_matches_dense_per_node_reference(tiny_fv, params, nodes):
     config = _boxed_config()
@@ -401,7 +400,7 @@ def test_estimate_eta_perron_vector_matches_dense_per_node_reference(tiny_fv, pa
     assert qsd._ETA_BATCH_NODES < 64 <= qsd._ETA_CALL_ROWS // 150
     eta = estimate_eta(*args, **kw)
     ref = _per_node_eta(*args, **kw)
-    assert eta.iterations_used >= 2  # ARPACK's applications of W1, and the last one
+    assert eta.iterations_used >= 2  # Arnoldi's applications of W1, and the last one
     np.testing.assert_array_equal(eta.survivors_t1.ravel(), ref["survivors_t1"])
     for name in ("values", "stderr", "values_t2", "stderr_t2"):
         want = ref[name]
@@ -409,18 +408,14 @@ def test_estimate_eta_perron_vector_matches_dense_per_node_reference(tiny_fv, pa
                                    atol=1e-9 * want.max(), err_msg=name)
 
 
-def test_estimate_eta_arpack_failure_raises_numeric_error(tiny_fv, params, monkeypatch):
-    # the node matrices here are too small to exhaust ARPACK's restarts
-    def stalled(A, k, v0, maxiter):
-        A.matvec(v0)
-        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((A.shape[0], 0)))
-
-    monkeypatch.setattr(oracle, "eigs", stalled)
-    with pytest.raises(NumericError, match="ARPACK .* for eta") as info:
+def test_estimate_eta_arnoldi_failure_raises_numeric_error(tiny_fv, params, monkeypatch):
+    # 20 nodes: Arnoldi would end by step 20, so the cap is lowered to 3
+    monkeypatch.setattr(oracle, "_KRYLOV_MAX", 3)
+    with pytest.raises(NumericError, match="Arnoldi did not converge for eta") as info:
         estimate_eta(tiny_fv.alpha, tiny_fv.lambda0, params, _boxed_config(),
                      StreamKey(seed=11, lineage=("eta1",)), t_eval=1.0, replicates=150,
                      nodes=(5, 4))
-    assert info.value.diagnostics["solves"] == 1
+    assert info.value.diagnostics["solves"] == 3
 
 
 def test_estimate_eta_multi_batch_is_frozen(tiny_fv, params):
@@ -436,7 +431,7 @@ def test_estimate_eta_multi_batch_is_frozen(tiny_fv, params):
     for a in (eta.values, eta.stderr, eta.values_t2, eta.stderr_t2, eta.survivors_t1,
               eta.survivors_t2, np.array([eta.iterations_used])):
         h.update(np.ascontiguousarray(a).tobytes())
-    assert h.hexdigest() == "ee89b9e8d618788b51d63753edcc799ed8c10369bfb5e35edcd148ede779ffae"
+    assert h.hexdigest() == "900aeffe68715b6935a84ec5d86603ac76e1447c00b727891f6438025cd43b7c"
 
 
 def _flat_eta(level=1.0):

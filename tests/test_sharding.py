@@ -219,7 +219,7 @@ def test_worker_error_that_cannot_be_rebuilt_arrives_as_a_runtime_error(monkeypa
 
 
 def test_leading_triple_starts_no_process(params, monkeypatch):
-    # both ARPACK runs stay in the caller, whatever the CPU count
+    # both Arnoldi runs stay in the caller, whatever the CPU count
     def fork():
         raise AssertionError("leading_triple started a process")
 
