@@ -40,7 +40,7 @@ from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
 from scipy.linalg.lapack import dgetrf, dgetri
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
@@ -55,10 +55,12 @@ _ROUNDOFF = 1e-12  # largest negative eigenvector entry clipped, relative to max
 _TOL, _MAX_ITER = 1e-10, 20_000  # leading_triple's residual target; cap on its polish steps
 _SHIFT = 2.0  # every solve is with the resolvent (I - _SHIFT Q)^{-1}
 _BLOCK = 64  # _inverse hands blocks at most this wide to LAPACK
-# _arnoldi's cap on steps (operator calls) and its breakdown level; leading_vector's
-# Ritz residual target, relative to the Ritz value, and how many steps apart it is checked
-_KRYLOV_MAX, _BREAKDOWN, _RITZ_RTOL, _RITZ_EVERY = 200, 1e-14, 1e-14, 4
-# _expm_action: agreement tolerances (of the iterate, of ||v||), run of agreeing steps
+# _arnoldi's cap on steps (operator calls) and relative breakdown level; leading_vector's
+# Ritz residual target (of the Ritz value), steps between its checks (a check every step
+# took 3.6x the time on a 600-node W1 at 200 steps), and restarts at the cap
+_KRYLOV_MAX, _BREAKDOWN, _RITZ_RTOL, _RITZ_EVERY, _RESTARTS = 200, 1e-14, 1e-14, 4, 50
+# _expm_action: agreement tolerances (of the iterate; of ||v||, and _arnoldi's absolute
+# breakdown level), run of agreeing steps
 _KRYLOV_RTOL, _KRYLOV_ATOL, _KRYLOV_STREAK = 1e-10, 1e-15, 3
 
 
@@ -295,30 +297,34 @@ def _nonnegative(v: np.ndarray, name: str) -> np.ndarray:
     return np.maximum(v.real, 0.0)
 
 
-def _arnoldi(apply, v: np.ndarray, steps: int):
-    """Arnoldi on the map `apply` (which returns a new array) from v, a finite
-    nonzero vector (else DomainError): after each step m <= min(steps, v.size),
-    the views V[:m], an orthonormal Krylov basis in rows, and H[:m + 1, :m],
-    with apply(V[:m].T) = V[:m + 1].T H. Classical Gram-Schmidt, twice; numpy
-    forms the n-long sums, which BLAS splits by thread. A remainder of round-off
-    (at most _BREAKDOWN of the image's part in the basis), as at step v.size,
+def _arnoldi(apply, v: np.ndarray, steps: int, H0: np.ndarray = np.zeros((1, 0))):
+    """Arnoldi on the map `apply` (which returns a new array) from the k + 1 =
+    len(H0) rows of v: a finite nonzero vector if k = 0 (else DomainError), else
+    orthonormal rows with apply(v[:k].T) = v.T H0. After each step m <= min(steps,
+    n), the views V[:m + 1], orthonormal rows, and H[:m + 1, :m], with
+    apply(V[:m].T) = V.T H. Classical Gram-Schmidt, twice; numpy forms the n-long
+    sums, which BLAS splits by thread. A remainder of round-off (at most
+    _BREAKDOWN of the image's part in the basis, or _KRYLOV_ATOL), as at step n,
     is a breakdown: H[m, m - 1] = 0, the end."""
-    if not (math.isfinite(norm := _norm(v)) and norm > 0.0):
+    V0 = np.reshape(v, (len(H0), -1))
+    if not (math.isfinite(norm := _norm(V0[-1])) and norm > 0.0):
         raise DomainError("Krylov start vector must be finite and nonzero")
-    V, H = np.empty((steps + 1, v.size)), np.zeros((steps + 1, steps))  # pages fill as rows do
-    V[0] = v / norm
-    for m in range(1, min(steps, v.size) + 1):
+    k, n = len(H0) - 1, V0.shape[1]
+    V, H = np.empty((steps + 1, n)), np.zeros((steps + 1, steps))  # pages fill as rows do
+    V[:k + 1], V[k], H[:k + 1, :k] = V0, V0[-1] / norm, H0
+    for m in range(k + 1, min(steps, n) + 1):
         w = apply(V[m - 1])
         for _ in range(2):
             c = np.einsum("ij,j->i", V[:m], w)
             w -= c @ V[:m]
             H[:m, m - 1] += c
         h = _norm(w)
-        H[m, m - 1] = h if h > _BREAKDOWN * _norm(H[:m, m - 1]) and m < v.size else 0.0
-        yield V[:m], H[:m + 1, :m]
+        floor = max(_BREAKDOWN * _norm(H[:m, m - 1]), _KRYLOV_ATOL)
+        H[m, m - 1] = h if h > floor and m < n else 0.0
+        V[m] = w / h if H[m, m - 1] else 0.0
+        yield V[:m + 1], H[:m + 1, :m]
         if not H[m, m - 1]:
             return
-        V[m] = w / h
 
 
 def _norm(w: np.ndarray) -> float:
@@ -330,17 +336,27 @@ def leading_vector(apply, n: int, name: str) -> tuple[np.ndarray, int]:
     number of `apply` calls: _arnoldi from the ones vector until the top Ritz
     pair (theta, y) of H_m has |h_{m+1,m} y_m| <= _RITZ_RTOL |theta| (checked
     every _RITZ_EVERY steps, at a breakdown and at the cap), then _nonnegative.
-    No convergence in _KRYLOV_MAX steps raises NumericError naming `name`."""
-    for V, H in _arnoldi(apply, np.ones(n), _KRYLOV_MAX):
-        if len(V) % _RITZ_EVERY and H[-1, -1] and len(V) < _KRYLOV_MAX:
-            continue
-        theta, Y = np.linalg.eig(H[:-1])
-        k = np.argmax(np.abs(theta))
-        residual, top = abs(H[-1, -1] * Y[-1, k]), abs(theta[k])
-        if residual <= _RITZ_RTOL * top:
-            return _nonnegative((Y[:, k] if theta[k].imag else Y[:, k].real) @ V, name), len(V)
+    At the cap of _KRYLOV_MAX steps, up to _RESTARTS times, _arnoldi goes on from
+    the Schur vectors of the Ritz values above their median modulus (Krylov-Schur
+    restart); then NumericError naming `name`."""
+    v, H0, solves = np.ones(n), np.zeros((1, 0)), 0
+    for _ in range(_RESTARTS + 1):
+        for V, H in _arnoldi(apply, v, _KRYLOV_MAX, H0):
+            solves += 1
+            if (len(V) - 1) % _RITZ_EVERY and H[-1, -1] and len(V) <= _KRYLOV_MAX:
+                continue
+            theta, Y = np.linalg.eig(H[:-1])
+            k = np.argmax(np.abs(theta))
+            residual, top = abs(H[-1, -1] * Y[-1, k]), abs(theta[k])
+            if residual <= _RITZ_RTOL * top:
+                y = Y[:, k] if theta[k].imag else Y[:, k].real
+                return _nonnegative(y @ V[:-1], name), solves
+        cut = np.median(np.abs(theta))
+        T, U, keep = schur(H[:-1], sort=lambda re, im: math.hypot(re, im) > cut)
+        v = np.vstack([U[:, :keep].T @ V[:-1], V[-1]])
+        H0 = np.vstack([T[:keep, :keep], H[-1] @ U[:, :keep]])
     raise NumericError(f"Arnoldi did not converge for {name}", diagnostics={
-        "solves": len(V), "ritz_residual": float(residual), "ritz_value": float(top)})
+        "solves": solves, "ritz_residual": float(residual), "ritz_value": float(top)})
 
 
 def leading_triple(genr: GridGenerator) -> OracleTriple:
@@ -393,28 +409,27 @@ def _expm_action(genr: GridGenerator, v: np.ndarray, ts: tuple[float, ...],
     """Columns e^{tQ} v (e^{tQ^T} v if adjoint), one per t in ts: _arnoldi on
     the resolvent A = (I - 2Q)^{-1} gives V_m^T A V_m = H_m, so Q ~ V_m S V_m^T
     with S = (I - H_m^{-1}) / 2 and e^{tQ} v ~ ||v|| V_m expm(t S) e_1, whatever
-    the stiffness of Q. Stops on happy breakdown (a subdiagonal below
-    _KRYLOV_ATOL), or when successive iterates agree on _KRYLOV_STREAK
-    consecutive steps, as a point mass on a killing edge has zero first
-    iterates. Agreement is relative to the iterate, whose round-off floor is
-    ~1e-12 ||v|| for a spread-out v, plus an absolute 1e-15 ||v||, as a killed
-    point mass maps to ~1e-9 ||v||. Raises DomainError unless ts is a nonempty
+    the stiffness of Q. Stops on _arnoldi's breakdown, or when successive
+    iterates agree on _KRYLOV_STREAK consecutive steps, as a point mass on a
+    killing edge has zero first iterates. Agreement is relative to the
+    iterate, whose round-off floor is ~1e-12 ||v|| for a spread-out v, plus an
+    absolute 1e-15 ||v||, as a killed point mass maps to ~1e-9 ||v||. Raises DomainError unless ts is a nonempty
     set of finite, positive horizons and v a finite, nonzero vector.
     """
     if not (len(ts) and all(math.isfinite(t) and t > 0.0 for t in ts)):
         raise DomainError(f"horizons must be finite and positive, and at least one: {ts}")
     prev, streak = np.zeros((0, len(ts))), 0
     for V, H in _arnoldi(partial(genr.lu.solve, trans="T" if adjoint else "N"), v, _KRYLOV_MAX):
-        S = (np.eye(len(V)) - np.linalg.inv(H[:-1])) / _SHIFT
+        S = (np.eye(len(H) - 1) - np.linalg.inv(H[:-1])) / _SHIFT
         coef = np.stack([expm(t * S)[:, 0] for t in ts], axis=1)
         change = np.linalg.norm(coef - np.pad(prev, ((0, 1), (0, 0))), axis=0)
         agree = np.all(change <= _KRYLOV_RTOL * np.linalg.norm(coef, axis=0) + _KRYLOV_ATOL)
         streak = streak + 1 if agree else 0
-        if H[-1, -1] <= _KRYLOV_ATOL or streak >= _KRYLOV_STREAK:
-            return _norm(v) * (V.T @ coef)
+        if not H[-1, -1] or streak >= _KRYLOV_STREAK:
+            return _norm(v) * (V[:-1].T @ coef)
         prev = coef
     raise NumericError("shift-and-invert Krylov exponential did not converge", diagnostics={
-        "solves": len(V), "last_change": float(change.max()), "subdiagonal": float(H[-1, -1]),
+        "solves": len(V) - 1, "last_change": float(change.max()), "subdiagonal": float(H[-1, -1]),
         "adjoint": adjoint, "t_max": float(max(ts))})
 
 

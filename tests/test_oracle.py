@@ -470,8 +470,10 @@ def test_expm_action_cap_raises_numeric_error(tiny_built, monkeypatch):
 
 
 def test_eigen_solve_failures_raise_numeric_error(tiny_built, monkeypatch):
-    # eta's Arnoldi run comes first; only the second, alpha's, is capped at 4 steps
+    # eta's Arnoldi run comes first; only the second, alpha's, is capped at 4
+    # steps, and with no restart
     calls, leading, cap = [], oracle.leading_vector, oracle._KRYLOV_MAX
+    monkeypatch.setattr(oracle, "_RESTARTS", 0)
 
     def capped_on_its_second_call(*args):
         calls.append(None)
@@ -511,6 +513,22 @@ def test_leading_vector_on_maps_of_dimension_three_or_less(A, solves):
     want = np.abs(right[:, np.argmax(w.real)])
     np.testing.assert_allclose(vec, want / want.max(), rtol=0, atol=1e-14)
     assert calls == solves
+
+
+@pytest.mark.parametrize("n, cap", [(40, 10), (100, 20)])
+def test_leading_vector_restarts_at_the_cap(monkeypatch, n, cap):
+    # 2 + the path graph on n nodes: Perron vector sin(pi j / (n + 1)), and a
+    # relative gap ~1e-3 to the next eigenvalue, too small for `cap` steps
+    A = 2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    want = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+    monkeypatch.setattr(oracle, "_KRYLOV_MAX", cap)
+    vec, solves = leading_vector(lambda v: A @ v, n, "v")
+    np.testing.assert_allclose(vec, want / want.max(), rtol=0, atol=1e-12)
+    assert solves > cap
+    monkeypatch.setattr(oracle, "_RESTARTS", 2)
+    with pytest.raises(NumericError, match="Arnoldi did not converge for v") as info:
+        leading_vector(lambda v: A @ v, n, "v")
+    assert cap < info.value.diagnostics["solves"] <= 3 * cap  # a restart adds at most cap calls
 
 
 def test_leading_vector_of_the_zero_map_breaks_down_after_one_call():

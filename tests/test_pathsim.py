@@ -25,11 +25,16 @@ def test_simconfig_domain_checks():
         SimConfig(truncation=4.0, y_ext=5.0)
 
 
+_NON_FINITE_MESSAGES = {"y_ext": "y_ext must be >= 0 and finite",
+                        "truncation_y_low": "truncation_y_low must be >= 0, finite and below"}
+
+
 @pytest.mark.parametrize("field", ["dt_max", "horizon", "qprocess_delta", "y_ext",
                                    "truncation_y_low"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_simconfig_refuses_a_non_finite_step_or_horizon(field, value):
-    with pytest.raises(DomainError, match=f"{field} must be .*finite"):
+    message = _NON_FINITE_MESSAGES.get(field, f"{field} must be positive and finite")
+    with pytest.raises(DomainError, match=message):
         SimConfig(**{field: value})
 
 

@@ -409,8 +409,10 @@ def test_estimate_eta_perron_vector_matches_dense_per_node_reference(tiny_fv, pa
 
 
 def test_estimate_eta_arnoldi_failure_raises_numeric_error(tiny_fv, params, monkeypatch):
-    # 20 nodes: Arnoldi would end by step 20, so the cap is lowered to 3
+    # 20 nodes: Arnoldi would end by step 20, so the cap is lowered to 3, with
+    # no restart
     monkeypatch.setattr(oracle, "_KRYLOV_MAX", 3)
+    monkeypatch.setattr(oracle, "_RESTARTS", 0)
     with pytest.raises(NumericError, match="Arnoldi did not converge for eta") as info:
         estimate_eta(tiny_fv.alpha, tiny_fv.lambda0, params, _boxed_config(),
                      StreamKey(seed=11, lineage=("eta1",)), t_eval=1.0, replicates=150,
