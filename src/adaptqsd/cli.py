@@ -28,10 +28,9 @@ from .model import (ModelParams, default_params, flat_params, reference_set,
                     validate_hypotheses)
 from .oracle import build_generator, leading_triple
 from .pathsim import ExitReason, SimConfig, Trajectory, simulate_path, simulate_q_path
-from .qsd import (_BALANCE_EVERY, _q_steps, balance_residual, beta_from, conditioned_marginal,
-                  convergence_curve, default_hist_grid, estimate_eta,
-                  estimate_lambda0_survival, fleming_viot, relaxed_start,
-                  truncation_family)
+from .qsd import (_BALANCE_EVERY, _q_steps, _whole_steps, balance_residual, beta_from,
+                  conditioned_marginal, convergence_curve, default_hist_grid, estimate_eta,
+                  estimate_lambda0_survival, fleming_viot, relaxed_start, truncation_family)
 from .rng import StreamKey, stream
 
 EXIT_CODES = {
@@ -348,8 +347,9 @@ def run_lambda(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> lis
 
 
 def _run_eta(cfg: dict, params: ModelParams, sim: SimConfig):
-    if not (cfg["eta_t_eval"] > 0.0 and cfg["eta_replicates"] >= 1):
-        raise ConfigError("eta needs eta_t_eval > 0 and eta_replicates >= 1")
+    if cfg["eta_replicates"] < 1:
+        raise ConfigError("eta needs eta_replicates >= 1")
+    _whole_steps(cfg["eta_t_eval"], sim.dt_max, "eta_t_eval in dt_max windows")
     fv = _run_fv(cfg, params, sim)
     try:
         eta = estimate_eta(fv.alpha, fv.lambda0, params, sim, _key(cfg, "eta"),
@@ -436,6 +436,7 @@ def run_diagnose(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> l
             and cfg["balance_collect"] > _BALANCE_EVERY):
         raise ConfigError(f"diagnose needs dt_max ({sim.dt_max:g}) <= slice_dt <= t_max and "
                           f"balance_collect > {_BALANCE_EVERY}")
+    _whole_steps(cfg["slice_dt"], sim.dt_max, "slice_dt in dt_max windows")
     if not cfg["L_list"]:
         raise ConfigError("diagnose needs at least one truncation box in L_list")
     # each box's SimConfig and the shared grid, as truncation_family builds them

@@ -19,9 +19,9 @@ applies the resolvent (I - 2Q)^{-1} in two sweeps of ny dense matvecs. A decay r
 lambda of Q is an eigenvalue 1/(1 + 2 lambda) of the resolvent, which puts the
 leading two (0.79 and 1.21 at 80x60) a ratio 0.75 apart. One Arnoldi basis
 (_arnoldi) serves every Krylov solve. leading_vector (qsd.estimate_eta calls
-it too) stops it once the top Ritz pair converges: on forward solves for eta,
-then transpose solves for alpha, it starts the eigentriple (lambda0, alpha,
-eta), and power steps polish both. The consistency checks apply e^{tQ} and its
+it too) stops it once the top Ritz pair converges and takes one power step:
+on forward solves for eta, then transpose solves for alpha, that gives the
+eigentriple (lambda0, alpha, eta). The consistency checks apply e^{tQ} and its
 adjoint from the same basis: no time steps, any stiffness, exact to round-off.
 
 Q need not be irreducible: every cell must reach its largest strongly
@@ -52,7 +52,7 @@ __all__ = ["GridGenerator", "OracleTriple", "build_generator", "leading_vector",
            "leading_triple", "survival_consistency", "oracle_q_kernel", "QKernelCheck"]
 
 _ROUNDOFF = 1e-12  # largest negative eigenvector entry clipped, relative to max |v|
-_TOL, _MAX_ITER = 1e-10, 20_000  # leading_triple's residual target; cap on its polish steps
+_TOL = 1e-10  # leading_triple's bound on both eigenvector residuals, checked once
 _SHIFT = 2.0  # every solve is with the resolvent (I - _SHIFT Q)^{-1}
 _BLOCK = 64  # _inverse hands blocks at most this wide to LAPACK
 # _arnoldi's cap on steps (operator calls) and relative breakdown level; leading_vector's
@@ -332,13 +332,14 @@ def _norm(w: np.ndarray) -> float:
 
 
 def leading_vector(apply, n: int, name: str) -> tuple[np.ndarray, int]:
-    """Nonnegative leading eigenvector of the map `apply` on R^n, and the
-    number of `apply` calls: _arnoldi from the ones vector until the top Ritz
-    pair (theta, y) of H_m has |h_{m+1,m} y_m| <= _RITZ_RTOL |theta| (checked
-    every _RITZ_EVERY steps, at a breakdown and at the cap), then _nonnegative.
-    At the cap of _KRYLOV_MAX steps, up to _RESTARTS times, _arnoldi goes on from
-    the Schur vectors of the Ritz values above their median modulus (Krylov-Schur
-    restart); then NumericError naming `name`."""
+    """apply(v) for v the nonnegative leading eigenvector (max entry 1) of the
+    map `apply` on R^n, and the `apply` calls, that one included: _arnoldi from
+    the ones vector until the top Ritz pair (theta, y) of H_m has |h_{m+1,m} y_m|
+    <= _RITZ_RTOL |theta| (checked every _RITZ_EVERY steps, at a breakdown and at
+    the cap). The last call damps the fast modes a resolvent's Krylov space left,
+    and keeps a zero row at exactly 0. At the cap of _KRYLOV_MAX steps, up to
+    _RESTARTS times, _arnoldi goes on from the Schur vectors of the Ritz values
+    above their median modulus (Krylov-Schur restart); then NumericError naming `name`."""
     v, H0, solves = np.ones(n), np.zeros((1, 0)), 0
     for _ in range(_RESTARTS + 1):
         for V, H in _arnoldi(apply, v, _KRYLOV_MAX, H0):
@@ -350,7 +351,7 @@ def leading_vector(apply, n: int, name: str) -> tuple[np.ndarray, int]:
             residual, top = abs(H[-1, -1] * Y[-1, k]), abs(theta[k])
             if residual <= _RITZ_RTOL * top:
                 y = Y[:, k] if theta[k].imag else Y[:, k].real
-                return _nonnegative(y @ V[:-1], name), solves
+                return apply(_nonnegative(y @ V[:-1], name)), solves + 1
         cut = np.median(np.abs(theta))
         T, U, keep = schur(H[:-1], sort=lambda re, im: math.hypot(re, im) > cut)
         v = np.vstack([U[:, :keep].T @ V[:-1], V[-1]])
@@ -362,34 +363,25 @@ def leading_vector(apply, n: int, name: str) -> tuple[np.ndarray, int]:
 def leading_triple(genr: GridGenerator) -> OracleTriple:
     """Leading eigentriple from the resolvent (I - 2Q)^{-1}, in the calling
     process: leading_vector on forward solves (eta), then on transpose solves
-    (alpha), then 1 to _MAX_ITER resolvent steps polish both until ||alpha Q +
-    lambda alpha||_1 with ||alpha||_1 = 1 and ||Q eta + lambda eta||_inf with
-    ||eta||_inf = 1 are both below _TOL, the same on any number of CPUs and of
-    BLAS threads. `iterations` counts resolvent solves: both Arnoldi runs' plus
-    two per polish step. alpha's mass outside the main component must be
-    round-off."""
+    (alpha); NumericError unless ||alpha Q + lambda alpha||_1 with ||alpha||_1 = 1
+    and ||Q eta + lambda eta||_inf with ||eta||_inf = 1 are both below _TOL. The
+    same on any number of CPUs and of BLAS threads. `iterations` counts both
+    runs' resolvent solves. alpha's mass outside the main component must be round-off."""
     Q, lu, n = genr.Q, genr.lu, genr.n_cells
     eta, eta_solves = leading_vector(partial(lu.solve, trans="N"), n, "eta")
     alpha, alpha_solves = leading_vector(partial(lu.solve, trans="T"), n, "alpha")
-    for step in range(1, _MAX_ITER + 1):
-        eta = _nonnegative(lu.solve(eta), "eta")
-        alpha = _nonnegative(lu.solve(alpha, "T"), "alpha")
-        solves = eta_solves + alpha_solves + 2 * step
-        alpha /= alpha.sum()
-        # products are summed by numpy, not by BLAS ddot (what `@` calls on
-        # vectors), whose threaded sum changes with the BLAS thread count
-        qe = Q @ eta
-        lam = -float((eta * qe).sum()) / float((eta * eta).sum())
-        res_eta = float(np.abs(qe + lam * eta).max())
-        qa = Q.T @ alpha
-        lam_a = -float((alpha * qa).sum()) / float((alpha * alpha).sum())
-        res_alpha = float(np.abs(qa + lam_a * alpha).sum())
-        if res_eta < _TOL and res_alpha < _TOL:
-            break
-    else:
-        raise NumericError("resolvent polish did not reach the residual tolerance",
-                           diagnostics={"polish_steps": _MAX_ITER, "solves": solves,
-                                        "res_eta": res_eta, "res_alpha": res_alpha})
+    eta, alpha = _nonnegative(eta, "eta"), _nonnegative(alpha, "alpha")
+    alpha /= alpha.sum()
+    # numpy's sums, not BLAS ddot's (`@` on vectors), which change with the BLAS thread count
+    qe = Q @ eta
+    lam = -float((eta * qe).sum()) / float((eta * eta).sum())
+    res_eta = float(np.abs(qe + lam * eta).max())
+    qa = Q.T @ alpha
+    lam_a = -float((alpha * qa).sum()) / float((alpha * alpha).sum())
+    res_alpha = float(np.abs(qa + lam_a * alpha).sum())
+    if not (res_eta < _TOL and res_alpha < _TOL):
+        raise NumericError("eigentriple residuals are not below the tolerance", diagnostics={
+            "solves": eta_solves + alpha_solves, "res_eta": res_eta, "res_alpha": res_alpha})
 
     outside = float(alpha[~genr.components[1]].sum())
     if outside > _ROUNDOFF:
@@ -401,7 +393,7 @@ def leading_triple(genr: GridGenerator) -> OracleTriple:
     return OracleTriple(lambda0=0.5 * (lam + lam_a),
                         alpha=EmpiricalMeasure(grid=genr.grid, masses=genr.vec_to_grid(alpha)),
                         eta=genr.vec_to_grid(eta / inner), res_alpha=res_alpha,
-                        res_eta=res_eta, iterations=solves)
+                        res_eta=res_eta, iterations=eta_solves + alpha_solves)
 
 
 def _expm_action(genr: GridGenerator, v: np.ndarray, ts: tuple[float, ...],

@@ -528,28 +528,28 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
                  replicates: int = 3000, nodes: tuple[int, int] = (30, 20)) -> EtaEstimate:
     """Survival capacity eta(x, y) = lim e^{lambda0 t} P_{x,y}(alive at t).
 
-    Per node, `replicates` paths run to 2 t_eval, recording survival and the
-    survivor endpoints at both horizons. Nodes run in batches of
-    _ETA_BATCH_NODES; batch b0 (its first node) draws window k from
-    key.child("batch", b0).child("w", k). The batches are dealt round-robin
-    to one process per CPU (shard.sharded); within a process, as many whole
-    batches as fit in _ETA_CALL_ROWS rows (at least one) step as the groups
-    of one run_cohort, which draws exactly what separate runs would, and the
-    survivor endpoints are gathered in ascending batch order, so the result
-    does not depend on the CPU count. eta is the fixed point of
-    eta(node) ~ mean(alive * eta(endpoint at t_eval)), eta read between nodes
-    by the bilinear interpolant: the Perron vector of the node-to-node matrix
-    W1, solved by oracle.leading_vector (Arnoldi) and applied once more, so a
-    node without survivors stays exactly 0; iterations_used counts the W1
-    applications. <alpha, eta> = 1 fixes its scale whatever lambda0 is, which
-    only scales the t_eval SEs by e^{lambda0 t_eval}. The t2 fields apply the
-    final interpolant through the 2 t_eval endpoints as a second-horizon
-    consistency leg. Implemented for d = 1.
+    Per node, `replicates` paths run to 2 t_eval, both horizons a whole number of
+    dt_max windows, recording survival and the survivor endpoints at both. Nodes run
+    in batches of _ETA_BATCH_NODES; batch b0 (its first node) draws window k from
+    key.child("batch", b0).child("w", k). The batches are dealt round-robin to one
+    process per CPU (shard.sharded); within a process, as many whole batches as fit
+    in _ETA_CALL_ROWS rows (at least one) step as the groups of one run_cohort, which
+    draws exactly what separate runs would, and the survivor endpoints are gathered
+    in ascending batch order, so the result does not depend on the CPU count. eta is
+    the fixed point of eta(node) ~ mean(alive * eta(endpoint at t_eval)), eta read
+    between nodes by the bilinear interpolant: the Perron vector of the node-to-node
+    matrix W1 from oracle.leading_vector (Arnoldi), whose last W1 product keeps a
+    node without survivors at exactly 0; iterations_used counts the W1 applications.
+    <alpha, eta> = 1 fixes its scale whatever lambda0 is, which only scales the
+    t_eval SEs by e^{lambda0 t_eval}. The t2 fields apply the final interpolant
+    through the 2 t_eval endpoints as a second-horizon consistency leg. Implemented
+    for d = 1.
     """
     if params.dim != 1:
         raise UnsupportedModelError("estimate_eta is implemented for d = 1 only")
-    if not (t_eval > 0.0 and replicates >= 1):
-        raise DomainError("estimate_eta needs t_eval > 0 and replicates >= 1")
+    if replicates < 1:
+        raise DomainError("estimate_eta needs replicates >= 1")
+    _whole_steps(t_eval, config.dt_max, "t_eval in dt_max windows")
     xn, yn = eta_node_grid(alpha.grid, *nodes)
     gx, gy = len(xn), len(yn)
     n_nodes = gx * gy
@@ -594,8 +594,7 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
     # node-to-node weights: row n sums the interpolation weights of node n's endpoints
     W1 = sp.csr_matrix((w1.ravel(), (np.repeat(own1, 4), idx1.ravel())),
                        shape=(n_nodes, n_nodes))
-    perron, applied = leading_vector(lambda v: W1 @ v, n_nodes, "eta")
-    w1_perron = W1 @ perron
+    w1_perron, applied = leading_vector(lambda v: W1 @ v, n_nodes, "eta")
 
     def normalized(v_flat):
         # numpy's sum, not BLAS ddot's, which changes with the BLAS thread count
@@ -624,7 +623,7 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
                        values=vals.reshape(gx, gy), stderr=se.reshape(gx, gy),
                        survivors_t1=sv1.reshape(gx, gy), survivors_t2=sv2.reshape(gx, gy),
                        values_t2=vals_t2.reshape(gx, gy), stderr_t2=(sd_t2 / norm2).reshape(gx, gy),
-                       iterations_used=applied + 1)
+                       iterations_used=applied)
 
 
 def beta_from(alpha: EmpiricalMeasure, eta: EtaEstimate) -> EmpiricalMeasure:
@@ -687,14 +686,15 @@ def convergence_curve(init, reference: EmpiricalMeasure, params: ModelParams,
     process step in lockstep as the groups of one ensemble, so the result
     does not depend on the CPU count. Each histograms its occupation
     slice by slice (_Stepper.advance, whole dt_max windows, so slice_dt must
-    be at least dt_max); the conditioned law at slice midpoints is compared
-    to the reference in TV. The decay rate gamma_hat comes from a log-linear
-    fit above the plateau floor.
+    be a whole number of them); the conditioned law at slice midpoints is
+    compared to the reference in TV. The decay rate gamma_hat comes from a
+    log-linear fit above the plateau floor.
     """
     if n_replicates < 2 or n_particles < 2:
         raise DomainError("convergence_curve needs at least 2 replicates of 2 particles")
     if not config.dt_max <= slice_dt <= t_max:
         raise DomainError(f"convergence_curve needs dt_max ({config.dt_max}) <= slice_dt <= t_max")
+    _whole_steps(slice_dt, config.dt_max, "slice_dt in dt_max windows")
     grid = reference.grid
     ts = np.arange(slice_dt, t_max + 1e-9, slice_dt)
 
@@ -907,13 +907,19 @@ def conditioned_marginal(start: EmpiricalMeasure, eta: EtaEstimate, params: Mode
     return x, y, stats
 
 
+def _whole_steps(span: float, step: float, what: str) -> int:
+    """span / step, within 1e-9 (relative) of a whole number n >= 1, else DomainError."""
+    n = round(span / step) if math.isfinite(span / step) else 0
+    if n < 1 or abs(span / step - n) > 1e-9 * n:
+        raise DomainError(f"{what}: {span:g} / {step:g} is not a whole number >= 1")
+    return n
+
+
 def _q_steps(horizon: float, config: SimConfig, n_walkers: int = 1) -> int:
-    """Macro steps in horizon; DomainError for a run that would step nothing."""
-    n_steps = int(round(horizon / config.qprocess_delta))
-    if n_steps < 1 or n_walkers < 1:
-        raise DomainError("a Q-process run needs n_walkers >= 1 and a horizon of at least one "
-                          f"macro step (qprocess_delta = {config.qprocess_delta})")
-    return n_steps
+    """Macro steps in horizon; DomainError for a run that would step nothing or a part."""
+    if n_walkers < 1:
+        raise DomainError("a Q-process run needs n_walkers >= 1")
+    return _whole_steps(horizon, config.qprocess_delta, "Q-process horizon in macro steps")
 
 
 def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, params: ModelParams,
@@ -934,10 +940,10 @@ def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, params: Mode
     _BATCH_SLOTS candidates per pending walker are simulated per round; the
     accepted one is the first accepting slot in slot order, which reproduces
     sequential-attempt semantics while amortizing the per-call overhead.
-    Round r of step s steps its candidates as one _Stepper group keyed
-    key.child("s", s, "r", r), window k starting at the absolute time
-    s * delta + k * dt, and draws its acceptance uniforms from
-    key.child("s", s, "r", r, "acc").
+    Round r of step s steps its candidates in ceil(delta / dt_max) windows of
+    one length dt, as one _Stepper group keyed key.child("s", s, "r", r), from
+    the absolute time s * delta + k * dt for window k, and draws its acceptance
+    uniforms from key.child("s", s, "r", r, "acc").
 
     on_step(step, accepted), when given, runs after each macro step;
     accepted lists (events, owner) per candidate window, where owner maps
@@ -945,7 +951,7 @@ def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, params: Mode
     rejected candidates).
     """
     delta = config.qprocess_delta
-    n_win = max(int(round(delta / config.dt_max)), 1)
+    n_win = max(math.ceil(delta / config.dt_max - 1e-9), 1)
     dt = delta / n_win
     attempts_hist: list[int] = []
     violations = bound_exceeded = 0

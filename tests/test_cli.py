@@ -349,6 +349,10 @@ def test_d1_commands_reject_two_dimensions_before_any_estimate(tmp_path, capsys,
     ("lambda", "lambda_horizon=0.1"), ("lambda", "lambda_horizon=0.25"),
     ("qprocess", "q_horizon=0"), ("qprocess", "q_horizon=0.02"), ("qprocess", "walkers=0"),
     ("diagnose", "L_list=[]"),
+    # a horizon that is not a whole number of its steps, dt_max 0.01 or
+    # qprocess_delta 0.05, which the run would round
+    ("eta", "eta_t_eval=0.015"), ("qprocess", "eta_t_eval=0.015"), ("diagnose", "slice_dt=0.015"),
+    ("qprocess", "q_horizon=0.07"), ("qprocess", "q_horizon=0.124"),
     # an infinite window or horizon, on which a path stage would overflow or never end
     ("fv", "dt_max=Infinity"), ("simulate", "horizon=Infinity"),
     ("simulate", "qprocess_delta=Infinity"),

@@ -219,6 +219,22 @@ def test_generator_assembly_is_frozen(overrides, digest):
 
 
 @pytest.mark.parametrize("overrides, digest", [
+    ({}, "693c83d2d035c5cc3da3f1636592f5a81c2b72e3542af3e654b29241718e37c9"),
+    ({"tau": 0.3, "s": 1.0}, "a675725a17211658859a4d00eb057f2dea594415a529219f80dfe796b6ae7063"),
+    ({"fixation_family": "advantageous_only"},
+     "b4b0531866fc99039ef6261d35273c584d7ac4dc9f4d0765c1f2876b9e86465f"),
+])
+def test_leading_triple_is_frozen(overrides, digest):
+    """SHA-256 of the 40 x 30 generators' eigentriples: lambda0, the alpha
+    masses, eta, res_alpha, res_eta and iterations."""
+    tri = leading_triple(build_generator(default_params(**overrides), 4.0, nx=40, ny=30))
+    h = hashlib.sha256()
+    for a in (tri.lambda0, tri.alpha.masses, tri.eta, tri.res_alpha, tri.res_eta, tri.iterations):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("overrides, digest", [
     ({}, "77c3fa63b9ff7d74b3bfe3e940c3c0560dc1b5fd1c59289bfed2ef8085577fdd"),
     ({"tau": 0.3, "s": 1.0}, "96fdfa4b311d5bd747ec6b1c63938a93f108b7caf04b2676015069cc329e6b48"),
     ({"fixation_family": "advantageous_only"},
@@ -327,7 +343,7 @@ def test_leading_triple_matches_dense_eig(tiny_built):
     np.testing.assert_allclose(genr.grid_to_vec(triple.alpha.masses), alpha, rtol=0, atol=1e-8)
     got_eta = genr.grid_to_vec(triple.eta)
     np.testing.assert_allclose(got_eta / got_eta.max(), eta, rtol=0, atol=1e-8)
-    # iterations counts resolvent solves: both Arnoldi runs' operator calls plus the polish
+    # iterations counts resolvent solves: both leading_vector runs' calls, last power steps included
     assert triple.iterations > 2
 
 
@@ -491,12 +507,12 @@ def test_eigen_solve_failures_raise_numeric_error(tiny_built, monkeypatch):
         leading_triple(tiny_built)
     assert info.value.diagnostics["solves"] == 4
     monkeypatch.setattr(oracle, "_KRYLOV_MAX", cap)
-    monkeypatch.setattr(oracle, "_TOL", 0.0)
-    monkeypatch.setattr(oracle, "_MAX_ITER", 4)
-    with pytest.raises(NumericError, match="polish") as info:
+    solves = leading_triple(tiny_built).iterations
+    monkeypatch.setattr(oracle, "_TOL", 0.0)  # no residual is below 0
+    with pytest.raises(NumericError, match="residuals") as info:
         leading_triple(tiny_built)
     diag = info.value.diagnostics
-    assert diag["polish_steps"] == 4
+    assert diag["solves"] == solves
     assert diag["res_eta"] > 0.0 and diag["res_alpha"] > 0.0
 
 
@@ -508,11 +524,11 @@ def test_eigen_solve_failures_raise_numeric_error(tiny_built, monkeypatch):
 ])
 def test_leading_vector_on_maps_of_dimension_three_or_less(A, solves):
     A = np.array(A)
-    vec, calls = leading_vector(lambda v: A @ v, len(A), "v")
+    image, calls = leading_vector(lambda v: A @ v, len(A), "v")
     w, right = np.linalg.eig(A)
     want = np.abs(right[:, np.argmax(w.real)])
-    np.testing.assert_allclose(vec, want / want.max(), rtol=0, atol=1e-14)
-    assert calls == solves
+    np.testing.assert_allclose(image, A @ (want / want.max()), rtol=0, atol=1e-14)
+    assert calls == solves + 1  # Arnoldi's steps, then one call on the Perron vector
 
 
 @pytest.mark.parametrize("n, cap", [(40, 10), (100, 20)])
@@ -522,9 +538,10 @@ def test_leading_vector_restarts_at_the_cap(monkeypatch, n, cap):
     A = 2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
     want = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
     monkeypatch.setattr(oracle, "_KRYLOV_MAX", cap)
-    vec, solves = leading_vector(lambda v: A @ v, n, "v")
-    np.testing.assert_allclose(vec, want / want.max(), rtol=0, atol=1e-12)
-    assert solves > cap
+    image, solves = leading_vector(lambda v: A @ v, n, "v")
+    want = A @ (want / want.max())  # max entry ~4: today's 1e-12 of the Perron vector, scaled
+    np.testing.assert_allclose(image, want, rtol=0, atol=1e-12 * want.max())
+    assert solves > cap + 1
     monkeypatch.setattr(oracle, "_RESTARTS", 2)
     with pytest.raises(NumericError, match="Arnoldi did not converge for v") as info:
         leading_vector(lambda v: A @ v, n, "v")
@@ -533,9 +550,10 @@ def test_leading_vector_restarts_at_the_cap(monkeypatch, n, cap):
 
 def test_leading_vector_of_the_zero_map_breaks_down_after_one_call():
     calls = []
-    vec, solves = leading_vector(lambda v: calls.append(v) or np.zeros_like(v), 3, "v")
-    np.testing.assert_array_equal(vec, np.ones(3))
-    assert solves == len(calls) == 1
+    image, solves = leading_vector(lambda v: calls.append(v) or np.zeros_like(v), 3, "v")
+    np.testing.assert_array_equal(calls[1], np.ones(3))  # the last call is on its answer
+    np.testing.assert_array_equal(image, np.zeros(3))
+    assert solves == len(calls) == 2
 
 
 def test_only_round_off_negatives_are_clipped():

@@ -199,13 +199,34 @@ def test_q_path_rejects_zero_weight_start():
                         StreamKey(seed=10), zero, eta_max=1.0)
 
 
-@pytest.mark.parametrize("horizon", [0.0, 0.02])
+@pytest.mark.parametrize("horizon", [0.0, 0.02, 0.07, 0.124])
 def test_q_path_rejects_a_horizon_below_one_macro_step(horizon):
-    # 0.02 rounds to zero macro steps of the default qprocess_delta 0.05
+    # 0.02 rounds to zero macro steps of the default qprocess_delta 0.05; 0.07
+    # and 0.124, 1.4 and 2.48 of them, would run one and two and record the
+    # requested horizon as the exit time
     flat = lambda x, y: np.ones(len(np.atleast_1d(y)))
     with pytest.raises(DomainError, match="macro step"):
         simulate_q_path((np.zeros(1), 2.0), default_params(), SimConfig(horizon=1.0),
                         StreamKey(seed=10), flat, eta_max=1.0, horizon=horizon)
+
+
+@pytest.mark.parametrize("dt_max, windows", [(0.02, 3), (0.01, 5), (0.05, 1), (0.1, 1)])
+def test_q_process_windows_are_never_longer_than_dt_max(monkeypatch, dt_max, windows):
+    # a macro step of qprocess_delta 0.05 steps ceil(0.05 / dt_max) windows of
+    # one length; rounding 2.5 to 2 stepped windows 0.025 long at dt_max 0.02
+    lengths, window = [], cohort.Engine.window
+
+    def recording(self, x, y, alive, t0, dt, *args):
+        lengths.append(dt)
+        return window(self, x, y, alive, t0, dt, *args)
+
+    monkeypatch.setattr(cohort.Engine, "window", recording)
+    flat = lambda x, y: np.ones(len(np.atleast_1d(y)))
+    simulate_q_path((np.zeros(1), 2.0), default_params(), SimConfig(horizon=1.0, dt_max=dt_max),
+                    StreamKey(seed=10), flat, eta_max=1.0, horizon=0.1)
+    assert len(lengths) >= 2 * windows and len(lengths) % windows == 0
+    assert lengths == pytest.approx([0.05 / windows] * len(lengths), rel=1e-12)
+    assert max(lengths) <= dt_max
 
 
 def test_q_path_jump_log_reconstructs_rows():

@@ -316,6 +316,18 @@ _EMPTY_SIZES = {
                                                          horizon=0.02),
     "slice_dt": lambda a, p, c, k: convergence_curve(relaxed_start(p, c), a.alpha, p, c, k,
                                                      slice_dt=0.0),
+    # horizons that are not a whole number of their steps, which were rounded:
+    # at dt_max 0.01, t_eval 0.015 snapshot at 0.02 and 0.03, and slices of
+    # 0.015 closed at 0.02, 0.03, 0.05, ...; 0.07 and 0.124 ran one and two
+    # macro steps of qprocess_delta 0.05
+    "eta_t_eval_part": lambda a, p, c, k: estimate_eta(a.alpha, a.lambda0, p, c, k,
+                                                       t_eval=0.015),
+    "slice_dt_part": lambda a, p, c, k: convergence_curve(relaxed_start(p, c), a.alpha, p, c,
+                                                          k, slice_dt=0.015),
+    "q_horizon_part": lambda a, p, c, k: conditioned_marginal(a.alpha, _flat_eta(), p, c, k,
+                                                              horizon=0.07),
+    "q_horizon_parts": lambda a, p, c, k: conditioned_marginal(a.alpha, _flat_eta(), p, c, k,
+                                                               horizon=0.124),
     "t_max": lambda a, p, c, k: convergence_curve(relaxed_start(p, c), a.alpha, p, c, k,
                                                   t_max=0.0),
     "collect": lambda a, p, c, k: balance_residual(p, SimConfig(), k, collect=0.5),
@@ -400,7 +412,7 @@ def test_estimate_eta_perron_vector_matches_dense_per_node_reference(tiny_fv, pa
     assert qsd._ETA_BATCH_NODES < 64 <= qsd._ETA_CALL_ROWS // 150
     eta = estimate_eta(*args, **kw)
     ref = _per_node_eta(*args, **kw)
-    assert eta.iterations_used >= 2  # Arnoldi's applications of W1, and the last one
+    assert eta.iterations_used >= 2  # leading_vector's W1 products, its last power step included
     np.testing.assert_array_equal(eta.survivors_t1.ravel(), ref["survivors_t1"])
     for name in ("values", "stderr", "values_t2", "stderr_t2"):
         want = ref[name]
