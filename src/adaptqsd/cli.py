@@ -227,13 +227,13 @@ def _write_trajectory(path: Path, traj: Trajectory) -> None:
     """Sample rows, each preceded by the jumps up to its time; the last
     sample's event is the exit reason unless the path survived the horizon."""
     def rows():
-        jumps = iter(sorted(traj.jumps, key=lambda j: j.t))
-        pending = next(jumps, None)
+        order = iter(np.argsort(traj.jump_times, kind="stable"))
+        j = next(order, None)
         for i, t in enumerate(traj.times):
-            while pending is not None and pending.t <= t:
-                yield ([_fmt(pending.t), *map(_fmt, pending.x_after), "", "", "jump",
-                        *map(_fmt, pending.w)])
-                pending = next(jumps, None)
+            while j is not None and traj.jump_times[j] <= t:
+                yield ([_fmt(traj.jump_times[j]), *map(_fmt, traj.jump_x_after[j]), "", "",
+                        "jump", *map(_fmt, traj.jump_w[j])])
+                j = next(order, None)
             exited = (i + 1 == len(traj.times)
                       and traj.exit_reason is not ExitReason.SURVIVED_HORIZON)
             # scalar y ** 2 is pow(), which can round apart from Trajectory.n (y * y)
@@ -247,8 +247,11 @@ def _write_trajectory(path: Path, traj: Trajectory) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
+    """Strict JSON (RFC 8259): a statistic the run cannot define, a NaN or an
+    infinity, is written as null."""
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -310,7 +313,7 @@ def run_simulate(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> l
     write_json(out / "exit.json", {
         "exit_reason": traj.exit_reason.value,
         "exit_time": traj.exit_time,
-        "n_jumps": len(traj.jumps),
+        "n_jumps": len(traj.jump_times),
     })
     return ["trajectory.csv", "exit.json"]
 
@@ -329,7 +332,7 @@ def run_fv(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> list[st
 
 
 def run_lambda(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> list[str]:
-    est = estimate_lambda0_survival("reference", params, sim, _key(cfg, "lambda"),
+    est = estimate_lambda0_survival(reference_set(params), params, sim, _key(cfg, "lambda"),
                                     n_paths=cfg["replicates"],
                                     horizon=cfg["lambda_horizon"])
     write_json(out / "survival.json", {

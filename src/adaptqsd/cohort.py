@@ -175,14 +175,6 @@ class WindowEvents:
     n_proposals: int
     bound_exceeded: int
 
-    @property
-    def jump_norm_before(self) -> np.ndarray:
-        return np.linalg.norm(self.jump_x_before, axis=1)
-
-    @property
-    def jump_norm_after(self) -> np.ndarray:
-        return np.linalg.norm(self.jump_x_after, axis=1)
-
     @classmethod
     def empty(cls, dim: int) -> "WindowEvents":
         return cls(kill_ids=np.empty(0, dtype=np.int64), kill_times=np.empty(0),

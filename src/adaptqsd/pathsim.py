@@ -19,35 +19,30 @@ from .cohort import ExitReason, SimConfig, reason_from_code
 from .errors import DomainError
 # drift_y stays: perfbench/workload.py's traced runs wrap pathsim.drift_y
 from .model import ModelParams, drift_y  # noqa: F401
-from .qsd import _h_transform, _q_steps, _Stepper
+from .qsd import _h_transform, _jump_log, _q_steps, _Stepper
 from .rng import StreamKey
 
 __all__ = [
     "ExitReason",
     "SimConfig",
-    "JumpEvent",
     "Trajectory",
     "simulate_path",
     "simulate_q_path",
 ]
 
 
-@dataclass(frozen=True)
-class JumpEvent:
-    t: float
-    w: np.ndarray
-    x_before: np.ndarray
-    x_after: np.ndarray
-
-
 @dataclass
 class Trajectory:
-    """Sampled path with its jump log and exit record."""
+    """Sampled path with its exit record and the kernel's jump log, in time
+    order: jump i, at jump_times[i], moved x from jump_x_before[i] by jump_w[i]."""
 
     times: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    jumps: list[JumpEvent]
+    jump_times: np.ndarray
+    jump_w: np.ndarray
+    jump_x_before: np.ndarray
+    jump_x_after: np.ndarray
     exit_reason: ExitReason
     exit_time: float
     sigma: float
@@ -63,9 +58,9 @@ class Trajectory:
         """x(t) rebuilt from the initial point and the jump log alone."""
         x = self.x[0].copy()
         x[0] += self.v * self.times[0]
-        for j in self.jumps:
-            if j.t <= t:
-                x = x + j.w
+        for tj, w in zip(self.jump_times, self.jump_w):
+            if tj <= t:
+                x = x + w
         x[0] -= self.v * t
         return x
 
@@ -87,12 +82,6 @@ def _check_in_bounds(x: np.ndarray, y: float, config: SimConfig) -> None:
         raise DomainError("initial x outside the explosion guard")
 
 
-def _jump_events(ev, rows) -> list[JumpEvent]:
-    return [JumpEvent(t=float(ev.jump_times[i]), w=ev.jump_w[i],
-                      x_before=ev.jump_x_before[i], x_after=ev.jump_x_after[i])
-            for i in rows]
-
-
 def simulate_path(init, params: ModelParams, config: SimConfig, key: StreamKey) -> Trajectory:
     """Simulate one path to absorption, truncation exit, or the horizon.
 
@@ -107,11 +96,11 @@ def simulate_path(init, params: ModelParams, config: SimConfig, key: StreamKey) 
     _check_in_bounds(x0, y0, config)
     st = _Stepper(params, config, x0[None, :].copy(), np.array([y0]), [key])
     times, xs, ys = [0.0], [x0], [y0]
-    jumps: list[JumpEvent] = []
+    picks = []
     exit_reason = ExitReason.SURVIVED_HORIZON
     exit_time = config.horizon
     for _, ev in st.to_horizon(config.horizon):
-        jumps += _jump_events(ev, range(len(ev.jump_ids)))
+        picks.append((ev, ...))
         if not st.alive[0]:
             exit_reason = reason_from_code(ev.kill_codes[0])
             exit_time = float(ev.kill_times[0])
@@ -120,13 +109,12 @@ def simulate_path(init, params: ModelParams, config: SimConfig, key: StreamKey) 
         ys.append(float(st.y[0]))
     times[-1] = exit_time
     return Trajectory(times=np.asarray(times), x=np.asarray(xs), y=np.asarray(ys),
-                      jumps=jumps, exit_reason=exit_reason, exit_time=exit_time,
-                      sigma=params.sigma, v=params.v)
+                      **_jump_log(picks, params.dim), exit_reason=exit_reason,
+                      exit_time=exit_time, sigma=params.sigma, v=params.v)
 
 
 def simulate_q_path(init, params: ModelParams, config: SimConfig, key: StreamKey,
-                    eta, eta_max: float | None = None,
-                    horizon: float | None = None) -> Trajectory:
+                    eta, eta_max: float, horizon: float | None = None) -> Trajectory:
     """Simulate the conditioned (never-absorbed) process by rejection.
 
     One walker of the rejection loop behind qsd.conditioned_marginal: over
@@ -141,14 +129,12 @@ def simulate_q_path(init, params: ModelParams, config: SimConfig, key: StreamKey
     the jump log holds the jumps of the accepted candidates.
 
     eta: callable (x (n, d), y (n,)) -> values; eta_max: its ceiling on the
-    simulation region (taken from eta.max_value when omitted).
+    simulation region (EtaEstimate.max_value for an estimated eta).
     """
     x0, y0 = _coerce_init(init)
     _check_in_bounds(x0, y0, config)
     horizon = config.horizon if horizon is None else horizon
     n_steps = _q_steps(horizon, config)
-    if eta_max is None:
-        eta_max = float(getattr(eta, "max_value"))
     if not (eta_max > 0.0):
         raise DomainError("eta_max must be positive")
     x, y = x0[None, :].copy(), np.array([y0])
@@ -157,19 +143,18 @@ def simulate_q_path(init, params: ModelParams, config: SimConfig, key: StreamKey
 
     delta = config.qprocess_delta
     times, xs, ys = [0.0], [x0], [y0]
-    jumps: list[JumpEvent] = []
+    picks = []
 
     def record(step, accepted):
-        for ev, owner in accepted:
-            jumps.extend(_jump_events(ev, (owner >= 0).nonzero()[0]))
+        picks.extend((ev, owner >= 0) for ev, owner in accepted)
         times.append((step + 1) * delta)
         xs.append(x[0].copy())
         ys.append(float(y[0]))
 
     stats = _h_transform(x, y, eta, eta_max, params, config, key, n_steps, on_step=record)
     return Trajectory(times=np.asarray(times), x=np.asarray(xs), y=np.asarray(ys),
-                      jumps=jumps, exit_reason=ExitReason.SURVIVED_HORIZON, exit_time=horizon,
-                      sigma=params.sigma, v=params.v,
+                      **_jump_log(picks, params.dim), exit_reason=ExitReason.SURVIVED_HORIZON,
+                      exit_time=horizon, sigma=params.sigma, v=params.v,
                       meta={"q_ceiling_violations": stats["ceiling_violations"],
                             "q_bound_exceeded": stats["bound_exceeded"],
                             "q_attempt_rounds_max": stats["max_attempt_rounds"]})

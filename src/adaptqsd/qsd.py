@@ -71,15 +71,11 @@ def _init_states(init, size: int, params: ModelParams, config: SimConfig,
                  gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Resolve an initial-condition spec into (x (n, d), y (n,)) arrays.
 
-    Accepts an EmpiricalMeasure (sampled), "reference" (uniform on the
-    canonical reference box), or an (x, y) point.
+    Accepts a law with sample(gen, size), such as an EmpiricalMeasure or
+    model.reference_set(params), or an (x, y) point.
     """
-    if isinstance(init, EmpiricalMeasure):
+    if hasattr(init, "sample"):
         x, y = init.sample(gen, size)
-    elif isinstance(init, str):
-        if init != "reference":
-            raise DomainError(f"unknown initial condition {init!r}")
-        x, y = reference_set(params).sample(gen, size)
     else:
         x0, y0 = init
         x = np.tile(np.atleast_1d(np.asarray(x0, dtype=float)), (size, 1))
@@ -232,7 +228,8 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
     if burn_in != "auto" and not 0.0 <= float(burn_in) < math.inf:
         raise DomainError(f"fleming_viot needs a finite burn_in >= 0 or 'auto', got {burn_in}")
     grid = hist_grid if hist_grid is not None else default_hist_grid(config, dim=params.dim)
-    x, y = _init_states("reference", n_particles, params, config, stream(key.child("init")))
+    x, y = _init_states(reference_set(params), n_particles, params, config,
+                        stream(key.child("init")))
     fv = _Stepper(params, config, x, y, [key], resample="resample")
 
     tv_series: list[tuple[float, float]] = []
@@ -284,9 +281,9 @@ class CohortResult:
 
     slices maps a snapshot time to (live_idx, x_live, y_live): the particle
     indices still alive at that time and their states. end_x/end_y hold the
-    kill point of every particle that died. jump_ids gives the particle of
-    each logged jump. bound_exceeded counts the thinning-bound violations
-    over all windows.
+    kill point of every particle that died. With collect_jumps, the jump log
+    holds jump_ids (the particle of each jump) and the kernel's jump arrays.
+    bound_exceeded counts the thinning-bound violations over all windows.
     """
 
     death_times: np.ndarray
@@ -295,15 +292,26 @@ class CohortResult:
     alive: np.ndarray
     slices: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=dict)
     jump_ids: np.ndarray | None = None
-    jump_w: np.ndarray | None = None
-    jump_norm_before: np.ndarray | None = None
-    jump_norm_after: np.ndarray | None = None
     jump_times: np.ndarray | None = None
+    jump_w: np.ndarray | None = None
+    jump_x_before: np.ndarray | None = None
+    jump_x_after: np.ndarray | None = None
     total_time_alive: float = 0.0
     bound_exceeded: int = 0
 
     def survival(self, t: float) -> float:
         return float(np.mean(self.death_times > t))
+
+
+# the kernel's jump log (cohort.WindowEvents), as Trajectory and CohortResult hold it
+_JUMP_LOG = ("jump_times", "jump_w", "jump_x_before", "jump_x_after")
+
+
+def _jump_log(picks, dim: int, names=_JUMP_LOG) -> dict:
+    """The arrays `names` of each (WindowEvents, rows) pick's rows, concatenated."""
+    picks = [*picks, (WindowEvents.empty(dim), ...)]
+    return {name: np.concatenate([getattr(ev, name)[rows] for ev, rows in picks])
+            for name in names}
 
 
 def run_cohort(x0: np.ndarray, y0: np.ndarray, params: ModelParams, config: SimConfig,
@@ -330,7 +338,7 @@ def run_cohort(x0: np.ndarray, y0: np.ndarray, params: ModelParams, config: SimC
     death = np.full(len(y), np.inf)
     slices = sorted(float(s) for s in record_slices)
     out_slices: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    jumps: list[WindowEvents] = []
+    jumps = []
     si = 0
     alive_time = 0.0
     for dt, ev in st.to_horizon(horizon):
@@ -339,19 +347,14 @@ def run_cohort(x0: np.ndarray, y0: np.ndarray, params: ModelParams, config: SimC
         if len(ev.kill_ids):
             death[ev.kill_ids] = ev.kill_times
         if collect_jumps and len(ev.jump_ids):
-            jumps.append(ev)
+            jumps.append((ev, ...))
         # once every row is dead, the later slices are empty too
         reached = st.t + 1e-12 if alive.any() else math.inf
         while si < len(slices) and reached >= slices[si]:
             live = alive.nonzero()[0]
             out_slices[slices[si]] = (live, x[live].copy(), y[live].copy())
             si += 1
-    logs = {}
-    if collect_jumps:
-        evs = jumps or [WindowEvents.empty(params.dim)]
-        logs = {name: np.concatenate([getattr(ev, name) for ev in evs])
-                for name in ("jump_ids", "jump_w", "jump_norm_before", "jump_norm_after",
-                             "jump_times")}
+    logs = _jump_log(jumps, params.dim, ("jump_ids", *_JUMP_LOG)) if collect_jumps else {}
     return CohortResult(death_times=death, end_x=x, end_y=y, alive=alive, slices=out_slices,
                         total_time_alive=alive_time, bound_exceeded=st.bound_exceeded, **logs)
 
@@ -382,9 +385,10 @@ def estimate_lambda0_survival(init, params: ModelParams, config: SimConfig, key:
                               n_paths: int = 5000, horizon: float = 8.0) -> SurvivalEstimate:
     """lambda0 from weighted log-linear regression of the survival curve.
 
-    init should be (close to) the quasi-stationary law; started there the
-    survival probability is exponential from t = 0, which is what makes the
-    whole curve usable for the fit.
+    init, a law with sample(gen, size) or an (x, y) point (see _init_states),
+    should be (close to) the quasi-stationary law; started there the survival
+    probability is exponential from t = 0, which is what makes the whole
+    curve usable for the fit.
     """
     if not (n_paths >= 1 and horizon > _FIT_T0):
         raise DomainError(f"the survival curve needs n_paths >= 1 and a horizon above {_FIT_T0}")
@@ -774,8 +778,9 @@ def balance_residual(params: ModelParams, config: SimConfig, key: StreamKey,
     sampled every _BALANCE_EVERY time units from burn (at window ends), over
     a stationary ensemble started from relaxed_start; the MC error comes from
     block means over time, which absorbs the autocorrelation, so `collect`
-    must span two samples. Needs n_particles >= 2 and a finite burn >= 0.
-    Implemented for d = 1 (J1 is cached by x1).
+    must span two samples. The run stops at its last sample, so bound_exceeded
+    counts the thinning-bound violations up to it. Needs n_particles >= 2 and
+    a finite burn >= 0. Implemented for d = 1 (J1 is cached by x1).
     """
     if params.dim != 1:
         raise UnsupportedModelError("balance_residual is implemented for d = 1 only")
@@ -799,7 +804,6 @@ def balance_residual(params: ModelParams, config: SimConfig, key: StreamKey,
         j1 = np.array([_j1_cached(float(xi[0]), params, j1_cache) for xi in x])
         samples.append(float(np.mean(fy * j1)))
         next_sample += _BALANCE_EVERY
-    fv.advance(horizon)
     samples_arr = np.asarray(samples)
     blocks = np.array_split(samples_arr, _BALANCE_BLOCKS)
     block_means = np.array([b.mean() for b in blocks if len(b)])
@@ -935,7 +939,8 @@ def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, params: Mode
     Candidate endpoints above the ceiling are accepted outright and counted
     in stats["ceiling_violations"] (candidate-level count); thinning-bound
     violations over all candidate windows are summed in
-    stats["bound_exceeded"].
+    stats["bound_exceeded"]. stats["max_attempt_rounds"] and ["mean_attempt_rounds"]
+    are the most and the mean, over macro steps, of the rounds each step took.
 
     _BATCH_SLOTS candidates per pending walker are simulated per round; the
     accepted one is the first accepting slot in slot order, which reproduces
@@ -995,7 +1000,7 @@ def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, params: Mode
                     accepted += [(ev, owner[ev.jump_ids]) for ev in events]
             pending = pending[~any_ok]
             rounds += 1
-        attempts_hist.append(rounds * K)
+        attempts_hist.append(rounds)
         if len(pending):
             raise NumericError("conditioned walkers exhausted the retry budget",
                                diagnostics={"step": step, "stuck": len(pending)})

@@ -147,7 +147,8 @@ def test_criterion_10_jump_geometry_and_reconstruction(criterion_report):
                      horizon=4.0, key=StreamKey(seed=11, lineage=("c10",)),
                      collect_jumps=True)
     n_jumps = len(res.jump_w)
-    violations = int(np.count_nonzero(res.jump_norm_after >= res.jump_norm_before))
+    violations = int(np.count_nonzero(np.linalg.norm(res.jump_x_after, axis=1)
+                                      >= np.linalg.norm(res.jump_x_before, axis=1)))
 
     cfg10 = SimConfig(horizon=10.0)
     max_err = 0.0

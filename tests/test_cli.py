@@ -473,6 +473,31 @@ def test_diagnose_rerun_is_byte_identical(tmp_path):
         assert isinstance(payload[name], int) and payload[name] >= 0, name
 
 
+def _strict_json(path: Path):
+    """The JSON document at path; a bare NaN or Infinity (not JSON, RFC 8259) raises."""
+    def reject(name):
+        raise ValueError(f"{path.name} holds {name}, which is not JSON")
+    return json.loads(_read(path), parse_constant=reject)
+
+
+def test_diagnose_writes_strict_json(tmp_path):
+    # three slices leave the convergence fit fewer than the three points above
+    # its floor that it needs, so its three statistics are undefined: null
+    assert cli.main(["diagnose", "--out", str(tmp_path)] + _DIAG) == 0
+    payloads = {p.name: _strict_json(p) for p in tmp_path.glob("*.json")}
+    assert sorted(payloads) == ["balance.json", "diagnose.json", "manifest.json"]
+    for name in ("gamma_hat", "gamma_se", "convergence_r_squared"):
+        assert payloads["diagnose.json"][name] is None, name
+    assert payloads["diagnose.json"]["lambda0"] > 0.0
+
+
+def test_write_json_writes_a_non_finite_float_as_null(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    cli.write_json(tmp_path / "a.json", {"a": [nan, 1.5, (inf, -inf)], "b": {"c": nan}, "d": 2})
+    assert _strict_json(tmp_path / "a.json") == {"a": [None, 1.5, [None, None]],
+                                                 "b": {"c": None}, "d": 2}
+
+
 def test_diagnose_truncation_boxes_burn_in_by_the_configured_burn_in(tmp_path):
     truncation = {}
     for burn_in in ("auto", "0.5"):

@@ -141,7 +141,8 @@ def test_jump_log_norms():
         n_jumps += len(ev.jump_ids)
         exceeded += ev.bound_exceeded
         if len(ev.jump_ids):
-            assert np.all(ev.jump_norm_after < ev.jump_norm_before)
+            assert np.all(np.linalg.norm(ev.jump_x_after, axis=1)
+                          < np.linalg.norm(ev.jump_x_before, axis=1))
             assert ev.jump_w.shape == (len(ev.jump_ids), 1)
             assert np.all((ev.jump_times >= t) & (ev.jump_times <= t + 0.01))
         assert ev.n_proposals >= len(ev.jump_ids)

