@@ -209,18 +209,21 @@ class MutationSpec:
         return base * np.minimum(wn, 1.0)
 
     def total_mass(self, dim: int) -> float:
-        """nu(R^d)."""
+        """nu(R^d) in closed form: E[||W|| wedge 1] integrates P(||W|| > r), for
+        ||W|| / tau chi-distributed with d degrees of freedom, over r in [0, 1]."""
         if self.family == "gaussian":
             return self.m_nu
+        t = self.tau
         if dim == 1:
-            t = self.tau
             pdf0 = 1.0 / (t * math.sqrt(2.0 * math.pi))
             pdf1 = pdf0 * math.exp(-1.0 / (2.0 * t * t))
             expectation = 2.0 * t * t * (pdf0 - pdf1) + 2.0 * ndtr(-1.0 / t)
-            return self.m_nu * expectation
-        nodes, weights = _gh_grid(_QUAD_ORDER, dim)
-        wn = np.sqrt(np.sum(np.square(nodes * self.tau * math.sqrt(2.0)), axis=-1))
-        return self.m_nu * float(np.sum(weights * np.minimum(wn, 1.0)))
+        elif dim == 2:
+            expectation = t * math.sqrt(math.pi / 2.0) * math.erf(1.0 / (t * math.sqrt(2.0)))
+        else:
+            expectation = (math.erfc(1.0 / (t * math.sqrt(2.0)))
+                           + 2.0 * t * math.sqrt(2.0 / math.pi) * -math.expm1(-1.0 / (2.0 * t * t)))
+        return self.m_nu * expectation
 
     def sample(self, gen: np.random.Generator, size: int, dim: int) -> np.ndarray:
         """Draw `size` effects from the normalized law nu / nu(R^d)."""

@@ -59,6 +59,9 @@ _BLOCK = 64  # _inverse hands blocks at most this wide to LAPACK
 # Ritz residual target (of the Ritz value), steps between its checks (a check every step
 # took 3.6x the time on a 600-node W1 at 200 steps), and restarts at the cap
 _KRYLOV_MAX, _BREAKDOWN, _RITZ_RTOL, _RITZ_EVERY, _RESTARTS = 200, 1e-14, 1e-14, 4, 50
+# steps _arnoldi's basis is first allocated for, 2.5 MB at 80x60: numpy backs arrays of
+# 4 MiB and more with 2 MiB huge pages, so the cap's 7.7 MB faulted a run's ~37 rows in whole
+_BASIS_STEPS = 64
 # _expm_action: agreement tolerances (of the iterate; of ||v||, and _arnoldi's absolute
 # breakdown level), run of agreeing steps
 _KRYLOV_RTOL, _KRYLOV_ATOL, _KRYLOV_STREAK = 1e-10, 1e-15, 3
@@ -305,14 +308,20 @@ def _arnoldi(apply, v: np.ndarray, steps: int, H0: np.ndarray = np.zeros((1, 0))
     apply(V[:m].T) = V.T H. Classical Gram-Schmidt, twice; numpy forms the n-long
     sums, which BLAS splits by thread. A remainder of round-off (at most
     _BREAKDOWN of the image's part in the basis, or _KRYLOV_ATOL), as at step n,
-    is a breakdown: H[m, m - 1] = 0, the end."""
+    is a breakdown: H[m, m - 1] = 0, the end. The basis is allocated for
+    _BASIS_STEPS steps (or the cap, if k is that many) and grown once to the cap,
+    its rows copied, by a run that goes past them."""
     V0 = np.reshape(v, (len(H0), -1))
     if not (math.isfinite(norm := _norm(V0[-1])) and norm > 0.0):
         raise DomainError("Krylov start vector must be finite and nonzero")
     k, n = len(H0) - 1, V0.shape[1]
-    V, H = np.empty((steps + 1, n)), np.zeros((steps + 1, steps))  # pages fill as rows do
+    last = min(steps, n)
+    size = min(last, steps if k >= _BASIS_STEPS else _BASIS_STEPS)
+    V, H = np.empty((size + 1, n)), np.zeros((size + 1, size))
     V[:k + 1], V[k], H[:k + 1, :k] = V0, V0[-1] / norm, H0
-    for m in range(k + 1, min(steps, n) + 1):
+    for m in range(k + 1, last + 1):
+        if m == len(V):  # the first step past the allocation
+            V, H = np.pad(V, ((0, last - size), (0, 0))), np.pad(H, (0, last - size))
         w = apply(V[m - 1])
         for _ in range(2):
             c = np.einsum("ij,j->i", V[:m], w)
@@ -339,21 +348,31 @@ def leading_vector(apply, n: int, name: str) -> tuple[np.ndarray, int]:
     the cap). The last call damps the fast modes a resolvent's Krylov space left,
     and keeps a zero row at exactly 0. At the cap of _KRYLOV_MAX steps, up to
     _RESTARTS times, _arnoldi goes on from the Schur vectors of the Ritz values
-    above their median modulus (Krylov-Schur restart); then NumericError naming `name`."""
+    above their median modulus (Krylov-Schur restart); then NumericError naming `name`,
+    as for a LinAlgError of the Ritz eig or of the restart's sorted Schur form."""
     v, H0, solves = np.ones(n), np.zeros((1, 0)), 0
     for _ in range(_RESTARTS + 1):
         for V, H in _arnoldi(apply, v, _KRYLOV_MAX, H0):
             solves += 1
             if (len(V) - 1) % _RITZ_EVERY and H[-1, -1] and len(V) <= _KRYLOV_MAX:
                 continue
-            theta, Y = np.linalg.eig(H[:-1])
-            k = np.argmax(np.abs(theta))
-            residual, top = abs(H[-1, -1] * Y[-1, k]), abs(theta[k])
+            try:
+                theta, Y = np.linalg.eig(H[:-1])
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(f"Ritz values of {name} did not converge",
+                                   diagnostics={"solves": solves}) from exc
+            k = np.argmax(moduli := np.abs(theta))
+            residual, top = abs(H[-1, -1] * Y[-1, k]), moduli[k]
             if residual <= _RITZ_RTOL * top:
                 y = Y[:, k] if theta[k].imag else Y[:, k].real
                 return apply(_nonnegative(y @ V[:-1], name)), solves + 1
-        cut = np.median(np.abs(theta))
-        T, U, keep = schur(H[:-1], sort=lambda re, im: math.hypot(re, im) > cut)
+        cut = np.median(moduli)
+        try:
+            T, U, keep = schur(H[:-1], sort=lambda re, im: math.hypot(re, im) > cut)
+        except np.linalg.LinAlgError as exc:  # as when the cut splits a complex pair
+            near = sorted(map(float, moduli[np.argsort(np.abs(moduli - cut))[:4]]))
+            raise NumericError(f"Krylov-Schur restart failed for {name}", diagnostics={
+                "solves": solves, "cut": float(cut), "moduli_near_cut": near}) from exc
         v = np.vstack([U[:, :keep].T @ V[:-1], V[-1]])
         H0 = np.vstack([T[:keep, :keep], H[-1] @ U[:, :keep]])
     raise NumericError(f"Arnoldi did not converge for {name}", diagnostics={

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.stats import chi
 
 from adaptqsd.errors import DomainError, UnsupportedModelError
 from adaptqsd.model import (FixationSpec, GrowthSpec, ModelParams, MutationSpec,
@@ -135,6 +137,21 @@ def test_size_tilted_total_mass_in_two_dimensions():
     tilt = mut.m_nu * np.minimum(np.linalg.norm(gen.normal(0.0, mut.tau, (200_000, 2)),
                                                 axis=1), 1.0)
     assert abs(mut.total_mass(2) - tilt.mean()) < 4.0 * tilt.std() / math.sqrt(len(tilt))
+
+
+@pytest.mark.parametrize("tau", [0.3, 0.5, 1.0])
+def test_size_tilted_total_mass_in_closed_form(tau):
+    # E[min(|W|, 1)] = integral of P(|W| > r) over [0, 1], |W| / tau a chi variable
+    # with 2 or 3 degrees of freedom; a product quadrature across the kink at
+    # |w| = 1 was off by up to +0.37% (d = 2, tau = 1)
+    mut = MutationSpec(family="gaussian_size_tilted", m_nu=2.0, tau=tau)
+    c = 1.0 / (tau * math.sqrt(2.0))
+    closed = {2: tau * math.sqrt(math.pi / 2.0) * math.erf(c),
+              3: math.erfc(c) + 2.0 * tau * math.sqrt(2.0 / math.pi) * (1.0 - math.exp(-c * c))}
+    for dim, expectation in closed.items():
+        assert mut.total_mass(dim) == pytest.approx(2.0 * expectation, rel=1e-12, abs=0)
+        tail = quad(lambda r: chi.sf(r / tau, dim), 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+        assert expectation == pytest.approx(tail, rel=1e-12, abs=0)
 
 
 def test_fixation_integral_matches_monte_carlo():

@@ -548,6 +548,59 @@ def test_leading_vector_restarts_at_the_cap(monkeypatch, n, cap):
     assert cap < info.value.diagnostics["solves"] <= 3 * cap  # a restart adds at most cap calls
 
 
+def test_leading_vector_basis_stays_under_the_huge_page_threshold():
+    # a 4800-long map (80 x 60 cells) with a gap that Arnoldi closes in ~25 steps;
+    # its basis allocated for the 200-step cap held 7.7 MB
+    d = np.random.default_rng(1).random(4800)
+    d[0] = 2.0
+    tracemalloc.start()
+    try:
+        image, solves = leading_vector(lambda v: d * v, len(d), "v")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solves < oracle._BASIS_STEPS
+    assert peak < 4 * 2**20
+    np.testing.assert_allclose(image, 2.0 * np.eye(1, len(d))[0], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("cap, solves", [(200, 76), (70, 88)])  # no restart; one restart
+def test_leading_vector_grown_basis_gives_the_bytes_of_a_whole_one(monkeypatch, cap, solves):
+    # 2 + the path graph on 150 nodes takes 75 Arnoldi steps, past the first allocation
+    n = 150
+    A = 2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    monkeypatch.setattr(oracle, "_KRYLOV_MAX", cap)
+    grown = leading_vector(lambda v: A @ v, n, "v")
+    monkeypatch.setattr(oracle, "_BASIS_STEPS", cap)
+    whole = leading_vector(lambda v: A @ v, n, "v")
+    assert grown[1] == whole[1] == solves
+    assert grown[0].tobytes() == whole[0].tobytes()
+
+
+def test_leading_vector_restart_failure_raises_numeric_error(monkeypatch):
+    # the median Ritz modulus at the 6-step cap is a complex pair's, which the
+    # sorted Schur form's reordering moves across the cut, and LAPACK reports it
+    n = 60
+    Q = np.linalg.qr(np.random.default_rng(22).standard_normal((n, n)))[0]
+    p = np.ones(n) / math.sqrt(n)
+    A = 0.9 * Q + 3.0 * np.outer(p, p)
+    monkeypatch.setattr(oracle, "_KRYLOV_MAX", 6)
+    with pytest.raises(NumericError, match="Krylov-Schur restart failed for v") as info:
+        leading_vector(lambda v: A @ v, n, "v")
+    diag = info.value.diagnostics
+    assert diag["cut"] in diag["moduli_near_cut"] and diag["solves"] > 6
+
+
+def test_leading_vector_ritz_failure_raises_numeric_error(monkeypatch):
+    def eig(H):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    with pytest.raises(NumericError, match="Ritz values of v did not converge") as info:
+        leading_vector(lambda v: 2.0 * v, 8, "v")
+    assert info.value.diagnostics == {"solves": 1}
+
+
 def test_leading_vector_of_the_zero_map_breaks_down_after_one_call():
     calls = []
     image, solves = leading_vector(lambda v: calls.append(v) or np.zeros_like(v), 3, "v")
