@@ -28,9 +28,10 @@ from .model import (ModelParams, default_params, flat_params, reference_set,
                     validate_hypotheses)
 from .oracle import build_generator, leading_triple
 from .pathsim import ExitReason, SimConfig, Trajectory, simulate_path, simulate_q_path
-from .qsd import (_BALANCE_EVERY, _q_steps, _whole_steps, balance_residual, beta_from,
-                  conditioned_marginal, convergence_curve, default_hist_grid, estimate_eta,
-                  estimate_lambda0_survival, fleming_viot, relaxed_start, truncation_family)
+from .qsd import (_BALANCE_EVERY, _q_steps, _survival_sizes, _whole_steps, balance_residual,
+                  beta_from, conditioned_marginal, convergence_curve, default_hist_grid,
+                  estimate_eta, estimate_lambda0_survival, fleming_viot, relaxed_start,
+                  truncation_family)
 from .rng import StreamKey, stream
 
 EXIT_CODES = {
@@ -332,9 +333,14 @@ def run_fv(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> list[st
 
 
 def run_lambda(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> list[str]:
-    est = estimate_lambda0_survival(reference_set(params), params, sim, _key(cfg, "lambda"),
+    _survival_sizes(cfg["replicates"], cfg["lambda_horizon"])  # before the fv stage runs
+    # the survival fit assumes a start at alpha: the cohort starts from the fv stage's
+    fv = _run_fv(cfg, params, sim)
+    est = estimate_lambda0_survival(fv.alpha, params, sim, _key(cfg, "lambda"),
                                     n_paths=cfg["replicates"],
                                     horizon=cfg["lambda_horizon"])
+    write_measure_csv(out / "alpha.csv", fv.alpha)
+    write_json(out / "lambda0.json", _lambda_payload(fv))
     write_json(out / "survival.json", {
         "lambda0": est.lambda0,
         "stderr": est.stderr,
@@ -346,7 +352,7 @@ def run_lambda(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> lis
     _write_csv(out / "survival_curve.csv", ["t", "survivors", "in_fit"],
                ([_fmt(t), int(n), int(used)]
                 for t, n, used in zip(est.t_grid, est.survivors, est.fit_mask)))
-    return ["survival.json", "survival_curve.csv"]
+    return ["alpha.csv", "lambda0.json", "survival.json", "survival_curve.csv"]
 
 
 def _run_eta(cfg: dict, params: ModelParams, sim: SimConfig):
@@ -516,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate": "check the structural hypotheses and write a report",
         "simulate": "simulate one trajectory to absorption or the horizon",
         "fv": "Fleming-Viot estimate of (alpha, lambda0)",
-        "lambda": "lambda0 from the survival-curve regression",
+        "lambda": "lambda0 from the survival-curve regression (runs fv first)",
         "eta": "survival-capacity grid (runs fv first)",
         "qprocess": "conditioned-process marginal and sample paths",
         "oracle": "grid-generator eigentriple cross-check",

@@ -62,6 +62,8 @@ _KRYLOV_MAX, _BREAKDOWN, _RITZ_RTOL, _RITZ_EVERY, _RESTARTS = 200, 1e-14, 1e-14,
 # steps _arnoldi's basis is first allocated for, 2.5 MB at 80x60: numpy backs arrays of
 # 4 MiB and more with 2 MiB huge pages, so the cap's 7.7 MB faulted a run's ~37 rows in whole
 _BASIS_STEPS = 64
+# relative distance from a Ritz modulus within which a restart's median cut counts as on it
+_RESTART_CUT_RTOL = 1e-10
 # _expm_action: agreement tolerances (of the iterate; of ||v||, and _arnoldi's absolute
 # breakdown level), run of agreeing steps
 _KRYLOV_RTOL, _KRYLOV_ATOL, _KRYLOV_STREAK = 1e-10, 1e-15, 3
@@ -348,7 +350,8 @@ def leading_vector(apply, n: int, name: str) -> tuple[np.ndarray, int]:
     the cap). The last call damps the fast modes a resolvent's Krylov space left,
     and keeps a zero row at exactly 0. At the cap of _KRYLOV_MAX steps, up to
     _RESTARTS times, _arnoldi goes on from the Schur vectors of the Ritz values
-    above their median modulus (Krylov-Schur restart); then NumericError naming `name`,
+    above their median modulus, or above the midpoint between it and the next lower
+    modulus when it is one (Krylov-Schur restart); then NumericError naming `name`,
     as for a LinAlgError of the Ritz eig or of the restart's sorted Schur form."""
     v, H0, solves = np.ones(n), np.zeros((1, 0)), 0
     for _ in range(_RESTARTS + 1):
@@ -366,7 +369,13 @@ def leading_vector(apply, n: int, name: str) -> tuple[np.ndarray, int]:
             if residual <= _RITZ_RTOL * top:
                 y = Y[:, k] if theta[k].imag else Y[:, k].real
                 return apply(_nonnegative(y @ V[:-1], name)), solves + 1
+        # a cut on a modulus, as a complex pair's in the middle, would split the
+        # pair once LAPACK reorders it: cut halfway to the next distinct one below
         cut = np.median(moduli)
+        tol = _RESTART_CUT_RTOL * cut
+        lower = moduli[moduli < cut - tol]
+        if len(lower) and np.any(np.abs(moduli - cut) <= tol):
+            cut = 0.5 * (cut + lower.max())
         try:
             T, U, keep = schur(H[:-1], sort=lambda re, im: math.hypot(re, im) > cut)
         except np.linalg.LinAlgError as exc:  # as when the cut splits a complex pair

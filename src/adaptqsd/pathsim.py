@@ -6,7 +6,8 @@ t = 0, the last one cut at the horizon, ending with the window that kills
 the path), and keeps its state at every window end, jump log and exit
 record; it resamples nothing, so it keeps no kill log. simulate_q_path runs
 one walker of the h-transform rejection loop behind
-qsd.conditioned_marginal. Both return a Trajectory, whose jump log is
+qsd.conditioned_marginal. Both start from an (x, y) point, which _Stepper
+checks as it checks every start, and return a Trajectory, whose jump log is
 enough to rebuild x between samples.
 """
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohort import ExitReason, SimConfig, reason_from_code
-from .errors import DomainError
 # drift_y stays: perfbench/workload.py's traced runs wrap pathsim.drift_y
 from .model import ModelParams, drift_y  # noqa: F401
-from .qsd import _h_transform, _jump_log, _q_steps, _Stepper
+from .qsd import _h_transform, _init_states, _jump_log, _q_steps, _Stepper
 from .rng import StreamKey
 
 __all__ = [
@@ -65,37 +65,19 @@ class Trajectory:
         return x
 
 
-def _coerce_init(init) -> tuple[np.ndarray, float]:
-    x, y = init
-    return np.atleast_1d(np.asarray(x, dtype=float)).copy(), float(y)
-
-
-def _check_in_bounds(x: np.ndarray, y: float, config: SimConfig) -> None:
-    if y <= config.y_floor:
-        raise DomainError(f"initial y {y} not above the kill floor {config.y_floor}")
-    if config.y_top is not None and y >= config.y_top:
-        raise DomainError("initial y at or above the truncation ceiling")
-    xn = float(np.linalg.norm(x))
-    if config.truncation is not None and xn >= config.truncation:
-        raise DomainError("initial x outside the truncation box")
-    if xn >= config.x_guard:
-        raise DomainError("initial x outside the explosion guard")
-
-
 def simulate_path(init, params: ModelParams, config: SimConfig, key: StreamKey) -> Trajectory:
     """Simulate one path to absorption, truncation exit, or the horizon.
 
     A one-row _Stepper run on its to_horizon schedule (dt_max windows, the
-    last one cut at the horizon). Window k draws from key.child("w", k), the
-    rule of every estimator, so any window can be replayed in isolation and
-    trajectories are bit-reproducible from (params, config, key). Rows are
-    the initial state and the engine state at every window end; the last row
-    is the exit (or horizon) state, at the exit time.
+    last one cut at the horizon), so a start outside the simulation domain
+    raises DomainError. Window k draws from key.child("w", k), the rule of
+    every estimator, so windows replay alone and paths are bit-reproducible
+    from (params, config, key). Rows are the start and each window end; the
+    last is the exit (or horizon) state, at the exit time.
     """
-    x0, y0 = _coerce_init(init)
-    _check_in_bounds(x0, y0, config)
-    st = _Stepper(params, config, x0[None, :].copy(), np.array([y0]), [key])
-    times, xs, ys = [0.0], [x0], [y0]
+    x, y = _init_states(init, 1, None)
+    times, xs, ys = [0.0], [x[0].copy()], [float(y[0])]
+    st = _Stepper(params, config, x, y, [key])
     picks = []
     exit_reason = ExitReason.SURVIVED_HORIZON
     exit_time = config.horizon
@@ -129,25 +111,18 @@ def simulate_q_path(init, params: ModelParams, config: SimConfig, key: StreamKey
     the jump log holds the jumps of the accepted candidates.
 
     eta: callable (x (n, d), y (n,)) -> values; eta_max: its ceiling on the
-    simulation region (EtaEstimate.max_value for an estimated eta).
+    simulation region (EtaEstimate.max_value for an estimated eta). A start
+    outside the domain, at eta <= 0 or with eta_max <= 0 raises DomainError.
     """
-    x0, y0 = _coerce_init(init)
-    _check_in_bounds(x0, y0, config)
+    x, y = _init_states(init, 1, None)
     horizon = config.horizon if horizon is None else horizon
     n_steps = _q_steps(horizon, config)
-    if not (eta_max > 0.0):
-        raise DomainError("eta_max must be positive")
-    x, y = x0[None, :].copy(), np.array([y0])
-    if float(np.asarray(eta(x, y)).ravel()[0]) <= 0.0:
-        raise DomainError("initial state has nonpositive survival weight")
-
-    delta = config.qprocess_delta
-    times, xs, ys = [0.0], [x0], [y0]
+    times, xs, ys = [0.0], [x[0].copy()], [float(y[0])]
     picks = []
 
     def record(step, accepted):
         picks.extend((ev, owner >= 0) for ev, owner in accepted)
-        times.append((step + 1) * delta)
+        times.append((step + 1) * config.qprocess_delta)
         xs.append(x[0].copy())
         ys.append(float(y[0]))
 

@@ -67,22 +67,17 @@ def _cell_centers(grid: HistGrid) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(grid.x_centers, grid.ny)[:, None], np.tile(grid.y_centers, grid.nx)
 
 
-def _init_states(init, size: int, params: ModelParams, config: SimConfig,
-                 gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _init_states(init, size: int, gen: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
     """Resolve an initial-condition spec into (x (n, d), y (n,)) arrays.
 
     Accepts a law with sample(gen, size), such as an EmpiricalMeasure or
-    model.reference_set(params), or an (x, y) point.
+    model.reference_set(params), or an (x, y) point, which needs no gen.
     """
     if hasattr(init, "sample"):
-        x, y = init.sample(gen, size)
-    else:
-        x0, y0 = init
-        x = np.tile(np.atleast_1d(np.asarray(x0, dtype=float)), (size, 1))
-        y = np.full(size, float(y0))
-    lo = config.y_floor
-    y = np.clip(y, lo * (1.0 + 1e-9), (config.y_top or np.inf) * (1.0 - 1e-9))
-    return x, y
+        return init.sample(gen, size)
+    x0, y0 = init
+    return (np.tile(np.atleast_1d(np.asarray(x0, dtype=float)), (size, 1)),
+            np.full(size, float(y0)))
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +104,21 @@ class _Stepper:
     (kill times, killed, donors) of each window with kills, after an empty
     entry. Mutates x and y in place. Its callers step on one of two window
     schedules, advance or to_horizon.
+
+    The start check of every run: DomainError, naming how many and the
+    first, unless every row has y_floor < y < y_top and |x| below the box
+    half-width (x_guard when untruncated).
     """
 
     def __init__(self, params: ModelParams, config: SimConfig, x: np.ndarray,
                  y: np.ndarray, keys: list[StreamKey], groups=None, resample: str | None = None):
+        lo, hi, edge = config.y_floor, config.y_top or math.inf, config.truncation or config.x_guard
+        out = ~((y > lo) & (y < hi) & (np.linalg.norm(x, axis=1) < edge))
+        if out.any():
+            i = int(out.argmax())
+            raise DomainError(f"{out.sum()} of {len(y)} start states lie outside {lo:g} < y < "
+                              f"{hi:g}, |x| < {edge:g}; the first, row {i}: "
+                              f"x {x[i].tolist()}, y {float(y[i])!r}")
         self.engine = Engine(params, config)
         self.x, self.y = x, y
         self.alive = np.ones(len(y), dtype=bool)
@@ -228,8 +234,7 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
     if burn_in != "auto" and not 0.0 <= float(burn_in) < math.inf:
         raise DomainError(f"fleming_viot needs a finite burn_in >= 0 or 'auto', got {burn_in}")
     grid = hist_grid if hist_grid is not None else default_hist_grid(config, dim=params.dim)
-    x, y = _init_states(reference_set(params), n_particles, params, config,
-                        stream(key.child("init")))
+    x, y = _init_states(reference_set(params), n_particles, stream(key.child("init")))
     fv = _Stepper(params, config, x, y, [key], resample="resample")
 
     tv_series: list[tuple[float, float]] = []
@@ -381,6 +386,12 @@ class SurvivalEstimate:
     flags: list[str] = field(default_factory=list)
 
 
+def _survival_sizes(n_paths: int, horizon: float) -> None:
+    """DomainError for a survival curve with no path or no fit time."""
+    if not (n_paths >= 1 and horizon > _FIT_T0):
+        raise DomainError(f"the survival curve needs n_paths >= 1 and a horizon above {_FIT_T0}")
+
+
 def estimate_lambda0_survival(init, params: ModelParams, config: SimConfig, key: StreamKey,
                               n_paths: int = 5000, horizon: float = 8.0) -> SurvivalEstimate:
     """lambda0 from weighted log-linear regression of the survival curve.
@@ -390,14 +401,13 @@ def estimate_lambda0_survival(init, params: ModelParams, config: SimConfig, key:
     probability is exponential from t = 0, which is what makes the whole
     curve usable for the fit.
     """
-    if not (n_paths >= 1 and horizon > _FIT_T0):
-        raise DomainError(f"the survival curve needs n_paths >= 1 and a horizon above {_FIT_T0}")
+    _survival_sizes(n_paths, horizon)
     if n_paths < 1000:
         flags = ["n_paths below the recommended 1000"]
     else:
         flags = []
     gen = stream(key.child("init"))
-    x0, y0 = _init_states(init, n_paths, params, config, gen)
+    x0, y0 = _init_states(init, n_paths, gen)
     res = run_cohort(x0, y0, params, config, horizon, key.child("cohort"))
     death = res.death_times
     t_grid = np.geomspace(_FIT_T0, horizon, 24)
@@ -705,8 +715,8 @@ def convergence_curve(init, reference: EmpiricalMeasure, params: ModelParams,
     def run_replicates(reps):
         # per replicate: its TV curve, and the shard's bound_exceeded on the first
         curves = np.zeros((len(reps), len(ts)))
-        starts = [_init_states(init, n_particles, params, config,
-                               stream(key.child("rep", rep, "init"))) for rep in reps]
+        starts = [_init_states(init, n_particles, stream(key.child("rep", rep, "init")))
+                  for rep in reps]
         x = np.concatenate([s[0] for s in starts])
         y = np.concatenate([s[1] for s in starts])
         fv = _Stepper(params, config, x, y, [key.child("rep", rep) for rep in reps],
@@ -789,10 +799,9 @@ def balance_residual(params: ModelParams, config: SimConfig, key: StreamKey,
     if n_particles < 2 or not 0.0 <= burn < math.inf:
         raise DomainError(f"balance_residual needs n_particles >= 2 and a finite burn >= 0, "
                           f"got {n_particles} and {burn}")
-    gen0 = stream(key.child("init"))
     # capped below any ceiling; the raw equilibrium may sit outside a
-    # truncated box, where a point start is killed immediately
-    x, y = _init_states(relaxed_start(params, config), n_particles, params, config, gen0)
+    # truncated box, where _Stepper would reject the point start
+    x, y = _init_states(relaxed_start(params, config), n_particles, None)
     fv = _Stepper(params, config, x, y, [key], resample="rs")
     horizon = burn + collect
     next_sample = burn
@@ -827,9 +836,8 @@ def relaxed_start(params: ModelParams, config: SimConfig) -> tuple[np.ndarray, f
 
     Returns (x0, y0) with x0 = 0 and y0 the stable equilibrium of the size
     drift at full growth rate. A truncated domain may place that equilibrium
-    at or above the absorbing ceiling, where a point start would be killed
-    within the first step; in that case y0 is capped at 0.9 times the
-    ceiling.
+    at or above the absorbing ceiling, outside the domain a run may start
+    in; in that case y0 is capped at 0.9 times the ceiling.
     """
     ystar = y_equilibrium(params.growth.r_sup, params.gamma)
     if ystar is None:
@@ -905,8 +913,7 @@ def conditioned_marginal(start: EmpiricalMeasure, eta: EtaEstimate, params: Mode
     horizon / config.qprocess_delta macro steps of _h_transform.
     """
     n_steps = _q_steps(horizon, config, n_walkers)
-    gen0 = stream(key.child("init"))
-    x, y = _init_states(start, n_walkers, params, config, gen0)
+    x, y = _init_states(start, n_walkers, stream(key.child("init")))
     stats = _h_transform(x, y, eta, eta.max_value, params, config, key, n_steps)
     return x, y, stats
 
@@ -954,7 +961,12 @@ def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, params: Mode
     accepted lists (events, owner) per candidate window, where owner maps
     each logged jump to the walker that accepted its candidate (-1 for
     rejected candidates).
+
+    DomainError unless eta_max > 0 and eta > 0 at every start; later starts
+    are accepted endpoints, where eta > 0.
     """
+    if not (eta_max > 0.0 and np.all(np.asarray(eta(x, y)) > 0.0)):
+        raise DomainError("a Q-process needs eta_max > 0 and eta > 0 at every walker's start")
     delta = config.qprocess_delta
     n_win = max(math.ceil(delta / config.dt_max - 1e-9), 1)
     dt = delta / n_win
@@ -965,10 +977,6 @@ def _h_transform(x: np.ndarray, y: np.ndarray, eta, eta_max: float, params: Mode
     for step in range(n_steps):
         pending = np.arange(len(y))
         ceiling_all = np.minimum(eta_max, _RATIO_CAP * eta(x, y))
-        if np.any(ceiling_all <= 0.0):
-            raise NumericError("conditioned walker reached a zero-weight state",
-                               diagnostics={"step": step,
-                                            "count": int(np.sum(ceiling_all <= 0.0))})
         rounds = 0
         accepted = []
         while len(pending) and rounds < max_rounds:

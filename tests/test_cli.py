@@ -236,15 +236,44 @@ def test_config_file_loading(tmp_path):
 
 
 def test_lambda_subcommand(tmp_path):
-    rc = cli.main(["lambda", "--out", str(tmp_path),
-                   "--set", "replicates=300", "--set", "lambda_horizon=3.0"])
+    rc = cli.main(["lambda", "--out", str(tmp_path)]
+                  + _tiny("--set", "replicates=300", "--set", "lambda_horizon=3.0"))
     assert rc == 0
+    assert json.loads(_read(tmp_path / "manifest.json"))["artifacts"] == [
+        "alpha.csv", "lambda0.json", "survival.json", "survival_curve.csv"]
     payload = json.loads(_read(tmp_path / "survival.json"))
     assert payload["lambda0"] > 0.0
     assert payload["flags"]  # replicate count below the recommended floor
     lines = (tmp_path / "survival_curve.csv").read_text().strip().splitlines()
     assert lines[0] == "t,survivors,in_fit"
     assert len(lines) == 25
+
+
+def test_lambda_starts_its_survival_cohort_from_the_fv_alpha(tmp_path, monkeypatch):
+    # the survival fit assumes a start at alpha; the reference set carries a transient
+    runs, starts = [], []
+
+    def fleming_viot(*args, **kwargs):
+        runs.append(qsd.fleming_viot(*args, **kwargs))
+        return runs[-1]
+
+    def survival(init, *args, **kwargs):
+        starts.append(init)
+        return qsd.estimate_lambda0_survival(init, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "fleming_viot", fleming_viot)
+    monkeypatch.setattr(cli, "estimate_lambda0_survival", survival)
+    assert cli.main(["lambda", "--out", str(tmp_path)]
+                    + _tiny("--set", "replicates=300", "--set", "lambda_horizon=3.0")) == 0
+    assert len(runs) == len(starts) == 1 and starts[0] is runs[0].alpha
+    assert json.loads(_read(tmp_path / "lambda0.json"))["lambda0"] == runs[0].lambda0
+
+
+def test_lambda_without_a_box_exits_2_before_any_run(tmp_path, capsys, monkeypatch):
+    # the fv stage histograms on the box, which an untruncated run lacks
+    _fail_if_fv_runs(monkeypatch)
+    assert cli.main(["lambda", "--out", str(tmp_path), "--set", "L=null"]) == 2
+    assert "histogram grid" in capsys.readouterr().err
 
 
 def test_oracle_subcommand(tmp_path):
@@ -531,7 +560,7 @@ _TOY_ARGS = {
     "validate": [],
     "simulate": ["--set", "horizon=5.0"],
     "fv": _tiny(),
-    "lambda": ["--set", "replicates=300", "--set", "lambda_horizon=3.0"],
+    "lambda": _tiny("--set", "replicates=300", "--set", "lambda_horizon=3.0"),
     "eta": _tiny(*_ETA),
     "qprocess": _tiny(*_ETA, "--set", "walkers=16", "--set", "q_horizon=0.5",
                       "--set", "q_paths=2"),

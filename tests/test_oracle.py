@@ -577,18 +577,40 @@ def test_leading_vector_grown_basis_gives_the_bytes_of_a_whole_one(monkeypatch, 
     assert grown[0].tobytes() == whole[0].tobytes()
 
 
-def test_leading_vector_restart_failure_raises_numeric_error(monkeypatch):
-    # the median Ritz modulus at the 6-step cap is a complex pair's, which the
-    # sorted Schur form's reordering moves across the cut, and LAPACK reports it
-    n = 60
-    Q = np.linalg.qr(np.random.default_rng(22).standard_normal((n, n)))[0]
+def _orthogonal_plus_rank_one(seed: int, n: int = 60) -> np.ndarray:
+    """0.9 Q + 3 p p^T, Q a random orthogonal matrix and p the unit ones vector:
+    one real top eigenvalue near 3 and n - 1 others of modulus near 0.9, most in
+    complex pairs, so a restart's median Ritz modulus is often a pair's."""
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
     p = np.ones(n) / math.sqrt(n)
-    A = 0.9 * Q + 3.0 * np.outer(p, p)
+    return 0.9 * Q + 3.0 * np.outer(p, p)
+
+
+def test_leading_vector_restart_failure_raises_numeric_error(monkeypatch):
+    def schur(*args, **kwargs):
+        raise np.linalg.LinAlgError("sorted eigenvalues could not be reordered")
+
+    A = _orthogonal_plus_rank_one(22)
     monkeypatch.setattr(oracle, "_KRYLOV_MAX", 6)
+    monkeypatch.setattr(oracle, "schur", schur)
     with pytest.raises(NumericError, match="Krylov-Schur restart failed for v") as info:
-        leading_vector(lambda v: A @ v, n, "v")
+        leading_vector(lambda v: A @ v, len(A), "v")
     diag = info.value.diagnostics
-    assert diag["cut"] in diag["moduli_near_cut"] and diag["solves"] > 6
+    assert len(diag["moduli_near_cut"]) == 4 and diag["solves"] == 6
+
+
+@pytest.mark.parametrize("cap, seed", [(6, 22), (8, 10), (10, 37), (12, 16)])
+def test_leading_vector_restart_cuts_between_two_distinct_moduli(monkeypatch, cap, seed):
+    # at this cap the median Ritz modulus is a complex pair's; a cut on it split
+    # the pair once LAPACK reordered the Schur form, and the restart failed
+    A = _orthogonal_plus_rank_one(seed)
+    monkeypatch.setattr(oracle, "_KRYLOV_MAX", cap)
+    image, solves = leading_vector(lambda v: A @ v, len(A), "v")
+    theta, vectors = np.linalg.eig(A)
+    top = np.argmax(np.abs(theta))
+    perron = np.abs(vectors[:, top].real)
+    assert solves > cap
+    np.testing.assert_allclose(image / image.max(), perron / perron.max(), rtol=0, atol=1e-12)
 
 
 def test_leading_vector_ritz_failure_raises_numeric_error(monkeypatch):

@@ -12,7 +12,7 @@ from adaptqsd.cohort import Engine
 from adaptqsd.errors import DomainError, MassExtinctionError, NumericError, UnsupportedModelError
 from adaptqsd.measure import EmpiricalMeasure, HistGrid
 from adaptqsd.model import default_params, reference_set
-from adaptqsd.pathsim import SimConfig
+from adaptqsd.pathsim import SimConfig, simulate_path, simulate_q_path
 from adaptqsd.qsd import (
     ConvergenceCurve,
     EtaEstimate,
@@ -137,15 +137,71 @@ def test_fleming_viot_rejects_a_burn_in_that_is_not_finite_and_nonnegative(param
                      n_particles=40, window=1.0, burn_in=burn_in)
 
 
-def test_fleming_viot_mass_extinction(params):
-    # the reference set (x1 in [-0.75, -0.25], y in [0.5, 2]) lies outside a
-    # 0.4 box: every particle starts with y clipped just under the ceiling,
-    # most with x outside the box, so the whole population is killed inside
-    # window one
+def test_fleming_viot_mass_extinction():
+    # the reference set (x1 in [-0.75, -0.25], y in [0.5, 2]) lies inside a 2.5
+    # box, but at speed 1000 every particle leaves it through x1 = -2.5 within
+    # 0.00225, inside window one
     with pytest.raises(MassExtinctionError):
-        fleming_viot(params, SimConfig(truncation=0.4, truncation_y_low=1e-3),
+        fleming_viot(default_params(v=1000.0), SimConfig(truncation=2.5, truncation_y_low=1e-3),
                      StreamKey(seed=2, lineage=("die",)),
                      n_particles=40, window=2.0, burn_in=0.0)
+
+
+_START_GRID = HistGrid.for_box(4.0, y_lo=1e-3, nx=4, ny=4, dim=1)
+
+
+def _start_through(entry, start, params, config, key, monkeypatch):
+    """Run `entry` from the point `start`: the estimators that pick their own
+    start (fleming_viot's reference set, balance_residual's relaxed start) are
+    handed it through the function they draw it from."""
+    flat = _flat_eta()
+    if entry == "fleming_viot":
+        monkeypatch.setattr(qsd, "reference_set", lambda p: start)
+        return fleming_viot(params, config, key, n_particles=4, window=0.1, burn_in=0.0,
+                            hist_grid=_START_GRID)
+    if entry == "balance_residual":
+        monkeypatch.setattr(qsd, "relaxed_start", lambda p, c: start)
+        return balance_residual(params, config, key, n_particles=4, burn=0.0, collect=1.0)
+    return {
+        "run_cohort": lambda: run_cohort(start[0][None, :], np.array([start[1]]), params,
+                                         config, 0.1, key),
+        "convergence_curve": lambda: convergence_curve(
+            start, EmpiricalMeasure(_START_GRID, np.ones(_START_GRID.shape)), params, config,
+            key, n_replicates=2, n_particles=2, t_max=0.02, slice_dt=0.01),
+        "estimate_lambda0_survival": lambda: estimate_lambda0_survival(
+            start, params, config, key, n_paths=4, horizon=0.5),
+        "conditioned_marginal": lambda: conditioned_marginal(start, flat, params, config, key,
+                                                             n_walkers=2, horizon=0.05),
+        "simulate_path": lambda: simulate_path(start, params, config, key),
+        "simulate_q_path": lambda: simulate_q_path(start, params, config, key, flat,
+                                                   eta_max=1.0, horizon=0.05),
+    }[entry]()
+
+
+@pytest.mark.parametrize("config,start", [
+    pytest.param(_boxed_config(horizon=1.0), (np.zeros(1), 1e-3), id="on_y_floor"),
+    pytest.param(_boxed_config(horizon=1.0), (np.zeros(1), 4.0), id="on_y_top"),
+    pytest.param(_boxed_config(horizon=1.0), (np.array([-4.0]), 2.0), id="at_the_box_edge"),
+    pytest.param(SimConfig(horizon=1.0), (np.array([40.0]), 2.0), id="at_the_guard_untruncated"),
+])
+@pytest.mark.parametrize("entry", ["fleming_viot", "run_cohort", "convergence_curve",
+                                   "balance_residual", "estimate_lambda0_survival",
+                                   "conditioned_marginal", "simulate_path", "simulate_q_path"])
+def test_every_run_rejects_a_start_outside_the_simulation_domain(params, monkeypatch, entry,
+                                                                 config, start):
+    # one check, _Stepper's, for every run: no start is clipped into the domain
+    # or left to die in window one
+    with pytest.raises(DomainError, match="start states lie outside"):
+        _start_through(entry, start, params, config, StreamKey(seed=3, lineage=("start",)),
+                       monkeypatch)
+
+
+def test_the_start_check_names_how_many_rows_lie_outside_and_the_first(params):
+    x = np.array([[0.0], [0.0], [-4.5]])
+    y = np.array([2.0, 4.0, 2.0])
+    first = r"the first, row 1: x \[0.0\], y 4.0$"
+    with pytest.raises(DomainError, match=r"2 of 3 start states lie outside .* " + first):
+        qsd._Stepper(params, _boxed_config(), x, y, [StreamKey(seed=0)])
 
 
 def test_run_cohort_slices_and_jumps(params):
@@ -648,6 +704,17 @@ def test_conditioned_marginal_flat_eta(params):
     assert x1.shape == (30, 1) and y1.shape == (30,)
     assert np.all((y1 > 1e-3) & (y1 < 4.0))
     assert np.all(np.abs(x1[:, 0]) < 4.0)
+
+
+def test_conditioned_marginal_rejects_a_start_at_zero_eta(params):
+    # eta vanishes for x1 <= 0; a walker there could never accept a candidate
+    eta = _flat_eta()
+    eta.values = np.array([[0.0, 0.0], [1.0, 1.0]])
+    eta.x_nodes = np.array([0.0, 4.0])
+    start = (np.array([-1.0]), 2.0)
+    with pytest.raises(DomainError, match="eta > 0 at every walker's start"):
+        conditioned_marginal(start, eta, params, _boxed_config(),
+                             StreamKey(seed=4, lineage=("zero",)), n_walkers=3, horizon=0.05)
 
 
 def _sloped_eta():
