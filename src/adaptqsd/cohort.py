@@ -22,7 +22,17 @@ A window runs in segments that end at each particle's next proposal,
 box-crossing time or the window end. Each segment steps a compacted,
 ascending copy of its pending rows in substep rounds; the copy shrinks as
 rows finish their segment or die, so late rounds cost only the few rows near
-the extinction boundary.
+the extinction boundary. An all-alive array (every Fleming-Viot window) is
+stepped in place; otherwise the live rows are gathered and scattered back.
+
+A substep evaluates the floor bridge on every stepping row, and the ceiling
+bridge only on rows within 20 sqrt(dt) of the ceiling: further down, with
+h <= dt, its exponent is below -800, where exp is 0. A bridge kills when a
+uniform u < exp(e). u comes from Generator.random, so it is a multiple of
+2^-53, and 2^-53 > e^-40: for u > 0 that test equals u < exp(max(e, -40)),
+which keeps exp off its slow underflow and denormal range; the rare u == 0
+is tested against exp(e) itself. The decisions are those of exp on every
+row, bit for bit.
 
 Every estimator (Fleming-Viot, survival cohorts, eta, the conditioned
 ensemble) and the single-path front ends in pathsim run on this kernel
@@ -206,6 +216,16 @@ def _joined(parts: list, axis: int = 0) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
+def _bridge(u, e):
+    """u < exp(e), exactly, for uniforms u from Generator.random: a u > 0
+    is a multiple of 2^-53 > e^-40 (see the module docstring)."""
+    hit = u < np.exp(np.maximum(e, -40.0))
+    if not u.all():
+        zero = (u == 0.0).nonzero()[0]
+        hit[zero] = np.exp(e[zero]) > 0.0
+    return hit
+
+
 class Engine:
     """Stateless stepping kernels over caller-owned particle arrays."""
 
@@ -263,13 +283,20 @@ class Engine:
 
             # a level is hit at the substep end, or crossed and back inside
             # with the Brownian-bridge probability
-            p_bot = np.exp(-2.0 * (y - floor) * np.maximum(y1 - floor, 0.0) / h)
-            killed = (y1 <= floor) | ((y > floor) & (u[0] < p_bot))
+            killed = (y1 <= floor) | ((y > floor) & _bridge(
+                u[0], -2.0 * (y - floor) * np.maximum(y1 - floor, 0.0) / h))
             at_top = None
-            if top is not None and max(y.max(), y1.max()) > top_reach:
-                p_top = np.exp(-2.0 * (top - y) * np.maximum(top - y1, 0.0) / h)
-                at_top = ~killed & ((y1 >= top) | ((y < top) & (u[1] < p_top)))
-                killed |= at_top
+            if top is not None:
+                near = (np.maximum(y, y1) > top_reach).nonzero()[0]
+                if len(near):
+                    yn, y1n = y[near], y1[near]
+                    e_top = -2.0 * (top - yn) * np.maximum(top - y1n, 0.0) / h[near]
+                    up = near[~killed[near] & ((y1n >= top)
+                                               | ((yn < top) & _bridge(u[1, near], e_top)))]
+                    if len(up):
+                        at_top = np.zeros(len(y), dtype=bool)
+                        at_top[up] = True
+                        killed[up] = True
 
             dead = killed.nonzero()[0]
             if len(dead):
@@ -295,7 +322,9 @@ class Engine:
             done = killed | (rem <= 1e-15 * dt)
             if done.any():
                 xa[rows], ya[rows], off[rows] = x, y, o
-                keep = ~done
+                keep = (~done).nonzero()[0]
+                if not len(keep):
+                    return
                 rows, x, y, o, rem = rows[keep], x[keep], y[keep], o[keep], rem[keep]
 
     def _crossings(self, x, o):
@@ -312,9 +341,11 @@ class Engine:
                groups=None) -> WindowEvents:
         """Advance every live particle by dt from absolute time t0.
 
-        Mutates x (n, d), y (n,), alive (n,) in place; returns the event log.
-        Particles dead at t0 are left untouched; particles killed in the
-        window are left at their kill point.
+        Mutates the float arrays x (n, d), y (n,) and the bool array alive
+        (n,) in place; returns the event log. Particles dead at t0 are left
+        untouched; particles killed in the window are left at their kill
+        point. An all-alive array is stepped in place, so a NumericError can
+        leave it part-way through the window.
 
         gen is one Generator, or a sequence of G generators with `groups`,
         G + 1 ascending row offsets from 0 to n: rows [groups[g],
@@ -331,14 +362,17 @@ class Engine:
             raise DomainError("groups must be G + 1 ascending row offsets from 0 to n")
         ev = WindowEvents.empty(self.dim)
         idx_all = alive.nonzero()[0]
-        if len(idx_all) == 0:
+        m = len(idx_all)
+        if m == 0:
             return ev
         draws = _GroupDraws(gens, np.searchsorted(idx_all, bounds) if len(gens) > 1 else None)
 
-        xa = x[idx_all].astype(float, copy=False)
-        ya = y[idx_all].astype(float, copy=False)
-        m = len(idx_all)
-        live = np.ones(m, dtype=bool)
+        # an all-alive array (every Fleming-Viot window) steps in place
+        whole = m == len(y)
+        if whole:
+            xa, ya, live = x, y, alive
+        else:
+            xa, ya, live = x[idx_all], y[idx_all], np.ones(m, dtype=bool)
         off = np.zeros(m)  # time reached in the window; for the dead, their kill time
         kill_code = np.full(m, -1, dtype=np.int8)
 
@@ -372,12 +406,14 @@ class Engine:
         rows = np.arange(m)  # pending rows, ascending; once done, never pending again
 
         for _round in range(2 * kmax + 16):
-            rows = rows[live[rows] & (off[rows] < dt * (1.0 - 1e-15))]
-            if not len(rows):
-                break
-            o = off[rows]
-            nxt_prop = prop_times[rows, ptr[rows]]
-            cross = self._crossings(xa[rows], o)
+            if _round:
+                rows = rows[live[rows] & (off[rows] < dt * (1.0 - 1e-15))]
+                if not len(rows):
+                    break
+                o, nxt_prop, xr = off[rows], prop_times[rows, ptr[rows]], xa[rows]
+            else:  # at window start every row is pending
+                o, nxt_prop, xr = np.zeros(m), prop_times[:, 0], xa
+            cross = self._crossings(xr, o)
             nxt = np.minimum(np.minimum(nxt_prop, cross), dt)
             self._advance(xa, ya, live, off, kill_code, rows,
                           np.maximum(nxt - o, 0.0), draws, dt)
@@ -447,7 +483,6 @@ class Engine:
         ev.n_proposals = total_props
         ev.bound_exceeded = exceeded
 
-        x[idx_all] = xa
-        y[idx_all] = ya
-        alive[idx_all] = live
+        if not whole:
+            x[idx_all], y[idx_all], alive[idx_all] = xa, ya, live
         return ev

@@ -77,7 +77,8 @@ class GrowthSpec:
     def rate(self, x: np.ndarray) -> np.ndarray:
         """r(x) for x of shape (..., d); returns shape (...)."""
         x = np.asarray(x, dtype=float)
-        return self.r0 - self.a * np.square(x).sum(axis=-1)
+        sq = np.square(x[..., 0]) if x.shape[-1] == 1 else np.square(x).sum(axis=-1)
+        return self.r0 - self.a * sq
 
     @property
     def r_sup(self) -> float:

@@ -5,9 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from adaptqsd import cli
-from adaptqsd.cohort import Engine, REASON_CODES, reason_from_code
-from adaptqsd.model import default_params
+from adaptqsd import cli, cohort
+from adaptqsd.cohort import Engine, REASON_CODES, _bridge, reason_from_code
+from adaptqsd.model import default_params, drift_y
 from adaptqsd.oracle import build_generator, leading_triple, survival_consistency
 from adaptqsd.pathsim import ExitReason, SimConfig
 from adaptqsd.qsd import run_cohort
@@ -202,15 +202,15 @@ _FROZEN_WINDOWS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_FROZEN_WINDOWS))
-def test_window_draws_are_frozen(name):
-    """SHA-256 of 200 windows' event logs and the end state at fixed keys.
+def _frozen_run(name):
+    """SHA-256 of 200 windows' event logs and the end state at fixed keys,
+    and the kill codes seen.
 
     300 particles start log-uniform in y; after each window the killed
     particles with even index restart from their initial state, so every
     window mixes fresh, long-lived and dead-at-t0 rows.
     """
-    pkw, ckw, dt, x_range, digest, codes = _FROZEN_WINDOWS[name]
+    pkw, ckw, dt, x_range, _, _ = _FROZEN_WINDOWS[name]
     params = default_params(**pkw)
     config = SimConfig(**ckw)
     engine = Engine(params, config)
@@ -234,8 +234,47 @@ def test_window_draws_are_frozen(name):
         x[back], y[back], alive[back] = x0[back], y0[back], True
     for a in (x, y, alive):
         h.update(np.ascontiguousarray(a).tobytes())
-    assert seen == {REASON_CODES[c] for c in codes}
-    assert h.hexdigest() == digest
+    return h.hexdigest(), seen
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN_WINDOWS))
+def test_window_draws_are_frozen(name):
+    digest, seen = _frozen_run(name)
+    assert seen == {REASON_CODES[c] for c in _FROZEN_WINDOWS[name][5]}
+    assert digest == _FROZEN_WINDOWS[name][4]
+
+
+def test_frozen_windows_substep_work(monkeypatch):
+    """The kernel calls drift_y through the cohort module once per substep
+    round, on the stepping rows (perfbench's traced substep counters wrap it
+    there); over the truncated_d1 windows that is 354 calls on 37 651 rows."""
+    counts = [0, 0]
+
+    def counted(x, y, params):
+        counts[0] += 1
+        counts[1] += len(y)
+        return drift_y(x, y, params)
+
+    monkeypatch.setattr(cohort, "drift_y", counted)
+    digest, _ = _frozen_run("truncated_d1")
+    assert digest == _FROZEN_WINDOWS["truncated_d1"][4]
+    assert counts == [354, 37651]
+
+
+@pytest.mark.parametrize("e", [0.0, -0.0, -39.9, -40.0, -40.1, -708.5, -745.0, -745.2,
+                               -800.0, -1e5])
+def test_bridge_decision_is_exact(e):
+    """The kernel's bridge test agrees with u < exp(e) at and around its
+    -40 clamp, in exp's denormal range and past its underflow to 0."""
+    u = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    np.testing.assert_array_equal(_bridge(u, np.full(4, e)), u < np.exp(e))
+
+
+def test_bridge_uniforms_are_multiples_of_two_to_the_minus_53():
+    """The premise of the -40 clamp: Generator.random draws k 2^-53."""
+    u = stream(StreamKey(seed=35, lineage=("bridge",))).random(100_000)
+    scaled = u * 2.0**53
+    np.testing.assert_array_equal(scaled, np.floor(scaled))
 
 
 def test_fv_artifacts_are_frozen(tmp_path):

@@ -101,6 +101,36 @@ def test_window_invariants(case):
     np.testing.assert_allclose(ev.jump_x_after, ev.jump_x_before + ev.jump_w, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=50, deadline=None)
+@given(ensembles())
+def test_all_alive_window_equals_window_among_dead_rows(case):
+    """The live rows alone (all alive, stepped in place) and the same rows
+    among dead ones (gathered and scattered back) end in the same states and
+    log the same events, mapped by row."""
+    params, config, x, y, alive, t0, dt, key = case
+    live = alive.nonzero()[0]
+    if not len(live):
+        return
+    engine = Engine(params, config)
+    xs, ys, als = x[live].copy(), y[live].copy(), np.ones(len(live), dtype=bool)
+    x0, y0 = x.copy(), y.copy()
+    ev = engine.window(x, y, alive, t0, dt, stream(key))
+    one = engine.window(xs, ys, als, t0, dt, stream(key))
+
+    np.testing.assert_array_equal(x[live], xs)
+    np.testing.assert_array_equal(y[live], ys)
+    np.testing.assert_array_equal(alive[live], als)
+    dead = np.ones(len(y), dtype=bool)
+    dead[live] = False
+    np.testing.assert_array_equal(x[dead], x0[dead])
+    np.testing.assert_array_equal(y[dead], y0[dead])
+    np.testing.assert_array_equal(ev.kill_ids, live[one.kill_ids])
+    np.testing.assert_array_equal(ev.jump_ids, live[one.jump_ids])
+    for field in ("kill_times", "kill_codes", "jump_times", "jump_w", "jump_x_before",
+                  "jump_x_after", "n_proposals", "bound_exceeded"):
+        np.testing.assert_array_equal(getattr(ev, field), getattr(one, field))
+
+
 _GROUP_PARAMS = {**_PARAMS, "d2": default_params(dim=2)}
 
 
