@@ -24,14 +24,13 @@ from . import __version__
 from .errors import (AdaptQsdError, ConfigError, DomainError, HypothesisError,
                      MassExtinctionError, NumericError, UnsupportedModelError)
 from .measure import EmpiricalMeasure, HistGrid
-from .model import (ModelParams, default_params, flat_params, reference_set,
-                    validate_hypotheses)
+from .model import ModelParams, reference_set, validate_hypotheses
 from .oracle import build_generator, leading_triple
 from .pathsim import ExitReason, SimConfig, Trajectory, simulate_path, simulate_q_path
-from .qsd import (_BALANCE_EVERY, _q_steps, _survival_sizes, _whole_steps, balance_residual,
-                  beta_from, conditioned_marginal, convergence_curve, default_hist_grid,
-                  estimate_eta, estimate_lambda0_survival, fleming_viot, relaxed_start,
-                  truncation_family)
+from .qsd import (_BALANCE_EVERY, _eta_sizes, _q_steps, _survival_sizes, _whole_steps,
+                  balance_residual, beta_from, conditioned_marginal, convergence_curve,
+                  default_hist_grid, estimate_eta, estimate_lambda0_survival, fleming_viot,
+                  relaxed_start, truncation_family)
 from .rng import StreamKey, stream
 
 EXIT_CODES = {
@@ -43,15 +42,16 @@ EXIT_CODES = {
     MassExtinctionError: 5,
 }
 
+# model block: the ModelParams fields
+_MODEL_FIELDS = {f.name: f for f in fields(ModelParams)}
+
 # numerics block: the SimConfig fields, with the truncation half-width under key L
 _SIM_FIELDS = {("L" if f.name == "truncation" else f.name): f for f in fields(SimConfig)}
-
-_MODEL_KEYS = frozenset(flat_params(ModelParams()))
 
 # model block, numerics block, experiment block; the model and numerics
 # defaults are the library's, except that the CLI runs on a truncation box
 DEFAULT_CONFIG: dict = {
-    **flat_params(ModelParams()),
+    **{key: f.default for key, f in _MODEL_FIELDS.items()},
     **{key: f.default for key, f in _SIM_FIELDS.items()},
     "L": 4.0,
     "truncation_y_low": 0.001,
@@ -172,7 +172,7 @@ def cast_config(cfg: dict) -> dict:
             if key in _FLOORS and not typed[key] >= _FLOORS[key]:
                 raise ValueError(f"need a value >= {_FLOORS[key]}")
         except (TypeError, ValueError) as exc:
-            block = ("model" if key in _MODEL_KEYS else
+            block = ("model" if key in _MODEL_FIELDS else
                      "numerics" if key in _SIM_FIELDS else "experiment")
             raise ConfigError(f"bad {block} field {key}={value!r}: {exc}") from exc
     return typed
@@ -356,9 +356,7 @@ def run_lambda(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> lis
 
 
 def _run_eta(cfg: dict, params: ModelParams, sim: SimConfig):
-    if cfg["eta_replicates"] < 1:
-        raise ConfigError("eta needs eta_replicates >= 1")
-    _whole_steps(cfg["eta_t_eval"], sim.dt_max, "eta_t_eval in dt_max windows")
+    _eta_sizes(cfg["eta_replicates"], cfg["eta_t_eval"], sim.dt_max)  # before the fv stage runs
     fv = _run_fv(cfg, params, sim)
     try:
         eta = estimate_eta(fv.alpha, fv.lambda0, params, sim, _key(cfg, "eta"),
@@ -543,7 +541,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.set, args.seed, args.out)
         typed = cast_config(cfg)
-        params = default_params(**{k: typed[k] for k in _MODEL_KEYS})
+        params = ModelParams(**{key: typed[key] for key in _MODEL_FIELDS})
         sim = SimConfig(**{f.name: typed[key] for key, f in _SIM_FIELDS.items()})
         if params.dim != 1 and args.cmd in ONE_DIM_COMMANDS:
             raise UnsupportedModelError(f"{args.cmd} is implemented for d = 1 only")

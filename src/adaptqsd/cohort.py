@@ -431,7 +431,7 @@ class Engine:
             if len(pi):
                 total_props += len(pi)
                 spans = draws.spans(pi)  # per group: effects, then u_f, then u_g
-                w = _joined([p.mutation.sample(g, hi - lo, self.dim) for g, lo, hi in spans])
+                w = _joined([p.sample_mutations(g, hi - lo) for g, lo, hi in spans])
                 u_f = _joined([g.random(hi - lo) for g, lo, hi in spans])
                 u_g = _joined([g.random(hi - lo) for g, lo, hi in spans])
                 fy = p.f(ya[pi])

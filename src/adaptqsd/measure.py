@@ -7,7 +7,7 @@ with no resampling step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -152,17 +152,39 @@ class EmpiricalMeasure:
         return float(np.dot(self.marginal_x1(), self.grid.x_centers))
 
     def sample(self, gen: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw points: cells by mass, uniform placement within each cell."""
+        """Draw points: cells by mass, uniform placement within each cell.
+
+        In d >= 2 the domain is the ball ||x|| < x_hi, which a cube cell can
+        cross: a point placed outside the ball has its x redrawn in its own
+        cell until it lies inside, and a cell with mass that lies wholly
+        outside the ball is a DomainError.
+        """
+        grid = self.grid
         flat = self.masses.ravel()
         cells = gen.choice(len(flat), size=size, p=flat)
-        unraveled = np.unravel_index(cells, self.grid.shape)
-        xe, ye = self.grid.x_edges, self.grid.y_edges
-        x = np.empty((size, self.grid.dim))
-        for k in range(self.grid.dim):
-            i = unraveled[k]
-            x[:, k] = xe[i] + (xe[i + 1] - xe[i]) * gen.random(size)
+        unraveled = np.unravel_index(cells, grid.shape)
+        xe, ye = grid.x_edges, grid.y_edges
+        x = np.empty((size, grid.dim))
+
+        def place(rows):
+            for k in range(grid.dim):
+                i = unraveled[k][rows]
+                x[rows, k] = xe[i] + (xe[i + 1] - xe[i]) * gen.random(len(i))
+
+        place(slice(None))
         j = unraveled[-1]
         y = ye[j] + (ye[j + 1] - ye[j]) * gen.random(size)
+        if grid.dim >= 2:
+            # squared norm of each cell's point nearest the origin
+            near_sq = reduce(np.add.outer, [np.clip(0.0, xe[:-1], xe[1:]) ** 2] * grid.dim)
+            beyond = (np.sqrt(near_sq) >= grid.x_hi) & (self.masses.sum(axis=-1) > 0.0)
+            if beyond.any():
+                raise DomainError(f"{int(beyond.sum())} cells with mass lie wholly outside "
+                                  f"the ball |x| < {grid.x_hi:g}")
+            redraw = np.flatnonzero(np.linalg.norm(x, axis=1) >= grid.x_hi)
+            while len(redraw):
+                place(redraw)
+                redraw = redraw[np.linalg.norm(x[redraw], axis=1) >= grid.x_hi]
         return x, y
 
     def coarsen(self, fx: int, fy: int) -> "EmpiricalMeasure":

@@ -22,7 +22,7 @@ in cohort, estimators in qsd, and the grid cross-check in oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -31,10 +31,6 @@ from scipy.special import expit, ndtr
 from .errors import DomainError, NumericError, UnsupportedModelError
 
 __all__ = [
-    "GrowthSpec",
-    "ArrivalSpec",
-    "FixationSpec",
-    "MutationSpec",
     "ModelParams",
     "ReferenceBox",
     "HypothesisCheck",
@@ -48,247 +44,167 @@ __all__ = [
     "reference_set",
     "y_equilibrium",
     "default_params",
-    "flat_params",
 ]
 
 
 # ---------------------------------------------------------------------------
-# component families
+# parameter set
 
 
-@dataclass(frozen=True)
-class GrowthSpec:
-    """Per-capita growth rate as a function of the lag x.
-
-    r(x) = r0 - a * ||x||^2. a >= 0; a > 0 is what drives growth to -infinity
-    for large lags (checked by the hypothesis validator, not the constructor,
-    so degenerate test models stay constructible).
-    """
-
-    r0: float = 2.0
-    a: float = 0.5
-
-    def __post_init__(self):
-        if not np.isfinite(self.r0):
-            raise DomainError("r0 must be finite")
-        if not (0.0 <= self.a < np.inf):
-            raise DomainError("a must be >= 0 and finite")
-
-    def rate(self, x: np.ndarray) -> np.ndarray:
-        """r(x) for x of shape (..., d); returns shape (...)."""
-        x = np.asarray(x, dtype=float)
-        sq = np.square(x[..., 0]) if x.shape[-1] == 1 else np.square(x).sum(axis=-1)
-        return self.r0 - self.a * sq
-
-    @property
-    def r_sup(self) -> float:
-        """Supremum of r over R^d (attained at x = 0 for a >= 0)."""
-        return self.r0
-
-
-@dataclass(frozen=True)
-class ArrivalSpec:
-    """Mutation proposal rate as a function of raw population size n.
-
-    f_n(n) = mu * n, so in y-coordinates f(y) = mu * sigma^2 y^2 / 4
-    (assembled by ModelParams.f).
-    """
-
-    mu: float = 1.0
-
-    def __post_init__(self):
-        if not (self.mu > 0.0) or not np.isfinite(self.mu):
-            raise DomainError("mu must be positive and finite")
-
-    def rate_n(self, n: np.ndarray) -> np.ndarray:
-        return self.mu * np.asarray(n, dtype=float)
-
-
-@dataclass(frozen=True)
-class FixationSpec:
-    """Fixation probability g(x, w) of a proposed mutation w at lag x.
-
-    Families:
-
-    - "deleterious_ok": g = g_max * logistic(s * [r(x+w) - r(x)]). Strictly
-      positive everywhere (deleterious mutations can fix).
-    - "advantageous_only": g = g_max * (1 - exp(-s * [r(x+w) - r(x)])) on
-      ||x + w|| < ||x||, else 0. Jumps can only shrink the lag norm.
-    - "rescaled_advantageous": the advantageous-only g divided by
-      (||w|| wedge 1); the companion of the size-tilted mutation family
-      produced by rescale_jump_measure. May exceed g_max for small |w| but
-      stays bounded on compacts (see bound()).
-    """
-
-    family: str = "deleterious_ok"
-    g_max: float = 1.0
-    s: float = 2.0
-
-    _FAMILIES = ("deleterious_ok", "advantageous_only", "rescaled_advantageous")
-
-    def __post_init__(self):
-        if self.family not in self._FAMILIES:
-            raise UnsupportedModelError(f"unknown fixation family {self.family!r}")
-        if not (self.g_max > 0.0) or not np.isfinite(self.g_max):
-            raise DomainError("g_max must be positive and finite")
-        if not (self.s >= 0.0) or not np.isfinite(self.s):
-            raise DomainError("s must be >= 0 and finite")
-
-    @property
-    def advantageous(self) -> bool:
-        return self.family in ("advantageous_only", "rescaled_advantageous")
-
-    def probability(self, x: np.ndarray, w: np.ndarray, growth: GrowthSpec) -> np.ndarray:
-        """g(x, w), broadcast over leading dimensions of x and w."""
-        x = np.asarray(x, dtype=float)
-        w = np.asarray(w, dtype=float)
-        dr = growth.rate(x + w) - growth.rate(x)
-        if self.family == "deleterious_ok":
-            return self.g_max * expit(self.s * dr)
-        inward = np.sum(np.square(x + w), axis=-1) < np.sum(np.square(x), axis=-1)
-        # dr clipped first: -s dr overflows expm1 on outward pairs, masked below
-        base = self.g_max * -np.expm1(-self.s * np.maximum(dr, 0.0))
-        g = np.where(inward, base, 0.0)
-        if self.family == "advantageous_only":
-            return g
-        # rescaled: divide by (||w|| wedge 1); g vanishes at w = 0 so the
-        # clipped denominator never creates mass from nothing
-        wn = np.sqrt(np.sum(np.square(w), axis=-1))
-        return g / np.maximum(np.minimum(wn, 1.0), 1e-300)
-
-    def bound(self, x_norm: float | np.ndarray, growth: GrowthSpec) -> float | np.ndarray:
-        """Upper bound for sup_w g(x, w) over ||x|| <= x_norm, elementwise
-        for an array of norms (a scalar for a scalar)."""
-        x_norm = np.asarray(x_norm, dtype=float)
-        if self.family != "rescaled_advantageous":
-            return np.full(x_norm.shape, self.g_max)[()]
-        # for |w| >= 1 the factor is 1; for |w| < 1,
-        # (1 - exp(-s dr))/|w| <= s*dr/|w| <= s*a*(2||x|| + |w|) <= s*a*(2||x|| + 1)
-        return (self.g_max * np.maximum(1.0, self.s * growth.a * (2.0 * x_norm + 1.0)))[()]
-
-
-@dataclass(frozen=True)
-class MutationSpec:
-    """Finite mutation measure nu on mutation effects w in R^d.
-
-    - "gaussian": nu = m_nu * N(0, tau^2 I_d); total mass m_nu.
-    - "gaussian_size_tilted": nu = m_nu * (||w|| wedge 1) * N(0, tau^2 I_d) dw,
-      the output measure of rescale_jump_measure. m_nu is the coefficient of
-      the un-tilted Gaussian; the total mass is m_nu * E[||W|| wedge 1].
-    """
-
-    family: str = "gaussian"
-    m_nu: float = 1.0
-    tau: float = 0.5
-
-    _FAMILIES = ("gaussian", "gaussian_size_tilted")
-
-    def __post_init__(self):
-        if self.family not in self._FAMILIES:
-            raise UnsupportedModelError(f"unknown mutation family {self.family!r}")
-        # m_nu = 0 is the mutation-free degenerate model: no proposals ever
-        # fire, so it stays simulable even though the uniqueness hypotheses
-        # fail (diagnostics use it as the zero-flux control)
-        if not (self.m_nu >= 0.0) or not np.isfinite(self.m_nu):
-            raise DomainError("m_nu must be >= 0 and finite")
-        if not (self.tau > 0.0) or not np.isfinite(self.tau):
-            raise DomainError("tau must be positive and finite")
-
-    def gauss_pdf(self, w: np.ndarray) -> np.ndarray:
-        """Density of N(0, tau^2 I_d) at w of shape (..., d)."""
-        w = np.asarray(w, dtype=float)
-        d = w.shape[-1]
-        q = np.sum(np.square(w), axis=-1) / (2.0 * self.tau**2)
-        return (2.0 * math.pi * self.tau**2) ** (-d / 2.0) * np.exp(-q)
-
-    def density(self, w: np.ndarray) -> np.ndarray:
-        """Lebesgue density of nu at w (mass-weighted, not normalized)."""
-        base = self.m_nu * self.gauss_pdf(w)
-        if self.family == "gaussian":
-            return base
-        wn = np.sqrt(np.sum(np.square(np.asarray(w, dtype=float)), axis=-1))
-        return base * np.minimum(wn, 1.0)
-
-    def total_mass(self, dim: int) -> float:
-        """nu(R^d) in closed form: E[||W|| wedge 1] integrates P(||W|| > r), for
-        ||W|| / tau chi-distributed with d degrees of freedom, over r in [0, 1]."""
-        if self.family == "gaussian":
-            return self.m_nu
-        t = self.tau
-        if dim == 1:
-            pdf0 = 1.0 / (t * math.sqrt(2.0 * math.pi))
-            pdf1 = pdf0 * math.exp(-1.0 / (2.0 * t * t))
-            expectation = 2.0 * t * t * (pdf0 - pdf1) + 2.0 * ndtr(-1.0 / t)
-        elif dim == 2:
-            expectation = t * math.sqrt(math.pi / 2.0) * math.erf(1.0 / (t * math.sqrt(2.0)))
-        else:
-            expectation = (math.erfc(1.0 / (t * math.sqrt(2.0)))
-                           + 2.0 * t * math.sqrt(2.0 / math.pi) * -math.expm1(-1.0 / (2.0 * t * t)))
-        return self.m_nu * expectation
-
-    def sample(self, gen: np.random.Generator, size: int, dim: int) -> np.ndarray:
-        """Draw `size` effects from the normalized law nu / nu(R^d)."""
-        if self.family == "gaussian":
-            return gen.normal(0.0, self.tau, size=(size, dim))
-        out = np.empty((size, dim))
-        filled = 0
-        while filled < size:
-            batch = max(size - filled, 64)
-            cand = gen.normal(0.0, self.tau, size=(batch * 2, dim))
-            accept_p = np.minimum(np.sqrt(np.sum(np.square(cand), axis=-1)), 1.0)
-            keep = cand[gen.random(batch * 2) < accept_p]
-            take = min(len(keep), size - filled)
-            out[filled : filled + take] = keep[:take]
-            filled += take
-        return out
-
-
-# ---------------------------------------------------------------------------
-# assembled parameter set and state
+_FIXATION_FAMILIES = ("deleterious_ok", "advantageous_only", "rescaled_advantageous")
+_MUTATION_FAMILIES = ("gaussian", "gaussian_size_tilted")
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Complete, immutable model parameterization."""
+    """Complete, immutable model parameterization; its field names are the
+    CLI's model keys.
+
+    - Growth: r(x) = r0 - a * ||x||^2. a >= 0; a > 0 is what drives growth to
+      -infinity for large lags (checked by the hypothesis validator, not the
+      constructor, so degenerate test models stay constructible).
+    - Arrival: f_n(n) = mu * n, so in y-coordinates f(y) = mu * sigma^2 y^2 / 4.
+    - Fixation g(x, w) of a proposed mutation w at lag x, by fixation_family:
+      - "deleterious_ok": g = g_max * logistic(s * [r(x+w) - r(x)]). Strictly
+        positive everywhere (deleterious mutations can fix).
+      - "advantageous_only": g = g_max * (1 - exp(-s * [r(x+w) - r(x)])) on
+        ||x + w|| < ||x||, else 0. Jumps can only shrink the lag norm.
+      - "rescaled_advantageous": the advantageous-only g divided by
+        (||w|| wedge 1); the companion of the size-tilted mutation family
+        produced by rescale_jump_measure. May exceed g_max for small |w| but
+        stays bounded on compacts (see g_bound).
+    - Finite mutation measure nu on effects w in R^d, by mutation_family:
+      - "gaussian": nu = m_nu * N(0, tau^2 I_d); total mass m_nu.
+      - "gaussian_size_tilted": nu = m_nu * (||w|| wedge 1) * N(0, tau^2 I_d) dw,
+        the output measure of rescale_jump_measure. m_nu is the coefficient of
+        the un-tilted Gaussian; the total mass is m_nu * E[||W|| wedge 1].
+      m_nu = 0 is the mutation-free degenerate model: no proposals ever fire,
+      so it stays simulable even though the uniqueness hypotheses fail
+      (diagnostics use it as the zero-flux control).
+    """
 
     dim: int = 1
     v: float = 0.2
     sigma: float = 1.0
     gamma_n: float = 0.1
-    growth: GrowthSpec = field(default_factory=GrowthSpec)
-    arrival: ArrivalSpec = field(default_factory=ArrivalSpec)
-    fixation: FixationSpec = field(default_factory=FixationSpec)
-    mutation: MutationSpec = field(default_factory=MutationSpec)
+    r0: float = 2.0
+    a: float = 0.5
+    mu: float = 1.0
+    fixation_family: str = "deleterious_ok"
+    g_max: float = 1.0
+    s: float = 2.0
+    mutation_family: str = "gaussian"
+    m_nu: float = 1.0
+    tau: float = 0.5
 
     def __post_init__(self):
         if not (1 <= self.dim <= 3):
             raise DomainError("dim must be 1, 2 or 3")
-        for name in ("v", "sigma", "gamma_n"):
+        for name in ("v", "sigma", "gamma_n", "mu", "g_max", "tau"):
             val = getattr(self, name)
             if not (val > 0.0) or not np.isfinite(val):
                 raise DomainError(f"{name} must be positive and finite")
+        if not np.isfinite(self.r0):
+            raise DomainError("r0 must be finite")
+        for name in ("a", "s", "m_nu"):
+            if not (0.0 <= getattr(self, name) < np.inf):
+                raise DomainError(f"{name} must be >= 0 and finite")
+        if self.fixation_family not in _FIXATION_FAMILIES:
+            raise UnsupportedModelError(f"unknown fixation family {self.fixation_family!r}")
+        if self.mutation_family not in _MUTATION_FAMILIES:
+            raise UnsupportedModelError(f"unknown mutation family {self.mutation_family!r}")
 
     @property
     def gamma(self) -> float:
         """Cubic damping coefficient; always gamma_n * sigma^2 / 8."""
         return self.gamma_n * self.sigma**2 / 8.0
 
+    @property
+    def advantageous(self) -> bool:
+        return self.fixation_family in ("advantageous_only", "rescaled_advantageous")
+
     def r(self, x: np.ndarray) -> np.ndarray:
-        return self.growth.rate(x)
+        """r(x) for x of shape (..., d); returns shape (...)."""
+        x = np.asarray(x, dtype=float)
+        sq = np.square(x[..., 0]) if x.shape[-1] == 1 else np.square(x).sum(axis=-1)
+        return self.r0 - self.a * sq
 
     def f(self, y) -> np.ndarray:
         """Proposal-rate factor in y-coordinates: f(y) = f_n(sigma^2 y^2 / 4)."""
-        y = np.asarray(y, dtype=float)
-        return self.arrival.rate_n(y_to_n(y, self.sigma))
+        return self.mu * y_to_n(y, self.sigma)
 
     def g(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return self.fixation.probability(x, w, self.growth)
-
-    def mutation_mass(self) -> float:
-        return self.mutation.total_mass(self.dim)
+        """g(x, w), broadcast over leading dimensions of x and w."""
+        x = np.asarray(x, dtype=float)
+        w = np.asarray(w, dtype=float)
+        dr = self.r(x + w) - self.r(x)
+        if self.fixation_family == "deleterious_ok":
+            return self.g_max * expit(self.s * dr)
+        inward = np.sum(np.square(x + w), axis=-1) < np.sum(np.square(x), axis=-1)
+        # dr clipped first: -s dr overflows expm1 on outward pairs, masked below
+        base = self.g_max * -np.expm1(-self.s * np.maximum(dr, 0.0))
+        g = np.where(inward, base, 0.0)
+        if self.fixation_family == "advantageous_only":
+            return g
+        # rescaled: divide by (||w|| wedge 1); g vanishes at w = 0 so the
+        # clipped denominator never creates mass from nothing
+        wn = np.sqrt(np.sum(np.square(w), axis=-1))
+        return g / np.maximum(np.minimum(wn, 1.0), 1e-300)
 
     def g_bound(self, x_norm: float | np.ndarray) -> float | np.ndarray:
-        return self.fixation.bound(x_norm, self.growth)
+        """Upper bound for sup_w g(x, w) over ||x|| <= x_norm, elementwise
+        for an array of norms (a scalar for a scalar)."""
+        x_norm = np.asarray(x_norm, dtype=float)
+        if self.fixation_family != "rescaled_advantageous":
+            return np.full(x_norm.shape, self.g_max)[()]
+        # for |w| >= 1 the factor is 1; for |w| < 1,
+        # (1 - exp(-s dr))/|w| <= s*dr/|w| <= s*a*(2||x|| + |w|) <= s*a*(2||x|| + 1)
+        return (self.g_max * np.maximum(1.0, self.s * self.a * (2.0 * x_norm + 1.0)))[()]
+
+    def mutation_density(self, w: np.ndarray) -> np.ndarray:
+        """Lebesgue density of nu at w of shape (..., d) (mass-weighted, not
+        normalized)."""
+        w = np.asarray(w, dtype=float)
+        q = np.sum(np.square(w), axis=-1) / (2.0 * self.tau**2)
+        base = self.m_nu * ((2.0 * math.pi * self.tau**2) ** (-w.shape[-1] / 2.0) * np.exp(-q))
+        if self.mutation_family == "gaussian":
+            return base
+        wn = np.sqrt(np.sum(np.square(w), axis=-1))
+        return base * np.minimum(wn, 1.0)
+
+    def mutation_mass(self) -> float:
+        """nu(R^d) in closed form: E[||W|| wedge 1] integrates P(||W|| > r), for
+        ||W|| / tau chi-distributed with d degrees of freedom, over r in [0, 1]."""
+        if self.mutation_family == "gaussian":
+            return self.m_nu
+        t = self.tau
+        if self.dim == 1:
+            pdf0 = 1.0 / (t * math.sqrt(2.0 * math.pi))
+            pdf1 = pdf0 * math.exp(-1.0 / (2.0 * t * t))
+            expectation = 2.0 * t * t * (pdf0 - pdf1) + 2.0 * ndtr(-1.0 / t)
+        elif self.dim == 2:
+            expectation = t * math.sqrt(math.pi / 2.0) * math.erf(1.0 / (t * math.sqrt(2.0)))
+        else:
+            expectation = (math.erfc(1.0 / (t * math.sqrt(2.0)))
+                           + 2.0 * t * math.sqrt(2.0 / math.pi) * -math.expm1(-1.0 / (2.0 * t * t)))
+        return self.m_nu * expectation
+
+    def sample_mutations(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """Draw `size` effects of shape (size, dim) from the normalized law
+        nu / nu(R^d)."""
+        if self.mutation_family == "gaussian":
+            return gen.normal(0.0, self.tau, size=(size, self.dim))
+        out = np.empty((size, self.dim))
+        filled = 0
+        while filled < size:
+            batch = max(size - filled, 64)
+            cand = gen.normal(0.0, self.tau, size=(batch * 2, self.dim))
+            accept_p = np.minimum(np.sqrt(np.sum(np.square(cand), axis=-1)), 1.0)
+            keep = cand[gen.random(batch * 2) < accept_p]
+            take = min(len(keep), size - filled)
+            out[filled : filled + take] = keep[:take]
+            filled += take
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -374,18 +290,17 @@ def _gl_nodes(order: int):
 
 def _integral_once(x: np.ndarray, params: ModelParams, order: int, weight: str) -> float:
     """One quadrature pass of integral of weight(w) g(x, w) nu(dw)."""
-    mut = params.mutation
-    tau = mut.tau
+    tau = params.tau
     d = params.dim
 
-    tilted = mut.family == "gaussian_size_tilted"
-    if d == 1 and (params.fixation.advantageous or tilted):
+    tilted = params.mutation_family == "gaussian_size_tilted"
+    if d == 1 and (params.advantageous or tilted):
         # Gauss-Legendre on the smooth pieces of the integrand. For the
         # advantageous families g vanishes outside the open interval between
         # 0 and -2x and at both endpoints, so the indicator discontinuity
         # never enters; the size tilt min(|w|, 1) has kinks at w = -1, 0, 1.
         x0 = float(np.asarray(x).reshape(-1)[0])
-        lo, hi = (sorted((0.0, -2.0 * x0)) if params.fixation.advantageous
+        lo, hi = (sorted((0.0, -2.0 * x0)) if params.advantageous
                   else (-math.inf, math.inf))
         lo, hi = max(lo, -12.0 * tau), min(hi, 12.0 * tau)
         if hi <= lo:
@@ -396,7 +311,7 @@ def _integral_once(x: np.ndarray, params: ModelParams, order: int, weight: str) 
         for a, b in zip(cuts, cuts[1:]):
             wv = 0.5 * (b - a) * t + 0.5 * (b + a)
             wcol = wv[:, None]
-            vals = params.g(np.asarray(x, dtype=float), wcol) * mut.density(wcol)
+            vals = params.g(np.asarray(x, dtype=float), wcol) * params.mutation_density(wcol)
             if weight == "w1":
                 vals = vals * wv
             total += 0.5 * (b - a) * float(np.sum(wt * vals))
@@ -405,11 +320,11 @@ def _integral_once(x: np.ndarray, params: ModelParams, order: int, weight: str) 
     nodes, wts = _gh_grid(order, d)
     wv = math.sqrt(2.0) * tau * nodes
     vals = params.g(np.asarray(x, dtype=float), wv)
-    if mut.family == "gaussian_size_tilted":
+    if tilted:
         vals = vals * np.minimum(np.sqrt(np.sum(np.square(wv), axis=-1)), 1.0)
     if weight == "w1":
         vals = vals * wv[..., 0]
-    return mut.m_nu * float(np.sum(wts * vals))
+    return params.m_nu * float(np.sum(wts * vals))
 
 
 def fixation_integral(x, params: ModelParams, weight: str = "one") -> float:
@@ -421,12 +336,12 @@ def fixation_integral(x, params: ModelParams, weight: str = "one") -> float:
     """
     if weight not in ("one", "w1"):
         raise DomainError(f"unknown weight {weight!r}")
-    if params.mutation.m_nu == 0.0:
+    if params.m_nu == 0.0:
         return 0.0
     full = _integral_once(x, params, _QUAD_ORDER, weight)
     half = _integral_once(x, params, _QUAD_ORDER // 2, weight)
-    scale = params.fixation.g_max * params.mutation_mass() * (1.0 + params.mutation.tau)
-    tol = 1e-6 if (params.dim == 1 or not params.fixation.advantageous) else 1e-2
+    scale = params.g_max * params.mutation_mass() * (1.0 + params.tau)
+    tol = 1e-6 if (params.dim == 1 or not params.advantageous) else 1e-2
     err = abs(full - half) / max(abs(full), abs(half), 1e-9 * scale)
     if err > max(tol, 1e-3) and abs(full - half) > 1e-12 * scale:
         raise NumericError(
@@ -448,17 +363,14 @@ def rescale_jump_measure(params: ModelParams) -> ModelParams:
     measure stays finite because the tilt integrates the |w| wedge 1 moment.
     Only defined for the advantageous-only family in d = 1.
     """
-    if params.fixation.family != "advantageous_only":
+    if params.fixation_family != "advantageous_only":
         raise UnsupportedModelError("rescaling is defined for the advantageous_only family")
-    if params.mutation.family != "gaussian":
+    if params.mutation_family != "gaussian":
         raise UnsupportedModelError("rescaling expects the plain gaussian mutation family")
     if params.dim != 1:
         raise UnsupportedModelError("rescaling implemented for d = 1")
-    return replace(
-        params,
-        fixation=replace(params.fixation, family="rescaled_advantageous"),
-        mutation=replace(params.mutation, family="gaussian_size_tilted"),
-    )
+    return replace(params, fixation_family="rescaled_advantageous",
+                   mutation_family="gaussian_size_tilted")
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +401,8 @@ def reference_set(params: ModelParams) -> ReferenceBox:
     """Canonical small product set in the bulk: ball of radius tau/2 at
     -tau e_1, crossed with y in [1/2, 2]."""
     center = np.zeros(params.dim)
-    center[0] = -params.mutation.tau
-    return ReferenceBox(center=center, radius=params.mutation.tau / 2.0, y_lo=0.5, y_hi=2.0)
+    center[0] = -params.tau
+    return ReferenceBox(center=center, radius=params.tau / 2.0, y_lo=0.5, y_hi=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +422,7 @@ class HypothesisReport:
 
     checks: dict[str, HypothesisCheck]
     dim: int
-    fixation: FixationSpec
+    advantageous: bool
 
     _DESCRIPTIONS = {
         "H1": "arrival rate continuous in the size variable",
@@ -529,7 +441,7 @@ class HypothesisReport:
     def required_codes(self) -> list[str]:
         req = ["H1", "H2", "H3", "H4", "H5", "H6", "H7"]
         # positivity (H8) or sign structure (H9): whichever the family targets
-        req.append("H9" if self.fixation.advantageous else "H8")
+        req.append("H9" if self.advantageous else "H8")
         if self.dim >= 2:
             req.append("H11")
         return req
@@ -558,9 +470,8 @@ def validate_hypotheses(params: ModelParams) -> HypothesisReport:
     fixation family, the signs of m_nu and a, and the dimension; each
     check's detail states the reason.
     """
-    fixation, mutation, growth = params.fixation, params.mutation, params.growth
-    adv = fixation.advantageous
-    has_nu = mutation.m_nu > 0.0
+    adv = params.advantageous
+    has_nu = params.m_nu > 0.0
     no_nu = "m_nu = 0: the mutation measure is zero"
 
     def decide(holds: bool, why: str, why_not: str) -> tuple[str, str]:
@@ -569,16 +480,16 @@ def validate_hypotheses(params: ModelParams) -> HypothesisReport:
     decided = {
         "H1": ("satisfied", "f(y) = mu sigma^2 y^2 / 4 is continuous"),
         "H2": ("satisfied", "r(x) = r0 - a ||x||^2 is smooth, hence locally Lipschitz"),
-        "H3": ("satisfied", f"{fixation.family} g is at most g_bound(R) on ||x|| <= R"),
-        "H4": decide(has_nu, f"{mutation.family} measure with m_nu = {mutation.m_nu:g} is finite",
-                     no_nu),
-        "H5": ("satisfied", f"f(y) > 0 for y > 0 (mu = {params.arrival.mu:g})"),
+        "H3": ("satisfied", f"{params.fixation_family} g is at most g_bound(R) on ||x|| <= R"),
+        "H4": decide(has_nu, f"{params.mutation_family} measure with m_nu = {params.m_nu:g} "
+                             "is finite", no_nu),
+        "H5": ("satisfied", f"f(y) > 0 for y > 0 (mu = {params.mu:g})"),
         "H6": decide(has_nu, "a Gaussian density is positive on every annulus", no_nu),
-        "H7": decide(growth.a > 0.0, f"r(R e1) = {growth.r0:g} - {growth.a:g} R^2 -> -inf",
+        "H7": decide(params.a > 0.0, f"r(R e1) = {params.r0:g} - {params.a:g} R^2 -> -inf",
                      "a = 0: growth does not decay along any ray"),
         "H8": decide(not adv, "g_max expit(s dr) > 0 for every finite dr",
-                     f"{fixation.family} family vanishes on outward mutations"),
-        "H9": decide(adv, f"{fixation.family} g = 0 whenever ||x + w|| >= ||x||",
+                     f"{params.fixation_family} family vanishes on outward mutations"),
+        "H9": decide(adv, f"{params.fixation_family} g = 0 whenever ||x + w|| >= ||x||",
                      "deleterious-ok family accepts outward mutations"),
         "H10": ("satisfied", "density at most m_nu (2 pi tau^2)^(-d/2) "
                              "(alternative route to H9 only)"),
@@ -588,42 +499,17 @@ def validate_hypotheses(params: ModelParams) -> HypothesisReport:
     return HypothesisReport(
         checks={code: HypothesisCheck(code, status, detail)
                 for code, (status, detail) in decided.items()},
-        dim=params.dim, fixation=fixation)
+        dim=params.dim, advantageous=adv)
 
 
 # ---------------------------------------------------------------------------
 # convenience constructor
 
 
-# flat name -> (component field of ModelParams, or None for its own field; field)
-_FLAT_FIELDS = {
-    "dim": (None, "dim"), "v": (None, "v"), "sigma": (None, "sigma"),
-    "gamma_n": (None, "gamma_n"), "r0": ("growth", "r0"), "a": ("growth", "a"),
-    "mu": ("arrival", "mu"), "fixation_family": ("fixation", "family"),
-    "g_max": ("fixation", "g_max"), "s": ("fixation", "s"),
-    "mutation_family": ("mutation", "family"), "m_nu": ("mutation", "m_nu"),
-    "tau": ("mutation", "tau"),
-}
-
-
-def flat_params(params: ModelParams) -> dict:
-    """The scalar fields of params under the flat names default_params takes."""
-    return {name: getattr(getattr(params, part) if part else params, fld)
-            for name, (part, fld) in _FLAT_FIELDS.items()}
-
-
 def default_params(**overrides) -> ModelParams:
-    """ModelParams() with flat overrides for the scalar fields of every
-    component spec, e.g. default_params(r0=4.0, v=0.1,
-    fixation_family="advantageous_only"); the names are those of flat_params.
-    """
-    unknown = sorted(set(overrides) - set(_FLAT_FIELDS))
+    """ModelParams() with keyword overrides, e.g. default_params(r0=4.0, v=0.1,
+    fixation_family="advantageous_only"); DomainError for an unknown name."""
+    unknown = sorted(set(overrides) - {f.name for f in fields(ModelParams)})
     if unknown:
         raise DomainError(f"unknown parameter overrides: {unknown}")
-    params = ModelParams()
-    parts: dict = {part: {} for part, _ in _FLAT_FIELDS.values()}
-    for name, value in overrides.items():
-        part, fld = _FLAT_FIELDS[name]
-        parts[part][fld] = value
-    return replace(params, **parts.pop(None), **{part: replace(getattr(params, part), **kw)
-                                                 for part, kw in parts.items()})
+    return ModelParams(**overrides)

@@ -234,17 +234,17 @@ def build_generator(params: ModelParams, L: float, y_min: float = 1e-3,
     # --- jumps: banded stencil in the x direction, separable in (i, j),
     # reaching 8 mutation standard deviations; off-grid targets are killed
     fy = np.asarray(params.f(yc))[:, None]  # (ny, 1)
-    band = int(math.ceil(8.0 * params.mutation.tau / hx))
+    band = int(math.ceil(8.0 * params.tau / hx))
     total_int = np.array([fixation_integral(np.array([x0]), params) for x0 in xc])  # (nx,)
     in_grid = np.zeros(nx)  # discrete integral per source column, summed in offset order
     for di in range(-band, band + 1):
         if di == 0:
             gv0 = params.g(xc[:, None], np.zeros((nx, 1)))
-            nu0 = float(params.mutation.density(np.zeros((1, 1)))[0])
+            nu0 = float(params.mutation_density(np.zeros((1, 1)))[0])
             in_grid += gv0 * nu0 * hx  # sub-cell self band, dynamically inert
             continue
         w = np.full((nx, 1), di * hx)
-        gnu = params.g(xc[:, None], w) * params.mutation.density(w) * hx  # (nx,)
+        gnu = params.g(xc[:, None], w) * params.mutation_density(w) * hx  # (nx,)
         tgt = np.arange(nx) + di
         ok = (tgt >= 0) & (tgt < nx)
         in_grid += np.where(ok, gnu, 0.0)

@@ -532,6 +532,14 @@ def eta_node_grid(grid: HistGrid, nx: int = 30, ny: int = 20) -> tuple[np.ndarra
     return sub.x_centers, sub.y_centers
 
 
+def _eta_sizes(replicates: int, t_eval: float, dt_max: float) -> None:
+    """DomainError for an eta run with no replicate, or a t_eval that is not a
+    whole number of dt_max windows."""
+    if replicates < 1:
+        raise DomainError("estimate_eta needs replicates >= 1")
+    _whole_steps(t_eval, dt_max, "t_eval in dt_max windows")
+
+
 # nodes per batch, and rows per grouped cohort call
 _ETA_BATCH_NODES = 60
 _ETA_CALL_ROWS = 60_000
@@ -561,9 +569,7 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
     """
     if params.dim != 1:
         raise UnsupportedModelError("estimate_eta is implemented for d = 1 only")
-    if replicates < 1:
-        raise DomainError("estimate_eta needs replicates >= 1")
-    _whole_steps(t_eval, config.dt_max, "t_eval in dt_max windows")
+    _eta_sizes(replicates, t_eval, config.dt_max)
     xn, yn = eta_node_grid(alpha.grid, *nodes)
     gx, gy = len(xn), len(yn)
     n_nodes = gx * gy
@@ -839,7 +845,7 @@ def relaxed_start(params: ModelParams, config: SimConfig) -> tuple[np.ndarray, f
     at or above the absorbing ceiling, outside the domain a run may start
     in; in that case y0 is capped at 0.9 times the ceiling.
     """
-    ystar = y_equilibrium(params.growth.r_sup, params.gamma)
+    ystar = y_equilibrium(params.r0, params.gamma)
     if ystar is None:
         raise DomainError("no stable bulk equilibrium for these parameters")
     top = config.y_top

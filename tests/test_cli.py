@@ -52,12 +52,7 @@ def test_invalid_model_value_exits_2(tmp_path):
 
 def _dataclass_defaults() -> dict:
     """ModelParams() and SimConfig() defaults under their CLI keys."""
-    p = ModelParams()
-    model = {"dim": p.dim, "v": p.v, "sigma": p.sigma, "gamma_n": p.gamma_n,
-             "r0": p.growth.r0, "a": p.growth.a, "mu": p.arrival.mu,
-             "fixation_family": p.fixation.family, "g_max": p.fixation.g_max,
-             "s": p.fixation.s, "mutation_family": p.mutation.family,
-             "m_nu": p.mutation.m_nu, "tau": p.mutation.tau}
+    model = dataclasses.asdict(ModelParams())
     numerics = {("L" if f.name == "truncation" else f.name): f.default
                 for f in dataclasses.fields(SimConfig)}
     return {**model, **numerics}
@@ -397,6 +392,14 @@ def test_sizes_that_leave_nothing_to_compute_exit_2_before_any_run(tmp_path, cap
     assert cli.main([cmd, "--out", str(tmp_path), "--set", setting]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_a_two_dimensional_lambda_run_starts_inside_the_ball(tmp_path):
+    # a histogram cell of the fv alpha crosses |x| = L; its starts stay inside
+    assert cli.main(["lambda", "--seed", "1", "--out", str(tmp_path), "--set", "dim=2",
+                     "--set", "L=2.2", "--set", "particles=400", "--set", "window=3",
+                     "--set", "burn_in=2", "--set", "replicates=3000",
+                     "--set", "lambda_horizon=1", "--set", "nx=8", "--set", "ny=8"]) == 0
 
 
 @pytest.mark.parametrize("cmd,setting", [("fv", "window=0"), ("fv", "window=-2.5"),

@@ -110,6 +110,21 @@ def test_sample_round_trip():
     assert np.count_nonzero(back.masses) == 2
 
 
+def test_samples_in_a_cell_that_crosses_the_ball_stay_in_it_and_in_the_ball():
+    # in d = 2 the domain is |x| < 2: cell [1.5, 2) x [0.5, 1) crosses its
+    # boundary, and cell [1.5, 2) x [1.5, 2) lies wholly outside it
+    g = HistGrid.for_box(2.0, y_lo=0.1, nx=8, ny=2, dim=2)
+    masses = np.zeros(g.shape)
+    masses[7, 5, 0] = 1.0
+    x, y = EmpiricalMeasure(g, masses).sample(stream(StreamKey(seed=8)), 4000)
+    assert np.all((x[:, 0] >= 1.5) & (x[:, 0] < 2.0) & (x[:, 1] >= 0.5) & (x[:, 1] < 1.0))
+    assert np.all(np.linalg.norm(x, axis=1) < 2.0)
+    np.testing.assert_array_equal(g.cell_index(x, y), np.ravel_multi_index((7, 5, 0), g.shape))
+    masses[7, 7, 1] = 1e-6
+    with pytest.raises(DomainError, match="1 cells with mass lie wholly outside"):
+        EmpiricalMeasure(g, masses).sample(stream(StreamKey(seed=8)), 10)
+
+
 def test_coarsen_preserves_mass_blocks():
     g = _grid(nx=8, ny=6)
     gen = stream(StreamKey(seed=4, lineage=("coarse",)))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -9,10 +10,9 @@ from scipy.integrate import quad
 from scipy.stats import chi
 
 from adaptqsd.errors import DomainError, UnsupportedModelError
-from adaptqsd.model import (FixationSpec, GrowthSpec, ModelParams, MutationSpec,
-                            default_params, drift_y, fixation_integral, n_to_y,
-                            rescale_jump_measure, reference_set,
-                            validate_hypotheses, y_equilibrium, y_to_n)
+from adaptqsd.model import (ModelParams, default_params, drift_y, fixation_integral, n_to_y,
+                            rescale_jump_measure, reference_set, validate_hypotheses,
+                            y_equilibrium, y_to_n)
 from adaptqsd.rng import StreamKey, stream
 
 
@@ -59,20 +59,14 @@ def test_y_equilibrium_closed_form():
 
 def test_equilibrium_is_a_zero_of_the_drift():
     params = default_params()
-    ystar = y_equilibrium(params.growth.r_sup, params.gamma)
+    ystar = y_equilibrium(params.r0, params.gamma)
     assert drift_y(np.zeros(1), ystar, params) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_growth_family_contract():
-    g = GrowthSpec(r0=3.0, a=0.25)
+    params = default_params(r0=3.0, a=0.25, dim=2)
     x = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
-    np.testing.assert_allclose(g.rate(x), [3.0, 2.0, 2.5])
-    assert g.r_sup == 3.0
-    for a in (-0.1, math.inf, math.nan):
-        with pytest.raises(DomainError, match="a must be >= 0"):
-            GrowthSpec(a=a)
-    with pytest.raises(DomainError, match="a must be >= 0 and finite"):
-        default_params(a=math.inf)
+    np.testing.assert_allclose(params.r(x), [3.0, 2.0, 2.5])
 
 
 def test_fixation_positive_and_bounded():
@@ -82,7 +76,7 @@ def test_fixation_positive_and_bounded():
     w = gen.uniform(-2.0, 2.0, size=(500, 1))
     g = params.g(x, w)
     assert np.all(g > 0.0)
-    assert np.all(g <= params.fixation.g_max + 1e-15)
+    assert np.all(g <= params.g_max + 1e-15)
 
 
 def test_fixation_advantageous_only_sign_structure():
@@ -105,25 +99,25 @@ def test_a_steep_advantageous_fixation_does_not_overflow_on_outward_jumps(family
 def test_mutation_mass_and_moments():
     params = default_params(m_nu=2.5)
     assert params.mutation_mass() == pytest.approx(2.5)
-    w = params.mutation.sample(stream(StreamKey(seed=3)), 50000, 1)
-    assert abs(w.mean()) < 4.0 * params.mutation.tau / np.sqrt(len(w))
-    np.testing.assert_allclose(w.std(), params.mutation.tau, rtol=0.02)
+    w = params.sample_mutations(stream(StreamKey(seed=3)), 50000)
+    assert abs(w.mean()) < 4.0 * params.tau / np.sqrt(len(w))
+    np.testing.assert_allclose(w.std(), params.tau, rtol=0.02)
     planar = default_params(dim=2)
-    w2 = planar.mutation.sample(stream(StreamKey(seed=9, lineage=("mut",))), 40000, 2)
+    w2 = planar.sample_mutations(stream(StreamKey(seed=9, lineage=("mut",))), 40000)
     assert w2.shape == (40000, 2)
-    np.testing.assert_allclose(w2.mean(axis=0), [0.0, 0.0], atol=4.0 * planar.mutation.tau / 200.0)
-    np.testing.assert_allclose(w2.std(axis=0), [planar.mutation.tau] * 2, rtol=0.02)
+    np.testing.assert_allclose(w2.mean(axis=0), [0.0, 0.0], atol=4.0 * planar.tau / 200.0)
+    np.testing.assert_allclose(w2.std(axis=0), [planar.tau] * 2, rtol=0.02)
 
 
 def test_size_tilted_sampler_draws_the_tilted_law():
     # rejection from N(0, tau^2) with acceptance min(|w|, 1) must draw the density
     # min(|w|, 1) N(0, tau^2)(w), normalized here by its own quadrature
-    mut = MutationSpec(family="gaussian_size_tilted", m_nu=2.0, tau=0.5)
+    mut = default_params(mutation_family="gaussian_size_tilted", m_nu=2.0, tau=0.5)
     grid = np.linspace(-8.0, 8.0, 400_001)
-    density = mut.density(grid[:, None])
+    density = mut.mutation_density(grid[:, None])
     mass = np.trapezoid(density, grid)
-    assert mut.total_mass(1) == pytest.approx(mass, rel=1e-8)
-    w = mut.sample(stream(StreamKey(seed=5, lineage=("tilted",))), 100_000, 1)[:, 0]
+    assert mut.mutation_mass() == pytest.approx(mass, rel=1e-8)
+    w = mut.sample_mutations(stream(StreamKey(seed=5, lineage=("tilted",))), 100_000)[:, 0]
     for stat in (lambda v: np.minimum(np.abs(v), 1.0), lambda v: 1.0 * (np.abs(v) < 0.5)):
         expected = np.trapezoid(stat(grid) * density, grid) / mass
         drawn = stat(w)
@@ -132,11 +126,11 @@ def test_size_tilted_sampler_draws_the_tilted_law():
 
 def test_size_tilted_total_mass_in_two_dimensions():
     # nu(R^2) = m_nu E[min(|W|, 1)] for W ~ N(0, tau^2 I_2), against Monte Carlo
-    mut = MutationSpec(family="gaussian_size_tilted", m_nu=2.0, tau=0.5)
+    mut = default_params(mutation_family="gaussian_size_tilted", m_nu=2.0, tau=0.5, dim=2)
     gen = stream(StreamKey(seed=6, lineage=("tilted_mass",)))
     tilt = mut.m_nu * np.minimum(np.linalg.norm(gen.normal(0.0, mut.tau, (200_000, 2)),
                                                 axis=1), 1.0)
-    assert abs(mut.total_mass(2) - tilt.mean()) < 4.0 * tilt.std() / math.sqrt(len(tilt))
+    assert abs(mut.mutation_mass() - tilt.mean()) < 4.0 * tilt.std() / math.sqrt(len(tilt))
 
 
 @pytest.mark.parametrize("tau", [0.3, 0.5, 1.0])
@@ -144,12 +138,12 @@ def test_size_tilted_total_mass_in_closed_form(tau):
     # E[min(|W|, 1)] = integral of P(|W| > r) over [0, 1], |W| / tau a chi variable
     # with 2 or 3 degrees of freedom; a product quadrature across the kink at
     # |w| = 1 was off by up to +0.37% (d = 2, tau = 1)
-    mut = MutationSpec(family="gaussian_size_tilted", m_nu=2.0, tau=tau)
     c = 1.0 / (tau * math.sqrt(2.0))
     closed = {2: tau * math.sqrt(math.pi / 2.0) * math.erf(c),
               3: math.erfc(c) + 2.0 * tau * math.sqrt(2.0 / math.pi) * (1.0 - math.exp(-c * c))}
     for dim, expectation in closed.items():
-        assert mut.total_mass(dim) == pytest.approx(2.0 * expectation, rel=1e-12, abs=0)
+        mut = default_params(mutation_family="gaussian_size_tilted", m_nu=2.0, tau=tau, dim=dim)
+        assert mut.mutation_mass() == pytest.approx(2.0 * expectation, rel=1e-12, abs=0)
         tail = quad(lambda r: chi.sf(r / tau, dim), 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
         assert expectation == pytest.approx(tail, rel=1e-12, abs=0)
 
@@ -158,7 +152,7 @@ def test_fixation_integral_matches_monte_carlo():
     params = default_params()
     x = np.array([-1.5])
     gen = stream(StreamKey(seed=4, lineage=("mcint",)))
-    w = params.mutation.sample(gen, 400_000, 1)
+    w = params.sample_mutations(gen, 400_000)
     g = params.g(np.broadcast_to(x, w.shape), w)
     mass = params.mutation_mass()
     mc_one = g.mean() * mass
@@ -204,7 +198,7 @@ def test_fixation_integral_on_the_size_tilted_family(family):
     w = np.linspace(-8.0, 8.0, 400_001)
     for xv in (0.0, -1.0, -2.0, 1.0):
         x = np.array([xv])
-        vals = params.g(x, w[:, None]) * params.mutation.density(w[:, None])
+        vals = params.g(x, w[:, None]) * params.mutation_density(w[:, None])
         assert fixation_integral(x, params) == pytest.approx(np.trapezoid(vals, w), rel=1e-8)
         assert fixation_integral(x, params, weight="w1") == pytest.approx(
             np.trapezoid(vals * w, w), rel=1e-8, abs=1e-12)
@@ -281,13 +275,36 @@ def test_reference_set_samples_inside():
 
 def test_default_params_are_the_dataclass_defaults():
     assert ModelParams() == default_params()
-    assert default_params(s=1.0, dim=2).fixation.s == 1.0
+    assert default_params(s=1.0, dim=2).s == 1.0
+
+
+_OUT_OF_RANGE = [
+    ("dim", 0, DomainError, "dim must be 1, 2 or 3"),
+    ("dim", 4, DomainError, "dim must be 1, 2 or 3"),
+    *[(name, value, DomainError, f"{name} must be positive and finite")
+      for name in ("v", "sigma", "gamma_n", "mu", "g_max", "tau")
+      for value in (0.0, -1.0, math.inf, math.nan)],
+    ("r0", math.nan, DomainError, "r0 must be finite"),
+    ("r0", -math.inf, DomainError, "r0 must be finite"),
+    *[(name, value, DomainError, f"{name} must be >= 0 and finite")
+      for name in ("a", "s", "m_nu") for value in (-0.1, math.inf, math.nan)],
+    ("fixation_family", "neutral", UnsupportedModelError, "unknown fixation family 'neutral'"),
+    ("mutation_family", "cauchy", UnsupportedModelError, "unknown mutation family 'cauchy'"),
+]
+
+
+@pytest.mark.parametrize("name,value,error,message", _OUT_OF_RANGE)
+def test_each_field_rejects_its_out_of_range_values(name, value, error, message):
+    for build in (ModelParams, default_params):
+        with pytest.raises(error) as info:
+            build(**{name: value})
+        assert str(info.value) == message
+
+
+def test_the_out_of_range_cases_cover_every_field():
+    assert {case[0] for case in _OUT_OF_RANGE} == {f.name for f in dataclasses.fields(ModelParams)}
 
 
 def test_params_domain_checks():
-    with pytest.raises(DomainError):
-        ModelParams(dim=0)
-    with pytest.raises(DomainError):
-        default_params(v=-0.1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="unknown parameter overrides"):
         default_params(unknown_key=1.0)
