@@ -145,9 +145,9 @@ def _number(value, kind: type):
 def cast_config(cfg: dict) -> dict:
     """cfg with every value cast to the type of its default (float for a None
     default) without changing it; null stays null only where the SimConfig
-    default is None, burn_in stays "auto" or becomes a float >= 0, L_list a
-    tuple of floats, every number is finite, and each key of _FLOORS is at
-    least its floor."""
+    default is None, a string key takes only a string, burn_in stays "auto"
+    or becomes a float >= 0, L_list (a list) a tuple of floats, every number
+    is finite, and each key of _FLOORS is at least its floor."""
     typed = {}
     for key, default in DEFAULT_CONFIG.items():
         value = cfg[key]
@@ -157,11 +157,15 @@ def cast_config(cfg: dict) -> dict:
                 if value != "auto" and not typed[key] >= 0.0:
                     raise ValueError("need a burn-in >= 0 or \"auto\"")
             elif key == "L_list":
+                if not isinstance(value, list):
+                    raise ValueError("need a list of numbers")
                 typed[key] = tuple(_number(L, float) for L in value)
             elif value is None and key in _SIM_FIELDS and _SIM_FIELDS[key].default is None:
                 typed[key] = None
             elif isinstance(default, str):
-                typed[key] = str(value)
+                if not isinstance(value, str):
+                    raise ValueError("need a string")
+                typed[key] = value
             else:
                 typed[key] = _number(value, float if default is None else type(default))
             # a non-finite time never ends a run, and is not strict JSON in manifest.json
@@ -219,9 +223,15 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _write_columns(path: Path, header: list[str], *columns) -> None:
+    """One row per entry of equal-length columns, each read in C order."""
+    _write_csv(path, header, zip(*(map(_fmt, np.ravel(c)) for c in columns), strict=True))
+
+
 def write_measure_csv(path: Path, m: EmpiricalMeasure) -> None:
-    _write_csv(path, [f"x{k+1}" for k in range(m.grid.dim)] + ["y", "mass"],
-               ([_fmt(c) for c in row] for row in m.to_rows()))
+    x, y = m.grid.cell_centers()
+    _write_columns(path, [f"x{k+1}" for k in range(m.grid.dim)] + ["y", "mass"],
+                   *x.T, y, m.masses)
 
 
 def _write_trajectory(path: Path, traj: Trajectory) -> None:
@@ -349,9 +359,8 @@ def run_lambda(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> lis
         "n_paths": int(est.n_paths),
         "flags": est.flags,
     })
-    _write_csv(out / "survival_curve.csv", ["t", "survivors", "in_fit"],
-               ([_fmt(t), int(n), int(used)]
-                for t, n, used in zip(est.t_grid, est.survivors, est.fit_mask)))
+    _write_columns(out / "survival_curve.csv", ["t", "survivors", "in_fit"],
+                   est.t_grid, est.survivors, est.fit_mask)
     return ["alpha.csv", "lambda0.json", "survival.json", "survival_curve.csv"]
 
 
@@ -374,10 +383,9 @@ def run_eta(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> list[s
     fv, eta = _run_eta(cfg, params, sim)
     write_measure_csv(out / "alpha.csv", fv.alpha)
     write_json(out / "lambda0.json", _lambda_payload(fv))
-    _write_csv(out / "eta.csv", ["x", "y", "eta", "stderr", "survivors"],
-               ([_fmt(xv), _fmt(yv), _fmt(eta.values[i, j]), _fmt(eta.stderr[i, j]),
-                 int(eta.survivors_t1[i, j])]
-                for i, xv in enumerate(eta.x_nodes) for j, yv in enumerate(eta.y_nodes)))
+    _write_columns(out / "eta.csv", ["x", "y", "eta", "stderr", "survivors"],
+                   *np.meshgrid(eta.x_nodes, eta.y_nodes, indexing="ij"),
+                   eta.values, eta.stderr, eta.survivors_t1)
     write_measure_csv(out / "beta.csv", beta_from(fv.alpha, eta))
     return ["alpha.csv", "lambda0.json", "eta.csv", "beta.csv"]
 
@@ -423,11 +431,8 @@ def run_oracle(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> lis
         "ny": cfg["ny"],
     })
     write_measure_csv(out / "oracle_alpha.csv", tri.alpha)
-    grid = tri.alpha.grid
-    eta = tri.eta.reshape(grid.shape)
-    _write_csv(out / "oracle_eta.csv", ["x", "y", "eta"],
-               ([_fmt(xv), _fmt(yv), _fmt(eta[i, j])]
-                for i, xv in enumerate(grid.x_centers) for j, yv in enumerate(grid.y_centers)))
+    _write_columns(out / "oracle_eta.csv", ["x", "y", "eta"],
+                   *tri.alpha.grid.cell_centers(), tri.eta)
     return ["oracle.json", "oracle_alpha.csv", "oracle_eta.csv"]
 
 
@@ -472,17 +477,15 @@ def run_diagnose(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> l
                             n_particles=cfg["particles"], window=cfg["window"],
                             burn_in=cfg["burn_in"], nx=cfg["nx"], ny=cfg["ny"])
 
-    _write_csv(out / "convergence.csv", ["t", "tv_mean", "tv_se"],
-               ([_fmt(t), _fmt(m), _fmt(se)]
-                for t, m, se in zip(curve.t, curve.tv_mean, curve.tv_se)))
+    _write_columns(out / "convergence.csv", ["t", "tv_mean", "tv_se"],
+                   curve.t, curve.tv_mean, curve.tv_se)
     write_json(out / "balance.json", {
         "v": bal.v, "rhs": bal.rhs, "residual": bal.residual,
         "mc_stderr": bal.mc_stderr, "sigmas": bal.sigmas,
         "n_samples": int(bal.n_samples), "n_blocks": int(bal.n_blocks),
     })
-    _write_csv(out / "truncation.csv", ["L", "lambda_hat", "lambda_se", "tv_to_largest"],
-               ([_fmt(c) for c in row]
-                for row in zip(fam.L, fam.lambda_hat, fam.lambda_se, fam.tv_to_largest)))
+    _write_columns(out / "truncation.csv", ["L", "lambda_hat", "lambda_se", "tv_to_largest"],
+                   fam.L, fam.lambda_hat, fam.lambda_se, fam.tv_to_largest)
     write_json(out / "diagnose.json", {
         "lambda0": fv.lambda0,
         "lambda0_stderr": fv.lambda0_stderr,
@@ -547,7 +550,7 @@ def main(argv=None) -> int:
             raise UnsupportedModelError(f"{args.cmd} is implemented for d = 1 only")
         if args.cmd != "validate":
             _check_hypotheses(args.cmd, params)
-        out = Path(cfg["out"])
+        out = Path(typed["out"])
         created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
         try:
             out.mkdir(parents=True, exist_ok=True)

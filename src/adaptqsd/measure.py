@@ -69,6 +69,12 @@ class HistGrid:
     def n_cells(self) -> int:
         return int(np.prod(self.shape))
 
+    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Centre of every cell in the order of masses.ravel() (C order, y
+        fastest): x (n_cells, dim), y (n_cells,)."""
+        idx = np.indices(self.shape).reshape(self.dim + 1, -1)
+        return self.x_centers[idx[:-1].T], self.y_centers[idx[-1]]
+
     def histogram(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Point counts over cells (binned by cell_index); points outside
         the box are dropped.
@@ -199,14 +205,6 @@ class EmpiricalMeasure:
                        nx=self.grid.nx // fx, y_lo=self.grid.y_lo, y_hi=self.grid.y_hi,
                        ny=self.grid.ny // fy)
         return EmpiricalMeasure(grid=sub, masses=m)
-
-    def to_rows(self):
-        """Iterate (x_center..., y_center, mass) over cells, C order."""
-        centers = [self.grid.x_centers] * self.grid.dim + [self.grid.y_centers]
-        flat = self.masses.ravel()
-        for flat_idx, mass in enumerate(flat):
-            multi = np.unravel_index(flat_idx, self.grid.shape)
-            yield tuple(float(c[i]) for c, i in zip(centers, multi)) + (float(mass),)
 
 
 def tv_distance(a, b) -> float:

@@ -62,11 +62,6 @@ def default_hist_grid(config: SimConfig, nx: int = 80, ny: int = 60,
     return HistGrid.for_box(config.truncation, y_lo=config.y_floor, nx=nx, ny=ny, dim=dim)
 
 
-def _cell_centers(grid: HistGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Centre of every cell of a d = 1 grid in C order: x (n, 1), y (n,)."""
-    return np.repeat(grid.x_centers, grid.ny)[:, None], np.tile(grid.y_centers, grid.nx)
-
-
 def _init_states(init, size: int, gen: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
     """Resolve an initial-condition spec into (x (n, d), y (n,)) arrays.
 
@@ -609,7 +604,7 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
     sv1, sv2 = np.bincount(own1, minlength=n_nodes), np.bincount(own2, minlength=n_nodes)
 
     alpha_w = alpha.masses.ravel()
-    cell_x, cell_y = _cell_centers(alpha.grid)
+    cell_x, cell_y = alpha.grid.cell_centers()
 
     # node-to-node weights: row n sums the interpolation weights of node n's endpoints
     W1 = sp.csr_matrix((w1.ravel(), (np.repeat(own1, 4), idx1.ravel())),
@@ -649,7 +644,7 @@ def estimate_eta(alpha: EmpiricalMeasure, lambda0: float, params: ModelParams,
 def beta_from(alpha: EmpiricalMeasure, eta: EtaEstimate) -> EmpiricalMeasure:
     """beta = eta * alpha, renormalized on alpha's grid."""
     g = alpha.grid
-    weights = eta(*_cell_centers(g)).reshape(g.shape)
+    weights = eta(*g.cell_centers()).reshape(g.shape)
     masses = alpha.masses * weights
     if masses.sum() <= EmpiricalMeasure.MIN_TOTAL:
         raise DomainError("beta degenerate: alpha and eta have disjoint support")

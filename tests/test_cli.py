@@ -6,6 +6,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adaptqsd import cli, cohort, qsd
@@ -89,12 +90,33 @@ def test_bad_model_or_numerics_value_exits_2(tmp_path, key):
     ("eta", "eta_t_eval=Infinity"), ("lambda", "lambda_horizon=Infinity"),
     ("qprocess", "q_horizon=Infinity"), ("qprocess", "q_horizon=NaN"),
     ("diagnose", "t_max=Infinity"),
+    # a box list that is not a list: a string would run one box per character
+    ("diagnose", 'L_list="45"'), ("diagnose", 'L_list={"3": 1}'),
 ])
 def test_bad_experiment_value_exits_2_before_any_run(tmp_path, capsys, monkeypatch, cmd, setting):
     monkeypatch.setattr(cli, "fleming_viot", None)  # any estimator call would raise
     assert cli.main([cmd, "--out", str(tmp_path), "--set", setting]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad experiment field") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("via", ["set", "config"])
+@pytest.mark.parametrize("key,raw", [("out", "5"), ("out", "null"), ("out", '["a"]'),
+                                     ("fixation_family", "null")])
+def test_a_string_key_takes_only_a_json_string(tmp_path, capsys, monkeypatch, via, key, raw):
+    # str() would have made a directory named 5 or None, or the family "None"
+    monkeypatch.chdir(tmp_path)
+    if via == "set":
+        args = ["--set", f"{key}={raw}"]
+    else:
+        (tmp_path / "cfg.json").write_text(f'{{"{key}": {raw}}}')
+        args = ["--config", "cfg.json"]
+    assert cli.main(["validate", *args]) == 2
+    err = capsys.readouterr().err
+    block = "model" if key == "fixation_family" else "experiment"
+    assert err.startswith(f"error: bad {block} field {key}=") and "need a string" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if via == "config" else [])
 
 
 def test_experiment_block_is_cast_to_default_types():
@@ -329,6 +351,15 @@ def test_fv_runs_in_two_dimensions(tmp_path):
     lines = (tmp_path / "alpha.csv").read_text().strip().splitlines()
     assert lines[0] == "x1,x2,y,mass"
     assert len(lines) == 10 * 10 * 8 + 1
+
+
+def test_each_two_dimensional_alpha_row_holds_the_centre_of_its_own_cell(tmp_path):
+    assert cli.main(["fv", "--out", str(tmp_path), "--set", "dim=2"] + _tiny()) == 0
+    rows = np.loadtxt(tmp_path / "alpha.csv", delimiter=",", skiprows=1)
+    grid = qsd.default_hist_grid(SimConfig(truncation=4.0, truncation_y_low=0.001),
+                                 nx=10, ny=8, dim=2)
+    np.testing.assert_array_equal(grid.cell_index(rows[:, :2], rows[:, 2]),
+                                  np.arange(grid.n_cells))
 
 
 def test_eta_on_a_node_matrix_too_sparse_to_normalize_exits_4_naming_eta_replicates(

@@ -62,6 +62,18 @@ def test_histogram_matches_histogramdd_in_2d():
     np.testing.assert_array_equal(g.histogram(x, y), ref)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cell_centers_list_the_cells_in_the_order_of_the_flat_masses(dim):
+    # nx != ny, so a transposed layout would not map back
+    g = HistGrid.for_box(2.0, y_lo=1e-2, nx=5, ny=3, dim=dim)
+    x, y = g.cell_centers()
+    assert x.shape == (g.n_cells, dim) and y.shape == (g.n_cells,)
+    np.testing.assert_array_equal(g.cell_index(x, y), np.arange(g.n_cells))
+    if dim == 1:
+        np.testing.assert_array_equal(x, np.repeat(g.x_centers, g.ny)[:, None])
+        np.testing.assert_array_equal(y, np.tile(g.y_centers, g.nx))
+
+
 def test_cell_index_boundary_points():
     g = _grid()
     # upper edges belong to the last cell, not outside
