@@ -26,7 +26,7 @@ from .errors import (AdaptQsdError, ConfigError, DomainError, HypothesisError,
 from .measure import EmpiricalMeasure, HistGrid
 from .model import ModelParams, reference_set, validate_hypotheses
 from .oracle import build_generator, leading_triple
-from .pathsim import ExitReason, SimConfig, Trajectory, simulate_path, simulate_q_path
+from .pathsim import ExitReason, SimConfig, Trajectory, simulate_paths, simulate_q_path
 from .qsd import (_BALANCE_EVERY, _eta_sizes, _q_steps, _survival_sizes, _whole_steps,
                   balance_residual, beta_from, conditioned_marginal, convergence_curve,
                   default_hist_grid, estimate_eta, estimate_lambda0_survival, fleming_viot,
@@ -242,13 +242,13 @@ def _write_trajectory(path: Path, traj: Trajectory) -> None:
         j = next(order, None)
         for i, t in enumerate(traj.times):
             while j is not None and traj.jump_times[j] <= t:
-                yield ([_fmt(traj.jump_times[j]), *map(_fmt, traj.jump_x_after[j]), "", "",
-                        "jump", *map(_fmt, traj.jump_w[j])])
+                w = traj.jump_w[j]
+                yield [_fmt(traj.jump_times[j]), *map(_fmt, traj.jump_x_before[j] + w), "", "",
+                       "jump", *map(_fmt, w)]
                 j = next(order, None)
             exited = (i + 1 == len(traj.times)
                       and traj.exit_reason is not ExitReason.SURVIVED_HORIZON)
-            # scalar y ** 2 is pow(), which can round apart from Trajectory.n (y * y)
-            n = traj.sigma**2 * traj.y[i] ** 2 / 4.0
+            n = traj.sigma**2 * traj.y[i] ** 2 / 4.0  # the raw population size
             yield ([_fmt(t), *map(_fmt, traj.x[i]), _fmt(traj.y[i]), _fmt(n),
                     traj.exit_reason.value if exited else "sample"] + [""] * d)
 
@@ -319,7 +319,7 @@ def run_validate(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> l
 def run_simulate(cfg: dict, params: ModelParams, sim: SimConfig, out: Path) -> list[str]:
     box = reference_set(params)
     x0, y0 = box.sample(stream(_key(cfg, "simulate", "init")), 1)
-    traj = simulate_path((x0[0], float(y0[0])), params, sim, _key(cfg, "simulate"))
+    traj = simulate_paths((x0[0], float(y0[0])), params, sim, [_key(cfg, "simulate")])[0]
     _write_trajectory(out / "trajectory.csv", traj)
     write_json(out / "exit.json", {
         "exit_reason": traj.exit_reason.value,

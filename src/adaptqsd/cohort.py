@@ -170,8 +170,8 @@ def reason_from_code(code: int) -> ExitReason:
 class WindowEvents:
     """Event log of one cohort window; timestamps are absolute.
 
-    Kills are in kill-time order; jumps carry the particle's position just
-    before and just after the jump.
+    Kills are in kill-time order; a jump logs the particle's position just
+    before it and w, so its end point is jump_x_before + jump_w, bit for bit.
     """
 
     kill_ids: np.ndarray
@@ -181,7 +181,6 @@ class WindowEvents:
     jump_times: np.ndarray
     jump_w: np.ndarray
     jump_x_before: np.ndarray
-    jump_x_after: np.ndarray
     n_proposals: int
     bound_exceeded: int
 
@@ -191,7 +190,7 @@ class WindowEvents:
                    kill_codes=np.empty(0, dtype=np.int8),
                    jump_ids=np.empty(0, dtype=np.int64), jump_times=np.empty(0),
                    jump_w=np.empty((0, dim)), jump_x_before=np.empty((0, dim)),
-                   jump_x_after=np.empty((0, dim)), n_proposals=0, bound_exceeded=0)
+                   n_proposals=0, bound_exceeded=0)
 
 
 class _GroupDraws:
@@ -400,7 +399,7 @@ class Engine:
             prop_times[multi] = np.sort(prop_times[multi], axis=1)
         ptr = np.zeros(m, dtype=np.int64)
 
-        jacc: dict[str, list] = {k: [] for k in ("ids", "t", "w", "xb", "xa")}
+        jacc: dict[str, list] = {k: [] for k in ("ids", "t", "w", "xb")}
         exceeded = 0
         total_props = 0
         rows = np.arange(m)  # pending rows, ascending; once done, never pending again
@@ -450,13 +449,11 @@ class Engine:
                     wa = w[acc]
                     x_before = xa[ai]
                     xa[ai] += wa
-                    x_after = xa[ai]
-                    na = np.linalg.norm(x_after, axis=1)
+                    na = np.linalg.norm(xa[ai], axis=1)
                     jacc["ids"].append(idx_all[ai])
                     jacc["t"].append(t0 + off[ai])
                     jacc["w"].append(wa)
                     jacc["xb"].append(x_before)
-                    jacc["xa"].append(x_after)
                     oi = (na >= self._x_level).nonzero()[0]
                     if len(oi):
                         gone = ai[oi]
@@ -479,7 +476,6 @@ class Engine:
             ev.jump_times = np.concatenate(jacc["t"])
             ev.jump_w = np.concatenate(jacc["w"], axis=0)
             ev.jump_x_before = np.concatenate(jacc["xb"], axis=0)
-            ev.jump_x_after = np.concatenate(jacc["xa"], axis=0)
         ev.n_proposals = total_props
         ev.bound_exceeded = exceeded
 

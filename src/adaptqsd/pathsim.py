@@ -1,14 +1,15 @@
-"""Single-path front ends over the cohort kernel.
+"""Path front ends over the cohort kernel.
 
-simulate_path is a one-row run of qsd._Stepper, the driver of every
-cohort.Engine.window call, on its to_horizon schedule (dt_max windows from
-t = 0, the last one cut at the horizon, ending with the window that kills
-the path), and keeps its state at every window end, jump log and exit
+simulate_paths steps one path per key as the one-row groups of one run of
+qsd._Stepper, the driver of every cohort.Engine.window call, on its
+to_horizon schedule (dt_max windows from t = 0, the last one cut at the
+horizon), so each path is bit for bit its one-key run: its state at every
+window end up to the one that kills it, its jumps and the driver's exit
 record; it resamples nothing, so it keeps no kill log. simulate_q_path runs
 one walker of the h-transform rejection loop behind
 qsd.conditioned_marginal. Both start from an (x, y) point, which _Stepper
-checks as it checks every start, and return a Trajectory, whose jump log is
-enough to rebuild x between samples.
+checks as it checks every start, and return Trajectory records, whose jump
+log is enough to rebuild x between samples.
 """
 from __future__ import annotations
 
@@ -19,22 +20,17 @@ import numpy as np
 from .cohort import ExitReason, SimConfig, reason_from_code
 # drift_y stays: perfbench/workload.py's traced runs wrap pathsim.drift_y
 from .model import ModelParams, drift_y  # noqa: F401
-from .qsd import _h_transform, _init_states, _jump_log, _q_steps, _Stepper
+from .qsd import _JUMP_LOG, _h_transform, _init_states, _jump_log, _q_steps, _Stepper
 from .rng import StreamKey
 
-__all__ = [
-    "ExitReason",
-    "SimConfig",
-    "Trajectory",
-    "simulate_path",
-    "simulate_q_path",
-]
+__all__ = ["ExitReason", "SimConfig", "Trajectory", "simulate_paths", "simulate_q_path"]
 
 
 @dataclass
 class Trajectory:
     """Sampled path with its exit record and the kernel's jump log, in time
-    order: jump i, at jump_times[i], moved x from jump_x_before[i] by jump_w[i]."""
+    order: jump i, at jump_times[i], moved x from jump_x_before[i] by
+    jump_w[i], to jump_x_before[i] + jump_w[i]."""
 
     times: np.ndarray
     x: np.ndarray
@@ -42,17 +38,11 @@ class Trajectory:
     jump_times: np.ndarray
     jump_w: np.ndarray
     jump_x_before: np.ndarray
-    jump_x_after: np.ndarray
     exit_reason: ExitReason
     exit_time: float
     sigma: float
     v: float
     meta: dict = field(default_factory=dict)
-
-    @property
-    def n(self) -> np.ndarray:
-        """Raw population-size coordinate at the sample times."""
-        return self.sigma**2 * np.square(self.y) / 4.0
 
     def reconstruct_x(self, t: float) -> np.ndarray:
         """x(t) rebuilt from the initial point and the jump log alone."""
@@ -65,34 +55,38 @@ class Trajectory:
         return x
 
 
-def simulate_path(init, params: ModelParams, config: SimConfig, key: StreamKey) -> Trajectory:
-    """Simulate one path to absorption, truncation exit, or the horizon.
+def simulate_paths(init, params: ModelParams, config: SimConfig,
+                   keys: list[StreamKey]) -> list[Trajectory]:
+    """Simulate one path per key from the (x, y) point init to absorption,
+    truncation exit, or the horizon.
 
-    A one-row _Stepper run on its to_horizon schedule (dt_max windows, the
-    last one cut at the horizon), so a start outside the simulation domain
-    raises DomainError. Window k draws from key.child("w", k), the rule of
-    every estimator, so windows replay alone and paths are bit-reproducible
-    from (params, config, key). Rows are the start and each window end; the
-    last is the exit (or horizon) state, at the exit time.
+    The paths step as the one-row groups of one _Stepper run on its
+    to_horizon schedule (dt_max windows, the last one cut at the horizon), so
+    a start outside the simulation domain raises DomainError. Path i draws
+    its window k from keys[i].child("w", k), the rule of every estimator, and
+    nothing once dead, so it is bit for bit its one-key run. Its rows are the
+    start and every window end at whose start it was alive, the last at its
+    exit time (the horizon for a survivor); its jumps are those of row i.
     """
-    x, y = _init_states(init, 1, None)
-    times, xs, ys = [0.0], [x[0].copy()], [float(y[0])]
-    st = _Stepper(params, config, x, y, [key])
-    picks = []
-    exit_reason = ExitReason.SURVIVED_HORIZON
-    exit_time = config.horizon
+    x, y = _init_states(init, len(keys), None)
+    st = _Stepper(params, config, x, y, keys, range(len(keys) + 1))
+    steps, picks = [(0.0, x.copy(), y.copy(), st.alive.copy())], []
     for _, ev in st.to_horizon(config.horizon):
         picks.append((ev, ...))
-        if not st.alive[0]:
-            exit_reason = reason_from_code(ev.kill_codes[0])
-            exit_time = float(ev.kill_times[0])
-        times.append(st.t)
-        xs.append(st.x[0].copy())
-        ys.append(float(st.y[0]))
-    times[-1] = exit_time
-    return Trajectory(times=np.asarray(times), x=np.asarray(xs), y=np.asarray(ys),
-                      **_jump_log(picks, params.dim), exit_reason=exit_reason,
-                      exit_time=exit_time, sigma=params.sigma, v=params.v)
+        steps.append((st.t, x.copy(), y.copy(), st.alive.copy()))
+    times, xs, ys, live = map(np.asarray, zip(*steps))
+    log = _jump_log(picks, params.dim, ("jump_ids", *_JUMP_LOG))
+    paths = []
+    for i, rows in enumerate(1 + live[:-1].sum(axis=0)):
+        code, mine = int(st.exit_code[i]), log["jump_ids"] == i
+        exit_time = float(st.exit_time[i]) if code >= 0 else config.horizon
+        paths.append(Trajectory(
+            times=np.append(times[:rows - 1], exit_time),
+            x=xs[:rows, i].copy(), y=ys[:rows, i].copy(),  # own rows, not views of all paths
+            **{name: log[name][mine] for name in _JUMP_LOG},
+            exit_reason=reason_from_code(code) if code >= 0 else ExitReason.SURVIVED_HORIZON,
+            exit_time=exit_time, sigma=params.sigma, v=params.v))
+    return paths
 
 
 def simulate_q_path(init, params: ModelParams, config: SimConfig, key: StreamKey,

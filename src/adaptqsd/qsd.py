@@ -92,12 +92,15 @@ class _Stepper:
     is bit-identical to stepping each group alone (see Engine.window); a
     group with no live row at a window's start gets no stream. t and k count
     the time and windows stepped; bound_exceeded sums the thinning-bound
-    violations. With a `resample` name, killed particles are replaced at the
+    violations. exit_time and exit_code are each row's exit record (inf and
+    -1 until killed), written from every window's kills before any
+    resampling. With a `resample` name, killed particles are replaced at the
     window end by the end-of-window state of a uniformly chosen survivor of
     their own group (Fleming-Viot); group g's donors of window k come from
     keys[g].child(resample, k) in kill-time order, and kills logs the
     (kill times, killed, donors) of each window with kills, after an empty
-    entry. Mutates x and y in place. Its callers step on one of two window
+    entry; a slot's exit record is then its latest kill, which nothing reads.
+    Mutates x and y in place. Its callers step on one of two window
     schedules, advance or to_horizon.
 
     The start check of every run: DomainError, naming how many and the
@@ -117,6 +120,8 @@ class _Stepper:
         self.engine = Engine(params, config)
         self.x, self.y = x, y
         self.alive = np.ones(len(y), dtype=bool)
+        self.exit_time = np.full(len(y), np.inf)
+        self.exit_code = np.full(len(y), -1, dtype=np.int8)
         self.keys = list(keys)
         self.groups = (0, len(y)) if groups is None else tuple(int(b) for b in groups)
         if len(self.groups) != len(self.keys) + 1:
@@ -138,6 +143,7 @@ class _Stepper:
         ev = self.engine.window(x, y, alive, t0, dt, gens, groups)
         self.bound_exceeded += ev.bound_exceeded
         kill_ids = ev.kill_ids
+        self.exit_time[kill_ids], self.exit_code[kill_ids] = ev.kill_times, ev.kill_codes
         if self.resample and len(kill_ids):
             donors = np.empty(len(kill_ids), dtype=np.int64)
             for g, key in enumerate(self.keys):
@@ -279,6 +285,8 @@ def fleming_viot(params: ModelParams, config: SimConfig, key: StreamKey,
 class CohortResult:
     """Death times and optional snapshots / jump logs of a plain cohort.
 
+    death_times is the driver's exit record (inf for a survivor), and
+    total_time_alive the rows' summed time alive, min(death time, horizon).
     slices maps a snapshot time to (live_idx, x_live, y_live): the particle
     indices still alive at that time and their states. end_x/end_y hold the
     kill point of every particle that died. With collect_jumps, the jump log
@@ -295,7 +303,6 @@ class CohortResult:
     jump_times: np.ndarray | None = None
     jump_w: np.ndarray | None = None
     jump_x_before: np.ndarray | None = None
-    jump_x_after: np.ndarray | None = None
     total_time_alive: float = 0.0
     bound_exceeded: int = 0
 
@@ -304,7 +311,7 @@ class CohortResult:
 
 
 # the kernel's jump log (cohort.WindowEvents), as Trajectory and CohortResult hold it
-_JUMP_LOG = ("jump_times", "jump_w", "jump_x_before", "jump_x_after")
+_JUMP_LOG = ("jump_times", "jump_w", "jump_x_before")
 
 
 def _jump_log(picks, dim: int, names=_JUMP_LOG) -> dict:
@@ -335,17 +342,11 @@ def run_cohort(x0: np.ndarray, y0: np.ndarray, params: ModelParams, config: SimC
     y = np.asarray(y0, dtype=float).copy()
     st = _Stepper(params, config, x, y, [key] if groups is None else key, groups)
     alive = st.alive
-    death = np.full(len(y), np.inf)
     slices = sorted(float(s) for s in record_slices)
     out_slices: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     jumps = []
     si = 0
-    alive_time = 0.0
-    for dt, ev in st.to_horizon(horizon):
-        # the rows alive at the window start: no row is resampled
-        alive_time += dt * (np.count_nonzero(alive) + len(ev.kill_ids))
-        if len(ev.kill_ids):
-            death[ev.kill_ids] = ev.kill_times
+    for _, ev in st.to_horizon(horizon):
         if collect_jumps and len(ev.jump_ids):
             jumps.append((ev, ...))
         # once every row is dead, the later slices are empty too
@@ -355,8 +356,9 @@ def run_cohort(x0: np.ndarray, y0: np.ndarray, params: ModelParams, config: SimC
             out_slices[slices[si]] = (live, x[live].copy(), y[live].copy())
             si += 1
     logs = _jump_log(jumps, params.dim, ("jump_ids", *_JUMP_LOG)) if collect_jumps else {}
-    return CohortResult(death_times=death, end_x=x, end_y=y, alive=alive, slices=out_slices,
-                        total_time_alive=alive_time, bound_exceeded=st.bound_exceeded, **logs)
+    return CohortResult(death_times=st.exit_time, end_x=x, end_y=y, alive=alive,
+                        slices=out_slices, bound_exceeded=st.bound_exceeded, **logs,
+                        total_time_alive=float(np.minimum(st.exit_time, horizon).sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from scipy.stats import ks_2samp
 from adaptqsd.measure import EmpiricalMeasure, tv_distance
 from adaptqsd.model import default_params, rescale_jump_measure
 from adaptqsd.oracle import oracle_q_kernel
-from adaptqsd.pathsim import SimConfig, simulate_path
+from adaptqsd.pathsim import SimConfig, simulate_paths
 from adaptqsd.qsd import (balance_residual, convergence_curve, relaxed_start,
                           run_cohort, truncation_family, fleming_viot,
                           default_hist_grid)
@@ -147,14 +147,13 @@ def test_criterion_10_jump_geometry_and_reconstruction(criterion_report):
                      horizon=4.0, key=StreamKey(seed=11, lineage=("c10",)),
                      collect_jumps=True)
     n_jumps = len(res.jump_w)
-    violations = int(np.count_nonzero(np.linalg.norm(res.jump_x_after, axis=1)
+    violations = int(np.count_nonzero(np.linalg.norm(res.jump_x_before + res.jump_w, axis=1)
                                       >= np.linalg.norm(res.jump_x_before, axis=1)))
 
     cfg10 = SimConfig(horizon=10.0)
     max_err = 0.0
-    for i in range(100):
-        traj = simulate_path((np.zeros(1), 2.2), params, cfg10,
-                             StreamKey(seed=11, lineage=("c10r", i)))
+    for traj in simulate_paths((np.zeros(1), 2.2), params, cfg10,
+                               [StreamKey(seed=11, lineage=("c10r", i)) for i in range(100)]):
         for j in range(0, len(traj.times), 10):
             err = abs(traj.reconstruct_x(traj.times[j])[0] - traj.x[j, 0])
             max_err = max(max_err, err)

@@ -141,7 +141,7 @@ def test_jump_log_norms():
         n_jumps += len(ev.jump_ids)
         exceeded += ev.bound_exceeded
         if len(ev.jump_ids):
-            assert np.all(np.linalg.norm(ev.jump_x_after, axis=1)
+            assert np.all(np.linalg.norm(ev.jump_x_before + ev.jump_w, axis=1)
                           < np.linalg.norm(ev.jump_x_before, axis=1))
             assert ev.jump_w.shape == (len(ev.jump_ids), 1)
             assert np.all((ev.jump_times >= t) & (ev.jump_times <= t + 0.01))
@@ -226,7 +226,7 @@ def _frozen_run(name):
     for k in range(200):
         ev = _run_window(engine, x, y, alive, k * dt, dt, key.child("w", k))
         for a in (ev.kill_ids, ev.kill_times, ev.kill_codes, ev.jump_ids, ev.jump_times,
-                  ev.jump_w, ev.jump_x_before, ev.jump_x_after,
+                  ev.jump_w, ev.jump_x_before, ev.jump_x_before + ev.jump_w,
                   np.array([ev.n_proposals, ev.bound_exceeded])):
             h.update(np.ascontiguousarray(a).tobytes())
         seen.update(int(c) for c in ev.kill_codes)

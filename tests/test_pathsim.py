@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -7,10 +8,10 @@ import json
 import numpy as np
 import pytest
 
-from adaptqsd import cohort
+from adaptqsd import cli, cohort
 from adaptqsd.errors import DomainError
 from adaptqsd.model import default_params
-from adaptqsd.pathsim import ExitReason, SimConfig, simulate_path, simulate_q_path
+from adaptqsd.pathsim import ExitReason, SimConfig, simulate_paths, simulate_q_path
 from adaptqsd.rng import StreamKey
 
 
@@ -67,8 +68,8 @@ def test_same_key_is_bit_reproducible():
     params = default_params()
     config = SimConfig(horizon=5.0)
     key = StreamKey(seed=17, lineage=("path",))
-    a = simulate_path((np.zeros(1), 2.0), params, config, key)
-    b = simulate_path((np.zeros(1), 2.0), params, config, key)
+    a = simulate_paths((np.zeros(1), 2.0), params, config, [key])[0]
+    b = simulate_paths((np.zeros(1), 2.0), params, config, [key])[0]
     np.testing.assert_array_equal(a.times, b.times)
     np.testing.assert_array_equal(a.x, b.x)
     np.testing.assert_array_equal(a.y, b.y)
@@ -78,8 +79,8 @@ def test_same_key_is_bit_reproducible():
 def test_horizon_exit_records_endpoint():
     params = default_params()
     config = SimConfig(horizon=2.0)
-    traj = simulate_path((np.zeros(1), 2.5), params, config,
-                         StreamKey(seed=1, lineage=("hz",)))
+    traj = simulate_paths((np.zeros(1), 2.5), params, config,
+                          [StreamKey(seed=1, lineage=("hz",))])[0]
     if traj.exit_reason is ExitReason.SURVIVED_HORIZON:
         assert traj.exit_time == 2.0
         assert traj.times[-1] == pytest.approx(2.0)
@@ -90,8 +91,8 @@ def test_horizon_exit_records_endpoint():
 def test_collapsing_population_goes_extinct():
     params = default_params(r0=-5.0)
     config = SimConfig(horizon=50.0)
-    traj = simulate_path((np.zeros(1), 0.5), params, config,
-                         StreamKey(seed=2, lineage=("die",)))
+    traj = simulate_paths((np.zeros(1), 0.5), params, config,
+                          [StreamKey(seed=2, lineage=("die",))])[0]
     assert traj.exit_reason is ExitReason.EXTINCT
     assert 0.0 < traj.exit_time < 50.0
 
@@ -100,8 +101,8 @@ def test_drift_into_truncation_boundary():
     # no mutations: x(t) = x(0) - v t e1 deterministically hits the wall
     params = default_params(m_nu=0.0)
     config = SimConfig(truncation=4.0, truncation_y_low=1e-3, horizon=20.0)
-    traj = simulate_path((np.array([-3.9]), 2.0), params, config,
-                         StreamKey(seed=3, lineage=("wall",)))
+    traj = simulate_paths((np.array([-3.9]), 2.0), params, config,
+                          [StreamKey(seed=3, lineage=("wall",))])[0]
     assert traj.exit_reason is ExitReason.LEFT_TRUNCATION
     assert traj.exit_time == pytest.approx(0.5, abs=1e-9)  # (4 - 3.9) / 0.2
 
@@ -109,23 +110,22 @@ def test_drift_into_truncation_boundary():
 def test_jump_log_is_consistent():
     params = default_params()
     config = SimConfig(horizon=20.0)
-    traj = simulate_path((np.zeros(1), 2.5), params, config,
-                         StreamKey(seed=4, lineage=("jumps",)))
-    assert len(traj.jump_times) > 0
-    last_t = 0.0
-    for t, w, xb, xa in zip(traj.jump_times, traj.jump_w, traj.jump_x_before,
-                            traj.jump_x_after):
-        np.testing.assert_allclose(xa, xb + w, rtol=1e-15)
-        assert t >= last_t
-        last_t = t
+    traj = simulate_paths((np.zeros(1), 2.5), params, config,
+                          [StreamKey(seed=4, lineage=("jumps",))])[0]
+    assert len(traj.jump_times) > 1
+    assert np.all(np.diff(traj.jump_times) >= 0.0)
+    # between jumps x only drifts: each jump starts where the last one ended
+    drifted = traj.jump_x_before[:-1] + traj.jump_w[:-1]
+    drifted[:, 0] -= params.v * np.diff(traj.jump_times)
+    np.testing.assert_allclose(traj.jump_x_before[1:], drifted, rtol=0, atol=1e-12)
 
 
 def test_reconstruction_from_jump_log():
     params = default_params()
     config = SimConfig(horizon=10.0)
     for i in range(5):
-        traj = simulate_path((np.zeros(1), 2.5), params, config,
-                             StreamKey(seed=5, lineage=("rec", i)))
+        traj = simulate_paths((np.zeros(1), 2.5), params, config,
+                              [StreamKey(seed=5, lineage=("rec", i))])[0]
         for k in range(0, len(traj.times), 7):
             err = np.abs(traj.reconstruct_x(traj.times[k]) - traj.x[k]).max()
             assert err < 1e-10
@@ -135,10 +135,10 @@ def test_truncated_path_is_prefix_of_untruncated():
     # identical streams: the boxed run replays the free run until its exit
     params = default_params()
     key = StreamKey(seed=6, lineage=("prefix",))
-    free = simulate_path((np.zeros(1), 2.0), params, SimConfig(horizon=30.0), key)
-    boxed = simulate_path((np.zeros(1), 2.0), params,
-                          SimConfig(horizon=30.0, truncation=4.0,
-                                    truncation_y_low=1e-3), key)
+    free = simulate_paths((np.zeros(1), 2.0), params, SimConfig(horizon=30.0), [key])[0]
+    boxed = simulate_paths((np.zeros(1), 2.0), params,
+                           SimConfig(horizon=30.0, truncation=4.0,
+                                     truncation_y_low=1e-3), [key])[0]
     assert boxed.exit_reason in (ExitReason.LEFT_TRUNCATION, ExitReason.EXTINCT,
                                  ExitReason.SURVIVED_HORIZON)
     n = len(boxed.times) - 1  # final row may be the forced exit record
@@ -147,24 +147,52 @@ def test_truncated_path_is_prefix_of_untruncated():
     np.testing.assert_allclose(boxed.y[:n], free.y[:n], rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grouped_paths_equal_their_one_key_runs(dim):
+    """Each path of one simulate_paths call is its one-key run, field by
+    field and dtype by dtype, whatever its fate: the group of a dead path
+    gets no stream, so the others' later windows do not move it."""
+    params = default_params(dim=dim)
+    config = SimConfig(truncation=4.0, truncation_y_low=1e-3, horizon=2.0)
+    start = (np.zeros(dim), 1.0)
+    keys = [StreamKey(seed=21, lineage=("fates", i)) for i in range(12)]
+    paths = simulate_paths(start, params, config, keys)
+    assert {p.exit_reason for p in paths} == {ExitReason.EXTINCT, ExitReason.LEFT_TRUNCATION,
+                                              ExitReason.SURVIVED_HORIZON}
+    assert sum(len(p.jump_times) for p in paths) > 0
+    for path, key in zip(paths, keys):
+        alone = simulate_paths(start, params, config, [key])[0]
+        for f in dataclasses.fields(path):
+            a, b = getattr(path, f.name), getattr(alone, f.name)
+            if isinstance(a, np.ndarray):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+                np.testing.assert_array_equal(a, b, err_msg=f.name)
+            else:
+                assert a == b, f.name
+
+
 def test_init_validation():
     params = default_params()
     boxed = SimConfig(truncation=4.0, truncation_y_low=1e-3)
     with pytest.raises(DomainError):
-        simulate_path((np.zeros(1), 1e-4), params, boxed, StreamKey(seed=0))
+        simulate_paths((np.zeros(1), 1e-4), params, boxed, [StreamKey(seed=0)])
     with pytest.raises(DomainError):
-        simulate_path((np.zeros(1), 4.0), params, boxed, StreamKey(seed=0))
+        simulate_paths((np.zeros(1), 4.0), params, boxed, [StreamKey(seed=0)])
     with pytest.raises(DomainError):
-        simulate_path((np.array([4.5]), 2.0), params, boxed, StreamKey(seed=0))
+        simulate_paths((np.array([4.5]), 2.0), params, boxed, [StreamKey(seed=0)])
     with pytest.raises(DomainError):
-        simulate_path((np.array([45.0]), 2.0), params, SimConfig(), StreamKey(seed=0))
+        simulate_paths((np.array([45.0]), 2.0), params, SimConfig(), [StreamKey(seed=0)])
 
 
-def test_n_coordinate_transform():
-    params = default_params(sigma=2.0)
-    traj = simulate_path((np.zeros(1), 1.5), params, SimConfig(horizon=0.5),
-                         StreamKey(seed=8, lineage=("n",)))
-    np.testing.assert_allclose(traj.n, traj.y**2, rtol=1e-14)  # sigma^2/4 = 1
+def test_n_coordinate_transform(tmp_path):
+    # trajectory.csv's n column is the raw population size sigma^2 y^2 / 4
+    assert cli.main(["simulate", "--out", str(tmp_path), "--set", "sigma=2",
+                     "--set", "horizon=0.5"]) == 0
+    with open(tmp_path / "trajectory.csv") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["event"] != "jump"]
+    y, n = (np.array([float(r[k]) for r in rows]) for k in ("y", "n"))
+    assert len(rows) > 10
+    np.testing.assert_allclose(n, y**2, rtol=1e-14)  # sigma^2/4 = 1
 
 
 def test_q_path_with_flat_weight_survives_horizon():
@@ -245,7 +273,8 @@ def test_q_path_jump_log_reconstructs_rows():
 
 def _digest(traj) -> str:
     h = hashlib.sha256()
-    for a in (traj.times, traj.x, traj.y, traj.jump_times, traj.jump_w, traj.jump_x_after):
+    for a in (traj.times, traj.x, traj.y, traj.jump_times, traj.jump_w,
+              traj.jump_x_before + traj.jump_w):
         h.update(np.ascontiguousarray(a, dtype=float).tobytes())
     h.update(json.dumps(traj.meta, sort_keys=True).encode())
     h.update(traj.exit_reason.value.encode())
@@ -276,8 +305,8 @@ def test_path_is_frozen():
     covers the start row, every 7th window end and the exit row.
     """
     config = SimConfig(truncation=4.0, truncation_y_low=1e-3, horizon=20.0)
-    traj = simulate_path((np.zeros(1), 2.5), default_params(), config,
-                         StreamKey(seed=20, lineage=("path_frozen",)))
+    traj = simulate_paths((np.zeros(1), 2.5), default_params(), config,
+                          [StreamKey(seed=20, lineage=("path_frozen",))])[0]
     rows = sorted({*range(0, len(traj.times), 7), len(traj.times) - 1})
     traj = dataclasses.replace(traj, times=traj.times[rows], x=traj.x[rows], y=traj.y[rows])
     assert len(traj.jump_times) > 0

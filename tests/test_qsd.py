@@ -12,7 +12,7 @@ from adaptqsd.cohort import Engine
 from adaptqsd.errors import DomainError, MassExtinctionError, NumericError, UnsupportedModelError
 from adaptqsd.measure import EmpiricalMeasure, HistGrid
 from adaptqsd.model import default_params, reference_set
-from adaptqsd.pathsim import SimConfig, simulate_path, simulate_q_path
+from adaptqsd.pathsim import SimConfig, simulate_paths, simulate_q_path
 from adaptqsd.qsd import (
     ConvergenceCurve,
     EtaEstimate,
@@ -172,7 +172,7 @@ def _start_through(entry, start, params, config, key, monkeypatch):
             start, params, config, key, n_paths=4, horizon=0.5),
         "conditioned_marginal": lambda: conditioned_marginal(start, flat, params, config, key,
                                                              n_walkers=2, horizon=0.05),
-        "simulate_path": lambda: simulate_path(start, params, config, key),
+        "simulate_paths": lambda: simulate_paths(start, params, config, [key]),
         "simulate_q_path": lambda: simulate_q_path(start, params, config, key, flat,
                                                    eta_max=1.0, horizon=0.05),
     }[entry]()
@@ -186,7 +186,7 @@ def _start_through(entry, start, params, config, key, monkeypatch):
 ])
 @pytest.mark.parametrize("entry", ["fleming_viot", "run_cohort", "convergence_curve",
                                    "balance_residual", "estimate_lambda0_survival",
-                                   "conditioned_marginal", "simulate_path", "simulate_q_path"])
+                                   "conditioned_marginal", "simulate_paths", "simulate_q_path"])
 def test_every_run_rejects_a_start_outside_the_simulation_domain(params, monkeypatch, entry,
                                                                  config, start):
     # one check, _Stepper's, for every run: no start is clipped into the domain
@@ -225,6 +225,24 @@ def test_run_cohort_slices_and_jumps(params):
     assert res.survival(1.0) == pytest.approx(len(live1) / n)
 
 
+def test_run_cohort_counts_a_killed_row_alive_until_its_kill(params):
+    """total_time_alive sums min(death time, horizon) over the rows: a row
+    killed inside a window is not alive for the rest of that window."""
+    config = _boxed_config()
+    gen = np.random.default_rng(9)
+    n, horizon = 300, 0.5
+    x0 = gen.uniform(-2.0, 0.0, size=(n, 1))
+    y0 = gen.uniform(1.1e-3, 0.5, size=n)
+    res = run_cohort(x0, y0, params, config, horizon, StreamKey(seed=9, lineage=("alive",)))
+    dead = np.isfinite(res.death_times)
+    assert 0 < dead.sum() < n
+    assert res.total_time_alive == pytest.approx(np.minimum(res.death_times, horizon).sum(),
+                                                 rel=1e-12)
+    # whole windows up to the end of the window each row dies in
+    window_count = (np.ceil(res.death_times[dead] / config.dt_max) * config.dt_max).sum()
+    assert res.total_time_alive < window_count + horizon * (n - dead.sum()) - 1e-3
+
+
 @pytest.mark.parametrize("sizes,doomed", [((30, 20, 25), 1), ((1, 40), 0), ((25, 15, 10, 30), 3)])
 def test_grouped_cohort_equals_separate_cohorts(params, monkeypatch, sizes, doomed):
     """A grouped run_cohort gives each group exactly its own run's deaths,
@@ -260,7 +278,7 @@ def test_grouped_cohort_equals_separate_cohorts(params, monkeypatch, sizes, doom
                 np.testing.assert_array_equal(a, b)
         mine = (grouped.jump_ids >= lo) & (grouped.jump_ids < hi)
         np.testing.assert_array_equal(grouped.jump_ids[mine] - lo, res.jump_ids)
-        for name in ("jump_times", "jump_w", "jump_x_before", "jump_x_after"):
+        for name in ("jump_times", "jump_w", "jump_x_before"):
             np.testing.assert_array_equal(getattr(grouped, name)[mine], getattr(res, name))
     assert np.all(grouped.death_times[bounds[doomed]:bounds[doomed + 1]] <= config.dt_max)
     assert len(solo[doomed].slices[0.05][0]) == 0
