@@ -199,6 +199,17 @@ _FROZEN_WINDOWS = {
                  dict(truncation=4.0, truncation_y_low=1e-3), 0.02, (-3.99, 3.99),
                  "ff8482540ddd8f4d972a2d967d83b50f8cac7dc5e7362aaadeffaccf78319906",
                  {"extinct", "trunc_y_top", "trunc_x"}),
+    # the advantageous-only fixation family, whose g is 0 on outward jumps
+    "advantageous_d1": (dict(fixation_family="advantageous_only"),
+                        dict(truncation=4.0, truncation_y_low=1e-3), 0.01, (-3.99, 3.99),
+                        "cd8be08dac76caefc84690622c5cd2f15ff2758e29ba77e0d4f6ae445c00c3db",
+                        {"extinct", "trunc_y_top", "trunc_x"}),
+    # G = 3 row groups in d = 3, each drawing from its own key: the middle
+    # group is empty, and the last starts low and never restarts, so it dies
+    # out and its generator becomes None
+    "grouped_d3": (dict(dim=3), dict(truncation=3.0), 0.01, (-1.73, 1.73),
+                   "8689cd1f02c4574a166e873df32b283c3f69a4d397b4ad3a951b4d2e212660dd",
+                   {"trunc_y_low", "trunc_y_top"}, (260, 0, 40)),
 }
 
 
@@ -208,9 +219,12 @@ def _frozen_run(name):
 
     300 particles start log-uniform in y; after each window the killed
     particles with even index restart from their initial state, so every
-    window mixes fresh, long-lived and dead-at-t0 rows.
+    window mixes fresh, long-lived and dead-at-t0 rows. A grouped run steps
+    its row groups in one call per window, as qsd._Stepper does: group g
+    draws window k from key.child(g, "w", k), and nothing once it has no
+    live row; its last group starts below y = 0.4 and never restarts.
     """
-    pkw, ckw, dt, x_range, _, _ = _FROZEN_WINDOWS[name]
+    pkw, ckw, dt, x_range, _, _, *sizes = _FROZEN_WINDOWS[name]
     params = default_params(**pkw)
     config = SimConfig(**ckw)
     engine = Engine(params, config)
@@ -220,18 +234,32 @@ def _frozen_run(name):
     top = config.y_top or 5.0
     x0 = gen0.uniform(*x_range, size=(n, params.dim))
     y0 = np.exp(gen0.uniform(np.log(1.01 * config.y_floor), np.log(0.99 * top), size=n))
+    doomed = np.zeros(n, dtype=bool)
+    if sizes:
+        groups = np.cumsum((0, *sizes[0]))
+        doomed[groups[-2]:] = True
+        y0[doomed] = np.exp(gen0.uniform(np.log(1.01 * config.y_floor), np.log(0.4),
+                                          size=sizes[0][-1]))
     x, y, alive = x0.copy(), y0.copy(), np.ones(n, dtype=bool)
     h = hashlib.sha256()
     seen = set()
+    idle = 0  # windows in which the last group draws nothing
     for k in range(200):
-        ev = _run_window(engine, x, y, alive, k * dt, dt, key.child("w", k))
+        if sizes:
+            gens = [stream(key.child(g, "w", k)) if alive[lo:hi].any() else None
+                    for g, (lo, hi) in enumerate(zip(groups, groups[1:]))]
+            idle += gens[-1] is None
+            ev = engine.window(x, y, alive, k * dt, dt, gens, groups)
+        else:
+            ev = _run_window(engine, x, y, alive, k * dt, dt, key.child("w", k))
         for a in (ev.kill_ids, ev.kill_times, ev.kill_codes, ev.jump_ids, ev.jump_times,
                   ev.jump_w, ev.jump_x_before, ev.jump_x_before + ev.jump_w,
                   np.array([ev.n_proposals, ev.bound_exceeded])):
             h.update(np.ascontiguousarray(a).tobytes())
         seen.update(int(c) for c in ev.kill_codes)
-        back = ~alive & (np.arange(n) % 2 == 0)
+        back = ~alive & (np.arange(n) % 2 == 0) & ~doomed
         x[back], y[back], alive[back] = x0[back], y0[back], True
+    assert idle > 0 or not sizes
     for a in (x, y, alive):
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest(), seen
