@@ -25,14 +25,20 @@ rows finish their segment or die, so late rounds cost only the few rows near
 the extinction boundary. An all-alive array (every Fleming-Viot window) is
 stepped in place; otherwise the live rows are gathered and scattered back.
 
+Every stepping row lies strictly between the kill levels, y_floor < y <
+y_top: the driver's start check admits no row on or beyond a level, a row
+that lands on or beyond one in a substep is killed and leaves the stepping
+rows, and Fleming-Viot resampling copies only survivors. So the bridge tests
+need no "still inside" term.
+
 A substep evaluates the floor bridge on every stepping row, and the ceiling
 bridge only on rows within 20 sqrt(dt) of the ceiling: further down, with
 h <= dt, its exponent is below -800, where exp is 0. A bridge kills when a
 uniform u < exp(e). u comes from Generator.random, so it is a multiple of
 2^-53, and 2^-53 > e^-40: for u > 0 that test equals u < exp(max(e, -40)),
-which keeps exp off its slow underflow and denormal range; the rare u == 0
-is tested against exp(e) itself. The decisions are those of exp on every
-row, bit for bit.
+which keeps exp off its slow underflow and denormal range; the rare u == 0,
+looked for once per substep round, is tested against exp(e) itself. The
+decisions are those of exp on every row, bit for bit.
 
 Every estimator (Fleming-Viot, survival cohorts, eta, the conditioned
 ensemble) and the single-path front ends in pathsim run on this kernel
@@ -55,7 +61,8 @@ contiguous slice of the ascending pending rows, and at every draw site each
 group with rows there draws from its own generator exactly what a call on that
 group alone would, so grouping is bit-identical to G separate calls. A group
 with no rows at a draw site draws nothing; a single generator is the G = 1
-case.
+case, which draws straight from it, with no cut of the rows into groups and
+no join of their draws.
 """
 from __future__ import annotations
 
@@ -194,32 +201,81 @@ class WindowEvents:
 
 
 class _GroupDraws:
-    """Draws of one window's row groups: group g owns the compact rows
-    [cuts[g], cuts[g + 1]) and draws only from gens[g]; one group needs no
-    cuts."""
+    """The draws of one window's row groups: group g owns the compact rows
+    [cuts[g], cuts[g + 1]) and draws only from gens[g].
+
+    Each method draws for `rows`, ascending compact rows, what each group
+    with rows there would draw alone, joined in row order; one group (cuts
+    None) draws straight from its generator, with no cuts and no join.
+    """
 
     def __init__(self, gens, cuts):
         self.gens = gens
         self.cuts = cuts
 
-    def spans(self, rows) -> list:
-        """(gen, lo, hi) per group with rows in `rows` (ascending compact
-        rows): its rows are rows[lo:hi]."""
-        if self.cuts is None:  # one group: the searchsorted below gives (0, len(rows))
-            return [(self.gens[0], 0, len(rows))]
+    def _join(self, rows, draw, axes=None):
+        """draw(gen, lo, hi) -> a tuple of arrays, called per group with
+        rows in `rows` (its rows are rows[lo:hi]); the i-th arrays of the
+        groups are joined along axes[i] (default 0)."""
+        if self.cuts is None:
+            return draw(self.gens[0], 0, len(rows))
         pos = np.searchsorted(rows, self.cuts).tolist()
-        return [(g, lo, hi) for g, lo, hi in zip(self.gens, pos, pos[1:]) if hi > lo]
+        parts = [draw(g, lo, hi) for g, lo, hi in zip(self.gens, pos, pos[1:]) if hi > lo]
+        if len(parts) == 1:
+            return parts[0]
+        axes = axes or (0,) * len(parts[0])
+        return tuple(np.concatenate(arrays, axis=axis) for arrays, axis in zip(zip(*parts), axes))
+
+    def substep(self, rows):
+        """A substep round's normals (n,) and bridge uniforms (2, n): per
+        group its normals, then a floor half and a ceiling half."""
+        def draw(g, lo, hi):
+            return g.standard_normal(hi - lo), g.random(2 * (hi - lo)).reshape(2, -1)
+        return self._join(rows, draw, (0, 1))
+
+    def counts(self, rows, lam):
+        """One Poisson count per row, of mean lam (indexed like rows)."""
+        return self._join(rows, lambda g, lo, hi: (g.poisson(lam[lo:hi]),))[0]
+
+    def times(self, rows, n_prop, dt):
+        """(len(rows), max(n_prop) + 1) sorted proposal times, inf-padded:
+        a row's n_prop uniform times in [0, dt) come from an (m_g, kmax_g)
+        block of its group's uniforms."""
+        kmax = int(n_prop.max())
+
+        def draw(g, lo, hi):
+            block = np.full((hi - lo, kmax + 1), np.inf)
+            n_g = n_prop[lo:hi]
+            k_g = int(n_g.max())
+            if k_g > 0:
+                block[:, :k_g] = np.where(np.arange(k_g) < n_g[:, None],
+                                          g.random((hi - lo, k_g)) * dt, np.inf)
+            return (block,)
+        out = self._join(rows, draw)[0]
+        multi = (n_prop > 1).nonzero()[0]  # other rows are sorted already
+        if len(multi):
+            out[multi] = np.sort(out[multi], axis=1)
+        return out
+
+    def proposals(self, rows, params):
+        """Per group: the mutation effects, then u_f, then u_g."""
+        def draw(g, lo, hi):
+            return params.sample_mutations(g, hi - lo), g.random(hi - lo), g.random(hi - lo)
+        return self._join(rows, draw)
 
 
-def _joined(parts: list, axis: int = 0) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+def _norms(x):
+    """||x|| per row of x (k, d): np.linalg.norm(x, axis=1)'s own arithmetic
+    for real input, without its wrapper."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
-def _bridge(u, e):
+def _bridge(u, e, zeros=True):
     """u < exp(e), exactly, for uniforms u from Generator.random: a u > 0
-    is a multiple of 2^-53 > e^-40 (see the module docstring)."""
+    is a multiple of 2^-53 > e^-40 (see the module docstring). zeros=False
+    says that no u is 0."""
     hit = u < np.exp(np.maximum(e, -40.0))
-    if not u.all():
+    if zeros:
         zero = (u == 0.0).nonzero()[0]
         hit[zero] = np.exp(e[zero]) > 0.0
     return hit
@@ -242,6 +298,8 @@ class Engine:
             self._x_level, self._x_code = config.truncation, REASON_CODES["trunc_x"]
         else:
             self._x_level, self._x_code = config.x_guard, REASON_CODES["x_guard"]
+        # in d = 1, sqrt(room) of _crossings: room = level^2 - 0.0 > 0
+        self._x_reach = math.sqrt(self._x_level * self._x_level - 0.0)
 
     # -- substep kernel ----------------------------------------------------
 
@@ -258,10 +316,11 @@ class Engine:
         """
         floor, top = self.config.y_floor, self.config.y_top
         v = self.params.v
+        tiny = 1e-15 * dt  # a row with no more time left than this is done
         # rows further than 20 sqrt(dt) below the ceiling cannot reach it:
         # with h <= dt the bridge exponent is below -800, where exp is 0
         top_reach = None if top is None else top - 20.0 * math.sqrt(dt)
-        step = rem > 1e-15 * dt
+        step = rem > tiny
         rows, rem = rows[step], rem[step]
         x, y, o = xa[rows], ya[rows], off[rows]
         guard = 0
@@ -271,27 +330,25 @@ class Engine:
                 raise NumericError("substep iteration limit exceeded",
                                    diagnostics={"min_y": float(y.min())})
             h = np.minimum(rem, _SUBSTEP_ALPHA * y * y)
-            spans = draws.spans(rows)
-            xi = _joined([g.standard_normal(hi - lo) for g, lo, hi in spans])
-            # bridge uniforms: per group a floor half, then a ceiling half
-            u = _joined([g.random(2 * (hi - lo)).reshape(2, -1) for g, lo, hi in spans], axis=1)
+            xi, u = draws.substep(rows)
+            zeros = np.count_nonzero(u) < u.size  # the bridges' rare u == 0
             psi = drift_y(x, y, self.params)
             y1 = y + psi * h + np.sqrt(h) * xi
-            if not np.isfinite(y1).all():
+            if np.count_nonzero(np.isfinite(y1)) < len(y1):
                 raise NumericError("y became non-finite in cohort advance")
 
             # a level is hit at the substep end, or crossed and back inside
-            # with the Brownian-bridge probability
-            killed = (y1 <= floor) | ((y > floor) & _bridge(
-                u[0], -2.0 * (y - floor) * np.maximum(y1 - floor, 0.0) / h))
+            # with the Brownian-bridge probability (every stepping row starts
+            # strictly between the levels: see the module docstring)
+            killed = (y1 <= floor) | _bridge(
+                u[0], -2.0 * (y - floor) * np.maximum(y1 - floor, 0.0) / h, zeros)
             at_top = None
             if top is not None:
                 near = (np.maximum(y, y1) > top_reach).nonzero()[0]
                 if len(near):
                     yn, y1n = y[near], y1[near]
                     e_top = -2.0 * (top - yn) * np.maximum(top - y1n, 0.0) / h[near]
-                    up = near[~killed[near] & ((y1n >= top)
-                                               | ((yn < top) & _bridge(u[1, near], e_top)))]
+                    up = near[~killed[near] & ((y1n >= top) | _bridge(u[1, near], e_top, zeros))]
                     if len(up):
                         at_top = np.zeros(len(y), dtype=bool)
                         at_top[up] = True
@@ -318,10 +375,9 @@ class Engine:
             y = y1
             o = o + h
             rem = rem - h
-            done = killed | (rem <= 1e-15 * dt)
-            if done.any():
+            keep = ((rem > tiny) & ~killed).nonzero()[0]
+            if len(keep) < len(rows):  # rows finished their segment or died
                 xa[rows], ya[rows], off[rows] = x, y, o
-                keep = (~done).nonzero()[0]
                 if not len(keep):
                     return
                 rows, x, y, o, rem = rows[keep], x[keep], y[keep], o[keep], rem[keep]
@@ -329,6 +385,8 @@ class Engine:
     def _crossings(self, x, o):
         """First time each row's affine x path reaches the |x| exit level;
         x is (k, d) at segment offsets o."""
+        if self.dim == 1:  # the general formula's value: its x[:, 1:] sum is empty
+            return o + np.maximum((x[:, 0] + self._x_reach) / self.params.v, 0.0)
         level = self._x_level
         room = level * level - np.square(x[:, 1:]).sum(axis=1)
         t_hit = np.where(room > 0.0, (x[:, 0] + np.sqrt(np.maximum(room, 0.0))) / self.params.v, 0.0)
@@ -375,50 +433,39 @@ class Engine:
         off = np.zeros(m)  # time reached in the window; for the dead, their kill time
         kill_code = np.full(m, -1, dtype=np.int8)
 
-        g_sup = p.g_bound(np.linalg.norm(xa, axis=1) + v * dt)
+        g_sup = p.g_bound(_norms(xa) + v * dt)
         f_ceil = _SLACK * p.f(ya)
         lam_bar = f_ceil * g_sup * self.m_nu
 
-        spans = draws.spans(np.arange(m))
-        lam_dt = lam_bar * dt
-        n_prop = _joined([g.poisson(lam_dt[lo:hi]) for g, lo, hi in spans])
+        rows = np.arange(m)  # pending rows, ascending; once done, never pending again
+        n_prop = draws.counts(rows, lam_bar * dt)
         kmax = int(n_prop.max())
         # sorted proposal times per row, inf-padded with one spare column so
-        # that prop_times[r, ptr[r]] is the next one (inf once exhausted);
-        # each group draws an (m_g, kmax_g) block
-        prop_times = np.full((m, kmax + 1), np.inf)
-        if kmax > 0:
-            for g, lo, hi in spans:
-                n_g = n_prop[lo:hi]
-                k_g = int(n_g.max())
-                if k_g > 0:
-                    raw = g.random((hi - lo, k_g)) * dt
-                    prop_times[lo:hi, :k_g] = np.where(np.arange(k_g) < n_g[:, None],
-                                                       raw, np.inf)
-            multi = (n_prop > 1).nonzero()[0]  # other rows are sorted already
-            prop_times[multi] = np.sort(prop_times[multi], axis=1)
+        # that prop_times[r, ptr[r]] is the next one (inf once exhausted)
+        prop_times = draws.times(rows, n_prop, dt)
         ptr = np.zeros(m, dtype=np.int64)
 
         jacc: dict[str, list] = {k: [] for k in ("ids", "t", "w", "xb")}
         exceeded = 0
         total_props = 0
-        rows = np.arange(m)  # pending rows, ascending; once done, never pending again
+        t_end = dt * (1.0 - 1e-15)  # a row that reached it is done
 
         for _round in range(2 * kmax + 16):
             if _round:
-                rows = rows[live[rows] & (off[rows] < dt * (1.0 - 1e-15))]
+                rows = rows[live[rows] & (off[rows] < t_end)]
                 if not len(rows):
                     break
                 o, nxt_prop, xr = off[rows], prop_times[rows, ptr[rows]], xa[rows]
             else:  # at window start every row is pending
                 o, nxt_prop, xr = np.zeros(m), prop_times[:, 0], xa
             cross = self._crossings(xr, o)
-            nxt = np.minimum(np.minimum(nxt_prop, cross), dt)
+            due = np.minimum(nxt_prop, dt)
+            nxt = np.minimum(due, cross)
             self._advance(xa, ya, live, off, kill_code, rows,
                           np.maximum(nxt - o, 0.0), draws, dt)
             arrived = live[rows]
 
-            evt_cross = arrived & (cross <= np.minimum(nxt_prop, dt))
+            evt_cross = arrived & (cross <= due)
             ei = evt_cross.nonzero()[0]
             if len(ei):
                 gone = rows[ei]
@@ -429,19 +476,16 @@ class Engine:
             pi = rows[arrived & ~evt_cross & (nxt_prop <= dt)]
             if len(pi):
                 total_props += len(pi)
-                spans = draws.spans(pi)  # per group: effects, then u_f, then u_g
-                w = _joined([p.sample_mutations(g, hi - lo) for g, lo, hi in spans])
-                u_f = _joined([g.random(hi - lo) for g, lo, hi in spans])
-                u_g = _joined([g.random(hi - lo) for g, lo, hi in spans])
-                fy = p.f(ya[pi])
-                ratio_f = np.where(f_ceil[pi] > 0.0, fy / f_ceil[pi], 0.0)
+                w, u_f, u_g = draws.proposals(pi, p)
+                fc, gs = f_ceil[pi], g_sup[pi]
+                ratio_f = np.where(fc > 0.0, p.f(ya[pi]) / fc, 0.0)
                 exceeded += int(np.count_nonzero(ratio_f > 1.0))
                 stage1 = u_f < np.minimum(ratio_f, 1.0)
                 gv = np.zeros(len(pi))
                 si = stage1.nonzero()[0]
                 if len(si):
                     gv[si] = p.g(xa[pi[si]], w[si])
-                ratio_g = np.where(g_sup[pi] > 0.0, gv / g_sup[pi], 0.0)
+                ratio_g = np.where(gs > 0.0, gv / gs, 0.0)
                 exceeded += int(np.count_nonzero(ratio_g > 1.0))
                 acc = stage1 & (u_g < np.minimum(ratio_g, 1.0))
                 ai = pi[acc.nonzero()[0]]
@@ -449,7 +493,7 @@ class Engine:
                     wa = w[acc]
                     x_before = xa[ai]
                     xa[ai] += wa
-                    na = np.linalg.norm(xa[ai], axis=1)
+                    na = _norms(xa[ai])
                     jacc["ids"].append(idx_all[ai])
                     jacc["t"].append(t0 + off[ai])
                     jacc["w"].append(wa)

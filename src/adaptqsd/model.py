@@ -224,7 +224,7 @@ def n_to_y(n, sigma: float):
 def y_to_n(y, sigma: float):
     """Inverse of n_to_y: n = sigma^2 y^2 / 4."""
     y = np.asarray(y, dtype=float)
-    if np.any(y < 0.0):
+    if np.count_nonzero(y < 0.0):
         raise DomainError("y must be >= 0")
     return sigma**2 * np.square(y) / 4.0
 
@@ -236,7 +236,7 @@ def drift_y(x, y, params: ModelParams):
     strictly positive.
     """
     y = np.asarray(y, dtype=float)
-    if (y <= 0.0).any():
+    if np.count_nonzero(y <= 0.0):
         raise DomainError("drift_y requires y > 0")
     r = params.r(x)
     return -0.5 / y + 0.5 * r * y - params.gamma * y**3

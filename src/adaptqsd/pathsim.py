@@ -7,9 +7,9 @@ horizon), so each path is bit for bit its one-key run: its state at every
 window end up to the one that kills it, its jumps and the driver's exit
 record; it resamples nothing, so it keeps no kill log. simulate_q_path runs
 one walker of the h-transform rejection loop behind
-qsd.conditioned_marginal. Both start from an (x, y) point, which _Stepper
-checks as it checks every start, and return Trajectory records, whose jump
-log is enough to rebuild x between samples.
+qsd.conditioned_marginal. Both start from an (x, y) point (a law raises
+DomainError), which _Stepper checks as it checks every start, and return
+Trajectory records, whose jump log is enough to rebuild x between samples.
 """
 from __future__ import annotations
 

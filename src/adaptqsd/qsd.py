@@ -42,7 +42,7 @@ from .errors import DomainError, MassExtinctionError, NumericError, UnsupportedM
 from .measure import EmpiricalMeasure, HistGrid, tv_distance
 from .model import ModelParams, fixation_integral, reference_set, y_equilibrium
 from .oracle import leading_vector
-from .rng import StreamKey, stream
+from .rng import StreamKey, rewind, stream
 from .shard import sharded
 
 __all__ = [
@@ -66,9 +66,13 @@ def _init_states(init, size: int, gen: np.random.Generator | None) -> tuple[np.n
     """Resolve an initial-condition spec into (x (n, d), y (n,)) arrays.
 
     Accepts a law with sample(gen, size), such as an EmpiricalMeasure or
-    model.reference_set(params), or an (x, y) point, which needs no gen.
+    model.reference_set(params), or an (x, y) point, which needs no gen; a
+    run without a gen (gen None) starts from a point, so a law raises
+    DomainError.
     """
     if hasattr(init, "sample"):
+        if gen is None:
+            raise DomainError("this run starts from an (x, y) point, not a law")
         return init.sample(gen, size)
     x0, y0 = init
     return (np.tile(np.atleast_1d(np.asarray(x0, dtype=float)), (size, 1)),
@@ -90,7 +94,9 @@ class _Stepper:
     Group g owns rows [groups[g], groups[g + 1]) (one group of all rows by
     default) and draws its window k from keys[g].child("w", k), so grouping
     is bit-identical to stepping each group alone (see Engine.window); a
-    group with no live row at a window's start gets no stream. t and k count
+    group with no live row at a window's start gets no stream. Each group,
+    and the donor draws, keep one generator, rewound to each new stream
+    (rng.rewind), which draws exactly what a fresh stream would. t and k count
     the time and windows stepped; bound_exceeded sums the thinning-bound
     violations. exit_time and exit_code are each row's exit record (inf and
     -1 until killed), written from every window's kills before any
@@ -127,6 +133,10 @@ class _Stepper:
         if len(self.groups) != len(self.keys) + 1:
             raise DomainError("groups must be G + 1 row offsets for G keys")
         self.resample = resample
+        # one generator per group and one for the donors, rewound to each
+        # window's streams (None until a first stream is opened)
+        self._gens = [None] * len(self.keys)
+        self._donor_gen = None
         self.t = 0.0
         self.k = 0
         self.bound_exceeded = 0
@@ -138,8 +148,10 @@ class _Stepper:
         x, y, alive, groups = self.x, self.y, self.alive, self.groups
         dt = self.engine.config.dt_max if dt is None else dt
         t0 = self.t if t0 is None else t0
-        gens = [stream(key.child("w", self.k)) if alive[lo:hi].any() else None
-                for key, lo, hi in zip(self.keys, groups, groups[1:])]
+        gens = [None] * len(self.keys)
+        for g, key in enumerate(self.keys):
+            if np.count_nonzero(alive[groups[g]:groups[g + 1]]):
+                gens[g] = self._gens[g] = rewind(self._gens[g], key.child("w", self.k))
         ev = self.engine.window(x, y, alive, t0, dt, gens, groups)
         self.bound_exceeded += ev.bound_exceeded
         kill_ids = ev.kill_ids
@@ -155,7 +167,7 @@ class _Stepper:
                 if len(surv) == 0:
                     raise MassExtinctionError(f"all particles of group {g} died in one window",
                                               time=t0, group=g)
-                gen = stream(key.child(self.resample, self.k))
+                gen = self._donor_gen = rewind(self._donor_gen, key.child(self.resample, self.k))
                 donors[mine] = surv[gen.integers(0, len(surv), len(mine))]
             x[kill_ids] = x[donors]
             y[kill_ids] = y[donors]
@@ -190,7 +202,7 @@ class _Stepper:
         for _ in range(int(math.ceil(horizon / dt - 1e-9))):
             length = min(dt, horizon - self.t)
             yield length, self.step(length)
-            if not self.alive.any():
+            if not np.count_nonzero(self.alive):
                 return
 
 
@@ -297,7 +309,6 @@ class CohortResult:
     death_times: np.ndarray
     end_x: np.ndarray
     end_y: np.ndarray
-    alive: np.ndarray
     slices: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=dict)
     jump_ids: np.ndarray | None = None
     jump_times: np.ndarray | None = None
@@ -356,7 +367,7 @@ def run_cohort(x0: np.ndarray, y0: np.ndarray, params: ModelParams, config: SimC
             out_slices[slices[si]] = (live, x[live].copy(), y[live].copy())
             si += 1
     logs = _jump_log(jumps, params.dim, ("jump_ids", *_JUMP_LOG)) if collect_jumps else {}
-    return CohortResult(death_times=st.exit_time, end_x=x, end_y=y, alive=alive,
+    return CohortResult(death_times=st.exit_time, end_x=x, end_y=y,
                         slices=out_slices, bound_exceeded=st.bound_exceeded, **logs,
                         total_time_alive=float(np.minimum(st.exit_time, horizon).sum()))
 

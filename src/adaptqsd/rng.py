@@ -5,6 +5,13 @@ plus a lineage tuple naming the consumer (e.g. (seed, ("fv", step, "noise"))).
 Keys map to independent Philox streams through a SHA-256 digest, so any
 component can be replayed in isolation and adding a consumer never perturbs
 the draws of existing ones.
+
+stream(key) builds a fresh generator at the start of key's stream. A caller
+that opens one stream after another, such as the window driver, which opens
+a stream per window, can instead rewind a generator it already holds:
+rewind(gen, key) resets gen's Philox counter, key and buffered output to
+exactly the state a fresh stream(key) starts in, so it draws exactly what
+stream(key) draws, without building a new bit generator.
 """
 from __future__ import annotations
 
@@ -15,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["StreamKey", "stream"]
+__all__ = ["StreamKey", "stream", "rewind"]
 
 Lineage = tuple[int | str, ...]
 
@@ -57,3 +64,23 @@ def _digest_key(key: StreamKey) -> int:
 def stream(key: StreamKey) -> np.random.Generator:
     """Fresh generator for this key; same key always yields the same stream."""
     return np.random.Generator(np.random.Philox(key=_digest_key(key)))
+
+
+_WORDS = 2**64 - 1
+_ZEROS = (0, 0, 0, 0)
+
+
+def rewind(gen: np.random.Generator | None, key: StreamKey) -> np.random.Generator:
+    """gen, a generator made by stream, reset to the start of key's stream
+    (stream(key) itself when gen is None): its draws are exactly those of a
+    fresh stream(key)."""
+    if gen is None:
+        return stream(key)
+    k = _digest_key(key)
+    # a fresh Philox(key=k): counter 0, key k in two 64-bit words, low first,
+    # no buffered output and no buffered 32-bit half
+    gen.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": _ZEROS, "key": (k & _WORDS, k >> 64)},
+                               "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0,
+                               "uinteger": 0}
+    return gen

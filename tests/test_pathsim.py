@@ -10,7 +10,7 @@ import pytest
 
 from adaptqsd import cli, cohort
 from adaptqsd.errors import DomainError
-from adaptqsd.model import default_params
+from adaptqsd.model import default_params, reference_set
 from adaptqsd.pathsim import ExitReason, SimConfig, simulate_paths, simulate_q_path
 from adaptqsd.rng import StreamKey
 
@@ -182,6 +182,12 @@ def test_init_validation():
         simulate_paths((np.array([4.5]), 2.0), params, boxed, [StreamKey(seed=0)])
     with pytest.raises(DomainError):
         simulate_paths((np.array([45.0]), 2.0), params, SimConfig(), [StreamKey(seed=0)])
+    # both front ends start from an (x, y) point, not a law
+    with pytest.raises(DomainError, match="point"):
+        simulate_paths(reference_set(params), params, boxed, [StreamKey(seed=0)])
+    with pytest.raises(DomainError, match="point"):
+        simulate_q_path(reference_set(params), params, boxed, StreamKey(seed=0),
+                        lambda x, y: np.ones(len(y)), eta_max=1.0)
 
 
 def test_n_coordinate_transform(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptqsd.errors import DomainError
-from adaptqsd.rng import StreamKey, _digest_key, stream
+from adaptqsd.rng import StreamKey, _digest_key, rewind, stream
 
 _PARTS = st.one_of(st.integers(-10**6, 10**6), st.text(st.characters(codec="utf-8",
                                                                    exclude_characters="/"),
@@ -87,3 +87,24 @@ def test_lineage_string_must_encode_as_utf8():
     with pytest.raises(DomainError):
         StreamKey(seed=1).child("x\udfff")
     stream(StreamKey(seed=1, lineage=("\u00e9t\u00e9", "\U0001f600")))
+
+
+def test_rewind_draws_what_a_fresh_stream_draws():
+    """A used generator, rewound to a key, draws exactly what stream(key)
+    draws, whatever it had buffered: integers(0, 7, 3) leaves a 32-bit half
+    of its last 64-bit output buffered."""
+    gen = stream(StreamKey(seed=3, lineage=("old",)))
+    gen.standard_normal(5)
+    gen.random(3)
+    gen.poisson(2.5, 4)
+    gen.integers(0, 7, 3)
+    assert gen.bit_generator.state["has_uint32"] == 1
+    key = StreamKey(seed=4, lineage=("w", 9))
+    fresh = stream(key)
+    assert rewind(gen, key) is gen
+    for draw in (lambda g: g.integers(0, 7, 3), lambda g: g.standard_normal(7),
+                 lambda g: g.random(5), lambda g: g.poisson(np.array([0.5, 3.0, 40.0])),
+                 lambda g: g.integers(0, 2**40, 2)):
+        np.testing.assert_array_equal(draw(gen), draw(fresh))
+    # a None generator gets a fresh stream
+    np.testing.assert_array_equal(rewind(None, key).random(4), stream(key).random(4))
