@@ -201,16 +201,24 @@ def test_beta_combines_alpha_and_eta(small_oracle):
     np.testing.assert_allclose(beta.masses, expected / expected.sum(), rtol=1e-12)
 
 
-@pytest.mark.parametrize("overrides, digest", [
-    ({}, "6582065a8da314861961596ae99776dd016413d465987273740558609326b6a5"),
-    ({"tau": 0.3, "s": 1.0}, "88a5dd9fdc37923d762d821afdd787756e4481583957f9849287a9dc3efc13d6"),
+@pytest.mark.parametrize("overrides, box, digest", [
+    ({}, (4.0, 40, 30), "6582065a8da314861961596ae99776dd016413d465987273740558609326b6a5"),
+    ({"tau": 0.3, "s": 1.0}, (4.0, 40, 30),
+     "88a5dd9fdc37923d762d821afdd787756e4481583957f9849287a9dc3efc13d6"),
     # the jump loop's `keep` filter drops the zero rates of inward-only jumps
-    ({"fixation_family": "advantageous_only"},
+    ({"fixation_family": "advantageous_only"}, (4.0, 40, 30),
      "d85e120338a0ec5538c87c9e5f8dfbf9b92669a63023588a843b2ac44ebcac28"),
+    ({"fixation_family": "rescaled_advantageous"}, (4.0, 40, 30),
+     "e014cc1352cb633c5ca3947b7c3572c540e20140482cf488bbbf350a54aaa00c"),
+    # a jump band of 16 cells on a box 12 cells wide: some offsets reach no cell
+    ({}, (1.5, 12, 10), "0413d9b95e363fc2cd54126bcd834518219bffb8b920d1b080ca6c37e9625f0b"),
+    ({}, (4.0, 120, 90), "bbfd768ee789861f240fd79c666931e73f11c3cad1eaa23822be18265e28405e"),
 ])
-def test_generator_assembly_is_frozen(overrides, digest):
-    """SHA-256 of the 40 x 30 generator's CSR arrays, kill rates and diagnostics."""
-    genr = build_generator(default_params(**overrides), 4.0, nx=40, ny=30)
+def test_generator_assembly_is_frozen(overrides, box, digest):
+    """SHA-256 of the generator's CSR arrays, kill rates and diagnostics on the
+    box B(0, L) x [1e-3, L] of nx x ny cells, box = (L, nx, ny)."""
+    L, nx, ny = box
+    genr = build_generator(default_params(**overrides), L, nx=nx, ny=ny)
     h = hashlib.sha256()
     for a in (genr.Q.indptr, genr.Q.indices, genr.Q.data, genr.kill_rate):
         h.update(np.ascontiguousarray(a).tobytes())
