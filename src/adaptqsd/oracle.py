@@ -6,12 +6,11 @@ comparison is bin-for-bin): nonuniform central differences for the (1/2) d2/dy2
 term, first-order upwind for the y-drift and the -v x-transport, and a banded
 jump stencil with targets rounded to cell centers. Probability flux through
 any edge of the box, and jump mass landing outside it, feed an implicit kill
-state, making row sums nonpositive (sub-Markov). Each term is assembled as one
-array expression over the (ny, nx) array of int32 flat cell indices
-j * nx + i (x fastest); only the jump offsets are looped over. The terms are
-copied in order into one preallocated set of (source, target, rate) entries
-and released as they go, and that set is released before the diagonal is
-added, so the build's traced peak is ~2.4x the bytes of the Q it returns.
+state, making row sums nonpositive (sub-Markov). Cells are numbered j * nx + i
+(x fastest). The jump rates are f(y_j) times one (nx, offsets) table, so Q's
+CSR arrays, diagonal included, are counted and then written one grid row at a
+time, with no copy of the entries: the traced peak of a 120x90 build is
+1.1x the bytes of the Q it returns.
 
 Every solve goes through one factorization of I - 2Q per generator: a block
 LDU over the grid's y rows (GridGenerator.lu), nx + 2 floats per cell, that
@@ -25,9 +24,9 @@ eigentriple (lambda0, alpha, eta). The consistency checks apply e^{tQ} and its
 adjoint from the same basis: no time steps, any stiffness, exact to round-off.
 
 Q need not be irreducible: every cell must reach its largest strongly
-connected component (the main one), on which alpha then lives. Cells outside
-it are transient, as where advantageous-only jumps cannot climb back to large
-x.
+connected component (the main one), on which alpha then lives; a BFS on the
+graph of the components checks it. Cells outside it are transient, as where
+advantageous-only jumps cannot climb back to large x.
 
 Everything here is deliberately disjoint from the simulation code path: no
 thinning, no random numbers, no shared stepping logic.
@@ -208,13 +207,8 @@ def build_generator(params: ModelParams, L: float, y_min: float = 1e-3,
     yc = grid.y_centers
     hx = xc[1] - xc[0]
     N = nx * ny
-    # flat index j * nx + i of cell (i, j), int32 as in Q's CSR indices
-    cell = np.arange(N, dtype=np.int32).reshape(ny, nx)
+    # flux leaving the box adds to kill
     kill = np.zeros((ny, nx))
-    # each generator term is one (source cells, target offset, rates) triple,
-    # the offset of every target from its source in the flat order; flux
-    # leaving the box adds to kill instead
-    terms = []
 
     # --- y diffusion (coefficient 1/2) plus upwinded y drift
     dy = np.diff(yc)
@@ -223,20 +217,22 @@ def build_generator(params: ModelParams, L: float, y_min: float = 1e-3,
     psi = drift_y(xc[None, :, None], yc[:, None], params)  # (ny, nx)
     up = 1.0 / (h_plus * (h_minus + h_plus)) + np.maximum(psi, 0.0) / h_plus
     down = 1.0 / (h_minus * (h_minus + h_plus)) + np.maximum(-psi, 0.0) / h_minus
-    terms += [(cell[:-1], nx, up[:-1]), (cell[1:], -nx, down[1:])]
     kill[-1] += up[-1]
     kill[0] += down[0]
 
     # --- x transport at speed v toward -L
-    terms.append((cell[:, 1:], -1, np.full((ny, nx - 1), params.v / hx)))
-    kill[:, 0] += params.v / hx
+    transport = params.v / hx
+    kill[:, 0] += transport
 
     # --- jumps: banded stencil in the x direction, separable in (i, j),
     # reaching 8 mutation standard deviations; off-grid targets are killed
     fy = np.asarray(params.f(yc))[:, None]  # (ny, 1)
     band = int(math.ceil(8.0 * params.tau / hx))
+    reach = min(band, nx - 1)  # the farthest offset with a target on the grid
     total_int = np.array([fixation_integral(np.array([x0]), params) for x0 in xc])  # (nx,)
     in_grid = np.zeros(nx)  # discrete integral per source column, summed in offset order
+    # jump rate / f(y) from column i to i + di at [i, reach + di]; 0 off the grid and at di = 0
+    gnu_ok = np.zeros((nx, 2 * reach + 1))
     for di in range(-band, band + 1):
         if di == 0:
             gv0 = params.g(xc[:, None], np.zeros((nx, 1)))
@@ -247,49 +243,87 @@ def build_generator(params: ModelParams, L: float, y_min: float = 1e-3,
         gnu = params.g(xc[:, None], w) * params.mutation_density(w) * hx  # (nx,)
         tgt = np.arange(nx) + di
         ok = (tgt >= 0) & (tgt < nx)
-        in_grid += np.where(ok, gnu, 0.0)
-        rate = fy * gnu
-        keep = ok & (rate > 0.0)  # zero rates are not stored
-        terms.append((cell[keep], di, rate[keep]))
-        kill[:, ~ok] += rate[:, ~ok]
+        on = np.where(ok, gnu, 0.0)
+        in_grid += on
+        if abs(di) <= reach:
+            gnu_ok[:, reach + di] = on
+        kill[:, ~ok] += fy * gnu[~ok]
 
     # jump mass unresolved by the band or the midpoint rule:
     # reconcile rows against the exact quadrature so the total outflow is
     # trapezoid-consistent (routed to kill; it is the beyond-box tail)
     kill += fy * np.maximum(total_int - in_grid, 0.0)
-    kill = kill.ravel()
 
-    # copy the terms, in order, into one triple set, releasing each once it
-    # is copied; the triple set goes before the diagonal step adds a second CSR
-    size = sum(r.size for _, _, r in terms)
-    src, dst, rates = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size)
-    end = 0
-    while terms:
-        cells, offset, rate = terms.pop(0)
-        at, end = end, end + rate.size
-        src[at:end], rates[at:end] = cells.ravel(), rate.ravel()
-        np.add(src[at:end], offset, out=dst[at:end])
-    Q = sp.coo_matrix((rates, (src, dst)), shape=(N, N)).tocsr()
-    del src, dst, rates
-    out_rate = np.asarray(Q.sum(axis=1)).ravel() + kill
-    Q = (Q - sp.diags(out_rate)).tocsr()
+    # Q's CSR arrays, written one grid row at a time. A cell's entries, in
+    # column order, sit in slots: y down, the x offsets -reach..reach (the
+    # diagonal at 0), y up; an off-diagonal slot is stored where its rate is
+    # positive (zero jump rates are not stored)
+    offsets = np.concatenate(([-nx], np.arange(-reach, reach + 1), [nx])).astype(np.int32)
+    diag = reach + 1
+
+    def slots(j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rates (nx, slots) of grid row j's cells, the diagonal's 0, and the stored ones."""
+        rates = np.zeros((nx, len(offsets)))
+        np.multiply(fy[j], gnu_ok, out=rates[:, 1:-1])
+        rates[1:, diag - 1] += transport
+        if j:
+            rates[:, 0] = down[j]
+        if j < ny - 1:
+            rates[:, -1] = up[j]
+        return rates, rates > 0.0
+
+    # the entries of each cell, its diagonal included, counted before any is written
+    counts = np.concatenate([slots(j)[1].sum(axis=1) + 1 for j in range(ny)])
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    idx = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
+    indptr = indptr.astype(idx)
+    indices, data = np.empty(indptr[-1], idx), np.empty(indptr[-1])
+    out_rate = np.empty((ny, nx))
+    cells = np.arange(nx, dtype=idx)
+    for j in range(ny):
+        rates, stored = slots(j)
+        # the off-diagonal sum as csr.sum(axis=1) takes it: reduceat over the row in column order
+        starts = np.concatenate(([0], np.cumsum(stored.sum(axis=1))[:-1]))
+        out_rate[j] = np.add.reduceat(rates[stored], starts) + kill[j]
+        rates[:, diag], stored[:, diag] = 0.0 - out_rate[j], True
+        lo, hi = indptr[j * nx], indptr[(j + 1) * nx]
+        data[lo:hi] = rates[stored]
+        indices[lo:hi] = (j * nx + cells[:, None] + offsets)[stored]
+    kill = kill.ravel()
+    Q = sp.csr_matrix((data, indices, indptr), shape=(N, N))
     genr = GridGenerator(grid=grid, params=params, Q=Q, kill_rate=kill)
 
-    # every cell must reach the main component: a BFS on Q^T from one of its
-    # cells visits exactly the cells that reach it
     n_comp, main = genr.components
     frac = main.sum() / N
-    if n_comp > 1:
-        unreached = N - breadth_first_order(Q.T, int(np.argmax(main)),
-                                            return_predecessors=False).size
-        if unreached:
-            raise NumericError("generator has cells that cannot reach its main component",
-                               diagnostics={"n_components": int(n_comp),
-                                            "largest_frac": float(frac), "unreached": unreached})
+    if n_comp > 1 and (unreached := _unreached(Q, nx)):
+        raise NumericError("generator has cells that cannot reach its main component",
+                           diagnostics={"n_components": int(n_comp),
+                                        "largest_frac": float(frac), "unreached": unreached})
 
     genr.diagnostics = {"nnz": int(Q.nnz), "bandwidth_x": band, "scc_frac": float(frac),
                         "min_row_deficit": float(kill.min()), "max_rate": float(out_rate.max())}
     return genr
+
+
+def _unreached(Q: sp.csr_matrix, nx: int) -> int:
+    """Cells of Q that cannot reach its largest strongly connected component: a
+    BFS back from it on the graph of the components, whose edges are read from
+    Q one grid row of nx cells at a time."""
+    n_comp, labels = connected_components(Q, directed=True, connection="strong")
+    sizes = np.bincount(labels)
+    pairs = np.empty(0, np.int64)  # the distinct (source, target) pairs so far, src * n_comp + dst
+    for start in range(0, Q.shape[0], nx):
+        lo, hi = Q.indptr[start], Q.indptr[start + nx]
+        src = np.repeat(labels[start:start + nx], np.diff(Q.indptr[start:start + nx + 1]))
+        dst = labels[Q.indices[lo:hi]]
+        cross = src != dst
+        # sorted and deduplicated by hand: np.unique takes ~4x as long
+        pairs = np.sort(np.concatenate((pairs, src[cross].astype(np.int64) * n_comp + dst[cross])))
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    src, dst = np.divmod(pairs, n_comp)
+    back = sp.csr_matrix((np.ones(src.size), (dst, src)), shape=(n_comp, n_comp))
+    reached = breadth_first_order(back, int(sizes.argmax()), return_predecessors=False)
+    return int(Q.shape[0] - sizes[reached].sum())
 
 
 def _nonnegative(v: np.ndarray, name: str) -> np.ndarray:
