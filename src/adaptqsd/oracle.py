@@ -262,7 +262,7 @@ def build_generator(params: ModelParams, L: float, y_min: float = 1e-3,
     diag = reach + 1
 
     def slots(j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rates (nx, slots) of grid row j's cells, the diagonal's 0, and the stored ones."""
+        """Grid row j's rates by cell and slot (0 at the diagonal), and which are stored."""
         rates = np.zeros((nx, len(offsets)))
         np.multiply(fy[j], gnu_ok, out=rates[:, 1:-1])
         rates[1:, diag - 1] += transport

@@ -18,6 +18,7 @@ from adaptqsd.oracle import (
     GridGenerator,
     _expm_action,
     _nonnegative,
+    _unreached,
     build_generator,
     leading_triple,
     leading_vector,
@@ -209,7 +210,7 @@ def test_beta_combines_alpha_and_eta(small_oracle):
     ({}, (4.0, 40, 30), "6582065a8da314861961596ae99776dd016413d465987273740558609326b6a5"),
     ({"tau": 0.3, "s": 1.0}, (4.0, 40, 30),
      "88a5dd9fdc37923d762d821afdd787756e4481583957f9849287a9dc3efc13d6"),
-    # the jump loop's `keep` filter drops the zero rates of inward-only jumps
+    # the zero jump rates of inward-only jumps are not stored
     ({"fixation_family": "advantageous_only"}, (4.0, 40, 30),
      "d85e120338a0ec5538c87c9e5f8dfbf9b92669a63023588a843b2ac44ebcac28"),
     ({"fixation_family": "rescaled_advantageous"}, (4.0, 40, 30),
@@ -285,6 +286,15 @@ def test_generator_with_cells_that_cannot_reach_its_main_component_raises(monkey
         build_generator(default_params(), 4.0, nx=40, ny=30)
     assert info.value.diagnostics == {"n_components": 16, "largest_frac": 0.625,
                                       "unreached": 450}
+
+
+def test_unreached_follows_paths_through_other_components():
+    # grid rows of three cells: 0 -> 1 -> 2 -> 0 is the main component; 3
+    # reaches it only through 4, and 5 reaches nothing
+    A = np.zeros((6, 6))
+    A[[0, 1, 2, 3, 4], [1, 2, 0, 4, 0]] = 1.0
+    A[np.arange(6), np.arange(6)] = -1.0
+    assert _unreached(sp.csr_matrix(A), 3) == 1
 
 
 def _toy_grid(ny=2):
