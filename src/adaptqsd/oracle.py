@@ -306,9 +306,9 @@ def build_generator(params: ModelParams, L: float, y_min: float = 1e-3,
 
 
 def _unreached(Q: sp.csr_matrix, nx: int) -> int:
-    """Cells of Q that cannot reach its largest strongly connected component: a
-    BFS back from it on the graph of the components, whose edges are read from
-    Q one grid row of nx cells at a time."""
+    """The number of cells of Q that cannot reach its largest strongly
+    connected component: a BFS back from it on the graph of the components,
+    whose edges are read from Q one grid row of nx cells at a time."""
     n_comp, labels = connected_components(Q, directed=True, connection="strong")
     sizes = np.bincount(labels)
     pairs = np.empty(0, np.int64)  # the distinct (source, target) pairs so far, src * n_comp + dst
